@@ -660,9 +660,7 @@ def decompose(
         for e in c.edges:
             em[e] = cid
 
-    transcript.rounds = sum(
-        v for k, v in transcript.phases.items() if not k.startswith("flag:")
-    )
+    transcript.rounds = transcript.phase_rounds()
     deco = Decomposition(
         delta=delta,
         threshold=threshold,

@@ -58,6 +58,10 @@ class Transcript:
     seed: int = 0
     cap_exhausted: bool = False
 
+    def phase_rounds(self) -> int:
+        """Total of the phase charges; `flag:` entries record settings, not rounds."""
+        return sum(v for k, v in self.phases.items() if not k.startswith("flag:"))
+
     def as_json(self) -> Dict[str, Any]:
         return {
             "rounds": self.rounds,

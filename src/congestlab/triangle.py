@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -191,26 +192,25 @@ class TriadAllocation:
     classes: Dict[int, int]
     delta_bar: int
     _index: Dict[Tuple[int, ...], int] = field(default_factory=dict)
-    _owners: List[Tuple[int, int]] = field(default_factory=list)
+    _starts: List[int] = field(default_factory=list)
+    _owners: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._index = {t: i for i, t in enumerate(self.tuples)}
-        self._owners = sorted((lo, v) for v, (lo, hi) in self.ranges.items())
+        by_start = sorted((lo, v) for v, (lo, hi) in self.ranges.items())
+        self._starts = [lo for lo, _ in by_start]
+        self._owners = [v for _, v in by_start]
 
     def owner_of(self, class_tuple: Sequence[int]) -> int:
         key = tuple(sorted(class_tuple))
         if key not in self._index:
             raise GraphError(f"{key} is not a class tuple for q={self.q}")
         idx = self._index[key]
-        owner = None
-        for lo, v in self._owners:
-            if lo <= idx:
-                owner = v
-            else:
-                break
-        if owner is None or idx >= self.ranges[owner][1]:
+        # The owner is the last range starting at or before idx.
+        pos = bisect_right(self._starts, idx) - 1
+        if pos < 0 or idx >= self.ranges[self._owners[pos]][1]:
             raise GraphError(f"tuple index {idx} was never allocated")
-        return owner
+        return self._owners[pos]
 
 
 def _allocate_tuples(ids: IdAssignment, g_in: Graph, q: int, size: int) -> TriadAllocation:
@@ -310,7 +310,9 @@ def case1_report_owner(triangle, oriented, ids=None) -> Optional[int]:
     """Pick the unique reporter of a triangle touching oriented edges.
 
     `oriented` holds (tail, head) pairs for the triangle's oriented edges;
-    absent pairs are unoriented. Returns None when no edge is oriented.
+    absent pairs are unoriented, and pairs off the triangle are ignored.
+    Returns None when no edge is oriented. The caller passes only the
+    triangle's own (at most three) pairs, so a call costs O(1).
     The three published rules (out-degree-2 apex, lone directed edge or
     directed path, common sink) cover every acyclic pattern; the trailing
     fallback (smallest id without an outgoing edge) completes the function
@@ -483,9 +485,7 @@ def enumerate_expander(
         _, charged, _ = _deliver(gp, verts_plus, requests, kappa_base, envelope)
         transcript.phases["triangle:collect"] = charged
         transcript.message_count += len(requests)
-        transcript.rounds = sum(
-            v for k, v in transcript.phases.items() if not k.startswith("flag:")
-        )
+        transcript.rounds = transcript.phase_rounds()
         for t in tri_all:
             result.add(t, star)
         return result, transcript
@@ -542,9 +542,7 @@ def enumerate_expander(
             assert edge_key(*e) in known[owner], "owner missed a triangle edge"
         result.add(t, owner)
 
-    transcript.rounds = sum(
-        v for k, v in transcript.phases.items() if not k.startswith("flag:")
-    )
+    transcript.rounds = transcript.phase_rounds()
     return result, transcript
 
 
@@ -572,29 +570,34 @@ def _solve_general(
     phases[f"triangle:decompose:{level}"] = dtx.rounds
     messages = dtx.message_count
 
-    es_edges: Set[Edge] = set()
-    oriented: Set[Tuple[int, int]] = set()
-    max_owned = 0
-    for owner, part in decomp.es.items():
-        max_owned = max(max_owned, len(part))
-        for e in part:
-            es_edges.add(e)
-            oriented.add((owner, e[0] + e[1] - owner))
-
     # Sparse-edge triangles: owners announce their edges for one round per
-    # owned edge, and the orientation rules pick the unique reporter.
-    if es_edges:
-        phases[f"triangle:case1:{level}"] = max_owned
+    # owned edge, and the orientation rules pick the unique reporter. The
+    # edge->tail map `tail` holds every E_s edge with its owner (decompose
+    # has verified one owner per edge and an acyclic orientation), so each
+    # triangle looks up only its own three edges.
+    tail = decomp.orientation.owner_of()
+    if tail:
+        phases[f"triangle:case1:{level}"] = max(map(len, decomp.es.values()))
         messages += sum(
             len(part) * g.deg[owner] for owner, part in decomp.es.items()
         )
         for t in _triangles_of_edges(g.edges()):
             a, b, c = t
-            tri_edges = {(a, b), (a, c), (b, c)}
-            if tri_edges & es_edges:
-                owner = case1_report_owner(t, oriented)
-                assert owner is not None
-                result.add(t, owner)
+            pairs = [
+                (tail[e], e[0] + e[1] - tail[e])
+                for e in ((a, b), (a, c), (b, c))
+                if e in tail
+            ]
+            if not pairs:
+                continue
+            owner = case1_report_owner(t, pairs)
+            assert owner is not None
+            # The owner sees its two incident edges; the opposite one it
+            # only hears of through the announcement of that edge's tail.
+            assert edge_key(*(v for v in t if v != owner)) in tail, (
+                "case-1 owner missed its opposite edge"
+            )
+            result.add(t, owner)
 
     er_set = set(decomp.er)
     deg_er: Dict[int, int] = {}
@@ -679,9 +682,7 @@ def enumerate_general(
         g, delta, seed, kappa, 0, cap, transcript.phases
     )
     transcript.message_count = messages
-    transcript.rounds = sum(
-        v for k, v in transcript.phases.items() if not k.startswith("flag:")
-    )
+    transcript.rounds = transcript.phase_rounds()
     return result, transcript
 
 
@@ -790,9 +791,7 @@ def enumerate_subgraphs(
         transcript.message_count += len(requests)
         for verts in occurrences:
             result.attribution[verts] = star
-        transcript.rounds = sum(
-            v for k, v in transcript.phases.items() if not k.startswith("flag:")
-        )
+        transcript.rounds = transcript.phase_rounds()
         return result, transcript
 
     ids, id_rounds = assign_degree_class_ids(g, members)
@@ -827,7 +826,5 @@ def enumerate_subgraphs(
                 assert edge_key(a, b) in known[owner], "owner missed an edge"
         result.attribution[verts] = owner
 
-    transcript.rounds = sum(
-        v for k, v in transcript.phases.items() if not k.startswith("flag:")
-    )
+    transcript.rounds = transcript.phase_rounds()
     return result, transcript

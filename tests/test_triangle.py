@@ -106,6 +106,64 @@ def test_triad_capacity_error():
         allocate_triads(ids, g, 50)
 
 
+def _linear_owner(alloc, class_tuple):
+    # reference rule: the last range, in start order, that starts at or
+    # before the tuple's index, provided the index lies inside it
+    idx = alloc.tuples.index(tuple(sorted(class_tuple)))
+    owner = None
+    for lo, v in sorted((lo, v) for v, (lo, hi) in alloc.ranges.items()):
+        if lo <= idx:
+            owner = v
+        else:
+            break
+    if owner is None or idx >= alloc.ranges[owner][1]:
+        return None
+    return owner
+
+
+def test_triad_owner_of_matches_linear_rule():
+    core_and_leaves = Graph(
+        20,
+        [(a, b) for a in range(10) for b in range(a + 1, 10)]
+        + [(a, a + 10) for a in range(10)],
+    )
+    sparse = gen_er(40, 0.2, seed=2)
+    dense = gen_er(64, 0.3, seed=1)
+    allocs = []
+    for g, q, size in (
+        (core_and_leaves, 2, 3),
+        (core_and_leaves, 3, 3),
+        (core_and_leaves, 2, 4),
+        (sparse, 3, 3),
+        (dense, 4, 3),
+        (dense, 3, 4),
+    ):
+        members = [v for v in range(g.n) if g.deg[v] > 0]
+        ids, _ = assign_degree_class_ids(g, members)
+        allocs.append(tr._allocate_tuples(ids, g, q, size))
+    assert sum(1 for a in allocs if 0 in a.classes.values()) >= 4
+    for alloc in allocs:
+        for t in alloc.tuples:
+            assert alloc.owner_of(t) == _linear_owner(alloc, t)
+            assert alloc.owner_of(t[::-1]) == alloc.owner_of(t)
+
+
+def test_triad_owner_of_unallocated_indices():
+    # hand-made ranges with holes before, between and after them
+    tuples = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
+    for ranges in ({7: (1, 2)}, {7: (1, 2), 8: (3, 4)}, {5: (0, 1), 6: (2, 3)}):
+        alloc = tr.TriadAllocation(2, 3, tuples, ranges, {}, 1)
+        for t in tuples:
+            expected = _linear_owner(alloc, t)
+            if expected is None:
+                with pytest.raises(GraphError, match="never allocated"):
+                    alloc.owner_of(t)
+            else:
+                assert alloc.owner_of(t) == expected
+    with pytest.raises(GraphError, match="not a class tuple"):
+        alloc.owner_of((1, 3, 1))
+
+
 # -- sparse-edge owner rules -------------------------------------------------
 
 
@@ -293,6 +351,53 @@ def test_general_sparse_regime_is_case1_only():
     res, t = enumerate_general(g, 0.5, seed=4)
     assert res.triangles == brute_force_triangles(g).triangles
     assert not any(k.startswith("triangle:case2") for k in t.phases)
+
+
+def test_general_case1_calls_get_only_own_pairs(monkeypatch):
+    # each case-1 call sees the triangle's own oriented edges, never all
+    # of E_s, so the cost per triangle stays constant
+    sizes = []
+    real = tr.case1_report_owner
+
+    def spy(triangle, oriented, ids=None):
+        sizes.append(len(oriented))
+        return real(triangle, oriented, ids)
+
+    monkeypatch.setattr(tr, "case1_report_owner", spy)
+    g = gen_er(128, 8.0 / 128, seed=4)
+    res, _ = enumerate_general(g, 0.5, seed=4)
+    assert res.triangles == brute_force_triangles(g).triangles
+    assert len(sizes) == res.count > 0
+    assert max(sizes) <= 3 and min(sizes) >= 1
+
+
+def _clique_with_apex():
+    # a 20-clique (one cluster) plus apex 20 joined to clique vertices 0
+    # and 1; both apex edges are sparse and owned by the apex, while (0, 1)
+    # stays a cluster edge, so triangle (0, 1, 20) mixes E_s and E_m
+    edges = [(a, b) for a in range(20) for b in range(a + 1, 20)]
+    return Graph(21, edges + [(0, 20), (1, 20)])
+
+
+def test_general_case1_owner_knowledge_check_fires(monkeypatch):
+    g = _clique_with_apex()
+    res, t = enumerate_general(g, 0.5, seed=3)
+    assert res.triangles == brute_force_triangles(g).triangles
+    assert {"triangle:case1:0", "triangle:case2:0"} <= set(t.phases)
+    # 20 has out-degree 2, so the smaller head reports; it hears of the
+    # sparse edge (1, 20) through 20's announcement
+    assert res.attribution[(0, 1, 20)] == 0
+
+    # the apex's opposite edge (0, 1) is a cluster edge that nobody
+    # announced to it, so reporting from the apex must trip the check
+    real = tr.case1_report_owner
+
+    def apex_reports(triangle, oriented, ids=None):
+        return 20 if 20 in triangle else real(triangle, oriented, ids)
+
+    monkeypatch.setattr(tr, "case1_report_owner", apex_reports)
+    with pytest.raises(AssertionError, match="opposite edge"):
+        enumerate_general(g, 0.5, seed=3)
 
 
 def test_general_attribution_exactly_once():
