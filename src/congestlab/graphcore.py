@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 Edge = Tuple[int, int]
 
@@ -90,28 +91,9 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
 
-    # -- matrices -------------------------------------------------------
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
-
     def lazy_walk_matrix(self) -> np.ndarray:
-        """Column-stochastic lazy transition matrix T = (A D^-1 + I)/2.
-
-        Column s is the distribution after one lazy step from s.  A vertex
-        with no neighbors keeps all its mass.
-        """
-        a = self.adjacency_matrix()
-        t = np.eye(self.n)
-        for v in range(self.n):
-            if self.deg[v] > 0:
-                t[:, v] = 0.5 * (a[:, v] / self.deg[v])
-                t[v, v] += 0.5
-        return t
+        """Dense form of `lazy_walk_operator(self)`."""
+        return lazy_walk_operator(self).toarray()
 
 
 def as_vertex_set(s: Iterable[int]) -> frozenset:
@@ -245,34 +227,28 @@ def sparsest_cut_bruteforce(g: Graph) -> Cut:
 # ---------------------------------------------------------------------------
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """I - D^-1/2 A D^-1/2 with zero rows for isolated vertices."""
-    lap = np.zeros((g.n, g.n), dtype=np.float64)
-    inv_sqrt = np.array([1.0 / math.sqrt(d) if d > 0 else 0.0 for d in g.deg])
-    for u, v in g.edges():
-        w = inv_sqrt[u] * inv_sqrt[v]
-        lap[u, v] -= w
-        lap[v, u] -= w
-    for v in range(g.n):
-        if g.deg[v] > 0:
-            lap[v, v] = 1.0
-    return lap
+def lazy_walk_operator(g: Graph) -> sparse.csr_matrix:
+    """Column-stochastic lazy transition matrix T = (A D^-1 + I)/2.
 
-
-def lambda2_normalized(g: Graph) -> float:
-    """Second-smallest eigenvalue of the normalized Laplacian.
-
-    Dense solve up to n=1500; sparse Lanczos with a fixed start vector above
-    that, so results stay deterministic run to run.
+    Column s is the distribution after one lazy step from s.  A vertex
+    with no neighbors keeps all its mass.
     """
-    if g.n < 2:
-        return 0.0
-    if g.n <= 1500:
-        vals = np.linalg.eigvalsh(normalized_laplacian(g))
-        return float(vals[1])
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    rows, cols, vals = [], [], []
+    for v in range(g.n):
+        rows.append(v)
+        cols.append(v)
+        vals.append(0.5 if g.deg[v] else 1.0)
+        if g.deg[v]:
+            share = 0.5 / g.deg[v]
+            for u in g.adj[v]:
+                rows.append(u)
+                cols.append(v)
+                vals.append(share)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
 
+
+def normalized_laplacian(g: Graph) -> sparse.csr_matrix:
+    """I - D^-1/2 A D^-1/2 with zero rows for isolated vertices."""
     rows, cols, data = [], [], []
     inv_sqrt = [1.0 / math.sqrt(d) if d > 0 else 0.0 for d in g.deg]
     for u, v in g.edges():
@@ -285,7 +261,23 @@ def lambda2_normalized(g: Graph) -> float:
             rows.append(v)
             cols.append(v)
             data.append(1.0)
-    lap = sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+
+
+def lambda2_normalized(g: Graph) -> float:
+    """Second-smallest eigenvalue of the normalized Laplacian.
+
+    Dense solve up to n=1500; sparse Lanczos with a fixed start vector above
+    that, so results stay deterministic run to run.
+    """
+    if g.n < 2:
+        return 0.0
+    lap = normalized_laplacian(g)
+    if g.n <= 1500:
+        vals = np.linalg.eigvalsh(lap.toarray())
+        return float(vals[1])
+    import scipy.sparse.linalg as spla
+
     v0 = np.full(g.n, 1.0 / math.sqrt(g.n))
     try:
         vals = spla.eigsh(lap, k=2, which="SA", v0=v0, return_eigenvectors=False)

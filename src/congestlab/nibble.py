@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .graphcore import (
     Cut,
@@ -38,6 +37,7 @@ from .graphcore import (
     connected_components,
     induced_subgraph,
     lambda2_normalized,
+    lazy_walk_operator,
     ln_me4,
     log2m,
 )
@@ -293,22 +293,6 @@ class NibbleResult:
         return self.status == "cut"
 
 
-def _lazy_matrix(sub: Graph) -> sparse.csr_matrix:
-    n = sub.n
-    rows, cols, vals = [], [], []
-    for v in range(n):
-        rows.append(v)
-        cols.append(v)
-        vals.append(0.5 if sub.deg[v] else 1.0)
-        if sub.deg[v]:
-            share = 0.5 / sub.deg[v]
-            for u in sub.adj[v]:
-                rows.append(u)
-                cols.append(v)
-                vals.append(share)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def _run_walk_level(
     sub: Graph,
     sources: List[int],
@@ -330,7 +314,7 @@ def _run_walk_level(
     k = len(sources)
     deg = np.array(sub.deg, dtype=np.int64)
     thresh = 2.0 * params.eps * deg
-    t_mat = _lazy_matrix(sub)
+    t_mat = lazy_walk_operator(sub)
     w = np.ones(k) if weights is None else np.array(weights, dtype=float)
 
     p = np.zeros((n, k))

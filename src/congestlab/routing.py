@@ -117,9 +117,9 @@ def route(
 
     Every vertex may appear in at most deg(v) * kappa requests, counting
     source and destination slots separately; exceeding the cap raises an
-    error naming the overloaded vertex. Delivery is exact. The charge is
-    tau * kappa * ceil(max normalized load) with tau the component's
-    mixing-time estimate.
+    error naming the overloaded vertex. Delivery is exact. A non-empty
+    request list is charged tau * kappa rounds, with tau the component's
+    mixing-time estimate; the cap keeps every normalized load at most 1.
     """
     members = sorted(set(component))
     member_set = set(members)
@@ -145,15 +145,12 @@ def route(
         load[req.source] += 1
         load[req.destination] += 1
 
-    worst = 0.0
     for v in members:
         cap = deg_of[v] * kappa
         if load[v] > cap:
             raise GraphError(
                 f"vertex {v} carries load {load[v]} above its cap {cap}"
             )
-        if load[v]:
-            worst = max(worst, load[v] / cap)
 
     delivery: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
     for req in requests:
@@ -162,5 +159,4 @@ def route(
         box.sort()
 
     tau = mixing_estimate(g, members)
-    charged = tau * kappa * math.ceil(worst)
-    return delivery, charged
+    return delivery, tau * kappa

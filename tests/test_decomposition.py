@@ -487,6 +487,29 @@ def test_verifier_catches_orientation_cycle():
     assert report.checks["orientation"] is False
 
 
+def test_verifier_catches_merged_clusters():
+    g = gen_barbell(16, 1)
+    deco, _ = decompose(g, 0.5, seed=3)
+    assert sorted(deco.clusters) == [1, 2]
+    deco.em = {e: 1 for e in deco.em}
+    deco.clusters = {1: deco.clusters[1] | deco.clusters[2]}
+    report = verify_decomposition(g, 0.5, deco)
+    assert report.checks["clusters-connected"] is False
+    assert report.checks["cluster-mixing"] is False
+    assert "cluster 1: disconnected, mixing undefined" in report.flags
+    assert not report.ok
+
+
+def test_verifier_catches_sparse_edge_with_wrong_owner():
+    g = gen_path(100)
+    deco, _ = decompose(g, 0.5)
+    deco.es[10].remove((10, 11))
+    deco.es = {v: p for v, p in deco.es.items() if p}
+    deco.es.setdefault(11, []).append((10, 11))
+    report = verify_decomposition(g, 0.5, deco)
+    assert report.checks["orientation"] is False
+    assert not report.ok
+
 def test_phi_star_is_tiny_but_positive():
     f = phi_star(2016, 2016)
     assert 0 < f < 1e-6
