@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -333,7 +334,7 @@ def eccentricity(g: Graph, root: int) -> int:
 MIXING_STEP_CAP = 5_000_000  # safety valve; Definition-1 scans never get near it
 
 
-def mixing_time_exact(g: Graph, step_cap: Optional[int] = None) -> int:
+def mixing_time_exact(g: Graph) -> int:
     """Minimum t with |p_t^s(v) - pi(v)| <= pi(v)/n for all s, v.
 
     Dense powering of the lazy walk matrix from every start vertex at once.
@@ -349,8 +350,7 @@ def mixing_time_exact(g: Graph, step_cap: Optional[int] = None) -> int:
     pi = np.array(g.deg, dtype=np.float64) / (2.0 * g.m)
     tol = pi / g.n
     cur = np.eye(g.n)
-    cap = step_cap if step_cap is not None else max(1000, 40 * g.n * g.n)
-    cap = min(cap, MIXING_STEP_CAP)
+    cap = min(max(1000, 40 * g.n * g.n), MIXING_STEP_CAP)
     for t in range(1, cap + 1):
         cur = t_mat @ cur
         dev = np.abs(cur - pi[:, None]).max(axis=1)
@@ -373,35 +373,6 @@ def mixing_time_check(g: Graph, t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Orientation:
-    """Per-vertex sets of edges oriented away from their owner."""
-
-    owned: Dict[int, List[Edge]] = field(default_factory=dict)
-
-    def add(self, owner: int, other: int) -> None:
-        self.owned.setdefault(owner, []).append(edge_key(owner, other))
-
-    def out_degree(self, v: int) -> int:
-        return len(self.owned.get(v, ()))
-
-    def all_edges(self) -> List[Edge]:
-        out = []
-        for es in self.owned.values():
-            out.extend(es)
-        return sorted(out)
-
-    def owner_of(self) -> Dict[Edge, int]:
-        d = {}
-        for v, es in self.owned.items():
-            for e in es:
-                d[e] = v
-        return d
-
-    def as_json(self) -> dict:
-        return {str(v): sorted(es) for v, es in sorted(self.owned.items()) if es}
-
-
 @dataclass(frozen=True)
 class OrientationReport:
     ok: bool
@@ -409,15 +380,19 @@ class OrientationReport:
     max_out_degree: int
 
 
-def verify_orientation(g: Graph, o: Orientation, cap: float) -> OrientationReport:
+def verify_orientation(
+    g: Graph, owned: Dict[int, List[Edge]], cap: float
+) -> OrientationReport:
     """Check the arboricity witness: per-owner cap and global acyclicity.
 
+    owned maps each owner to the edges oriented away from it. Each listed
+    edge must touch its owner, exist in g and have no second owner.
     Violations are reported, not raised, so tampered inputs stay inspectable.
     """
     violations: List[str] = []
     seen: Dict[Edge, int] = {}
     max_out = 0
-    for v, es in sorted(o.owned.items()):
+    for v, es in sorted(owned.items()):
         max_out = max(max_out, len(es))
         if len(es) > cap:
             violations.append(f"vertex {v} owns {len(es)} edges, cap {cap:g}")
@@ -434,7 +409,7 @@ def verify_orientation(g: Graph, o: Orientation, cap: float) -> OrientationRepor
     indeg: Dict[int, int] = {}
     succ: Dict[int, List[int]] = {}
     verts = set()
-    for v, es in o.owned.items():
+    for v, es in owned.items():
         for e in es:
             if v not in e:
                 continue
@@ -443,11 +418,8 @@ def verify_orientation(g: Graph, o: Orientation, cap: float) -> OrientationRepor
             indeg[w] = indeg.get(w, 0) + 1
             verts.add(v)
             verts.add(w)
-    queue = sorted(x for x in verts if indeg.get(x, 0) == 0)
+    dq = deque(sorted(x for x in verts if indeg.get(x, 0) == 0))
     done = 0
-    from collections import deque
-
-    dq = deque(queue)
     while dq:
         x = dq.popleft()
         done += 1

@@ -45,8 +45,8 @@ from . import runtime as rt
 
 Distribution = Dict[int, float]
 
-SOURCE_CAP_DEFAULT = 512
-SAMPLING_C_DEFAULT = 4
+SOURCE_CAP = 512
+SAMPLING_C = 4
 CONVERGENCE_TOL = 1e-15
 FLOAT_SLACK = 1e-9
 SCREEN_MARGIN = 1e-6
@@ -66,7 +66,7 @@ class WalkParams:
     k_b: int
 
 
-def make_walk_params(phi: float, m: int, b: int, c: int = SAMPLING_C_DEFAULT) -> WalkParams:
+def make_walk_params(phi: float, m: int, b: int) -> WalkParams:
     if not 0 < phi <= 1 / 12:
         raise GraphError("phi must lie in (0, 1/12]")
     if m < 1 or b < 1:
@@ -75,8 +75,10 @@ def make_walk_params(phi: float, m: int, b: int, c: int = SAMPLING_C_DEFAULT) ->
     t0 = math.ceil(49.0 * log_term / (phi * phi))
     eps = phi / (56.0 * log_term * t0 * (2.0 ** b))
     gamma = 5.0 * phi / (392.0 * log_term)
-    k_b = math.ceil(c * log2m(m) * (2 * m) / (2.0 ** b))
-    return WalkParams(phi=phi, m=m, b=b, c=c, t0=t0, eps=eps, gamma=gamma, k_b=k_b)
+    k_b = math.ceil(SAMPLING_C * log2m(m) * (2 * m) / (2.0 ** b))
+    return WalkParams(
+        phi=phi, m=m, b=b, c=SAMPLING_C, t0=t0, eps=eps, gamma=gamma, k_b=k_b
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +253,16 @@ def sweep_cut(
 
 
 def sample_by_degree(
-    g: Graph,
-    component: Sequence[int],
-    count_or_rate: int,
-    seed="0",
-    mode: str = "exact",
+    g: Graph, component: Sequence[int], count: int, seed="0"
 ) -> List[int]:
-    """Sample component vertices by degree: exact count or expected count."""
+    """Draw count component vertices with replacement, each by its degree."""
     members = sorted(set(component))
     degs = [g.deg[v] for v in members]
-    total = sum(degs)
-    if total == 0:
+    if sum(degs) == 0:
         raise GraphError("component has no volume to sample from")
-    rng = random.Random(f"{seed}:sample:{mode}:{count_or_rate}")
-    if mode == "exact":
-        return rng.choices(members, weights=degs, k=count_or_rate)
-    if mode == "expected":
-        out = []
-        for v, d in zip(members, degs):
-            prob = min(1.0, count_or_rate * d / total)
-            if rng.random() < prob:
-                out.append(v)
-        return out
-    raise GraphError(f"unknown sampling mode {mode!r}")
+    # The "exact" tag names the fixed-count draw; it seeds every walk.
+    rng = random.Random(f"{seed}:sample:exact:{count}")
+    return rng.choices(members, weights=degs, k=count)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +272,9 @@ def sample_by_degree(
 
 @dataclass
 class NibbleResult:
-    status: str  # "cut", "failed", or "budget"
+    """One search's outcome: "cut" with its certificate, or "failed"."""
+
+    status: str
     cut: Optional[Cut]
     certificate: Optional[Dict[str, object]]
     transcript: Optional[rt.Transcript]
@@ -299,14 +290,13 @@ def _run_walk_level(
     params: WalkParams,
     weights: Optional[List[int]] = None,
     sweep_cb=None,
-    step_limit: Optional[int] = None,
 ):
-    """Advance all source walks at one level until win, retirement, or limit.
+    """Advance all source walks at one level until a win or retirement.
 
     Sources must be distinct; weights carry sampling multiplicities for the
     congestion count (duplicate walks are identical, so they are advanced
-    once and weighted). Returns (winner, trunc_free, max_cong, steps_run,
-    hit_limit); winner is (t, column index, sweep hit) or None.
+    once and weighted). Returns (winner, trunc_free, max_cong, steps_run);
+    winner is (t, column index, sweep hit) or None.
     sweep_cb(t, i, column) is asked for live columns in order; its first
     non-None return wins.
     """
@@ -329,8 +319,6 @@ def _run_walk_level(
     for t in range(1, params.t0 + 1):
         if not active.any():
             break
-        if step_limit is not None and steps >= step_limit:
-            return None, trunc_free, max_cong, steps, True
         idx = np.flatnonzero(active)
         prev = p[:, idx]
         stepped = t_mat @ prev
@@ -346,7 +334,7 @@ def _run_walk_level(
             for col, i in enumerate(idx):
                 hit = sweep_cb(t, int(i), stepped[:, col])
                 if hit is not None:
-                    return (t, int(i), hit), trunc_free, max_cong, steps, False
+                    return (t, int(i), hit), trunc_free, max_cong, steps
 
         same_support = ~((stepped > 0.0) ^ (prev > 0.0)).any(axis=0)
         tiny_move = np.abs(stepped - prev).max(axis=0) <= CONVERGENCE_TOL
@@ -354,7 +342,7 @@ def _run_walk_level(
         retire = (same_support & tiny_move) | dead
         if retire.any():
             active[idx[retire]] = False
-    return None, trunc_free, max_cong, steps, False
+    return None, trunc_free, max_cong, steps
 
 
 def _announce_rounds(depth: int, support: int, j: int, rng: random.Random) -> int:
@@ -395,7 +383,7 @@ def congestion_profile(
         else:
             distinct[key] = len(weights)
             weights.append(1)
-    _, _, max_cong, _, _ = _run_walk_level(sub, list(distinct), params, weights)
+    _, _, max_cong, _ = _run_walk_level(sub, list(distinct), params, weights)
     return max_cong
 
 
@@ -404,17 +392,14 @@ def distributed_nibble(
     component: Sequence[int],
     phi: float,
     seed=0,
-    budget: Optional[int] = None,
-    c: int = SAMPLING_C_DEFAULT,
-    source_cap: int = SOURCE_CAP_DEFAULT,
     simulate: bool = False,
 ) -> NibbleResult:
     """Search one component for a cut with conductance at most 12 * phi.
 
     Returns status "cut" with a certified Cut (vertex ids of g, conductance
-    measured inside the component), "failed" when every level is exhausted,
-    or "budget" when the optional work budget (counted in walk steps) runs
-    out first. With simulate=True the result carries a Transcript pricing
+    measured inside the component), or "failed" when the spectral screen
+    rules every cut out or every level is exhausted. Each level samples at
+    most SOURCE_CAP sources. With simulate=True the result carries a Transcript pricing
     the run: sampling and the winner announcement cost tree traversals, and
     each walk step costs the measured maximum number of walks crowding one
     vertex.
@@ -428,7 +413,7 @@ def distributed_nibble(
 
     def finish(status: str, cut=None, cert=None) -> NibbleResult:
         if transcript is not None:
-            transcript.rounds = sum(transcript.phases.values())
+            transcript.rounds = transcript.phase_rounds()
         return NibbleResult(status, cut, cert, transcript)
 
     if m == 0:
@@ -459,12 +444,11 @@ def distributed_nibble(
     total_vol = 2 * m
     max_vol = (5.0 / 6.0) * total_vol
     deg = np.array(sub.deg, dtype=np.int64)
-    steps_used = 0
     failed_cache: set = set()
 
     for b in range(1, b_top + 1):
-        params = make_walk_params(phi, m, b, c)
-        k_b = min(params.k_b, source_cap)
+        params = make_walk_params(phi, m, b)
+        k_b = min(params.k_b, SOURCE_CAP)
         sampled = sample_by_degree(sub, range(sub.n), k_b, seed=f"{seed}:{b}")
         if simulate:
             transcript.phases["nibble:sample"] += depth + math.ceil(log2m(m))
@@ -487,11 +471,9 @@ def distributed_nibble(
         def on_sweep(t, i, col):
             return _sweep_vec(sub, col, deg, phi, total_vol, max_vol)
 
-        limit = None if budget is None else max(budget - steps_used, 0)
-        winner, trunc_free, max_cong, steps, hit_limit = _run_walk_level(
-            sub, fresh, params, weights, sweep_cb=on_sweep, step_limit=limit
+        winner, trunc_free, max_cong, steps = _run_walk_level(
+            sub, fresh, params, weights, sweep_cb=on_sweep
         )
-        steps_used += steps
         if simulate:
             transcript.phases["nibble:walk"] = (
                 transcript.phases.get("nibble:walk", 0) + max_cong * steps
@@ -523,8 +505,6 @@ def distributed_nibble(
             }
             return finish("cut", cut, cert)
 
-        if hit_limit:
-            return finish("budget")
         for i, s in enumerate(fresh):
             if trunc_free[i]:
                 failed_cache.add(s)

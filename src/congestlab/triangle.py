@@ -575,7 +575,7 @@ def _solve_general(
     # edge->tail map `tail` holds every E_s edge with its owner (decompose
     # has verified one owner per edge and an acyclic orientation), so each
     # triangle looks up only its own three edges.
-    tail = decomp.orientation.owner_of()
+    tail = {e: owner for owner, part in decomp.es.items() for e in part}
     if tail:
         phases[f"triangle:case1:{level}"] = max(map(len, decomp.es.values()))
         messages += sum(

@@ -71,6 +71,29 @@ def test_verify_tampered_report_exits_2(tmp_path, capsys):
     assert out == "verified=false"
 
 
+def test_verify_names_sparse_edge_filed_under_wrong_owner(tmp_path, capsys):
+    rpt = tmp_path / "r.json"
+    assert run_cli(
+        ["--mode", "decompose", "--gen", "path:n=60", "--seed", "1", "--out", str(rpt)]
+    ) == 0
+    capsys.readouterr()
+    doc = json.loads(rpt.read_text())
+    es = doc["runs"][0]["decomposition"]["es"]
+    owner = next(v for v, part in es.items() if [0, 1] in part)
+    es[owner].remove([0, 1])
+    es.setdefault("30", []).append([0, 1])
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    code, line, _ = _run(
+        capsys, ["--mode", "verify", "--mode-args", str(bad), "--out", str(out)]
+    )
+    assert code == 2
+    assert line == "verified=false"
+    failures = json.loads(out.read_text())["runs"][0]["results"][0]["failures"]
+    assert any("edge (0, 1) not incident to owner 30" in f for f in failures)
+
+
 def test_nibble_summary(capsys):
     code, out, _ = _run(
         capsys,

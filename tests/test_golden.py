@@ -13,6 +13,12 @@ hashes assume the pinned numpy and BLAS build. Their instances cover one
 cluster beside sparse edges (dense lambda2 and exact mixing), a walk cut
 with removed edges, several clusters, an all-sparse graph, and a cluster
 small enough for the brute-force sparsest cut.
+
+The `nibble` reports pin the walk search itself: its sampling, walks,
+sweeps and round charges. The lambda2 screen reads floats, so these hashes
+assume the pinned BLAS as well. Their instances cover a cut found by the
+walks, a search that walks every level and fails, and a search stopped by
+the lambda2 screen before any walk.
 """
 
 import hashlib
@@ -65,11 +71,25 @@ DECOMPOSE_BRANCHES = {
     "clique:n=16": (1, 0, 0),
 }
 
+NIBBLE_GOLDEN = {
+    ("cycle:n=40", 1, "0.08"): "77ba066c53e95e821cba2f65f1bc1be057937f801af308846f46795e8b1c7ce4",
+    ("er:n=60,p=0.3", 1, "0.03"): "0dbc6a862c406abff9b58c5ce0263dc3e13c8fa3ad25f9b0a3fb7835f95061cf",
+    ("clique:n=30", 1, "0.01"): "1db7f9d78f0541c5e1bd60065037eb3cd52c999b9a2798d9e2d667948906a2ac",
+}
 
-def _report(tmp_path, capsys, mode, spec, seed) -> bytes:
+# (status, phase labels) each nibble instance must produce, so that a hash
+# keeps covering the branch it was chosen for.
+NIBBLE_BRANCHES = {
+    "cycle:n=40": ("cut", {"nibble:sample", "nibble:walk", "nibble:announce"}),
+    "er:n=60,p=0.3": ("failed", {"nibble:sample", "nibble:walk"}),
+    "clique:n=30": ("failed", {"nibble:screen"}),
+}
+
+
+def _report(tmp_path, capsys, mode, spec, seed, *extra) -> bytes:
     out = tmp_path / "report.json"
     assert run_cli(
-        ["--mode", mode, "--gen", spec, "--seed", str(seed), "--out", str(out)]
+        ["--mode", mode, "--gen", spec, "--seed", str(seed), "--out", str(out), *extra]
     ) == 0
     capsys.readouterr()
     return out.read_bytes()
@@ -97,3 +117,13 @@ def test_decompose_report_hash_is_pinned(tmp_path, capsys, spec, seed):
         sum(len(part) for part in dec["es"].values()),
     ) == DECOMPOSE_BRANCHES[spec]
     assert hashlib.sha256(data).hexdigest() == DECOMPOSE_GOLDEN[(spec, seed)]
+
+
+@pytest.mark.parametrize("spec,seed,phi", sorted(NIBBLE_GOLDEN))
+def test_nibble_report_hash_is_pinned(tmp_path, capsys, spec, seed, phi):
+    data = _report(tmp_path, capsys, "nibble", spec, seed, "--phi", phi)
+    run = json.loads(data)["runs"][0]
+    status, phases = NIBBLE_BRANCHES[spec]
+    assert run["status"] == status
+    assert set(run["transcript"]["phases"]) == phases
+    assert hashlib.sha256(data).hexdigest() == NIBBLE_GOLDEN[(spec, seed, phi)]

@@ -312,40 +312,31 @@ def test_generator_spec_errors():
 
 def test_orientation_star_leaves_pass():
     g = gc.gen_star(5)
-    o = gc.Orientation()
-    for leaf in range(1, 5):
-        o.add(leaf, 0)
-    rep = gc.verify_orientation(g, o, cap=1)
+    owned = {leaf: [(0, leaf)] for leaf in range(1, 5)}
+    rep = gc.verify_orientation(g, owned, cap=1)
     assert rep.ok
 
 
 def test_orientation_cycle_fails():
     g = gc.gen_clique(3)
-    o = gc.Orientation()
-    o.add(0, 1)
-    o.add(1, 2)
-    o.add(2, 0)
-    rep = gc.verify_orientation(g, o, cap=5)
+    owned = {0: [(0, 1)], 1: [(1, 2)], 2: [(0, 2)]}
+    rep = gc.verify_orientation(g, owned, cap=5)
     assert not rep.ok
     assert any("cycle" in v for v in rep.violations)
 
 
 def test_orientation_cap_fails():
     g = gc.gen_star(5)
-    o = gc.Orientation()
-    for leaf in range(1, 5):
-        o.add(0, leaf)
-    rep = gc.verify_orientation(g, o, cap=3)
+    owned = {0: [(0, leaf) for leaf in range(1, 5)]}
+    rep = gc.verify_orientation(g, owned, cap=3)
     assert not rep.ok
     assert any("cap" in v for v in rep.violations)
 
 
 def test_orientation_double_ownership_fails():
     g = gc.gen_clique(3)
-    o = gc.Orientation()
-    o.add(0, 1)
-    o.add(1, 0)
-    rep = gc.verify_orientation(g, o, cap=5)
+    owned = {0: [(0, 1)], 1: [(0, 1)]}
+    rep = gc.verify_orientation(g, owned, cap=5)
     assert not rep.ok
 
 

@@ -241,18 +241,10 @@ def test_sample_star_degree_law():
     assert abs(hits / 10_000 - 0.5) < 0.03  # center holds half the volume
 
 
-def test_sample_expected_mode_caps():
-    g = gc.gen_clique(4)
-    got = nb.sample_by_degree(g, range(4), 100, seed=3, mode="expected")
-    assert got == [0, 1, 2, 3]
-
-
 def test_sample_zero_volume():
     g = gc.Graph(3, [(0, 1)])
     with pytest.raises(gc.GraphError):
         nb.sample_by_degree(g, [2], 1, seed=0)
-    with pytest.raises(gc.GraphError):
-        nb.sample_by_degree(g, [0, 1], 1, seed=0, mode="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +293,6 @@ def test_nibble_finds_barbell_side():
     assert res.found
     assert res.cut.phi <= Fraction(12, 50)
     assert res.certificate["phi_achieved"] == str(res.cut.phi)
-
-
-def test_nibble_budget_reported_distinctly():
-    g = gc.gen_cycle(8)
-    res = nb.distributed_nibble(g, range(8), 1 / 50, seed=2, budget=3)
-    assert res.status == "budget"
-    assert res.cut is None
 
 
 def test_nibble_empty_component():
