@@ -546,30 +546,48 @@ class Decomposition:
         }
 
 
+def _report_id(x) -> int:
+    """An integer id from a report; owner keys arrive as decimal strings."""
+    if (type(x) is int) or (isinstance(x, str) and x.isdecimal()):
+        return int(x)
+    raise GraphError(f"report id {x!r} is not a nonnegative integer")
+
+
+def _report_edge(e) -> Edge:
+    if not isinstance(e, (list, tuple)) or len(e) != 2:
+        raise GraphError(f"report edge {e!r} is not a vertex pair")
+    return edge_key(_report_id(e[0]), _report_id(e[1]))
+
+
 def decomposition_from_json(doc: dict) -> "Decomposition":
     """Rebuild a Decomposition from its as_json dict.
 
     The edge-to-cluster map is recovered from the cluster edge lists. The
     per-owner sparse sets are read as listed, so an edge filed under an
     owner that is not one of its endpoints reaches the verifier unchanged.
+    A non-integer id or an edge that is not a vertex pair raises GraphError.
     """
     em: Dict[Edge, int] = {}
     clusters: Dict[int, frozenset] = {}
     for entry in doc["clusters"]:
-        cid = int(entry["id"])
-        clusters[cid] = frozenset(int(v) for v in entry["vertices"])
-        for u, v in entry["edges"]:
-            em[edge_key(int(u), int(v))] = cid
+        cid = _report_id(entry["id"])
+        clusters[cid] = frozenset(_report_id(v) for v in entry["vertices"])
+        for e in entry["edges"]:
+            em[_report_edge(e)] = cid
     es = {
-        int(owner): [edge_key(int(a), int(b)) for a, b in part]
+        _report_id(owner): [_report_edge(e) for e in part]
         for owner, part in doc["es"].items()
     }
+    try:
+        delta, threshold = float(doc["delta"]), float(doc["threshold"])
+    except (TypeError, ValueError):
+        raise GraphError("report delta and threshold must be numbers") from None
     return Decomposition(
-        delta=float(doc["delta"]),
-        threshold=float(doc["threshold"]),
+        delta=delta,
+        threshold=threshold,
         em=em,
         es=es,
-        er=[edge_key(int(a), int(b)) for a, b in doc["er"]],
+        er=[_report_edge(e) for e in doc["er"]],
         clusters=clusters,
         certificates=doc.get("certificates", {}),
     )

@@ -364,29 +364,6 @@ def _announce_rounds(depth: int, support: int, j: int, rng: random.Random) -> in
     return rounds + max(depth, 1)
 
 
-def congestion_profile(
-    g: Graph,
-    component: Sequence[int],
-    params: WalkParams,
-    sources: Sequence[int],
-) -> int:
-    """Max number of sampled walks simultaneously alive at one vertex."""
-    members = sorted(set(component))
-    sub, old_ids = induced_subgraph(g, members)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    distinct: Dict[int, int] = {}
-    weights: List[int] = []
-    for s in sources:
-        key = pos[s]
-        if key in distinct:
-            weights[distinct[key]] += 1
-        else:
-            distinct[key] = len(weights)
-            weights.append(1)
-    _, _, max_cong, _ = _run_walk_level(sub, list(distinct), params, weights)
-    return max_cong
-
-
 def distributed_nibble(
     g: Graph,
     component: Sequence[int],

@@ -5,7 +5,10 @@ Three layers:
 * sequential oracles (`brute_force_triangles`, plus a generic pattern
   oracle used by the tests),
 * `enumerate_expander`: the class-triad algorithm for one well-mixing
-  component together with its outward edges,
+  component together with its outward edges; it and the s-vertex
+  `enumerate_subgraphs` list only their occurrences and hand them to one
+  class-tuple core, `_list_by_class_tuples`, which runs the heavy
+  collector or the tuple routing and attributes every occurrence,
 * `enumerate_general`: decomposition-driven recursion that splits the
   work into sparse-edge triangles (owner rules over the acyclic
   orientation), per-cluster expander runs, and a recursive call on the
@@ -34,7 +37,6 @@ from .graphcore import (
     GraphError,
     edge_key,
     induced_subgraph,
-    log2m,
     subgraph_from_edges,
 )
 from .routing import (
@@ -392,6 +394,105 @@ def _deliver(
 
 
 # ---------------------------------------------------------------------------
+# class-tuple listing
+# ---------------------------------------------------------------------------
+
+
+def _list_by_class_tuples(
+    g: Graph,
+    members: Sequence[int],
+    inward: Sequence[Edge],
+    outward: Dict[Edge, int],
+    occurrences: Sequence[Tuple[int, ...]],
+    s: int,
+    seed,
+    part_tag: str,
+    label: str,
+    heavy_scale: float,
+    kappa: Optional[int],
+) -> Tuple[Dict[Tuple[int, ...], int], Dict[str, int], int]:
+    """Attribute every occurrence to one vertex through class s-tuples.
+
+    The class-tuple partition of Dolev, Lenzen and Peled ("Tri, Tri
+    Again", DISC 2012), shared by the triangle and the s-vertex listings.
+    The sorted `members` run it over the `inward` edges of g among them;
+    both endpoints send an inward edge, while each `outward` edge is sent
+    by the member it maps to. A vertex whose degree over all these edges
+    reaches heavy_scale * m / (20 n^((s-2)/s) log2 n) collects every edge
+    and reports every occurrence. Otherwise every vertex draws one of
+    q = ceil(n^(1/s)) parts, each edge travels to the owners of all sorted
+    class tuples holding its two parts, and each occurrence (a sorted
+    vertex tuple) goes to the owner of its sorted part tuple, which must
+    have heard of all its edges. Returns the attribution, the phase charges
+    under `label` and the message count.
+    """
+    mset = set(members)
+    n = len(members)
+    universe = sorted(set(inward) | set(outward))
+    incident: Dict[int, List[Edge]] = {}
+    for e in universe:
+        incident.setdefault(e[0], []).append(e)
+        incident.setdefault(e[1], []).append(e)
+
+    kappa_base = kappa if kappa is not None else kappa_default(n)
+    q = _iceil_root(n, s)
+    envelope = LOAD_ENVELOPE * s * s * q ** (s - 2)
+    heavy = heavy_scale * len(inward) / (
+        HEAVY_DEG_FACTOR * n ** ((s - 2.0) / s) * math.log2(max(n, 2))
+    )
+
+    star = max(incident, key=lambda v: (len(incident[v]), -v))
+    if len(incident[star]) >= heavy:
+        # Heavy collector: everyone ships its incident edges to one vertex.
+        plus = mset | {star}
+        gp = Graph(g.n, [e for e in universe if e[0] in plus and e[1] in plus])
+        requests = [
+            RoutingRequest(u, star, payload=e)
+            for u in members
+            if u != star
+            for e in incident.get(u, ())
+        ]
+        _, charged, _ = _deliver(gp, sorted(plus), requests, kappa_base, envelope)
+        attribution = {occ: star for occ in occurrences}
+        return attribution, {f"{label}:collect": charged}, len(requests)
+
+    ids, id_rounds = assign_degree_class_ids(g, members)
+    parts = {
+        v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q) for v in incident
+    }
+    alloc = _allocate_tuples(ids, g, q, s)
+
+    rests = list(combinations_with_replacement(range(1, q + 1), s - 2))
+    requests = []
+    for e in universe:
+        u, v = e
+        senders = (outward[e],) if e in outward else e
+        for rest in rests:
+            owner = alloc.owner_of((parts[u], parts[v]) + rest)
+            for sender in senders:
+                requests.append(RoutingRequest(sender, owner, payload=e))
+    delivery, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
+
+    known: Dict[int, Set[Edge]] = {v: set(incident.get(v, ())) for v in members}
+    for owner, box in delivery.items():
+        known[owner].update(tuple(payload) for _, payload in box)
+    edge_set = set(universe)
+    attribution = {}
+    for occ in occurrences:
+        owner = alloc.owner_of(tuple(parts[v] for v in occ))
+        for e in combinations(occ, 2):
+            if e in edge_set:
+                assert e in known[owner], "owner missed an edge"
+        attribution[occ] = owner
+    phases = {
+        f"{label}:ids": id_rounds,
+        f"{label}:classes": 1,
+        f"{label}:deliver": charged,
+    }
+    return attribution, phases, len(requests)
+
+
+# ---------------------------------------------------------------------------
 # expander-path enumeration
 # ---------------------------------------------------------------------------
 
@@ -407,143 +508,60 @@ def enumerate_expander(
     """Enumerate all triangles inside one component plus its outward edges.
 
     The component's induced edges form the inward set; e_out edges must
-    touch the component. A vertex whose total degree reaches
-    m / (20 n^(1/3) log2 n) collects everything directly; otherwise every
-    vertex samples one of q = ceil(n^(1/3)) parts, edges travel to the
-    owners of the matching class triads, and each owner reports exactly
-    the triangles whose sorted part triple equals one of its triads.
+    touch the component. The triangles of inward plus outward edges are
+    attributed by the class-triad listing at tuple size 3: a vertex whose
+    total degree reaches m / (20 n^(1/3) log2 n) collects everything
+    directly; otherwise every vertex samples one of q = ceil(n^(1/3))
+    parts, edges travel to the owners of the matching class triads, and
+    each owner reports exactly the triangles whose sorted part triple
+    equals one of its triads.
     """
     members = sorted(set(component))
     mset = set(members)
     transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
     if zeta_scale != 1.0:
         transcript.phases["flag:zeta_scale_millis"] = int(zeta_scale * 1000)
-    result = TriangleSet()
 
     e_in = [
         (u, v) for u in members for v in g.adj[u] if u < v and v in mset
     ]
     in_set = set(e_in)
-    out_edges: List[Edge] = []
-    seen_out = set()
+    out_edges: Set[Edge] = set()
     for u, v in e_out:
         e = edge_key(u, v)
-        if e in seen_out:
-            continue
-        seen_out.add(e)
         if e in in_set:
             raise GraphError(f"outward edge {e} already lies inside the component")
         if e[0] not in mset and e[1] not in mset:
             raise GraphError(f"outward edge {e} does not touch the component")
-        out_edges.append(e)
-    out_edges.sort()
-
-    m = len(e_in)
-    if m == 0:
-        return result, transcript
-    n_in = len(members)
-    universe = sorted(in_set | set(out_edges))
-    tri_all = _triangles_of_edges(universe)
-
-    deg_in: Dict[int, int] = {v: 0 for v in members}
-    for u, v in e_in:
-        deg_in[u] += 1
-        deg_in[v] += 1
-    deg_out: Dict[int, int] = {}
-    for u, v in out_edges:
-        deg_out[u] = deg_out.get(u, 0) + 1
-        deg_out[v] = deg_out.get(v, 0) + 1
-    incident: Dict[int, List[Edge]] = {}
-    for e in universe:
-        incident.setdefault(e[0], []).append(e)
-        incident.setdefault(e[1], []).append(e)
-
-    kappa_base = kappa if kappa is not None else kappa_default(n_in)
-    q = _iceil_root(n_in, 3)
-    envelope = LOAD_ENVELOPE * 9 * q
-    zeta = zeta_scale * m / (HEAVY_DEG_FACTOR * n_in ** (1.0 / 3.0) * math.log2(max(n_in, 2)))
-
-    total_deg = {
-        v: deg_in.get(v, 0) + deg_out.get(v, 0)
-        for v in set(deg_in) | set(deg_out)
-    }
-    star = max(total_deg, key=lambda v: (total_deg[v], -v))
-    if total_deg[star] >= zeta:
-        # Heavy collector: everyone ships its incident edges to one vertex.
-        verts_plus = sorted(mset | {star})
-        plus_edges = list(in_set | {
-            e for e in out_edges
-            if (e[0] in mset or e[0] == star) and (e[1] in mset or e[1] == star)
-        })
-        gp = Graph(g.n, sorted(plus_edges))
-        requests = []
-        for u in members:
-            if u == star:
-                continue
-            for e in incident.get(u, ()):
-                requests.append(RoutingRequest(u, star, payload=e))
-        _, charged, _ = _deliver(gp, verts_plus, requests, kappa_base, envelope)
-        transcript.phases["triangle:collect"] = charged
-        transcript.message_count += len(requests)
-        transcript.rounds = transcript.phase_rounds()
-        for t in tri_all:
-            result.add(t, star)
-        return result, transcript
+        out_edges.add(e)
+    if not e_in:
+        return TriangleSet(), transcript
 
     # Charge every outward edge to a component endpoint with spare inward
     # degree; feasible whenever each such edge touches a vertex at least as
     # inward-heavy as its removed degree.
-    charges: Dict[int, int] = {v: 0 for v in members}
+    spare: Dict[int, int] = {v: 0 for v in members}
+    for u, v in e_in:
+        spare[u] += 1
+        spare[v] += 1
     sender_of: Dict[Edge, int] = {}
-    for e in out_edges:
-        cands = [v for v in e if v in mset]
-        cands.sort(key=lambda v: (-(deg_in[v] - charges[v]), v))
-        best = cands[0]
-        if deg_in[best] - charges[best] <= 0:
+    for e in sorted(out_edges):
+        best = min((v for v in e if v in mset), key=lambda v: (-spare[v], v))
+        if spare[best] <= 0:
             raise GraphError(
                 f"outward edge {e} exceeds the sending capacity of {best}"
             )
-        charges[best] += 1
+        spare[best] -= 1
         sender_of[e] = best
 
-    ids, id_rounds = assign_degree_class_ids(g, members)
-    transcript.phases["triangle:ids"] = id_rounds
-
-    parts: Dict[int, int] = {}
-    for v in sorted(total_deg):
-        parts[v] = random.Random(f"{seed}:{v}:triad-class").randint(1, q)
-    transcript.phases["triangle:classes"] = 1
-
-    alloc = allocate_triads(ids, g, q)
-
-    requests = []
-    for e in universe:
-        u, v = e
-        senders = [u, v] if e in in_set else [sender_of[e]]
-        for s_ in senders:
-            for r_star in range(1, q + 1):
-                owner = alloc.owner_of((parts[u], parts[v], r_star))
-                requests.append(RoutingRequest(s_, owner, payload=e))
-    delivery, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
-    transcript.phases["triangle:deliver"] = charged
-    transcript.message_count += len(requests)
-
-    known: Dict[int, Set[Edge]] = {v: set() for v in members}
-    for owner, box in delivery.items():
-        for _, payload in box:
-            known[owner].add(tuple(payload))
-    for v in members:
-        known[v].update(incident.get(v, ()))
-
-    for t in tri_all:
-        a, b, c = t
-        owner = alloc.owner_of((parts[a], parts[b], parts[c]))
-        for e in ((a, b), (a, c), (b, c)):
-            assert edge_key(*e) in known[owner], "owner missed a triangle edge"
-        result.add(t, owner)
-
+    attribution, phases, messages = _list_by_class_tuples(
+        g, members, e_in, sender_of, _triangles_of_edges(e_in + list(out_edges)),
+        3, seed, "triad-class", "triangle", zeta_scale, kappa,
+    )
+    transcript.phases.update(phases)
+    transcript.message_count = messages
     transcript.rounds = transcript.phase_rounds()
-    return result, transcript
+    return TriangleSet(attribution), transcript
 
 
 # ---------------------------------------------------------------------------
@@ -574,22 +592,26 @@ def _solve_general(
     # owned edge, and the orientation rules pick the unique reporter. The
     # edge->tail map `tail` holds every E_s edge with its owner (decompose
     # has verified one owner per edge and an acyclic orientation), so each
-    # triangle looks up only its own three edges.
+    # triangle looks up only its own three edges. Only the triangles
+    # through an E_s edge are listed: its endpoints' common neighbours.
     tail = {e: owner for owner, part in decomp.es.items() for e in part}
     if tail:
         phases[f"triangle:case1:{level}"] = max(map(len, decomp.es.values()))
         messages += sum(
             len(part) * g.deg[owner] for owner, part in decomp.es.items()
         )
-        for t in _triangles_of_edges(g.edges()):
+        sparse_triangles = {
+            tuple(sorted((a, b, w)))
+            for a, b in tail
+            for w in g.neighbor_set(a) & g.neighbor_set(b)
+        }
+        for t in sorted(sparse_triangles):
             a, b, c = t
             pairs = [
                 (tail[e], e[0] + e[1] - tail[e])
                 for e in ((a, b), (a, c), (b, c))
                 if e in tail
             ]
-            if not pairs:
-                continue
             owner = case1_report_owner(t, pairs)
             assert owner is not None
             # The owner sees its two incident edges; the opposite one it
@@ -736,10 +758,12 @@ def enumerate_subgraphs(
 ) -> Tuple[SubgraphSet, rt.Transcript]:
     """List s-vertex pattern occurrences with exactly-once attribution.
 
-    Same shape as the triangle path at tuple size s: a heavy vertex
-    (degree at least m / (20 n^((s-2)/s) log2 n)) collects the whole edge
-    set, otherwise vertices sample q = ceil(n^(1/s)) parts and the sorted
-    class tuples route every inter-part edge set to its owner. Matching is
+    The occurrences come from a central scan of all s-subsets (capped at
+    ORACLE_COMBO_CAP of them); the class-tuple listing shared with the
+    triangle path attributes them at tuple size s: a heavy vertex (degree
+    at least m / (20 n^((s-2)/s) log2 n)) collects the whole edge set,
+    otherwise vertices sample q = ceil(n^(1/s)) parts and the sorted class
+    tuples route every inter-part edge set to its owner. Matching is
     non-induced pattern containment unless `induced` is set; the default
     pattern is the s-clique, for which the two notions agree.
     """
@@ -756,75 +780,20 @@ def enumerate_subgraphs(
     transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
     if heavy_scale != 1.0:
         transcript.phases["flag:heavy_scale_millis"] = int(heavy_scale * 1000)
-    result = SubgraphSet(s)
     if g.m == 0 or g.n < s:
-        return result, transcript
+        return SubgraphSet(s), transcript
 
-    occurrences: List[Tuple[int, ...]] = []
-    for verts in combinations(range(g.n), s):
-        if _matches(pattern, verts, g, induced):
-            occurrences.append(verts)
-
+    occurrences = [
+        verts
+        for verts in combinations(range(g.n), s)
+        if _matches(pattern, verts, g, induced)
+    ]
     members = [v for v in range(g.n) if g.deg[v] > 0]
-    n = len(members)
-    m = g.m
-    kappa_base = kappa if kappa is not None else kappa_default(n)
-    q = _iceil_root(n, s)
-    envelope = LOAD_ENVELOPE * s * s * q ** (s - 2)
-    heavy = heavy_scale * m / (
-        HEAVY_DEG_FACTOR * n ** ((s - 2.0) / s) * math.log2(max(n, 2))
+    attribution, phases, messages = _list_by_class_tuples(
+        g, members, g.edge_list(), {}, occurrences,
+        s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
     )
-
-    star = max(members, key=lambda v: (g.deg[v], -v))
-    if g.deg[star] >= heavy:
-        requests = [
-            RoutingRequest(u, star, payload=(u, v))
-            for u, v in g.edges()
-            if u != star
-        ] + [
-            RoutingRequest(v, star, payload=(u, v))
-            for u, v in g.edges()
-            if v != star
-        ]
-        _, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
-        transcript.phases["subgraph:collect"] = charged
-        transcript.message_count += len(requests)
-        for verts in occurrences:
-            result.attribution[verts] = star
-        transcript.rounds = transcript.phase_rounds()
-        return result, transcript
-
-    ids, id_rounds = assign_degree_class_ids(g, members)
-    transcript.phases["subgraph:ids"] = id_rounds
-    parts = {
-        v: random.Random(f"{seed}:{v}:tuple-class").randint(1, q) for v in members
-    }
-    transcript.phases["subgraph:classes"] = 1
-    alloc = _allocate_tuples(ids, g, q, s)
-
-    requests = []
-    for u, v in g.edges():
-        for rest in combinations_with_replacement(range(1, q + 1), s - 2):
-            owner = alloc.owner_of((parts[u], parts[v]) + rest)
-            requests.append(RoutingRequest(u, owner, payload=(u, v)))
-            requests.append(RoutingRequest(v, owner, payload=(u, v)))
-    delivery, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
-    transcript.phases["subgraph:deliver"] = charged
-    transcript.message_count += len(requests)
-
-    known: Dict[int, Set[Edge]] = {v: set() for v in members}
-    for owner, box in delivery.items():
-        for _, payload in box:
-            known[owner].add(tuple(payload))
-    for v in members:
-        known[v].update(e for e in g.edges() if v in e)
-
-    for verts in occurrences:
-        owner = alloc.owner_of(tuple(sorted(parts[v] for v in verts)))
-        for a, b in combinations(verts, 2):
-            if g.has_edge(a, b):
-                assert edge_key(a, b) in known[owner], "owner missed an edge"
-        result.attribution[verts] = owner
-
+    transcript.phases.update(phases)
+    transcript.message_count = messages
     transcript.rounds = transcript.phase_rounds()
-    return result, transcript
+    return SubgraphSet(s, attribution), transcript

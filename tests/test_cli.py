@@ -94,6 +94,33 @@ def test_verify_names_sparse_edge_filed_under_wrong_owner(tmp_path, capsys):
     assert any("edge (0, 1) not incident to owner 30" in f for f in failures)
 
 
+
+@pytest.mark.parametrize("field", ["owner", "vertex", "edge", "delta"])
+def test_verify_malformed_report_exits_1(tmp_path, capsys, field):
+    rpt = tmp_path / "r.json"
+    assert run_cli(
+        ["--mode", "decompose", "--gen", "path:n=60", "--seed", "1", "--out", str(rpt)]
+    ) == 0
+    capsys.readouterr()
+    doc = json.loads(rpt.read_text())
+    dec = doc["runs"][0]["decomposition"]
+    es = dec["es"]
+    first = next(iter(es))
+    if field == "delta":
+        dec["delta"] = "half"
+    elif field == "owner":
+        es["x"] = es.pop(first)
+    elif field == "vertex":
+        es[first][0] = [0, "y"]
+    else:
+        es[first][0] = [0, 1, 2]
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["--mode", "verify", "--mode-args", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
 def test_nibble_summary(capsys):
     code, out, _ = _run(
         capsys,
@@ -163,12 +190,17 @@ def test_round_cap_failure(capsys):
 
 
 def test_console_entry_point():
+    # `python -m congestlab` must run without the runpy warning that
+    # `-m congestlab.cli` prints, so warnings are errors here.
+    cmds = [[sys.executable, "-W", "error", "-m", "congestlab"]]
     exe = shutil.which("congestlab")
-    cmd = [exe] if exe else [sys.executable, "-m", "congestlab.cli"]
-    proc = subprocess.run(
-        cmd + ["--mode", "count", "--gen", "clique:n=4", "--seed", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "triangles=4"
+    if exe:
+        cmds.append([exe])
+    for cmd in cmds:
+        proc = subprocess.run(
+            cmd + ["--mode", "count", "--gen", "clique:n=4", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "triangles=4"

@@ -19,6 +19,13 @@ sweeps and round charges. The lambda2 screen reads floats, so these hashes
 assume the pinned BLAS as well. Their instances cover a cut found by the
 walks, a search that walks every level and fails, and a search stopped by
 the lambda2 screen before any walk.
+
+The `subgraphs` reports and the two library-level pins cover the
+class-tuple listing shared by `enumerate_expander` and
+`enumerate_subgraphs`. At desk scale the CLI runs take the heavy-collector
+branch; the library pins raise the heavy threshold out of reach, so they
+run the id, class, tuple-allocation and delivery phases, the expander one
+with outward edges. Their reports hold integers only.
 """
 
 import hashlib
@@ -26,7 +33,13 @@ import json
 
 import pytest
 
+from congestlab import graphcore as gc
 from congestlab.cli import run_cli
+from congestlab.triangle import (
+    _triangles_of_edges,
+    enumerate_expander,
+    enumerate_subgraphs,
+)
 
 GOLDEN = {
     ("count", "er:n=120,p=0.06", 1): "5bd2e1cf34339a0f14e740838c4be3ad686eebf52b18f922ea5ed5d07d71a36b",
@@ -85,6 +98,14 @@ NIBBLE_BRANCHES = {
     "clique:n=30": ("failed", {"nibble:screen"}),
 }
 
+SUBGRAPH_GOLDEN = {
+    ("er:n=60,p=0.3", 1, 3): "8f07142d295153077ca669158d4baf53d18755c819fe338db4bff04953646019",
+    ("er:n=24,p=0.5", 1, 4): "9e9d584dcdf828a64c9df41e2b8261aac5cbe6e6026de94613c0fb93c6d0f9ba",
+}
+
+SUBGRAPH_TRIADS_GOLDEN = "2ad0546f7177d3c8bf26a7426e9c9418eb31b9fac0842cc12862dd31d6e0bd9b"
+EXPANDER_TRIADS_GOLDEN = "5518614816e45b83a797b915efc1b422bb15623b1371d8564a2ece5379242e04"
+
 
 def _report(tmp_path, capsys, mode, spec, seed, *extra) -> bytes:
     out = tmp_path / "report.json"
@@ -127,3 +148,43 @@ def test_nibble_report_hash_is_pinned(tmp_path, capsys, spec, seed, phi):
     assert run["status"] == status
     assert set(run["transcript"]["phases"]) == phases
     assert hashlib.sha256(data).hexdigest() == NIBBLE_GOLDEN[(spec, seed, phi)]
+
+
+@pytest.mark.parametrize("spec,seed,size", sorted(SUBGRAPH_GOLDEN))
+def test_subgraphs_report_hash_is_pinned(tmp_path, capsys, spec, seed, size):
+    data = _report(tmp_path, capsys, "subgraphs", spec, seed, "--mode-args", f"s={size}")
+    run = json.loads(data)["runs"][0]
+    assert set(run["transcript"]["phases"]) == {"subgraph:collect"}
+    assert hashlib.sha256(data).hexdigest() == SUBGRAPH_GOLDEN[(spec, seed, size)]
+
+
+def _listing_hash(result, transcript) -> str:
+    doc = {
+        "attribution": sorted([list(k), v] for k, v in result.attribution.items()),
+        "transcript": transcript.as_json(),
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_subgraphs_triad_path_is_pinned():
+    res, t = enumerate_subgraphs(gc.gen_er(24, 0.5, seed=5), 4, seed=1, heavy_scale=1e9)
+    assert set(t.phases) == {
+        "flag:heavy_scale_millis", "subgraph:ids", "subgraph:classes", "subgraph:deliver",
+    }
+    assert res.count == 321
+    assert _listing_hash(res, t) == SUBGRAPH_TRIADS_GOLDEN
+
+
+def test_expander_triad_path_with_outward_edges_is_pinned():
+    g = gc.generate("er:n=64,p=0.3", seed=3)
+    inside = set(range(48))
+    e_out = [e for e in g.edges() if (e[0] in inside) != (e[1] in inside)]
+    assert len(e_out) == 239
+    res, t = enumerate_expander(g, sorted(inside), e_out, seed=1, zeta_scale=1e9)
+    assert set(t.phases) == {
+        "flag:zeta_scale_millis", "triangle:ids", "triangle:classes", "triangle:deliver",
+    }
+    universe = [e for e in g.edges() if e[0] in inside or e[1] in inside]
+    assert set(res.attribution) == set(_triangles_of_edges(universe))
+    assert res.count == 979
+    assert _listing_hash(res, t) == EXPANDER_TRIADS_GOLDEN

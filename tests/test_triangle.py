@@ -277,6 +277,11 @@ def test_expander_rejects_bad_out_edges():
         enumerate_expander(g, [0, 1, 2], [(0, 1)])
     with pytest.raises(GraphError):
         enumerate_expander(g, [0, 1, 2], [(3, 4)])
+    # Vertex 0 has inward degree 2 and cannot send three outward edges; the
+    # check holds on the heavy-collector branch as well as the triad one.
+    g6 = Graph(6, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(GraphError, match="sending capacity"):
+        enumerate_expander(g6, [0, 1, 2], [(0, 3), (0, 4), (0, 5)])
 
 
 def test_expander_empty_component():
