@@ -34,7 +34,6 @@ from .graphcore import (
     connected_components,
     edge_components,
     edge_key,
-    induced_subgraph,
     is_connected,
     lambda2_normalized,
     ln_me4,
@@ -113,46 +112,28 @@ def balanced_index(a: Sequence[int], m: int, bar_scale: float = 1.0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tree_from_levels(sub: Graph, levels: List[int]) -> rt.BfsTree:
-    """Assemble the min-parent BFS tree from a level array (local ids)."""
-    parent: Dict[int, Optional[int]] = {}
-    lvl: Dict[int, int] = {}
-    root = levels.index(0)
-    for v, d in enumerate(levels):
-        if d < 0:
-            continue
-        lvl[v] = d
-        parent[v] = None if v == root else min(
-            u for u in sub.adj[v] if levels[u] == d - 1
-        )
-    return rt.BfsTree(root, parent, lvl, max(lvl.values()))
-
-
 def high_diameter_cut(
     g: Graph,
-    component: Sequence[int],
     root: int,
     threshold: float,
     threshold_scale: float = 1.0,
     m_for_logs: Optional[int] = None,
 ) -> Tuple[Cut, int]:
-    """Cut a long component along a quiet BFS frontier.
+    """Cut a long connected piece graph along a quiet BFS frontier.
 
+    g is the piece itself and root one of its vertices, in 0..n-1.
     Requires the root's eccentricity to clear the (scaled) 48 log^2 m bar
-    and no edge between two vertices of component degree at most
-    threshold / 2. The side is the first j BFS levels, with j chosen by
-    balanced_index over the level-crossing edge counts. Both guarantees,
-    the size floor and the boundary-volume witness, are recomputed and
-    asserted before returning. Rounds charged: the BFS wave, a pipelined
-    convergecast of the crossing counts, and a broadcast of the answer.
+    and no edge between two vertices of degree at most threshold / 2.
+    The side is the first j BFS levels, with j chosen by balanced_index
+    over the level-crossing edge counts. Both guarantees, the size floor
+    and the boundary-volume witness, are recomputed and asserted before
+    returning. Rounds charged: the BFS wave, a pipelined convergecast of
+    the crossing counts, and a broadcast of the answer.
     """
-    members = sorted(set(component))
-    if root not in set(members):
-        raise GraphError(f"root {root} is not in the component")
+    if not 0 <= root < g.n:
+        raise GraphError(f"root {root} is not a vertex of the piece (n={g.n})")
     m_logs = g.m if m_for_logs is None else m_for_logs
-    sub, old_ids = induced_subgraph(g, members)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    levels = bfs_levels(sub, pos[root])
+    levels = bfs_levels(g, root)
     if min(levels) < 0:
         raise GraphError("component is not connected")
     d_tilde = max(levels)
@@ -160,43 +141,33 @@ def high_diameter_cut(
     if d_tilde < bar:
         raise GraphError(f"eccentricity {d_tilde} is below the diameter bar {bar:.1f}")
 
-    low = [v for v in range(sub.n) if sub.deg[v] <= threshold / 2.0]
+    low = [v for v in range(g.n) if g.deg[v] <= threshold / 2.0]
     low_set = set(low)
     for v in low:
-        for u in sub.adj[v]:
+        for u in g.adj[v]:
             if u in low_set:
                 raise GraphError(
-                    f"edge {edge_key(old_ids[u], old_ids[v])} joins two "
-                    "low-degree vertices"
+                    f"edge {edge_key(u, v)} joins two low-degree vertices"
                 )
 
     crossing = [0] * d_tilde
-    for u, v in sub.edges():
+    for u, v in g.edges():
         lu, lv = levels[u], levels[v]
         if abs(lu - lv) == 1:
             crossing[max(lu, lv) - 1] += 1
     j = balanced_index(crossing, m_logs, bar_scale=threshold_scale)
-    side_local = {v for v in range(sub.n) if levels[v] <= j - 1}
-    local_cut = conductance(sub, side_local)
-    cut = Cut(
-        side=frozenset(old_ids[v] for v in side_local),
-        boundary_size=local_cut.boundary_size,
-        vol_side=local_cut.vol_side,
-        vol_complement=local_cut.vol_complement,
-        phi=local_cut.phi,
-    )
+    cut = conductance(g, {v for v in range(g.n) if levels[v] <= j - 1})
 
-    small = min(len(side_local), sub.n - len(side_local))
+    small = min(len(cut.side), g.n - len(cut.side))
     assert small >= (d_tilde / BALANCE_FRACTION) * threshold, "size floor"
     assert cut.boundary_size * WITNESS_FACTOR * log2m(m_logs) <= min(
         cut.vol_side, cut.vol_complement
     ), "cut witness"
 
-    tree = _tree_from_levels(sub, levels)
     rounds = (
         d_tilde + 1
-        + rt.pipelined_convergecast(tree, d_tilde)
-        + rt.broadcast(tree, 1)
+        + rt.pipelined_convergecast(d_tilde, d_tilde)
+        + rt.broadcast(d_tilde, 1)
     )
     return cut, rounds
 
@@ -214,31 +185,27 @@ class PeelResult:
     rounds_charged: int
 
 
-def low_degree_peel(g: Graph, component: Sequence[int], threshold: float) -> PeelResult:
-    """Batch-remove low-degree vertices until the remainder is uniformly dense.
+def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
+    """Batch-remove low-degree vertices of a piece graph until the rest is dense.
 
-    Each pass removes every vertex with between 1 and threshold remaining
-    incident edges; a removed vertex takes its remaining edges with it,
-    oriented away from itself, except that an edge between two vertices of
-    the same batch goes to the smaller id. Passes repeat while they remove
+    g is the piece itself; every vertex of it takes part. Each pass
+    removes every vertex with between 1 and threshold remaining incident
+    edges; a removed vertex takes its remaining edges with it, oriented
+    away from itself, except that an edge between two vertices of the
+    same batch goes to the smaller id. Passes repeat while they remove
     more than threshold / 2 vertices, so after the final pass every
     remaining degree sits strictly above threshold / 2.
     """
-    members = sorted(set(component))
-    member_set = set(members)
-    adj: Dict[int, Set[int]] = {
-        v: {u for u in g.adj[v] if u in member_set} for v in members
-    }
-    sub, _ = induced_subgraph(g, members)
+    adj: List[Set[int]] = [set(a) for a in g.adj]
     depth = 0
-    for comp in connected_components(sub):
-        levels = bfs_levels(sub, comp[0])
+    for comp in connected_components(g):
+        levels = bfs_levels(g, comp[0])
         depth = max(depth, max(levels[v] for v in comp))
 
     es_parts: Dict[int, List[Edge]] = {}
     iterations = 0
     while True:
-        z = sorted(v for v in members if 1 <= len(adj[v]) <= threshold)
+        z = [v for v in range(g.n) if 1 <= len(adj[v]) <= threshold]
         if not z:
             break
         iterations += 1
@@ -249,7 +216,7 @@ def low_degree_peel(g: Graph, component: Sequence[int], threshold: float) -> Pee
             adj[v] = set()
         if len(z) <= threshold / 2.0:
             break
-    remaining = sorted({edge_key(u, v) for v in members for u in adj[v]})
+    remaining = sorted({edge_key(u, v) for v in range(g.n) for u in adj[v]})
     rounds = depth + 2 * iterations + 1
     return PeelResult(remaining, es_parts, iterations, rounds)
 
@@ -391,16 +358,15 @@ def black_box_partition(
 
         # Split-1: components of what remains.
         comp_items = [tuple(sorted(c)) for c in edge_components(kept)]
-        split_depth = 0
+        comps = []
         for item in comp_items:
-            cg, _ = subgraph_from_edges(item)
-            split_depth = max(split_depth, max(bfs_levels(cg, 0)))
-        charge("partition:split", split_depth + 1)
+            cg, cverts = subgraph_from_edges(item)
+            comps.append((item, cg, cverts, max(bfs_levels(cg, 0))))
+        charge("partition:split", max((c[3] for c in comps), default=0) + 1)
         ledger_assert(comp_items)
 
-        for idx, comp_edges in enumerate(comp_items):
+        for idx, (comp_edges, cg, cverts, d_tilde) in enumerate(comps):
             rest = comp_items[idx + 1 :]
-            cg, cverts = subgraph_from_edges(comp_edges)
 
             if len(comp_edges) <= m_call / 2.0:
                 clusters.append(ClusterPiece(frozenset(cverts), comp_edges, "C3-2"))
@@ -409,13 +375,11 @@ def black_box_partition(
                 ledger_assert(rest)
                 continue
 
-            d_tilde = max(bfs_levels(cg, 0))
             bar = threshold_scale * DIAMETER_FACTOR * m_log ** 2
 
             if d_tilde >= bar:
                 cut, hc_rounds = high_diameter_cut(
                     cg,
-                    range(cg.n),
                     0,
                     threshold,
                     threshold_scale=threshold_scale,
@@ -426,7 +390,7 @@ def black_box_partition(
                 ledger_assert(rest)
                 continue
 
-            peel = low_degree_peel(cg, range(cg.n), threshold)
+            peel = low_degree_peel(cg, threshold)
             charge("partition:peel", peel.rounds_charged)
             for local_v, part in peel.es_parts.items():
                 owner = cverts[local_v]
@@ -445,7 +409,6 @@ def black_box_partition(
                 if dd >= bar:
                     cut, hc_rounds = high_diameter_cut(
                         dg,
-                        range(dg.n),
                         0,
                         threshold,
                         threshold_scale=threshold_scale,
@@ -559,25 +522,38 @@ def _report_edge(e) -> Edge:
     return edge_key(_report_id(e[0]), _report_id(e[1]))
 
 
+def _report_field(x, kind: type, what: str):
+    """x itself, if it has the JSON container type a report field needs."""
+    if not isinstance(x, kind):
+        raise GraphError(
+            f"report {what} is a {type(x).__name__}, not a {kind.__name__}"
+        )
+    return x
+
+
 def decomposition_from_json(doc: dict) -> "Decomposition":
     """Rebuild a Decomposition from its as_json dict.
 
     The edge-to-cluster map is recovered from the cluster edge lists. The
     per-owner sparse sets are read as listed, so an edge filed under an
     owner that is not one of its endpoints reaches the verifier unchanged.
-    A non-integer id or an edge that is not a vertex pair raises GraphError.
+    A container of the wrong JSON type, a non-integer id or an edge that is
+    not a vertex pair raises GraphError.
     """
+    doc = _report_field(doc, dict, "decomposition")
     em: Dict[Edge, int] = {}
     clusters: Dict[int, frozenset] = {}
-    for entry in doc["clusters"]:
+    for entry in _report_field(doc["clusters"], list, "clusters"):
+        entry = _report_field(entry, dict, "cluster entry")
         cid = _report_id(entry["id"])
-        clusters[cid] = frozenset(_report_id(v) for v in entry["vertices"])
-        for e in entry["edges"]:
+        vertices = _report_field(entry["vertices"], list, "cluster vertices")
+        clusters[cid] = frozenset(_report_id(v) for v in vertices)
+        for e in _report_field(entry["edges"], list, "cluster edges"):
             em[_report_edge(e)] = cid
-    es = {
-        _report_id(owner): [_report_edge(e) for e in part]
-        for owner, part in doc["es"].items()
-    }
+    es: Dict[int, List[Edge]] = {}
+    for owner, part in _report_field(doc["es"], dict, "es").items():
+        part = _report_field(part, list, "es part")
+        es[_report_id(owner)] = [_report_edge(e) for e in part]
     try:
         delta, threshold = float(doc["delta"]), float(doc["threshold"])
     except (TypeError, ValueError):
@@ -587,7 +563,7 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
         threshold=threshold,
         em=em,
         es=es,
-        er=[_report_edge(e) for e in doc["er"]],
+        er=[_report_edge(e) for e in _report_field(doc["er"], list, "er")],
         clusters=clusters,
         certificates=doc.get("certificates", {}),
     )

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -67,14 +67,8 @@ class Graph:
         self.deg: Tuple[int, ...] = tuple(len(a) for a in self.adj)
         self._nbr_sets: Tuple[frozenset, ...] = tuple(frozenset(a) for a in self.adj)
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adj[v]
-
     def neighbor_set(self, v: int) -> frozenset:
         return self._nbr_sets[v]
-
-    def degree(self, v: int) -> int:
-        return self.deg[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._nbr_sets[u]

@@ -82,12 +82,15 @@ def make_walk_params(phi: float, m: int, b: int) -> WalkParams:
 
 
 # ---------------------------------------------------------------------------
-# scalar walk operations
+# dict-based lazy step (oracle)
 # ---------------------------------------------------------------------------
 
 
 def lazy_step(g: Graph, p: Distribution) -> Distribution:
-    """One application of the lazy walk: half stays, half splits to neighbors."""
+    """One application of the lazy walk: half stays, half splits to neighbors.
+
+    The sequential reference that the walk tests hold `_run_walk_level` to.
+    """
     out: Distribution = {}
     for x, mass in p.items():
         out[x] = out.get(x, 0.0) + mass / 2.0
@@ -97,28 +100,6 @@ def lazy_step(g: Graph, p: Distribution) -> Distribution:
             for y in g.adj[x]:
                 out[y] = out.get(y, 0.0) + share
     return {x: v for x, v in out.items() if v > 0.0}
-
-
-def truncate(g: Graph, p: Distribution, eps: float) -> Distribution:
-    """Drop every entry below twice eps times the vertex degree."""
-    if eps < 0:
-        raise GraphError("eps must be nonnegative")
-    return {x: v for x, v in p.items() if v >= 2.0 * eps * g.deg[x]}
-
-
-def truncated_walk(g: Graph, v: int, params: WalkParams) -> List[Distribution]:
-    """Distributions t = 0..t0 of the truncated walk started at v."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    first: Distribution = {}
-    if 1.0 >= 2.0 * params.eps * g.deg[v]:
-        first = {v: 1.0}
-    seq = [first]
-    cur = first
-    for _ in range(params.t0):
-        cur = truncate(g, lazy_step(g, cur), params.eps)
-        seq.append(cur)
-    return seq
 
 
 # ---------------------------------------------------------------------------

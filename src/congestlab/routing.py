@@ -90,7 +90,11 @@ def assign_degree_class_ids(
 
     tree, bfs_rounds = rt.bfs_build(g, members, members[0])
     k = len(counts)
-    charged = bfs_rounds + rt.pipelined_convergecast(tree, k) + rt.broadcast(tree, k)
+    charged = (
+        bfs_rounds
+        + rt.pipelined_convergecast(tree.depth, k)
+        + rt.broadcast(tree.depth, k)
+    )
     return IdAssignment(new_id, old_id, counts), charged
 
 

@@ -269,8 +269,8 @@ def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[BfsTree, i
     return BfsTree(root, parent, level, depth), transcript.rounds + 1
 
 
-def pipelined_convergecast(tree: BfsTree, items_per_vertex: int) -> int:
-    """Rounds for the root to aggregate k items per vertex up the tree.
+def pipelined_convergecast(depth: int, items_per_vertex: int) -> int:
+    """Rounds for the root to aggregate k items per vertex up a tree of this depth.
 
     One item crosses each tree edge per round, items flow back to back, and
     an inner vertex folds its children's copies of item j before relaying
@@ -280,16 +280,19 @@ def pipelined_convergecast(tree: BfsTree, items_per_vertex: int) -> int:
     k = items_per_vertex
     if k < 0:
         raise CongestError("items_per_vertex must be nonnegative")
-    if k == 0 or tree.depth == 0:
+    if k == 0 or depth == 0:
         return 0
-    return tree.depth + k - 1
+    return depth + k - 1
 
 
-def broadcast(tree: BfsTree, items: int) -> int:
-    """Rounds for the root to push k items to every vertex; mirror schedule."""
+def broadcast(depth: int, items: int) -> int:
+    """Rounds for the root to push k items down a tree of this depth.
+
+    Mirror schedule of the convergecast: depth + k - 1.
+    """
     k = items
     if k < 0:
         raise CongestError("items must be nonnegative")
-    if k == 0 or tree.depth == 0:
+    if k == 0 or depth == 0:
         return 0
-    return tree.depth + k - 1
+    return depth + k - 1

@@ -89,10 +89,6 @@ class TriangleSet:
             raise GraphError(f"triangle {triple} reported twice")
         self.attribution[triple] = owner
 
-    def merge(self, other: "TriangleSet") -> None:
-        for triple, owner in other.attribution.items():
-            self.add(triple, owner)
-
     def as_json(self, transcript: Optional[rt.Transcript] = None) -> dict:
         doc = {
             "triangles": [list(t) for t in sorted(self.attribution)],
@@ -250,11 +246,6 @@ def _allocate_tuples(ids: IdAssignment, g_in: Graph, q: int, size: int) -> Triad
             "the input violates the average-degree counting fact"
         )
     return TriadAllocation(q, size, tuples, ranges, classes, delta_bar)
-
-
-def allocate_triads(ids: IdAssignment, g_in: Graph, q: int) -> TriadAllocation:
-    """Allocate the q-class triads (j1 <= j2 <= j3) to component vertices."""
-    return _allocate_tuples(ids, g_in, q, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import congestlab
 from congestlab.cli import run_cli
 
 
@@ -95,7 +96,10 @@ def test_verify_names_sparse_edge_filed_under_wrong_owner(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("field", ["owner", "vertex", "edge", "delta"])
+@pytest.mark.parametrize(
+    "field",
+    ["owner", "vertex", "edge", "delta", "clusters", "es", "er", "decomposition"],
+)
 def test_verify_malformed_report_exits_1(tmp_path, capsys, field):
     rpt = tmp_path / "r.json"
     assert run_cli(
@@ -108,6 +112,14 @@ def test_verify_malformed_report_exits_1(tmp_path, capsys, field):
     first = next(iter(es))
     if field == "delta":
         dec["delta"] = "half"
+    elif field == "clusters":
+        dec["clusters"] = [5]
+    elif field == "es":
+        dec["es"] = [1]
+    elif field == "er":
+        dec["er"] = 5
+    elif field == "decomposition":
+        doc["runs"][0]["decomposition"] = 5
     elif field == "owner":
         es["x"] = es.pop(first)
     elif field == "vertex":
@@ -204,3 +216,9 @@ def test_console_entry_point():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "triangles=4"
+
+
+def test_package_exports_resolve():
+    missing = [name for name in congestlab.__all__ if not hasattr(congestlab, name)]
+    assert missing == []
+    assert len(set(congestlab.__all__)) == len(congestlab.__all__)

@@ -104,7 +104,7 @@ def test_balanced_index_concentrated_sequence_fails():
 def test_high_diameter_cut_caterpillar():
     g = gen_caterpillar(7000, 3)
     threshold = g.n ** 0.1
-    cut, rounds = high_diameter_cut(g, range(g.n), 0, threshold)
+    cut, rounds = high_diameter_cut(g, 0, threshold)
     levels = bfs_levels(g, 0)
     d_tilde = max(levels)
     # side is a union of full BFS levels containing the root
@@ -125,29 +125,29 @@ def test_high_diameter_cut_caterpillar():
 def test_high_diameter_cut_deterministic():
     g = gen_caterpillar(7000, 3)
     t = g.n ** 0.1
-    a, ra = high_diameter_cut(g, range(g.n), 0, t)
-    b, rb = high_diameter_cut(g, range(g.n), 0, t)
+    a, ra = high_diameter_cut(g, 0, t)
+    b, rb = high_diameter_cut(g, 0, t)
     assert a.side == b.side and ra == rb
 
 
 def test_high_diameter_cut_requires_long_diameter():
     g = gen_caterpillar(100, 3)
     with pytest.raises(GraphError, match="diameter bar"):
-        high_diameter_cut(g, range(g.n), 0, g.n ** 0.1)
+        high_diameter_cut(g, 0, g.n ** 0.1)
 
 
 def test_high_diameter_cut_rejects_adjacent_low_degree():
     g = gen_path(10000)
     with pytest.raises(GraphError, match="low-degree"):
-        high_diameter_cut(g, range(g.n), 0, 4.2)
+        high_diameter_cut(g, 0, 4.2)
 
 
 def test_high_diameter_cut_scaled_bar():
     g = gen_caterpillar(150, 3)
     t = g.n ** 0.1
     with pytest.raises(GraphError):
-        high_diameter_cut(g, range(g.n), 0, t, threshold_scale=0.1)
-    cut, _ = high_diameter_cut(g, range(g.n), 0, t, threshold_scale=0.05)
+        high_diameter_cut(g, 0, t, threshold_scale=0.1)
+    cut, _ = high_diameter_cut(g, 0, t, threshold_scale=0.05)
     assert cut.boundary_size * 12 * log2m(g.m) <= min(
         cut.vol_side, cut.vol_complement
     )
@@ -155,8 +155,9 @@ def test_high_diameter_cut_scaled_bar():
 
 def test_high_diameter_cut_root_outside():
     g = gen_caterpillar(7000, 3)
-    with pytest.raises(GraphError, match="root"):
-        high_diameter_cut(g, range(100), 200, 2.0)
+    for root in (-1, g.n):
+        with pytest.raises(GraphError, match="root"):
+            high_diameter_cut(g, root, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_high_diameter_cut_root_outside():
 
 def test_peel_star_all_edges_to_leaves():
     g = gen_star(6)
-    res = low_degree_peel(g, range(6), 4.0)
+    res = low_degree_peel(g, 4.0)
     assert res.e_diamond == []
     assert sorted(res.es_parts) == [1, 2, 3, 4, 5]
     for leaf, part in res.es_parts.items():
@@ -176,7 +177,7 @@ def test_peel_star_all_edges_to_leaves():
 
 def test_peel_clique_untouched():
     g = gen_clique(5)
-    res = low_degree_peel(g, range(5), 2.0)
+    res = low_degree_peel(g, 2.0)
     assert res.es_parts == {}
     assert len(res.e_diamond) == 10
     assert res.iterations == 0
@@ -184,7 +185,7 @@ def test_peel_clique_untouched():
 
 def test_peel_path_single_batch():
     g = gen_path(10)
-    res = low_degree_peel(g, range(10), 4.0)
+    res = low_degree_peel(g, 4.0)
     assert res.e_diamond == []
     assert res.iterations == 1
     # every edge went to its smaller endpoint
@@ -195,7 +196,7 @@ def test_peel_path_single_batch():
 
 def test_peel_cascade_on_long_path():
     g = gen_path(800)
-    res = low_degree_peel(g, range(800), 1.4)
+    res = low_degree_peel(g, 1.4)
     assert res.e_diamond == []
     assert res.iterations == 400
     assert sum(len(p) for p in res.es_parts.values()) == 799
@@ -204,7 +205,7 @@ def test_peel_cascade_on_long_path():
 
 def test_peel_remainder_degrees_above_half_threshold():
     g = gen_er(60, 0.15, seed=3)
-    res = low_degree_peel(g, range(60), 6.0)
+    res = low_degree_peel(g, 6.0)
     deg = {}
     for u, v in res.e_diamond:
         deg[u] = deg.get(u, 0) + 1

@@ -76,66 +76,105 @@ def test_lazy_step_preserves_mass():
     assert abs(sum(p.values()) - 1.0) <= 1e-12
 
 
+def _walks(g, sources, params):
+    """Each walk's distributions as `_run_walk_level` hands them to its sweep.
+
+    Returns ({column: {t: vector}}, trunc_free); a walk that retires or
+    never starts stops appearing.
+    """
+    seen = {i: {} for i in range(len(sources))}
+
+    def record(t, i, col):
+        seen[i][t] = col.copy()
+
+    _, trunc_free, _, _ = nb._run_walk_level(g, sources, params, sweep_cb=record)
+    return seen, trunc_free
+
+
+def _as_dist(vec):
+    return {v: float(x) for v, x in enumerate(vec) if x > 0.0}
+
+
 def test_truncate_identity_and_threshold():
-    g = gc.gen_path(3)  # vertex 1 has degree 2
-    p = {1: 0.39}
-    assert nb.truncate(g, p, 0.0) == p
-    assert nb.truncate(g, p, 0.1) == {}
-    assert nb.truncate(g, {1: 0.40}, 0.1) == {1: 0.40}
+    g = gc.gen_path(3)  # one step from 0 puts 0.5 on vertex 1, of degree 2
+    exact, free = _walks(g, [0], small_params(t0=1, eps=0.0))
+    assert _as_dist(exact[0][1]) == nb.lazy_step(g, {0: 1.0}) == {0: 0.5, 1: 0.5}
+    assert free[0]
+    # 2 * eps * deg(1) equals the mass exactly: kept
+    at_bar, free = _walks(g, [0], small_params(t0=1, eps=0.125))
+    assert _as_dist(at_bar[0][1]) == {0: 0.5, 1: 0.5}
+    assert free[0]
+    # just above it: dropped, and the walk is marked as truncated
+    above, free = _walks(g, [0], small_params(t0=1, eps=0.13))
+    assert _as_dist(above[0][1]) == {0: 0.5}
+    assert not free[0]
 
 
 def test_truncated_walk_dead_start():
     g = gc.gen_clique(4)
     params = small_params(t0=5, eps=0.2)  # 2 * 0.2 * 3 > 1
-    seq = nb.truncated_walk(g, 0, params)
-    assert len(seq) == 6
-    assert all(p == {} for p in seq)
+    seen, _ = _walks(g, [0], params)
+    assert seen == {0: {}}
+    assert nb._run_walk_level(g, [0], params)[2:] == (0, 0)
+    # a unit mass exactly at 2 * eps * deg starts, then loses everything
+    seen, free = _walks(gc.gen_path(3), [0], small_params(t0=5, eps=0.5))
+    assert list(seen[0]) == [1]
+    assert not seen[0][1].any() and not free[0]
 
 
 def test_truncated_walk_exact_when_eps_zero():
     g = gc.gen_clique(4)
-    seq = nb.truncated_walk(g, 0, small_params(t0=10, eps=0.0))
-    for p in seq:
-        assert abs(sum(p.values()) - 1.0) <= 1e-12
+    seen, free = _walks(g, [0], small_params(t0=10, eps=0.0))
+    assert list(seen[0]) == list(range(1, 11))
+    p = {0: 1.0}
+    for t in range(1, 11):
+        p = nb.lazy_step(g, p)
+        got = _as_dist(seen[0][t])
+        assert set(got) == set(p)
+        assert all(abs(got[v] - p[v]) <= 1e-12 for v in p)
+        assert abs(sum(got.values()) - 1.0) <= 1e-12
+    assert free[0]
 
 
 def test_truncated_walk_k4_example():
     g = gc.gen_clique(4)
-    seq = nb.truncated_walk(g, 0, small_params(t0=1, eps=1 / 64))
-    assert seq[1][0] == 0.5
+    seen, _ = _walks(g, [0], small_params(t0=1, eps=1 / 64))
+    p1 = _as_dist(seen[0][1])
+    assert p1[0] == 0.5
     for v in (1, 2, 3):
-        assert seq[1][v] == pytest.approx(1 / 6)
-    assert len(seq[1]) == 4
+        assert p1[v] == pytest.approx(1 / 6)
+    assert len(p1) == 4
+    # 2 * eps * 3 = 3/16 > 1/6: only the lazy half at the source survives
+    seen, _ = _walks(g, [0], small_params(t0=1, eps=1 / 32))
+    assert _as_dist(seen[0][1]) == {0: 0.5}
 
 
 def test_truncation_monotone_and_substochastic():
     g = gc.gen_er(20, 0.25, seed=4)
     v = max(range(g.n), key=lambda u: g.deg[u])
-    params = small_params(t0=15, eps=0.002)
-    trunc = nb.truncated_walk(g, v, params)
-    exact = nb.truncated_walk(g, v, small_params(t0=15, eps=0.0))
+    trunc, free = _walks(g, [v], small_params(t0=15, eps=0.002))
+    exact, _ = _walks(g, [v], small_params(t0=15, eps=0.0))
+    assert not free[0]
+    assert list(exact[0]) == list(range(1, 16))
     last_mass = 1.0
-    for pt, qt in zip(trunc, exact):
-        for u, mass in pt.items():
-            assert mass <= qt.get(u, 0.0) + 1e-12
-        total = sum(pt.values())
+    for t, pt in trunc[0].items():
+        assert (pt <= exact[0][t] + 1e-12).all()
+        total = pt.sum()
         assert total <= last_mass + 1e-12
         last_mass = total
+    assert last_mass < 1.0 - 1e-6
 
 
 def test_walk_reversal_symmetry():
     g = gc.gen_er(16, 0.3, seed=6)
-    params = small_params(t0=20, eps=0.0)
-    walks = {v: nb.truncated_walk(g, v, params) for v in range(g.n)}
+    live = [v for v in range(g.n) if g.deg[v]]
+    seen, _ = _walks(g, live, small_params(t0=20, eps=0.0))
+    walks = {v: seen[i] for i, v in enumerate(live)}
     for t in (1, 5, 20):
-        for v in range(g.n):
-            if g.deg[v] == 0:
-                continue
-            for u, mass in walks[v][t].items():
-                if g.deg[u] == 0:
-                    continue
-                back = walks[u][t].get(v, 0.0)
-                assert abs(mass / g.deg[u] - back / g.deg[v]) <= 1e-12
+        for v in live:
+            for u in live:
+                there, back = walks[v][t][u], walks[u][t][v]
+                assert abs(there / g.deg[u] - back / g.deg[v]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -301,21 +301,21 @@ def schedule_broadcast(tree, k):
 def test_convergecast_examples():
     g = gc.gen_path(5)
     tree, _ = rt.bfs_build(g, range(5), 0)
-    assert rt.pipelined_convergecast(tree, 1) == 4
-    assert rt.pipelined_convergecast(tree, 3) == 6
+    assert rt.pipelined_convergecast(tree.depth, 1) == 4
+    assert rt.pipelined_convergecast(tree.depth, 3) == 6
     star = gc.gen_star(6)
     stree, _ = rt.bfs_build(star, range(6), 0)
-    assert rt.pipelined_convergecast(stree, 1) == 1
+    assert rt.pipelined_convergecast(stree.depth, 1) == 1
 
 
 def test_broadcast_examples():
     g = gc.gen_path(5)
     tree, _ = rt.bfs_build(g, range(5), 0)
-    assert rt.broadcast(tree, 1) == 4
+    assert rt.broadcast(tree.depth, 1) == 4
     k4 = gc.gen_clique(4)
     ktree, _ = rt.bfs_build(k4, range(4), 0)
     assert ktree.depth == 1
-    assert rt.broadcast(ktree, 5) == 5
+    assert rt.broadcast(ktree.depth, 5) == 5
 
 
 def test_pipeline_formula_matches_schedule():
@@ -331,15 +331,15 @@ def test_pipeline_formula_matches_schedule():
         comp = max(gc.connected_components(g), key=len)
         r = comp[0] if root is None else root
         tree, _ = rt.bfs_build(g, comp, r)
-        assert rt.pipelined_convergecast(tree, k) == schedule_convergecast(tree, k)
-        assert rt.broadcast(tree, k) == schedule_broadcast(tree, k)
+        assert rt.pipelined_convergecast(tree.depth, k) == schedule_convergecast(tree, k)
+        assert rt.broadcast(tree.depth, k) == schedule_broadcast(tree, k)
 
 
 def test_pipeline_degenerate():
     g = gc.Graph(1, [])
     tree, _ = rt.bfs_build(g, [0], 0)
-    assert rt.pipelined_convergecast(tree, 5) == 0
-    assert rt.broadcast(tree, 5) == 0
+    assert rt.pipelined_convergecast(tree.depth, 5) == 0
+    assert rt.broadcast(tree.depth, 5) == 0
     p = gc.gen_path(3)
     t, _ = rt.bfs_build(p, range(3), 0)
-    assert rt.pipelined_convergecast(t, 0) == 0
+    assert rt.pipelined_convergecast(t.depth, 0) == 0

@@ -19,7 +19,7 @@ from congestlab.graphcore import (
 from congestlab.routing import assign_degree_class_ids
 from congestlab.triangle import (
     TriangleSet,
-    allocate_triads,
+    _allocate_tuples,
     brute_force_triangles,
     case1_report_owner,
     count_triangles,
@@ -65,9 +65,9 @@ def test_triangle_set_rejects_double_report():
 def test_triad_counts_and_order():
     g = gen_cycle(16)
     ids, _ = assign_degree_class_ids(g, range(16))
-    alloc = allocate_triads(ids, g, 2)
+    alloc = _allocate_tuples(ids, g, 2, 3)
     assert alloc.tuples == ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
-    alloc3 = allocate_triads(ids, g, 3)
+    alloc3 = _allocate_tuples(ids, g, 3, 3)
     assert len(alloc3.tuples) == 10
 
 
@@ -76,7 +76,7 @@ def test_triad_ranges_partition_regular_graph():
     # takes a block of 4 until the list runs out
     g = gen_cycle(16)
     ids, _ = assign_degree_class_ids(g, range(16))
-    alloc = allocate_triads(ids, g, 3)
+    alloc = _allocate_tuples(ids, g, 3, 3)
     spans = sorted(alloc.ranges.values())
     assert spans[0][0] == 0
     assert spans[-1][1] == len(alloc.tuples)
@@ -91,7 +91,7 @@ def test_triad_class_zero_gets_nothing():
     # star center holds nearly all degree; leaves sit below half average
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)])
     ids, _ = assign_degree_class_ids(g, range(6))
-    alloc = allocate_triads(ids, g, 2)
+    alloc = _allocate_tuples(ids, g, 2, 3)
     for v, (lo, hi) in alloc.ranges.items():
         assert alloc.classes[v] >= 1
     for v in range(6):
@@ -103,7 +103,7 @@ def test_triad_capacity_error():
     g = gen_cycle(8)
     ids, _ = assign_degree_class_ids(g, range(8))
     with pytest.raises(GraphError):
-        allocate_triads(ids, g, 50)
+        _allocate_tuples(ids, g, 50, 3)
 
 
 def _linear_owner(alloc, class_tuple):
