@@ -177,7 +177,7 @@ def _run_decompose(cfg: dict, seed: int) -> dict:
 def _run_nibble(cfg: dict, seed: int) -> dict:
     g = _build_graph(cfg, seed)
     comp = max(connected_components(g), key=len)
-    res = distributed_nibble(g, comp, cfg["phi"], seed=seed, simulate=True)
+    res = distributed_nibble(g, comp, cfg["phi"], seed=seed)
     run = {
         "seed": seed,
         "n": g.n,
@@ -189,8 +189,7 @@ def _run_nibble(cfg: dict, seed: int) -> dict:
     if res.cut is not None:
         run["cut"] = res.cut.as_json()
         run["certificate"] = res.certificate
-    if res.transcript is not None:
-        run["transcript"] = res.transcript.as_json()
+    run["transcript"] = res.transcript.as_json()
     return run
 
 

@@ -267,7 +267,10 @@ def black_box_partition(
     terminal cluster. Every removal batch carries its cut witness, and the
     removal ledger (removed count against the drop in the piece potential
     sum of |E_i| log |E_i|, priced at 6 log2 m) is asserted after every
-    mutation of the piece pool.
+    mutation of the piece pool. Remove-1 reads degrees off the piece's
+    edges, and each component's graph is built once, by edge_components:
+    a peel that removes nothing hands the component on unchanged, and the
+    walk search runs on that graph itself.
     """
     if not edges:
         raise GraphError("edge set is empty")
@@ -337,35 +340,47 @@ def black_box_partition(
             if part:
                 queue.append(tuple(sorted(part)))
 
+    def split(piece_edges) -> List[tuple]:
+        """(sorted edges, graph, vertex map, BFS depth) per component."""
+        out = []
+        for cg, cverts in edge_components(piece_edges):
+            item = tuple((cverts[a], cverts[b]) for a, b in cg.edges())
+            out.append((item, cg, cverts, max(bfs_levels(cg, 0))))
+        return out
+
+    def diameter_cut(cg: Graph, cverts: List[int], label: str) -> None:
+        cut, hc_rounds = high_diameter_cut(
+            cg, 0, threshold, threshold_scale=threshold_scale, m_for_logs=g.m
+        )
+        charge(f"partition:{label}", hc_rounds)
+        apply_cut(cut, cg, cverts, label)
+
     while queue:
         piece = queue.popleft()
 
-        # Remove-1: shed edges joining two low-degree vertices.
-        piece_graph, piece_vertices = subgraph_from_edges(piece)
-        low = {
-            piece_vertices[v]
-            for v in range(piece_graph.n)
-            if piece_graph.deg[v] <= threshold
-        }
+        # Remove-1: shed edges joining two low-degree vertices. Pieces
+        # hold sorted canonical edges, so u < v throughout.
+        piece_deg: Dict[int, int] = {}
+        for u, v in piece:
+            piece_deg[u] = piece_deg.get(u, 0) + 1
+            piece_deg[v] = piece_deg.get(v, 0) + 1
         kept: List[Edge] = []
         for u, v in piece:
-            if u in low and v in low:
-                es_new.setdefault(min(u, v), []).append(edge_key(u, v))
+            if piece_deg[u] <= threshold and piece_deg[v] <= threshold:
+                es_new.setdefault(u, []).append((u, v))
             else:
-                kept.append(edge_key(u, v))
+                kept.append((u, v))
         charge("partition:remove", 2)
         ledger_assert([kept])
 
         # Split-1: components of what remains.
-        comp_items = [tuple(sorted(c)) for c in edge_components(kept)]
-        comps = []
-        for item in comp_items:
-            cg, cverts = subgraph_from_edges(item)
-            comps.append((item, cg, cverts, max(bfs_levels(cg, 0))))
+        comps = split(kept)
+        comp_items = [c[0] for c in comps]
         charge("partition:split", max((c[3] for c in comps), default=0) + 1)
         ledger_assert(comp_items)
 
-        for idx, (comp_edges, cg, cverts, d_tilde) in enumerate(comps):
+        for idx, comp in enumerate(comps):
+            comp_edges, cg, cverts, d_tilde = comp
             rest = comp_items[idx + 1 :]
 
             if len(comp_edges) <= m_call / 2.0:
@@ -378,44 +393,31 @@ def black_box_partition(
             bar = threshold_scale * DIAMETER_FACTOR * m_log ** 2
 
             if d_tilde >= bar:
-                cut, hc_rounds = high_diameter_cut(
-                    cg,
-                    0,
-                    threshold,
-                    threshold_scale=threshold_scale,
-                    m_for_logs=g.m,
-                )
-                charge("partition:case1", hc_rounds)
-                apply_cut(cut, cg, cverts, "case1")
+                diameter_cut(cg, cverts, "case1")
                 ledger_assert(rest)
                 continue
 
             peel = low_degree_peel(cg, threshold)
             charge("partition:peel", peel.rounds_charged)
-            for local_v, part in peel.es_parts.items():
-                owner = cverts[local_v]
-                es_new.setdefault(owner, []).extend(
-                    edge_key(cverts[a], cverts[b]) for a, b in part
+            if peel.iterations == 0:
+                d_comps = [comp]  # nothing peeled: the component is unchanged
+            else:
+                for local_v, part in peel.es_parts.items():
+                    owner = cverts[local_v]
+                    es_new.setdefault(owner, []).extend(
+                        (cverts[a], cverts[b]) for a, b in part
+                    )
+                    halt_rounds[owner] = rounds
+                d_comps = split(
+                    [(cverts[a], cverts[b]) for a, b in peel.e_diamond]
                 )
-                halt_rounds[owner] = rounds
-            diamond = [edge_key(cverts[a], cverts[b]) for a, b in peel.e_diamond]
-            d_items = [tuple(sorted(c)) for c in edge_components(diamond)]
+            d_items = [c[0] for c in d_comps]
             ledger_assert(rest + d_items)
 
-            for jdx, d_edges in enumerate(d_items):
+            for jdx, (d_edges, dg, dverts, dd) in enumerate(d_comps):
                 d_rest = d_items[jdx + 1 :]
-                dg, dverts = subgraph_from_edges(d_edges)
-                dd = max(bfs_levels(dg, 0))
                 if dd >= bar:
-                    cut, hc_rounds = high_diameter_cut(
-                        dg,
-                        0,
-                        threshold,
-                        threshold_scale=threshold_scale,
-                        m_for_logs=g.m,
-                    )
-                    charge("partition:case2a", hc_rounds)
-                    apply_cut(cut, dg, dverts, "case2a")
+                    diameter_cut(dg, dverts, "case2a")
                     ledger_assert(rest + d_rest)
                     continue
 
@@ -425,7 +427,6 @@ def black_box_partition(
                     range(dg.n),
                     phi_nibble,
                     seed=f"{seed}:{nibble_calls}",
-                    simulate=True,
                 )
                 charge("partition:nibble", res.transcript.rounds)
                 if res.status == "cut":

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -285,20 +285,8 @@ def lambda2_normalized(g: Graph) -> float:
     return float(sorted(vals)[1])
 
 
-def is_connected(g: Graph, within: Optional[Iterable[int]] = None) -> bool:
-    verts = sorted(as_vertex_set(within)) if within is not None else list(range(g.n))
-    if not verts:
-        return True
-    allowed = set(verts)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u in allowed and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) <= 1
 
 
 def bfs_levels(g: Graph, root: int) -> List[int]:
@@ -317,12 +305,6 @@ def bfs_levels(g: Graph, root: int) -> List[int]:
                     nxt.append(u)
         frontier = nxt
     return lev
-
-
-def eccentricity(g: Graph, root: int) -> int:
-    lev = bfs_levels(g, root)
-    reach = [d for d in lev if d >= 0]
-    return max(reach)
 
 
 MIXING_STEP_CAP = 5_000_000  # safety valve; Definition-1 scans never get near it
@@ -432,8 +414,14 @@ def verify_orientation(
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, List[int]]:
-    """Induced subgraph with a monotone relabeling; returns (graph, old ids)."""
+    """Induced subgraph with a monotone relabeling; returns (graph, old ids).
+
+    Graphs are immutable, so when `vertices` is exactly 0..n-1 the graph
+    itself comes back instead of a copy.
+    """
     old = sorted(as_vertex_set(vertices))
+    if len(old) == g.n and (not old or (old[0] == 0 and old[-1] == g.n - 1)):
+        return g, old
     idx = {v: i for i, v in enumerate(old)}
     edges = [
         (idx[u], idx[v])
@@ -472,27 +460,32 @@ def connected_components(g: Graph) -> List[List[int]]:
     return comps
 
 
-def edge_components(edges: Iterable[Edge]) -> List[List[Edge]]:
-    """Group an edge set into connected components (lists of canonical edges)."""
-    es = sorted({edge_key(u, v) for u, v in edges})
-    parent: Dict[int, int] = {}
+def edge_components(edges: Iterable[Edge]) -> List[Tuple[Graph, List[int]]]:
+    """Split an edge set into connected components, one graph each.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in es:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: Dict[int, List[Edge]] = {}
-    for e in es:
-        groups.setdefault(find(e[0]), []).append(e)
-    return [groups[r] for r in sorted(groups)]
+    Returns (graph, old ids) per component, ordered by smallest vertex, each
+    on exactly its component's endpoints with a monotone relabeling. The
+    set's graph is built once and split by connected_components: a
+    connected set comes back as that graph, and more components are
+    relabeled in one pass over its edges. An empty set has no components.
+    """
+    whole, old = subgraph_from_edges(edges)
+    comps = connected_components(whole)
+    if len(comps) == 1:
+        return [(whole, old)]
+    which = [0] * whole.n
+    pos = [0] * whole.n
+    for c, verts in enumerate(comps):
+        for i, v in enumerate(verts):
+            which[v] = c
+            pos[v] = i
+    parts: List[List[Edge]] = [[] for _ in comps]
+    for u, v in whole.edges():
+        parts[which[u]].append((pos[u], pos[v]))
+    return [
+        (Graph(len(verts), part), [old[v] for v in verts])
+        for verts, part in zip(comps, parts)
+    ]
 
 
 # ---------------------------------------------------------------------------

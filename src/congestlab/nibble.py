@@ -4,9 +4,8 @@ The search runs over scale levels b. At each level it samples sources by
 degree, pushes truncated lazy walks forward step by step, and sweeps every
 live distribution against a geometric ladder of volume targets. The first
 prefix whose conductance certifies at or below 12 * phi wins; ordering is
-(b, t, sample index, ladder index), so the sequential and the simulated
-form agree exactly: they share this code path and differ only in round
-accounting.
+(b, t, sample index, ladder index), so a seed always finds the same cut.
+Every search is priced in a Transcript of simulated rounds.
 
 Cost controls, all output-neutral:
   - If half of the spectral gap already exceeds 12 * phi (plus margin), the
@@ -258,7 +257,7 @@ class NibbleResult:
     status: str
     cut: Optional[Cut]
     certificate: Optional[Dict[str, object]]
-    transcript: Optional[rt.Transcript]
+    transcript: rt.Transcript
 
     @property
     def found(self) -> bool:
@@ -293,7 +292,7 @@ def _run_walk_level(
         if 1.0 >= thresh[s]:
             p[s, i] = 1.0
     active = p.sum(axis=0) > 0.0
-    trunc_free = np.ones(k, dtype=bool)
+    trunc_free = active.copy()  # a start truncated away already lost mass
     max_cong = int(((p > 0.0) @ w).max()) if k else 0
     steps = 0
 
@@ -350,28 +349,27 @@ def distributed_nibble(
     component: Sequence[int],
     phi: float,
     seed=0,
-    simulate: bool = False,
 ) -> NibbleResult:
     """Search one component for a cut with conductance at most 12 * phi.
 
     Returns status "cut" with a certified Cut (vertex ids of g, conductance
     measured inside the component), or "failed" when the spectral screen
     rules every cut out or every level is exhausted. Each level samples at
-    most SOURCE_CAP sources. With simulate=True the result carries a Transcript pricing
-    the run: sampling and the winner announcement cost tree traversals, and
-    each walk step costs the measured maximum number of walks crowding one
-    vertex.
+    most SOURCE_CAP sources. The search runs on g itself when the component
+    is all of it, and on an induced copy otherwise. The result's Transcript
+    prices the run: sampling and the winner announcement cost tree
+    traversals, and each walk step costs the measured maximum number of
+    walks crowding one vertex.
     """
     if not 0 < phi <= 1 / 12:
         raise GraphError("phi must lie in (0, 1/12]")
     members = sorted(set(component))
     sub, old_ids = induced_subgraph(g, members)
     m = sub.m
-    transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0) if simulate else None
+    transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
 
     def finish(status: str, cut=None, cert=None) -> NibbleResult:
-        if transcript is not None:
-            transcript.rounds = transcript.phase_rounds()
+        transcript.rounds = transcript.phase_rounds()
         return NibbleResult(status, cut, cert, transcript)
 
     if m == 0:
@@ -385,18 +383,16 @@ def distributed_nibble(
         lam2 = 0.0
     if lam2 / 2.0 > 12.0 * phi + SCREEN_MARGIN:
         # Cheeger: every cut in this component has conductance >= lam2 / 2
-        if simulate:
-            transcript.phases["nibble:screen"] = 0
+        transcript.phases["nibble:screen"] = 0
         return finish("failed")
 
     depth = 0
-    if simulate:
-        charged = 0
-        for comp in connected_components(sub):
-            tree, rounds = rt.bfs_build(sub, comp, comp[0])
-            depth = max(depth, tree.depth)
-            charged += rounds
-        transcript.phases["nibble:sample"] = charged
+    charged = 0
+    for comp in connected_components(sub):
+        tree, rounds = rt.bfs_build(sub, comp, comp[0])
+        depth = max(depth, tree.depth)
+        charged += rounds
+    transcript.phases["nibble:sample"] = charged
 
     b_top = math.ceil(log2m(m)) if m >= 2 else 0
     total_vol = 2 * m
@@ -408,8 +404,7 @@ def distributed_nibble(
         params = make_walk_params(phi, m, b)
         k_b = min(params.k_b, SOURCE_CAP)
         sampled = sample_by_degree(sub, range(sub.n), k_b, seed=f"{seed}:{b}")
-        if simulate:
-            transcript.phases["nibble:sample"] += depth + math.ceil(log2m(m))
+        transcript.phases["nibble:sample"] += depth + math.ceil(log2m(m))
 
         seen: Dict[int, int] = {}
         fresh: List[int] = []
@@ -432,10 +427,9 @@ def distributed_nibble(
         winner, trunc_free, max_cong, steps = _run_walk_level(
             sub, fresh, params, weights, sweep_cb=on_sweep
         )
-        if simulate:
-            transcript.phases["nibble:walk"] = (
-                transcript.phases.get("nibble:walk", 0) + max_cong * steps
-            )
+        transcript.phases["nibble:walk"] = (
+            transcript.phases.get("nibble:walk", 0) + max_cong * steps
+        )
 
         if winner is not None:
             t, i, (order, j, x, vol_j, bnd, phi_exact) = winner
@@ -448,11 +442,10 @@ def distributed_nibble(
                 phi=phi_exact,
             )
             assert cut.phi <= Fraction(12) * Fraction(phi)
-            if simulate:
-                rng = random.Random(f"{seed}:announce:{b}")
-                transcript.phases["nibble:announce"] = _announce_rounds(
-                    depth, len(order), j, rng
-                )
+            rng = random.Random(f"{seed}:announce:{b}")
+            transcript.phases["nibble:announce"] = _announce_rounds(
+                depth, len(order), j, rng
+            )
             cert = {
                 "b": b,
                 "t": t,

@@ -98,9 +98,11 @@ def assign_degree_class_ids(
     return IdAssignment(new_id, old_id, counts), charged
 
 
-def mixing_estimate(g: Graph, component: Sequence[int]) -> int:
-    """Mixing time of the induced component: exact when small, spectral above."""
-    sub, _ = induced_subgraph(g, sorted(set(component)))
+def mixing_estimate(sub: Graph) -> int:
+    """Mixing time of a component graph: exact when small, spectral above.
+
+    `sub` is the component itself, as `route` has already extracted it.
+    """
     if sub.m == 0:
         raise GraphError("mixing estimate needs at least one edge")
     if sub.n <= MIXING_EXACT_LIMIT:
@@ -162,5 +164,5 @@ def route(
     for box in delivery.values():
         box.sort()
 
-    tau = mixing_estimate(g, members)
+    tau = mixing_estimate(sub)
     return delivery, tau * kappa

@@ -90,7 +90,7 @@ def nibble_runs():
     runs = []
     for seed in range(50):
         g = gen_planted_cut(64, 0.3, 4, seed=seed)
-        res = distributed_nibble(g, range(g.n), phi, seed=seed, simulate=True)
+        res = distributed_nibble(g, range(g.n), phi, seed=seed)
         runs.append((seed, g, res))
     return runs, phi, time.time() - start
 

@@ -337,6 +337,23 @@ def test_decompose_clique_one_cluster():
     assert report.ok and not report.flags
 
 
+def test_decompose_builds_each_piece_graph_once(monkeypatch):
+    # one graph for the single Split-1 component, which the empty peel and
+    # the walk search reuse, and one for the verifier's cluster check
+    g = gen_clique(16)
+    built = []
+    init = Graph.__init__
+
+    def counted(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    deco, _ = decompose(g, 0.5, seed=1)
+    assert list(deco.clusters) == [1]
+    assert built == [16, 16]
+
+
 def test_decompose_path_all_sparse():
     g = gen_path(100)
     deco, _ = decompose(g, 0.5)

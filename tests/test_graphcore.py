@@ -288,7 +288,7 @@ def test_generate_caterpillar():
     g = gc.gen_caterpillar(5, 3)
     assert g.n == 15
     assert g.m == 5 * 3 + 4
-    assert gc.eccentricity(g, 0) >= 8
+    assert max(gc.bfs_levels(g, 0)) >= 8
 
 
 def test_generate_star():
@@ -385,9 +385,30 @@ def test_induced_subgraph_monotone_relabel():
     assert sub.n == 3 and sub.m == 3
 
 
+def test_induced_subgraph_whole_vertex_set_is_the_graph():
+    g = gc.gen_cycle(5)
+    sub, old = gc.induced_subgraph(g, range(5))
+    assert sub is g and old == [0, 1, 2, 3, 4]
+    sub, old = gc.induced_subgraph(g, [0, 1, 2, 3])
+    assert sub is not g and old == [0, 1, 2, 3]
+    assert sub.edge_list() == [(0, 1), (1, 2), (2, 3)]
+    # as many ids as vertices, but one lies outside 0..n-1
+    for ids in ([0, 1, 2, 3, 5], [-1, 0, 1, 2, 3]):
+        sub, old = gc.induced_subgraph(g, ids)
+        assert sub is not g and old == ids
+        assert sub.n == 5 and sub.m == 3
+
+
 def test_edge_components_grouping():
-    comps = gc.edge_components([(0, 1), (1, 2), (5, 6)])
-    assert comps == [[(0, 1), (1, 2)], [(5, 6)]]
+    comps = gc.edge_components([(9, 8), (0, 1), (1, 2), (5, 6), (8, 5)])
+    assert [old for _, old in comps] == [[0, 1, 2], [5, 6, 8, 9]]
+    assert [c.edge_list() for c, _ in comps] == [
+        [(0, 1), (1, 2)],
+        [(0, 1), (0, 2), (2, 3)],
+    ]
+    (whole, old), = gc.edge_components([(4, 2), (2, 7)])
+    assert old == [2, 4, 7] and whole.edge_list() == [(0, 1), (0, 2)]
+    assert gc.edge_components([]) == []
 
 
 def test_subgraph_from_edges():

@@ -141,4 +141,4 @@ def test_route_payload_width():
 
 def test_mixing_estimate_exact_small():
     g = gc.gen_clique(4)
-    assert rta.mixing_estimate(g, range(4)) == 3
+    assert rta.mixing_estimate(g) == 3
