@@ -292,7 +292,10 @@ def _execute(cfg: dict, seed) -> dict:
 
 def _worker_cap(jobs: int) -> int:
     env = os.environ.get("CONGEST_LAB_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise GraphError(f"CONGEST_LAB_THREADS={env!r} is not an integer") from None
     return max(1, min(jobs, cap))
 
 

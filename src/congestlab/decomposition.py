@@ -486,10 +486,15 @@ class Decomposition:
     clusters: Dict[int, frozenset]
     certificates: dict = field(default_factory=dict)
 
-    def cluster_edges(self, cid: int) -> List[Edge]:
-        return sorted(e for e, c in self.em.items() if c == cid)
+    def edges_by_cluster(self) -> Dict[int, List[Edge]]:
+        """E_m grouped by cluster id in one pass; lists are unsorted."""
+        groups: Dict[int, List[Edge]] = {}
+        for e, cid in self.em.items():
+            groups.setdefault(cid, []).append(e)
+        return groups
 
     def as_json(self) -> dict:
+        groups = self.edges_by_cluster()
         return {
             "delta": self.delta,
             "threshold": self.threshold,
@@ -497,7 +502,7 @@ class Decomposition:
                 {
                     "id": cid,
                     "vertices": sorted(self.clusters[cid]),
-                    "edges": [list(e) for e in self.cluster_edges(cid)],
+                    "edges": [list(e) for e in sorted(groups.get(cid, ()))],
                 }
                 for cid in sorted(self.clusters)
             ],
@@ -712,9 +717,7 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
         "labels must cover every edge exactly once",
     )
 
-    by_cluster: Dict[int, List[Edge]] = {}
-    for e, cid in d.em.items():
-        by_cluster.setdefault(cid, []).append(e)
+    by_cluster = d.edges_by_cluster()
     ok_clusters = not set(by_cluster) - set(d.clusters)
     conduct_ok = True
     mixing_ok = True

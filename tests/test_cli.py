@@ -164,9 +164,18 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(["--mode", "probe", "--gen", "clique:n=5", "--seed", "1"]) == 1
     assert run_cli(["--mode", "verify"]) == 1
     assert run_cli(["--mode", "count", "--gen", "nosuch:n=4", "--seed", "1"]) == 1
+    assert run_cli(["--mode", "count", "--gen", "er:n=5,p=x", "--seed", "1"]) == 1
     assert run_cli(["--mode", "bogus"]) == 1
     assert run_cli(["--mode", "count", "--gen", "clique:n=4", "--seed", "1", "--seeds", "0"]) == 1
     capsys.readouterr()
+
+
+def test_bad_thread_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("CONGEST_LAB_THREADS", "two")
+    argv = ["--mode", "count", "--gen", "clique:n=4", "--seed", "1", "--seeds", "2"]
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert "'two'" in err
 
 
 def test_graph_file_input(tmp_path, capsys):

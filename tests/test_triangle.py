@@ -181,11 +181,6 @@ def test_case1_single_edge_and_path():
     assert case1_report_owner((1, 2, 3), {(1, 3), (3, 2)}) == 2
 
 
-def test_case1_respects_id_mapping():
-    owner = case1_report_owner((1, 2, 3), {(1, 2), (1, 3)}, ids={1: 9, 2: 8, 3: 7})
-    assert owner == 3
-
-
 def test_case1_exhaustive_acyclic_patterns():
     # every acyclic pattern with an oriented edge has exactly one owner,
     # and the owner's opposite edge is oriented so the owner hears of it
@@ -277,11 +272,27 @@ def test_expander_rejects_bad_out_edges():
         enumerate_expander(g, [0, 1, 2], [(0, 1)])
     with pytest.raises(GraphError):
         enumerate_expander(g, [0, 1, 2], [(3, 4)])
+    # (0, 2) is not an edge of the path, yet both ends lie in the component;
+    # accepting it would report the triangle (0, 1, 2), which g lacks.
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(GraphError, match="already lies inside"):
+        enumerate_expander(path, [0, 1, 2], [(0, 2)])
     # Vertex 0 has inward degree 2 and cannot send three outward edges; the
     # check holds on the heavy-collector branch as well as the triad one.
     g6 = Graph(6, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(GraphError, match="sending capacity"):
         enumerate_expander(g6, [0, 1, 2], [(0, 3), (0, 4), (0, 5)])
+
+
+def test_expander_heavy_collector_is_a_member():
+    # A C5 whose members all reach an outside hub 5: the hub has the most
+    # incident edges, but the collector routes inside the component, so it
+    # is a member (the smallest of the tied ones) and reports everything.
+    g = Graph(6, [(i, (i + 1) % 5) for i in range(5)])
+    res, t = enumerate_expander(g, range(5), [(i, 5) for i in range(5)])
+    assert res.triangles == {(0, 1, 5), (0, 4, 5), (1, 2, 5), (2, 3, 5), (3, 4, 5)}
+    assert set(res.attribution.values()) == {0}
+    assert "triangle:collect" in t.phases
 
 
 def test_expander_empty_component():
@@ -364,9 +375,9 @@ def test_general_case1_calls_get_only_own_pairs(monkeypatch):
     sizes = []
     real = tr.case1_report_owner
 
-    def spy(triangle, oriented, ids=None):
+    def spy(triangle, oriented):
         sizes.append(len(oriented))
-        return real(triangle, oriented, ids)
+        return real(triangle, oriented)
 
     monkeypatch.setattr(tr, "case1_report_owner", spy)
     g = gen_er(128, 8.0 / 128, seed=4)
@@ -397,12 +408,30 @@ def test_general_case1_owner_knowledge_check_fires(monkeypatch):
     # announced to it, so reporting from the apex must trip the check
     real = tr.case1_report_owner
 
-    def apex_reports(triangle, oriented, ids=None):
-        return 20 if 20 in triangle else real(triangle, oriented, ids)
+    def apex_reports(triangle, oriented):
+        return 20 if 20 in triangle else real(triangle, oriented)
 
     monkeypatch.setattr(tr, "case1_report_owner", apex_reports)
     with pytest.raises(AssertionError, match="opposite edge"):
         enumerate_general(g, 0.5, seed=3)
+
+
+def test_general_builds_each_cluster_graph_once(monkeypatch):
+    # g_m once per level, one routing extraction per delivery, and no
+    # extra graph for the heavy collector
+    g = gen_barbell(12, 1)
+    oracle = brute_force_triangles(g).triangles
+    built = []
+    init = Graph.__init__
+
+    def counted(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    res, _ = enumerate_general(g, 0.5, seed=1)
+    assert res.triangles == oracle
+    assert len(built) <= 11
 
 
 def test_general_attribution_exactly_once():
