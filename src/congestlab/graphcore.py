@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,6 +336,28 @@ def mixing_time_exact(g: Graph) -> int:
     raise GraphError(f"mixing time exceeded step cap {cap}")
 
 
+LAMBDA2_MARGIN = 1e-9  # far above the eigensolvers' error on lambda2
+
+
+def mixing_time_bound(g: Graph, lam2: float) -> float:
+    """Spectral upper bound on `mixing_time_exact(g)` from lambda2.
+
+    The lazy walk's nontrivial eigenvalues lie in [0, 1 - lam2/2], so
+    |p_t^s(v)/pi(v) - 1| <= (1 - lam2/2)^t / pi_min (Levin, Peres and
+    Wilmer, Markov Chains and Mixing Times, Thm 12.4), and Definition 1
+    holds from t = ceil(ln(n / pi_min) / -ln(1 - lam/2)) on, with lam2
+    the normalized-Laplacian lambda2 of g and lam = lam2 - LAMBDA2_MARGIN.
+    Returns math.inf when lam <= 0, as for every disconnected g (an
+    isolated vertex included): the bound cannot decide.
+    """
+    lam = lam2 - LAMBDA2_MARGIN
+    if lam <= 0.0:
+        return math.inf
+    pi_min = min(g.deg) / (2.0 * g.m)
+    rate = -math.log(max(1.0 - lam / 2.0, sys.float_info.min))
+    return math.ceil(math.log(g.n / pi_min) / rate)
+
+
 def mixing_time_check(g: Graph, t: int) -> bool:
     """Does the Definition-1 inequality hold at exactly step t."""
     t_mat = g.lazy_walk_matrix()
@@ -629,6 +652,14 @@ def parse_generator_spec(text: str) -> Tuple[str, dict]:
     return name, params
 
 
+def _count(params: dict, key: str, default=None) -> int:
+    """A generator count as an int; a fractional value is a GraphError."""
+    v = params[key] if default is None else params.get(key, default)
+    if isinstance(v, float) and not v.is_integer():
+        raise GraphError(f"parameter '{key}' must be a whole number, got {v}")
+    return int(v)
+
+
 def generate(spec, seed=0, **params) -> Graph:
     """Build a named test graph deterministically from (spec, seed).
 
@@ -642,28 +673,28 @@ def generate(spec, seed=0, **params) -> Graph:
     else:
         name = spec
     if name == "clique":
-        return gen_clique(int(params["n"]))
+        return gen_clique(_count(params, "n"))
     if name == "cycle":
-        return gen_cycle(int(params["n"]))
+        return gen_cycle(_count(params, "n"))
     if name == "path":
-        return gen_path(int(params["n"]))
+        return gen_path(_count(params, "n"))
     if name == "star":
-        return gen_star(int(params["n"]))
+        return gen_star(_count(params, "n"))
     if name == "hypercube":
-        return gen_hypercube(int(params["d"]))
+        return gen_hypercube(_count(params, "d"))
     if name == "er":
         return gen_er(
-            int(params["n"]), float(params["p"]), seed,
+            _count(params, "n"), float(params["p"]), seed,
             keep_isolated=bool(params.get("keep_isolated", True)),
         )
     if name == "barbell":
-        return gen_barbell(int(params["k"]), int(params.get("bridges", 1)))
+        return gen_barbell(_count(params, "k"), _count(params, "bridges", 1))
     if name == "planted_cut":
         return gen_planted_cut(
-            int(params["n"]), float(params["p"]), int(params["cross"]), seed
+            _count(params, "n"), float(params["p"]), _count(params, "cross"), seed
         )
     if name == "caterpillar":
-        return gen_caterpillar(int(params["blobs"]), int(params["blob_size"]))
+        return gen_caterpillar(_count(params, "blobs"), _count(params, "blob_size"))
     raise GraphError(f"unknown generator '{name}'")
 
 

@@ -13,7 +13,6 @@ from .graphcore import (
     Graph,
     GraphError,
     induced_subgraph,
-    is_connected,
     lambda2_normalized,
     log2m,
     mixing_time_exact,
@@ -68,17 +67,19 @@ def assign_degree_class_ids(
     """Relabel a connected component with ids sorted by degree class.
 
     Vertices are numbered 1..n so that smaller ids never sit in a higher
-    degree class; ties inside a class go by old id. The round charge prices
-    the tree-based histogram exchange: one BFS build plus a convergecast
-    and broadcast of the class counts.
+    degree class; ties inside a class go by old id. Degrees count member
+    neighbors only, and the BFS build rejects a disconnected component. The
+    round charge prices the tree-based histogram exchange: one BFS build
+    plus a convergecast and broadcast of the class counts.
     """
     members = sorted(set(component))
     if not members:
         raise GraphError("component is empty")
-    sub, old_ids = induced_subgraph(g, members)
-    if not is_connected(sub):
-        raise GraphError("component is not connected")
-    deg_of = {old_ids[i]: sub.deg[i] for i in range(sub.n)}
+    if members[0] < 0 or members[-1] >= g.n:
+        raise GraphError(f"component has a vertex outside 0..{g.n - 1}")
+    tree, bfs_rounds = rt.bfs_build(g, members, members[0])
+    mset = frozenset(members)
+    deg_of = {v: len(g.neighbor_set(v) & mset) for v in members}
 
     n = len(members)
     counts = [0] * (int(log2m(n)) + 1)
@@ -88,7 +89,6 @@ def assign_degree_class_ids(
     new_id = {v: i + 1 for i, v in enumerate(order)}
     old_id = {i + 1: v for i, v in enumerate(order)}
 
-    tree, bfs_rounds = rt.bfs_build(g, members, members[0])
     k = len(counts)
     charged = (
         bfs_rounds

@@ -253,12 +253,17 @@ def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[BfsTree, i
     """Grow a BFS tree over one connected component via the engine.
 
     Returns the tree and the rounds charged, which is the tree depth plus
-    a constant for the kickoff.
+    a constant for the kickoff. A member the wave never reaches keeps
+    running with no traffic left, so the engine stalls, and that is
+    reported as a CongestError: the component is not connected.
     """
     members = frozenset(component)
     if root not in members:
         raise CongestError(f"root {root} is not in the component")
-    states, transcript = run(g, _BfsWave(root, members), seed=0, phase="bfs")
+    try:
+        states, transcript = run(g, _BfsWave(root, members), seed=0, phase="bfs")
+    except StallError as exc:
+        raise CongestError(f"component is not connected: {exc}") from None
     parent: Dict[int, Optional[int]] = {}
     level: Dict[int, int] = {}
     for v in members:

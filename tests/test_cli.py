@@ -170,6 +170,13 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_fractional_count_exits_1(capsys):
+    code, out, err = _run(capsys, ["--mode", "count", "--gen", "clique:n=4.5", "--seed", "1"])
+    assert code == 1
+    assert out == ""
+    assert "'n'" in err
+
+
 def test_bad_thread_cap_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("CONGEST_LAB_THREADS", "two")
     argv = ["--mode", "count", "--gen", "clique:n=4", "--seed", "1", "--seeds", "2"]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from congestlab import decomposition as dc
 from congestlab.graphcore import (
     GraphError,
     Graph,
@@ -17,7 +18,11 @@ from congestlab.graphcore import (
     gen_er,
     gen_path,
     gen_star,
+    generate,
+    lambda2_normalized,
     log2m,
+    mixing_time_bound,
+    mixing_time_exact,
     subgraph_from_edges,
 )
 from congestlab.decomposition import (
@@ -513,6 +518,67 @@ def test_verifier_catches_sparse_edge_not_in_graph():
     assert report.checks["orientation"] is False
     assert any("edge (10, 50) not in graph" in f for f in report.failures)
     assert not report.ok
+
+
+def _count_exact_mixing(monkeypatch):
+    calls = []
+
+    def counted(sub):
+        calls.append(sub.n)
+        return mixing_time_exact(sub)
+
+    monkeypatch.setattr(dc, "mixing_time_exact", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "host_n, mixing_flags, exact_calls",
+    [
+        # cap 1296 < exact t 1746: the exact path fails it
+        (64, ["cluster 1: mixing above 1296"], [60]),
+        (128, [], [60]),  # cap 2401 < t_spec: the bound cannot decide
+        (200, [], []),  # t_spec <= cap 3414: certified without powering
+    ],
+)
+def test_verifier_mixing_certificate_on_c60(monkeypatch, host_n, mixing_flags, exact_calls):
+    cycle = list(gen_cycle(60).edges())
+    g = Graph(host_n, cycle)
+    deco = Decomposition(0.5, host_n ** 0.5, {e: 1 for e in cycle}, {}, [],
+                         {1: frozenset(range(60))})
+    sub = gen_cycle(60)
+    t_spec = mixing_time_bound(sub, lambda2_normalized(sub))
+    assert mixing_time_exact(sub) == 1746
+    assert 2401 < t_spec <= 3414
+    calls = _count_exact_mixing(monkeypatch)
+    report = verify_decomposition(g, 0.5, deco)
+    assert report.checks["cluster-mixing"] is (not mixing_flags)
+    assert [f for f in report.flags if "mixing" in f] == mixing_flags
+    assert calls == exact_calls
+
+
+def test_decompose_certifies_mixing_without_powering(monkeypatch):
+    calls = _count_exact_mixing(monkeypatch)
+    deco, _ = decompose(gen_er(200, 0.2, seed=2), 0.5, seed=2)
+    assert list(deco.clusters) == [1]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "planted_cut:n=300,p=0.2,cross=4",
+        "caterpillar:blobs=8,blob_size=60",
+        "barbell:k=100,bridges=1",
+    ],
+)
+def test_mixing_bound_dominates_exact_on_clustered_specs(spec):
+    deco, _ = decompose(generate(spec, seed=1), 0.5, seed=1)
+    groups = deco.edges_by_cluster()
+    assert len(groups) >= 2
+    for edges in groups.values():
+        sub, _ = subgraph_from_edges(edges)
+        t_spec = mixing_time_bound(sub, lambda2_normalized(sub))
+        assert t_spec >= mixing_time_exact(sub)
 
 
 def test_phi_star_is_tiny_but_positive():

@@ -204,6 +204,29 @@ def test_mixing_monotone_after_threshold():
             assert gc.mixing_time_check(g, t2)
 
 
+def test_mixing_time_bound_dominates_exact():
+    graphs = [gc.gen_clique(n) for n in (2, 3, 5, 30)]
+    graphs += [gc.gen_cycle(n) for n in (9, 20, 31)]
+    graphs += [gc.gen_hypercube(5)]
+    graphs += [random_graph(60, 0.15, seed) for seed in range(3)]
+    graphs += [random_graph(200, 0.2, 1)]
+    for g in graphs:
+        assert gc.is_connected(g)
+        t_spec = gc.mixing_time_bound(g, gc.lambda2_normalized(g))
+        assert t_spec >= gc.mixing_time_exact(g)
+
+
+def test_mixing_time_bound_cannot_decide_without_a_gap():
+    g = gc.Graph(4, [(0, 1), (2, 3)])
+    assert gc.mixing_time_bound(g, gc.lambda2_normalized(g)) == math.inf
+    assert gc.mixing_time_bound(gc.gen_clique(4), 0.0) == math.inf
+    # an isolated vertex has stationary mass 0 and lambda2 0
+    g = gc.Graph(3, [(0, 1)])
+    assert gc.mixing_time_bound(g, gc.lambda2_normalized(g)) == math.inf
+    # K2 mixes in one lazy step; lambda2 = 2 must not break the logarithm
+    assert gc.mixing_time_bound(gc.gen_clique(2), 2.0) == 1
+
+
 def test_stationarity_fixed_point():
     for seed in range(4):
         g = random_graph(30, 0.2, seed)
@@ -249,6 +272,33 @@ def test_cheeger_consistency_small():
 def test_generate_clique():
     g = gc.generate("clique:n=4")
     assert g.n == 4 and g.m == 6
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ("clique:n=4.5", "n"),
+        ("cycle:n=6.5", "n"),
+        ("path:n=3.2", "n"),
+        ("star:n=5.5", "n"),
+        ("hypercube:d=2.5", "d"),
+        ("er:n=10.5,p=0.5", "n"),
+        ("barbell:k=4.5", "k"),
+        ("barbell:k=4,bridges=1.5", "bridges"),
+        ("planted_cut:n=8,p=0.5,cross=2.5", "cross"),
+        ("caterpillar:blobs=2.5,blob_size=3", "blobs"),
+        ("caterpillar:blobs=2,blob_size=3.5", "blob_size"),
+        ("clique:n=1e999", "n"),
+    ],
+)
+def test_generate_rejects_fractional_counts(spec, name):
+    with pytest.raises(gc.GraphError, match=f"'{name}' must be a whole number"):
+        gc.generate(spec)
+
+
+def test_generate_accepts_whole_float_counts():
+    assert gc.generate("clique:n=4.0").m == 6
+    assert gc.generate("clique", n=4.0).m == 6
 
 
 def test_generate_hypercube():

@@ -62,6 +62,12 @@ def test_assignment_rejects_disconnected():
         rta.assign_degree_class_ids(g, range(4))
 
 
+def test_assignment_rejects_vertex_outside_graph():
+    g = gc.gen_path(4)
+    with pytest.raises(gc.GraphError, match="outside"):
+        rta.assign_degree_class_ids(g, [2, 3, 4])
+
+
 def test_kappa_default():
     assert rta.kappa_default(4) == 4
     assert rta.kappa_default(1024) == 16

@@ -258,6 +258,15 @@ def test_bfs_root_not_in_component():
         rt.bfs_build(g, [0, 1], 3)
 
 
+def test_bfs_unreachable_member_is_not_connected():
+    g = gc.Graph(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(rt.CongestError, match="not connected"):
+        rt.bfs_build(g, range(5), 0)
+    # a member reachable only through a non-member is not reached either
+    with pytest.raises(rt.CongestError, match="not connected"):
+        rt.bfs_build(g, [0, 2], 0)
+
+
 def test_bfs_singleton_component():
     g = gc.Graph(3, [(1, 2)])
     tree, charged = rt.bfs_build(g, [0], 0)

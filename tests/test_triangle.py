@@ -434,6 +434,25 @@ def test_general_builds_each_cluster_graph_once(monkeypatch):
     assert len(built) <= 11
 
 
+def test_expander_triad_branch_builds_one_graph_per_member_set(monkeypatch):
+    # the isolated pad keeps range(64) from being the whole graph, so the
+    # id assignment and the routing would each extract it
+    g = Graph(65, gen_er(64, 0.4, seed=3).edges())
+    oracle = brute_force_triangles(g).triangles
+    built = []
+    init = Graph.__init__
+
+    def counted(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    res, t = enumerate_expander(g, range(64), [], seed=5, zeta_scale=1e9)
+    assert "triangle:ids" in t.phases
+    assert res.triangles == oracle
+    assert built == [64]
+
+
 def test_general_attribution_exactly_once():
     g = gen_er(50, 0.3, seed=9)
     oracle = brute_force_triangles(g).triangles
