@@ -14,6 +14,7 @@ from concurrent import futures
 from typing import Dict, List, Optional
 
 from .decomposition import (
+    _report_field,
     decompose,
     decomposition_from_json,
     verify_decomposition,
@@ -36,6 +37,11 @@ MODES = (
     "subgraphs",
     "verify",
     "probe",
+)
+# The options a report echoes as its config, so that a rerun reproduces it.
+CONFIG_KEYS = (
+    "mode", "graph", "gen", "seed", "seeds", "delta", "phi", "kappa",
+    "round_cap", "mode_args", "case1_threshold_scale",
 )
 
 
@@ -88,19 +94,7 @@ def _parse_kv(text: str) -> Dict[str, str]:
 
 
 def _config_from_args(args) -> dict:
-    cfg = {
-        "mode": args.mode,
-        "graph": args.graph,
-        "gen": args.gen,
-        "seed": args.seed,
-        "seeds": args.seeds,
-        "delta": args.delta,
-        "phi": args.phi,
-        "kappa": args.kappa,
-        "round_cap": args.round_cap,
-        "mode_args": args.mode_args,
-        "case1_threshold_scale": args.case1_threshold_scale,
-    }
+    cfg = {k: getattr(args, k) for k in CONFIG_KEYS}
     mode = args.mode
     if args.seeds < 1:
         raise GraphError("--seeds must be at least 1")
@@ -250,13 +244,16 @@ def _run_probe(cfg: dict, seed: int) -> dict:
 
 def _run_verify(cfg: dict, seed) -> dict:
     with open(cfg["mode_args"], "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    inner = doc["config"]
+        doc = _report_field(json.load(fh), dict, "file")
+    inner = _report_field(doc["config"], dict, "config")
     results = []
     all_ok = True
-    for run in doc["runs"]:
+    for run in _report_field(doc["runs"], list, "runs"):
+        run = _report_field(run, dict, "run")
         if "decomposition" not in run:
             raise GraphError("report has no decomposition to verify")
+        if type(run["seed"]) is not int:
+            raise GraphError(f"report run seed {run['seed']!r} is not an integer")
         g = _build_graph(inner, run["seed"])
         d = decomposition_from_json(run["decomposition"])
         rep = verify_decomposition(g, d.delta, d)
@@ -372,23 +369,6 @@ def _csv_row(mode: str, run: dict) -> dict:
     return row
 
 
-def _public_config(cfg: dict) -> dict:
-    keys = (
-        "mode",
-        "graph",
-        "gen",
-        "seed",
-        "seeds",
-        "delta",
-        "phi",
-        "kappa",
-        "round_cap",
-        "mode_args",
-        "case1_threshold_scale",
-    )
-    return {k: cfg.get(k) for k in keys}
-
-
 def run_cli(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -406,7 +386,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         return 1
     report = {
         "schema": SCHEMA,
-        "config": _public_config(cfg),
+        "config": {k: cfg[k] for k in CONFIG_KEYS},
         "runs": runs,
         "summary": _summary(cfg, runs),
     }

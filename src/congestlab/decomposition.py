@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphcore import (
+    EXACT_MIXING_LIMIT,
     Cut,
     Edge,
     Graph,
@@ -52,7 +53,6 @@ WITNESS_FACTOR = 12.0
 LEDGER_FACTOR = 6.0
 BALANCE_FRACTION = 32.0
 EXACT_CUT_LIMIT = 24
-EXACT_MIXING_LIMIT = 2000
 
 
 def phi_nibble_default(m: int) -> float:
@@ -242,8 +242,7 @@ class PartitionStep:
     witnesses: List[dict]
     s_vertices: frozenset
     halt_rounds: Dict[int, int]
-    phases: Dict[str, int]
-    rounds_charged: int
+    transcript: rt.Transcript
 
 
 def _potential(sizes) -> float:
@@ -290,17 +289,10 @@ def black_box_partition(
     er_new: List[Edge] = []
     witnesses: List[dict] = []
     halt_rounds: Dict[int, int] = {}
-    phases: Dict[str, int] = {}
-    rounds = start_round
+    tx = rt.Transcript()
     initial_potential = _potential([m_call])
     queue = deque([tuple(edges)])
     nibble_calls = 0
-
-    def charge(label: str, amount) -> None:
-        nonlocal rounds
-        amount = max(int(amount), 0)
-        phases[label] = phases.get(label, 0) + amount
-        rounds += amount
 
     def ledger_assert(in_flight) -> None:
         sizes = [len(p) for p in queue]
@@ -353,7 +345,7 @@ def black_box_partition(
         cut, hc_rounds = high_diameter_cut(
             cg, 0, threshold, threshold_scale=threshold_scale, m_for_logs=g.m
         )
-        charge(f"partition:{label}", hc_rounds)
+        tx.charge(f"partition:{label}", hc_rounds)
         apply_cut(cut, cg, cverts, label)
 
     while queue:
@@ -371,13 +363,13 @@ def black_box_partition(
                 es_new.setdefault(u, []).append((u, v))
             else:
                 kept.append((u, v))
-        charge("partition:remove", 2)
+        tx.charge("partition:remove", 2)
         ledger_assert([kept])
 
         # Split-1: components of what remains.
         comps = split(kept)
         comp_items = [c[0] for c in comps]
-        charge("partition:split", max((c[3] for c in comps), default=0) + 1)
+        tx.charge("partition:split", max((c[3] for c in comps), default=0) + 1)
         ledger_assert(comp_items)
 
         for idx, comp in enumerate(comps):
@@ -386,8 +378,7 @@ def black_box_partition(
 
             if len(comp_edges) <= m_call / 2.0:
                 clusters.append(ClusterPiece(frozenset(cverts), comp_edges, "C3-2"))
-                for v in cverts:
-                    halt_rounds[v] = rounds
+                halt_rounds.update(dict.fromkeys(cverts, start_round + tx.rounds))
                 ledger_assert(rest)
                 continue
 
@@ -399,16 +390,17 @@ def black_box_partition(
                 continue
 
             peel = low_degree_peel(cg, threshold)
-            charge("partition:peel", peel.rounds_charged)
+            tx.charge("partition:peel", peel.rounds_charged)
             if peel.iterations == 0:
                 d_comps = [comp]  # nothing peeled: the component is unchanged
             else:
+                now = start_round + tx.rounds
                 for local_v, part in peel.es_parts.items():
                     owner = cverts[local_v]
                     es_new.setdefault(owner, []).extend(
                         (cverts[a], cverts[b]) for a, b in part
                     )
-                    halt_rounds[owner] = rounds
+                    halt_rounds[owner] = now
                 d_comps = split(
                     [(cverts[a], cverts[b]) for a, b in peel.e_diamond]
                 )
@@ -429,7 +421,7 @@ def black_box_partition(
                     phi_nibble,
                     seed=f"{seed}:{nibble_calls}",
                 )
-                charge("partition:nibble", res.transcript.rounds)
+                tx.charge("partition:nibble", res.transcript.rounds)
                 if res.status == "cut":
                     apply_cut(res.cut, dg, dverts, "case2b")
                     ledger_assert(rest + d_rest)
@@ -439,8 +431,7 @@ def black_box_partition(
                 # threshold and the walk search certified no sparse cut.
                 assert min(dg.deg) > threshold / 2.0, "terminal degree floor"
                 clusters.append(ClusterPiece(frozenset(dverts), d_edges, "C3-1"))
-                for v in dverts:
-                    halt_rounds[v] = rounds
+                halt_rounds.update(dict.fromkeys(dverts, start_round + tx.rounds))
                 ledger_assert(rest + d_rest)
 
     all_vertices = {v for e in edges for v in e}
@@ -449,8 +440,9 @@ def black_box_partition(
         assert not (cluster_vertices & c.vertices), "clusters overlap"
         cluster_vertices |= c.vertices
     s_vertices = frozenset(all_vertices - cluster_vertices)
+    now = start_round + tx.rounds
     for v in s_vertices | set(es_new):
-        halt_rounds.setdefault(v, rounds)
+        halt_rounds.setdefault(v, now)
 
     em_deg: Dict[int, int] = {}
     for c in clusters:
@@ -467,8 +459,7 @@ def black_box_partition(
         witnesses=witnesses,
         s_vertices=s_vertices,
         halt_rounds=halt_rounds,
-        phases=phases,
-        rounds_charged=rounds - start_round,
+        transcript=tx,
     )
 
 
@@ -593,9 +584,8 @@ def decompose(
     if not 0 < delta < 1:
         raise GraphError("delta must lie in (0, 1)")
     threshold = g.n ** delta
-    transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
-    if threshold_scale != 1.0:
-        transcript.phases["flag:threshold_scale_millis"] = int(threshold_scale * 1000)
+    transcript = rt.Transcript(seed=seed)
+    transcript.flag("threshold_scale", threshold_scale)
 
     es: Dict[int, List[Edge]] = {}
     er: List[Edge] = []
@@ -621,8 +611,8 @@ def decompose(
             threshold_scale=threshold_scale,
             start_round=start,
         )
-        for label, amount in step.phases.items():
-            transcript.phases[label] = transcript.phases.get(label, 0) + amount
+        for label, amount in step.transcript.phases.items():
+            transcript.charge(label, amount)
         for v, part in step.es_new.items():
             bucket = es.setdefault(v, [])
             bucket.extend(part)
@@ -637,7 +627,7 @@ def decompose(
                 terminal.append(c)
             else:
                 assert len(c.vertices) < len(piece_vertices), "no vertex progress"
-                work.append((c.edges, depth + 1, start + step.rounds_charged))
+                work.append((c.edges, depth + 1, start + step.transcript.rounds))
 
     em: Dict[Edge, int] = {}
     clusters: Dict[int, frozenset] = {}
@@ -646,7 +636,6 @@ def decompose(
         for e in c.edges:
             em[e] = cid
 
-    transcript.rounds = transcript.phase_rounds()
     deco = Decomposition(
         delta=delta,
         threshold=threshold,

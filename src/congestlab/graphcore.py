@@ -309,16 +309,17 @@ def bfs_levels(g: Graph, root: int) -> List[int]:
 
 
 MIXING_STEP_CAP = 5_000_000  # safety valve; Definition-1 scans never get near it
+EXACT_MIXING_LIMIT = 2000  # largest graph whose mixing time is computed exactly
 
 
 def mixing_time_exact(g: Graph) -> int:
     """Minimum t with |p_t^s(v) - pi(v)| <= pi(v)/n for all s, v.
 
     Dense powering of the lazy walk matrix from every start vertex at once.
-    Requires a connected graph with at least one edge and n <= 2000.
+    Requires a connected graph with an edge and n <= EXACT_MIXING_LIMIT.
     """
-    if g.n > 2000:
-        raise GraphError("exact mixing time limited to n <= 2000")
+    if g.n > EXACT_MIXING_LIMIT:
+        raise GraphError(f"exact mixing time limited to n <= {EXACT_MIXING_LIMIT}")
     if g.m == 0:
         raise GraphError("infinite mixing time: graph has no edges")
     if not is_connected(g):

@@ -366,10 +366,9 @@ def distributed_nibble(
     members = sorted(set(component))
     sub, old_ids = induced_subgraph(g, members)
     m = sub.m
-    transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
+    transcript = rt.Transcript(seed=seed)
 
     def finish(status: str, cut=None, cert=None) -> NibbleResult:
-        transcript.rounds = transcript.phase_rounds()
         return NibbleResult(status, cut, cert, transcript)
 
     if m == 0:
@@ -383,16 +382,14 @@ def distributed_nibble(
         lam2 = 0.0
     if lam2 / 2.0 > 12.0 * phi + SCREEN_MARGIN:
         # Cheeger: every cut in this component has conductance >= lam2 / 2
-        transcript.phases["nibble:screen"] = 0
+        transcript.charge("nibble:screen", 0)
         return finish("failed")
 
     depth = 0
-    charged = 0
     for comp in connected_components(sub):
         tree, rounds = rt.bfs_build(sub, comp, comp[0])
         depth = max(depth, tree.depth)
-        charged += rounds
-    transcript.phases["nibble:sample"] = charged
+        transcript.charge("nibble:sample", rounds)
 
     b_top = math.ceil(log2m(m)) if m >= 2 else 0
     total_vol = 2 * m
@@ -404,7 +401,7 @@ def distributed_nibble(
         params = make_walk_params(phi, m, b)
         k_b = min(params.k_b, SOURCE_CAP)
         sampled = sample_by_degree(sub, range(sub.n), k_b, seed=f"{seed}:{b}")
-        transcript.phases["nibble:sample"] += depth + math.ceil(log2m(m))
+        transcript.charge("nibble:sample", depth + math.ceil(log2m(m)))
 
         seen: Dict[int, int] = {}
         fresh: List[int] = []
@@ -427,9 +424,7 @@ def distributed_nibble(
         winner, trunc_free, max_cong, steps = _run_walk_level(
             sub, fresh, params, weights, sweep_cb=on_sweep
         )
-        transcript.phases["nibble:walk"] = (
-            transcript.phases.get("nibble:walk", 0) + max_cong * steps
-        )
+        transcript.charge("nibble:walk", max_cong * steps)
 
         if winner is not None:
             t, i, (order, j, x, vol_j, bnd, phi_exact) = winner
@@ -443,8 +438,8 @@ def distributed_nibble(
             )
             assert cut.phi <= Fraction(12) * Fraction(phi)
             rng = random.Random(f"{seed}:announce:{b}")
-            transcript.phases["nibble:announce"] = _announce_rounds(
-                depth, len(order), j, rng
+            transcript.charge(
+                "nibble:announce", _announce_rounds(depth, len(order), j, rng)
             )
             cert = {
                 "b": b,

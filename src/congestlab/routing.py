@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphcore import (
+    EXACT_MIXING_LIMIT,
     Graph,
     GraphError,
     induced_subgraph,
@@ -19,7 +20,6 @@ from .graphcore import (
 )
 from . import runtime as rt
 
-MIXING_EXACT_LIMIT = 2000
 PAYLOAD_WORDS = rt.DEFAULT_WORDS
 
 
@@ -105,7 +105,7 @@ def mixing_estimate(sub: Graph) -> int:
     """
     if sub.m == 0:
         raise GraphError("mixing estimate needs at least one edge")
-    if sub.n <= MIXING_EXACT_LIMIT:
+    if sub.n <= EXACT_MIXING_LIMIT:
         return mixing_time_exact(sub)
     lam2 = lambda2_normalized(sub)
     if lam2 <= 0:

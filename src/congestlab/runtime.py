@@ -51,16 +51,35 @@ class Message:
 
 @dataclass
 class Transcript:
-    rounds: int = 0
+    """Simulated cost of one run, charged phase by phase.
+
+    Every charge goes through `charge`, and `rounds` is their total;
+    `flag:` entries record non-default test-only settings, not rounds. A
+    seed that is not an int (the derived string seeds) is recorded as 0.
+    """
+
     message_count: int = 0
     channel_load: int = 0
     phases: Dict[str, int] = field(default_factory=dict)
     seed: int = 0
     cap_exhausted: bool = False
 
-    def phase_rounds(self) -> int:
-        """Total of the phase charges; `flag:` entries record settings, not rounds."""
+    def __post_init__(self) -> None:
+        if not isinstance(self.seed, int):
+            self.seed = 0
+
+    @property
+    def rounds(self) -> int:
         return sum(v for k, v in self.phases.items() if not k.startswith("flag:"))
+
+    def charge(self, label: str, rounds: int) -> None:
+        """Add rounds to phase `label`, which is listed even when they are 0."""
+        self.phases[label] = self.phases.get(label, 0) + rounds
+
+    def flag(self, name: str, scale: float) -> None:
+        """Record a scale other than 1 as flag:<name>_millis."""
+        if scale != 1:
+            self.phases[f"flag:{name}_millis"] = int(scale * 1000)
 
     def as_json(self) -> Dict[str, Any]:
         return {
@@ -190,12 +209,11 @@ def run(
             ctx.round = rounds
             program.on_round(ctx, live[v])
 
-    transcript.rounds = rounds
     transcript.message_count = engine.message_count
     # push refuses a second message on a directed edge within a round, so
     # any traffic at all puts exactly one message on the busiest channel.
     transcript.channel_load = 1 if engine.message_count else 0
-    transcript.phases[phase] = rounds
+    transcript.charge(phase, rounds)
     return {ctx.v: ctx.state for ctx in ctxs}, transcript
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -89,21 +88,14 @@ class TriangleSet:
             raise GraphError(f"triangle {triple} reported twice")
         self.attribution[triple] = owner
 
-    def as_json(self, transcript: Optional[rt.Transcript] = None) -> dict:
-        doc = {
+    def as_json(self) -> dict:
+        return {
             "triangles": [list(t) for t in sorted(self.attribution)],
             "count": self.count,
             "attribution": {
                 str(v): c for v, c in sorted(self.reporter_counts().items())
             },
         }
-        if transcript is not None:
-            doc["transcript"] = {
-                "rounds": transcript.rounds,
-                "message_count": transcript.message_count,
-                "phases": dict(sorted(transcript.phases.items())),
-            }
-        return doc
 
 
 @dataclass
@@ -189,26 +181,22 @@ class TriadAllocation:
     ranges: Dict[int, Tuple[int, int]]
     classes: Dict[int, int]
     delta_bar: int
-    _index: Dict[Tuple[int, ...], int] = field(default_factory=dict)
-    _starts: List[int] = field(default_factory=list)
-    _owners: List[int] = field(default_factory=list)
+    _owner: Dict[Tuple[int, ...], Optional[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._index = {t: i for i, t in enumerate(self.tuples)}
-        by_start = sorted((lo, v) for v, (lo, hi) in self.ranges.items())
-        self._starts = [lo for lo, _ in by_start]
-        self._owners = [v for _, v in by_start]
+        # Every class tuple maps to its owner, or to None outside all ranges.
+        self._owner = dict.fromkeys(self.tuples)
+        for v, (lo, hi) in self.ranges.items():
+            self._owner.update(dict.fromkeys(self.tuples[lo:hi], v))
 
     def owner_of(self, class_tuple: Sequence[int]) -> int:
         key = tuple(sorted(class_tuple))
-        if key not in self._index:
+        if key not in self._owner:
             raise GraphError(f"{key} is not a class tuple for q={self.q}")
-        idx = self._index[key]
-        # The owner is the last range starting at or before idx.
-        pos = bisect_right(self._starts, idx) - 1
-        if pos < 0 or idx >= self.ranges[self._owners[pos]][1]:
-            raise GraphError(f"tuple index {idx} was never allocated")
-        return self._owners[pos]
+        owner = self._owner[key]
+        if owner is None:
+            raise GraphError(f"class tuple {key} was never allocated")
+        return owner
 
 
 def _allocate_tuples(ids: IdAssignment, g_in: Graph, q: int, size: int) -> TriadAllocation:
@@ -385,6 +373,7 @@ def _deliver(
 
 
 def _list_by_class_tuples(
+    tx: rt.Transcript,
     g: Graph,
     members: Sequence[int],
     inward: Sequence[Edge],
@@ -396,7 +385,7 @@ def _list_by_class_tuples(
     label: str,
     heavy_scale: float,
     kappa: Optional[int],
-) -> Tuple[Dict[Tuple[int, ...], int], Dict[str, int], int]:
+) -> Dict[Tuple[int, ...], int]:
     """Attribute every occurrence to one vertex through class s-tuples.
 
     The class-tuple partition of Dolev, Lenzen and Peled ("Tri, Tri
@@ -411,8 +400,8 @@ def _list_by_class_tuples(
     q = ceil(n^(1/s)) parts, each edge travels to the owners of all sorted
     class tuples holding its two parts, and each occurrence (a sorted
     vertex tuple) goes to the owner of its sorted part tuple, which must
-    have heard of all its edges. Returns the attribution, the phase charges
-    under `label` and the message count.
+    have heard of all its edges. Returns the attribution; the phases,
+    under `label`, and the messages are charged to tx.
     """
     n = len(members)
     universe = sorted(set(inward) | set(outward))
@@ -438,8 +427,9 @@ def _list_by_class_tuples(
             for e in incident.get(u, ())
         ]
         _, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
-        attribution = {occ: star for occ in occurrences}
-        return attribution, {f"{label}:collect": charged}, len(requests)
+        tx.charge(f"{label}:collect", charged)
+        tx.message_count += len(requests)
+        return {occ: star for occ in occurrences}
 
     ids, id_rounds = assign_degree_class_ids(g, members)
     parts = {
@@ -469,12 +459,11 @@ def _list_by_class_tuples(
             if e in edge_set:
                 assert e in known[owner], "owner missed an edge"
         attribution[occ] = owner
-    phases = {
-        f"{label}:ids": id_rounds,
-        f"{label}:classes": 1,
-        f"{label}:deliver": charged,
-    }
-    return attribution, phases, len(requests)
+    tx.charge(f"{label}:ids", id_rounds)
+    tx.charge(f"{label}:classes", 1)
+    tx.charge(f"{label}:deliver", charged)
+    tx.message_count += len(requests)
+    return attribution
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +494,8 @@ def enumerate_expander(
     """
     members = sorted(set(component))
     mset = set(members)
-    transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
-    if zeta_scale != 1.0:
-        transcript.phases["flag:zeta_scale_millis"] = int(zeta_scale * 1000)
+    transcript = rt.Transcript(seed=seed)
+    transcript.flag("zeta_scale", zeta_scale)
 
     e_in = [
         (u, v) for u in members for v in g.adj[u] if u < v and v in mset
@@ -540,13 +528,11 @@ def enumerate_expander(
         spare[best] -= 1
         sender_of[e] = best
 
-    attribution, phases, messages = _list_by_class_tuples(
-        g, members, e_in, sender_of, _triangles_of_edges(e_in + list(out_edges)),
+    attribution = _list_by_class_tuples(
+        transcript, g, members, e_in, sender_of,
+        _triangles_of_edges(e_in + list(out_edges)),
         3, seed, "triad-class", "triangle", zeta_scale, kappa,
     )
-    transcript.phases.update(phases)
-    transcript.message_count = messages
-    transcript.rounds = transcript.phase_rounds()
     return TriangleSet(attribution), transcript
 
 
@@ -562,17 +548,17 @@ def _solve_general(
     kappa: Optional[int],
     level: int,
     cap: int,
-    phases: Dict[str, int],
-) -> Tuple[TriangleSet, int]:
+    tx: rt.Transcript,
+) -> TriangleSet:
     result = TriangleSet()
     if g.m == 0 or g.n < 3:
-        return result, 0
+        return result
     if level > cap:
         raise GraphError(f"recursion depth exceeded the cap {cap}")
 
     decomp, dtx = decompose(g, delta, seed=f"{seed}:L{level}")
-    phases[f"triangle:decompose:{level}"] = dtx.rounds
-    messages = dtx.message_count
+    tx.charge(f"triangle:decompose:{level}", dtx.rounds)
+    tx.message_count += dtx.message_count
 
     # Sparse-edge triangles: owners announce their edges for one round per
     # owned edge, and the orientation rules pick the unique reporter. The
@@ -582,8 +568,8 @@ def _solve_general(
     # through an E_s edge are listed: its endpoints' common neighbours.
     tail = {e: owner for owner, part in decomp.es.items() for e in part}
     if tail:
-        phases[f"triangle:case1:{level}"] = max(map(len, decomp.es.values()))
-        messages += sum(
+        tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
+        tx.message_count += sum(
             len(part) * g.deg[owner] for owner, part in decomp.es.items()
         )
         sparse_triangles = {
@@ -642,7 +628,7 @@ def _solve_general(
                 kappa=kappa,
             )
             case2_rounds = max(case2_rounds, etx.rounds)
-            messages += etx.message_count
+            tx.message_count += etx.message_count
             for t, owner in part_set.attribution.items():
                 a, b, c = t
                 tri_edges = {(a, b), (a, c), (b, c)}
@@ -650,19 +636,18 @@ def _solve_general(
                     continue  # the recursion owns these
                 result.add(t, owner)
     if case2_rounds:
-        phases[f"triangle:case2:{level}"] = case2_rounds
+        tx.charge(f"triangle:case2:{level}", case2_rounds)
 
     if recursion_set:
         assert 2 * len(recursion_set) <= g.m, "leftover edges failed to halve"
         gr, old_ids = subgraph_from_edges(recursion_set)
-        sub_result, sub_messages = _solve_general(
-            gr, delta, f"{seed}:r{level}", kappa, level + 1, cap, phases
+        sub_result = _solve_general(
+            gr, delta, f"{seed}:r{level}", kappa, level + 1, cap, tx
         )
-        messages += sub_messages
         for t, owner in sub_result.attribution.items():
             back = tuple(sorted(old_ids[x] for x in t))
             result.add(back, old_ids[owner])
-    return result, messages
+    return result
 
 
 def enumerate_general(
@@ -678,14 +663,9 @@ def enumerate_general(
     outward removed edges, and recurses on what remains. The recursion
     depth is capped at log2 m since the leftover halves each level.
     """
-    transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
+    transcript = rt.Transcript(seed=seed)
     cap = max(int(math.log2(max(g.m, 2))) + 1, 1)
-    result, messages = _solve_general(
-        g, delta, seed, kappa, 0, cap, transcript.phases
-    )
-    transcript.message_count = messages
-    transcript.rounds = transcript.phase_rounds()
-    return result, transcript
+    return _solve_general(g, delta, seed, kappa, 0, cap, transcript), transcript
 
 
 def count_triangles(g: Graph, delta: float = 0.5, seed=0) -> int:
@@ -757,9 +737,8 @@ def enumerate_subgraphs(
     if math.comb(g.n, s) > ORACLE_COMBO_CAP:
         raise GraphError("instance too large for desk-scale subgraph listing")
 
-    transcript = rt.Transcript(seed=seed if isinstance(seed, int) else 0)
-    if heavy_scale != 1.0:
-        transcript.phases["flag:heavy_scale_millis"] = int(heavy_scale * 1000)
+    transcript = rt.Transcript(seed=seed)
+    transcript.flag("heavy_scale", heavy_scale)
     if g.m == 0 or g.n < s:
         return SubgraphSet(s), transcript
 
@@ -769,11 +748,8 @@ def enumerate_subgraphs(
         if _matches(pattern, verts, g, induced)
     ]
     members = [v for v in range(g.n) if g.deg[v] > 0]
-    attribution, phases, messages = _list_by_class_tuples(
-        g, members, g.edge_list(), {}, occurrences,
+    attribution = _list_by_class_tuples(
+        transcript, g, members, g.edge_list(), {}, occurrences,
         s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
     )
-    transcript.phases.update(phases)
-    transcript.message_count = messages
-    transcript.rounds = transcript.phase_rounds()
     return SubgraphSet(s, attribution), transcript

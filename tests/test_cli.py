@@ -133,6 +133,33 @@ def test_verify_malformed_report_exits_1(tmp_path, capsys, field):
     assert out == ""
     assert err.startswith("error: ")
 
+
+@pytest.mark.parametrize("case", ["list", "config", "runs", "run", "seed"])
+def test_verify_report_container_types_exit_1(tmp_path, capsys, case):
+    rpt = tmp_path / "r.json"
+    assert run_cli(
+        ["--mode", "decompose", "--gen", "path:n=60", "--seed", "1", "--out", str(rpt)]
+    ) == 0
+    capsys.readouterr()
+    doc = json.loads(rpt.read_text())
+    if case == "list":
+        doc = [doc]
+    elif case == "config":
+        doc["config"] = None
+    elif case == "runs":
+        doc["runs"] = 5
+    elif case == "run":
+        doc["runs"] = [5]
+    else:
+        doc["runs"][0]["seed"] = [1]
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["--mode", "verify", "--mode-args", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: report ")
+
+
 def test_nibble_summary(capsys):
     code, out, _ = _run(
         capsys,

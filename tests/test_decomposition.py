@@ -266,8 +266,8 @@ def test_black_box_caterpillar_uses_long_cuts():
     assert any(w["kind"] == "case1" for w in step.witnesses)
     assert all(c.status == "C3-2" for c in step.clusters)
     assert step.clusters and step.es_new
-    assert "partition:case1" in step.phases
-    assert "partition:nibble" not in step.phases
+    assert "partition:case1" in step.transcript.phases
+    assert "partition:nibble" not in step.transcript.phases
     _check_step_invariants(g, g.edge_list(), 0.1, step)
 
 
@@ -279,7 +279,7 @@ def test_black_box_clique_single_terminal_cluster():
     assert c.status == "C3-1"
     assert c.vertices == frozenset(range(64))
     assert step.er_new == [] and step.es_new == {}
-    assert "partition:nibble" in step.phases
+    assert "partition:nibble" in step.transcript.phases
     _check_step_invariants(g, g.edge_list(), 0.5, step)
 
 

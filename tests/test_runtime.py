@@ -195,6 +195,43 @@ def test_transcript_json_shape():
     assert blob["seed"] == 3
 
 
+def test_transcript_charge_accumulates_into_its_phase():
+    tr = rt.Transcript()
+    tr.charge("a", 2)
+    tr.charge("b", 0)
+    tr.charge("a", 3)
+    assert tr.phases == {"a": 5, "b": 0}
+    assert tr.rounds == 5
+
+
+def test_transcript_flag_is_not_rounds():
+    tr = rt.Transcript()
+    tr.flag("unit", 1.0)
+    assert tr.phases == {}
+    tr.flag("knob", 0.05)
+    tr.charge("a", 4)
+    assert tr.phases == {"flag:knob_millis": 50, "a": 4}
+    assert tr.rounds == 4
+
+
+def test_transcript_rounds_is_read_only():
+    tr = rt.Transcript()
+    with pytest.raises(AttributeError):
+        tr.rounds = 3
+
+
+def test_transcript_records_string_seed_as_zero():
+    assert rt.Transcript(seed="7:L0").seed == 0
+    assert rt.Transcript(seed=7).seed == 7
+
+
+def test_run_transcript_rounds_are_its_phase():
+    g = gc.gen_path(5)
+    _, tr = rt.run(g, Flood(), phase="spread")
+    assert tr.phases == {"spread": tr.rounds}
+    assert tr.rounds == 4
+
+
 # ---------------------------------------------------------------------------
 # BFS trees
 # ---------------------------------------------------------------------------

@@ -469,8 +469,8 @@ def test_general_deterministic_json():
     g = gen_er(100, 0.1, seed=3)
     a, ta = enumerate_general(g, 0.5, seed=6)
     b, tb = enumerate_general(g, 0.5, seed=6)
-    assert json.dumps(a.as_json(ta), sort_keys=True) == json.dumps(
-        b.as_json(tb), sort_keys=True
+    assert json.dumps([a.as_json(), ta.as_json()], sort_keys=True) == json.dumps(
+        [b.as_json(), tb.as_json()], sort_keys=True
     )
 
 
