@@ -8,6 +8,7 @@ codes: 0 success, 2 verification failure, 1 usage or input error.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent import futures
@@ -246,6 +247,9 @@ def _run_verify(cfg: dict, seed) -> dict:
     with open(cfg["mode_args"], "r", encoding="utf-8") as fh:
         doc = _report_field(json.load(fh), dict, "file")
     inner = _report_field(doc["config"], dict, "config")
+    delta = inner["delta"]
+    if type(delta) not in (int, float) or not 0 < delta < 1:
+        raise GraphError(f"report config delta {delta!r} does not lie in (0, 1)")
     results = []
     all_ok = True
     for run in _report_field(doc["runs"], list, "runs"):
@@ -256,8 +260,18 @@ def _run_verify(cfg: dict, seed) -> dict:
             raise GraphError(f"report run seed {run['seed']!r} is not an integer")
         g = _build_graph(inner, run["seed"])
         d = decomposition_from_json(run["decomposition"])
-        rep = verify_decomposition(g, d.delta, d)
-        ok = rep.ok and 6 * len(d.er) <= g.m
+        rep = verify_decomposition(g, delta, d)
+        # The decomposition's own delta and threshold must be the config's.
+        rep.checks["config-delta"] = d.delta == delta and math.isclose(
+            d.threshold, g.n ** delta
+        )
+        if not rep.checks["config-delta"]:
+            rep.failures.append(
+                f"config-delta: report delta {d.delta!r} and threshold"
+                f" {d.threshold!r} differ from config delta {delta!r} and"
+                f" n^delta = {g.n ** delta!r}"
+            )
+        ok = rep.ok and rep.checks["config-delta"]
         all_ok = all_ok and ok
         results.append(
             {

@@ -19,7 +19,7 @@ wave through the engine; the runtime tests validate those forms.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -32,7 +32,6 @@ from .graphcore import (
     GraphError,
     bfs_levels,
     conductance,
-    connected_components,
     edge_components,
     edge_key,
     is_connected,
@@ -183,7 +182,6 @@ class PeelResult:
     e_diamond: List[Edge]
     es_parts: Dict[int, List[Edge]]
     iterations: int
-    rounds_charged: int
 
 
 def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
@@ -195,14 +193,11 @@ def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
     away from itself, except that an edge between two vertices of the
     same batch goes to the smaller id. Passes repeat while they remove
     more than threshold / 2 vertices, so after the final pass every
-    remaining degree sits strictly above threshold / 2.
+    remaining degree sits strictly above threshold / 2. No BFS runs here:
+    the caller holds the piece's BFS depth from its split and charges the
+    peel depth + 2 * iterations + 1 rounds.
     """
     adj: List[Set[int]] = [set(a) for a in g.adj]
-    depth = 0
-    for comp in connected_components(g):
-        levels = bfs_levels(g, comp[0])
-        depth = max(depth, max(levels[v] for v in comp))
-
     es_parts: Dict[int, List[Edge]] = {}
     iterations = 0
     while True:
@@ -218,8 +213,7 @@ def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
         if len(z) <= threshold / 2.0:
             break
     remaining = sorted({edge_key(u, v) for v in range(g.n) for u in adj[v]})
-    rounds = depth + 2 * iterations + 1
-    return PeelResult(remaining, es_parts, iterations, rounds)
+    return PeelResult(remaining, es_parts, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +253,19 @@ def black_box_partition(
 ) -> PartitionStep:
     """Run the remove / split / case analysis over one edge set.
 
-    Low-degree pairs shed their mutual edges first, the rest splits into
-    components, and each component either exits at half the input size,
-    gets cut along a long BFS profile, or is peeled and then walk-searched:
-    a certified sparse cut sends its boundary to the removed set and both
-    sides back into the loop, while a failed search ends the piece as a
-    terminal cluster. Every removal batch carries its cut witness, and the
-    removal ledger (removed count against the drop in the piece potential
-    sum of |E_i| log |E_i|, priced at 6 log2 m) is asserted after every
-    mutation of the piece pool. Remove-1 reads degrees off the piece's
-    edges, and each component's graph is built once, by edge_components:
-    a peel that removes nothing hands the component on unchanged, and the
-    walk search runs on that graph itself.
+    One loop drains one deque. A piece entry gets Remove-1 (low-degree
+    pairs shed their mutual edges) and Split-1, whose components go to the
+    front in index order. A component then exits at half the input size
+    (C3-2), is cut along a long BFS profile (case1, or case2a once
+    peeled), is peeled (its cores go to the front; a peel that removes
+    nothing re-queues it marked peeled), or, once peeled, is walk-searched:
+    a certified sparse cut (case2b) sends its boundary to the removed set,
+    a failed search makes it a terminal cluster (C3-1). Cut sides go to
+    the back. Each cut carries its witness and is followed by the removal
+    ledger: 6 log2 m per removed edge against the drop in sum |E_i| log
+    |E_i| over the deque and the clusters. Only a cut grows the removed
+    set and every other step only lowers that sum, so no other step needs
+    the check. Each component's graph is built once, by edge_components.
     """
     if not edges:
         raise GraphError("edge set is empty")
@@ -282,6 +277,7 @@ def black_box_partition(
     threshold = g.n ** delta
     m_call = len(edges)
     m_log = log2m(g.m)
+    bar = threshold_scale * DIAMETER_FACTOR * m_log ** 2
     phi_nibble = phi_nibble_default(g.m)
 
     clusters: List[ClusterPiece] = []
@@ -291,31 +287,20 @@ def black_box_partition(
     halt_rounds: Dict[int, int] = {}
     tx = rt.Transcript()
     initial_potential = _potential([m_call])
-    queue = deque([tuple(edges)])
+    # (sorted edges, None) for a piece, (sorted edges, (graph, vertex map,
+    # BFS depth, peeled)) for a component.
+    queue = deque([(tuple(edges), None)])
     nibble_calls = 0
-
-    def ledger_assert(in_flight) -> None:
-        sizes = [len(p) for p in queue]
-        sizes += [len(c.edges) for c in clusters]
-        sizes += [len(p) for p in in_flight]
-        drop = initial_potential - _potential(sizes)
-        assert LEDGER_FACTOR * m_log * len(er_new) <= drop + 1e-9, "removal ledger"
 
     def apply_cut(cut: Cut, piece_graph: Graph, to_global: List[int], label: str):
         in_side = [False] * piece_graph.n
         for v in cut.side:
             in_side[v] = True
-        side_a: List[Edge] = []
-        side_b: List[Edge] = []
-        boundary: List[Edge] = []
+        # indexed by how many endpoints lie on the cut's side
+        parts: Tuple[List[Edge], ...] = ([], [], [])
         for a, b in piece_graph.edges():
-            e = edge_key(to_global[a], to_global[b])
-            if in_side[a] and in_side[b]:
-                side_a.append(e)
-            elif not in_side[a] and not in_side[b]:
-                side_b.append(e)
-            else:
-                boundary.append(e)
+            parts[in_side[a] + in_side[b]].append(edge_key(to_global[a], to_global[b]))
+        side_b, boundary, side_a = parts
         assert len(boundary) == cut.boundary_size
         assert cut.boundary_size * WITNESS_FACTOR * m_log <= min(
             cut.vol_side, cut.vol_complement
@@ -331,108 +316,81 @@ def black_box_partition(
         )
         for part in (side_a, side_b):
             if part:
-                queue.append(tuple(sorted(part)))
+                queue.append((tuple(sorted(part)), None))
+        # removal ledger, over the deque and the finished clusters
+        sizes = [len(entry[0]) for entry in queue] + [len(c.edges) for c in clusters]
+        drop = initial_potential - _potential(sizes)
+        assert LEDGER_FACTOR * m_log * len(er_new) <= drop + 1e-9, "removal ledger"
 
-    def split(piece_edges) -> List[tuple]:
-        """(sorted edges, graph, vertex map, BFS depth) per component."""
+    def split(piece_edges, peeled: bool) -> List[tuple]:
+        """One component entry per component, in edge_components order."""
         out = []
         for cg, cverts in edge_components(piece_edges):
             item = tuple((cverts[a], cverts[b]) for a, b in cg.edges())
-            out.append((item, cg, cverts, max(bfs_levels(cg, 0))))
+            out.append((item, (cg, cverts, max(bfs_levels(cg, 0)), peeled)))
         return out
 
-    def diameter_cut(cg: Graph, cverts: List[int], label: str) -> None:
-        cut, hc_rounds = high_diameter_cut(
-            cg, 0, threshold, threshold_scale=threshold_scale, m_for_logs=g.m
-        )
-        tx.charge(f"partition:{label}", hc_rounds)
-        apply_cut(cut, cg, cverts, label)
-
     while queue:
-        piece = queue.popleft()
+        piece, comp = queue.popleft()
 
-        # Remove-1: shed edges joining two low-degree vertices. Pieces
-        # hold sorted canonical edges, so u < v throughout.
-        piece_deg: Dict[int, int] = {}
-        for u, v in piece:
-            piece_deg[u] = piece_deg.get(u, 0) + 1
-            piece_deg[v] = piece_deg.get(v, 0) + 1
-        kept: List[Edge] = []
-        for u, v in piece:
-            if piece_deg[u] <= threshold and piece_deg[v] <= threshold:
-                es_new.setdefault(u, []).append((u, v))
-            else:
-                kept.append((u, v))
-        tx.charge("partition:remove", 2)
-        ledger_assert([kept])
+        if comp is None:
+            # Remove-1: shed edges joining two low-degree vertices. Pieces
+            # hold sorted canonical edges, so u < v throughout.
+            piece_deg = Counter(v for e in piece for v in e)
+            kept: List[Edge] = []
+            for u, v in piece:
+                if piece_deg[u] <= threshold and piece_deg[v] <= threshold:
+                    es_new.setdefault(u, []).append((u, v))
+                else:
+                    kept.append((u, v))
+            tx.charge("partition:remove", 2)
 
-        # Split-1: components of what remains.
-        comps = split(kept)
-        comp_items = [c[0] for c in comps]
-        tx.charge("partition:split", max((c[3] for c in comps), default=0) + 1)
-        ledger_assert(comp_items)
+            # Split-1: components of what remains.
+            comps = split(kept, False)
+            tx.charge("partition:split", max((c[1][2] for c in comps), default=0) + 1)
+            queue.extendleft(reversed(comps))
+            continue
 
-        for idx, comp in enumerate(comps):
-            comp_edges, cg, cverts, d_tilde = comp
-            rest = comp_items[idx + 1 :]
-
-            if len(comp_edges) <= m_call / 2.0:
-                clusters.append(ClusterPiece(frozenset(cverts), comp_edges, "C3-2"))
-                halt_rounds.update(dict.fromkeys(cverts, start_round + tx.rounds))
-                ledger_assert(rest)
-                continue
-
-            bar = threshold_scale * DIAMETER_FACTOR * m_log ** 2
-
-            if d_tilde >= bar:
-                diameter_cut(cg, cverts, "case1")
-                ledger_assert(rest)
-                continue
-
+        cg, cverts, d_tilde, peeled = comp
+        if not peeled and len(piece) <= m_call / 2.0:
+            clusters.append(ClusterPiece(frozenset(cverts), piece, "C3-2"))
+            halt_rounds.update(dict.fromkeys(cverts, start_round + tx.rounds))
+        elif d_tilde >= bar:
+            label = "case2a" if peeled else "case1"
+            cut, hc_rounds = high_diameter_cut(
+                cg, 0, threshold, threshold_scale=threshold_scale, m_for_logs=g.m
+            )
+            tx.charge(f"partition:{label}", hc_rounds)
+            apply_cut(cut, cg, cverts, label)
+        elif not peeled:
             peel = low_degree_peel(cg, threshold)
-            tx.charge("partition:peel", peel.rounds_charged)
+            tx.charge("partition:peel", d_tilde + 2 * peel.iterations + 1)
             if peel.iterations == 0:
-                d_comps = [comp]  # nothing peeled: the component is unchanged
-            else:
-                now = start_round + tx.rounds
-                for local_v, part in peel.es_parts.items():
-                    owner = cverts[local_v]
-                    es_new.setdefault(owner, []).extend(
-                        (cverts[a], cverts[b]) for a, b in part
-                    )
-                    halt_rounds[owner] = now
-                d_comps = split(
-                    [(cverts[a], cverts[b]) for a, b in peel.e_diamond]
+                queue.appendleft((piece, (cg, cverts, d_tilde, True)))
+                continue
+            now = start_round + tx.rounds
+            for local_v, part in peel.es_parts.items():
+                owner = cverts[local_v]
+                es_new.setdefault(owner, []).extend(
+                    (cverts[a], cverts[b]) for a, b in part
                 )
-            d_items = [c[0] for c in d_comps]
-            ledger_assert(rest + d_items)
-
-            for jdx, (d_edges, dg, dverts, dd) in enumerate(d_comps):
-                d_rest = d_items[jdx + 1 :]
-                if dd >= bar:
-                    diameter_cut(dg, dverts, "case2a")
-                    ledger_assert(rest + d_rest)
-                    continue
-
-                nibble_calls += 1
-                res = nib.distributed_nibble(
-                    dg,
-                    range(dg.n),
-                    phi_nibble,
-                    seed=f"{seed}:{nibble_calls}",
-                )
-                tx.charge("partition:nibble", res.transcript.rounds)
-                if res.status == "cut":
-                    apply_cut(res.cut, dg, dverts, "case2b")
-                    ledger_assert(rest + d_rest)
-                    continue
-
-                # Terminal piece: peeling left every degree above half the
-                # threshold and the walk search certified no sparse cut.
-                assert min(dg.deg) > threshold / 2.0, "terminal degree floor"
-                clusters.append(ClusterPiece(frozenset(dverts), d_edges, "C3-1"))
-                halt_rounds.update(dict.fromkeys(dverts, start_round + tx.rounds))
-                ledger_assert(rest + d_rest)
+                halt_rounds[owner] = now
+            cores = split([(cverts[a], cverts[b]) for a, b in peel.e_diamond], True)
+            queue.extendleft(reversed(cores))
+        else:
+            nibble_calls += 1
+            res = nib.distributed_nibble(
+                cg, range(cg.n), phi_nibble, seed=f"{seed}:{nibble_calls}"
+            )
+            tx.charge("partition:nibble", res.transcript.rounds)
+            if res.status == "cut":
+                apply_cut(res.cut, cg, cverts, "case2b")
+                continue
+            # Terminal piece: peeling left every degree above half the
+            # threshold and the walk search certified no sparse cut.
+            assert min(cg.deg) > threshold / 2.0, "terminal degree floor"
+            clusters.append(ClusterPiece(frozenset(cverts), piece, "C3-1"))
+            halt_rounds.update(dict.fromkeys(cverts, start_round + tx.rounds))
 
     all_vertices = {v for e in edges for v in e}
     cluster_vertices: Set[int] = set()
@@ -682,11 +640,11 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
     removed. Certificate checks per cluster: conductance at
     least the walk-derived floor (exact sparsest cut up to 24 vertices,
     spectral half-bound above that) and mixing time within the polylog
-    cap for clusters of at most 2000 vertices, certified by the spectral
-    bound, exact powering when it cannot decide. The bound needs lambda2,
-    which only clusters above 24 vertices compute, and it never fails a
-    cluster: every miss comes from the exact path, fails the check and is
-    detailed in flags.
+    cap, certified by the spectral bound, exact powering when it cannot
+    decide. The bound needs lambda2, which only clusters above 24 vertices
+    compute, and it never fails a cluster by itself. Above 2000 vertices
+    there is no exact path, so a cluster the bound cannot certify fails
+    the check. Every miss is detailed in flags.
     """
     checks: Dict[str, bool] = {}
     failures: List[str] = []
@@ -737,15 +695,19 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
                 flags.append(
                     f"cluster {cid}: spectral bound {lam2 / 2.0:.3g} below {floor:.3g}"
                 )
-        if sub.n <= EXACT_MIXING_LIMIT:
-            cap = max(log2m(g.n), 1.0) ** 4
-            certified = lam2 is not None and mixing_time_bound(sub, lam2) <= cap
-            if not connected:
-                mixing_ok = False
-                flags.append(f"cluster {cid}: disconnected, mixing undefined")
-            elif not certified and mixing_time_exact(sub) > cap:
-                mixing_ok = False
-                flags.append(f"cluster {cid}: mixing above {cap:.0f}")
+        cap = max(log2m(g.n), 1.0) ** 4
+        miss = None
+        if not connected:
+            miss = "disconnected, mixing undefined"
+        elif lam2 is not None and mixing_time_bound(sub, lam2) <= cap:
+            pass  # certified by the spectral bound
+        elif sub.n > EXACT_MIXING_LIMIT:
+            miss = f"mixing not certified above {EXACT_MIXING_LIMIT} vertices"
+        elif mixing_time_exact(sub) > cap:
+            miss = f"mixing above {cap:.0f}"
+        if miss:
+            mixing_ok = False
+            flags.append(f"cluster {cid}: {miss}")
     check("clusters-connected", ok_clusters, "each cluster must span a component")
 
     em_deg: Dict[int, int] = {}

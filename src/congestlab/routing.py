@@ -16,6 +16,7 @@ from .graphcore import (
     induced_subgraph,
     lambda2_normalized,
     log2m,
+    mixing_time_bound,
     mixing_time_exact,
 )
 from . import runtime as rt
@@ -102,15 +103,17 @@ def mixing_estimate(sub: Graph) -> int:
     """Mixing time of a component graph: exact when small, spectral above.
 
     `sub` is the component itself, as `route` has already extracted it.
+    Above EXACT_MIXING_LIMIT vertices the estimate is the verifier's
+    spectral upper bound, mixing_time_bound at the component's lambda2.
     """
     if sub.m == 0:
         raise GraphError("mixing estimate needs at least one edge")
     if sub.n <= EXACT_MIXING_LIMIT:
         return mixing_time_exact(sub)
-    lam2 = lambda2_normalized(sub)
-    if lam2 <= 0:
+    tau = mixing_time_bound(sub, lambda2_normalized(sub))
+    if tau == math.inf:
         raise GraphError("component does not mix (zero spectral gap)")
-    return math.ceil(4.0 * math.log2(sub.n) / (lam2 * lam2))
+    return tau
 
 
 def route(

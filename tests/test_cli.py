@@ -96,6 +96,58 @@ def test_verify_names_sparse_edge_filed_under_wrong_owner(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("tamper", ["delta", "threshold", "both"])
+def test_verify_checks_report_delta_against_config(tmp_path, capsys, tamper):
+    # Every edge moved into E_s under its smaller endpoint breaks the
+    # sparse cap n^0.5; a report delta of 5.0 would lift that cap.
+    rpt = tmp_path / "r.json"
+    assert run_cli(
+        ["--mode", "decompose", "--gen", "er:n=64,p=0.3", "--seed", "2", "--out", str(rpt)]
+    ) == 0
+    capsys.readouterr()
+    doc = json.loads(rpt.read_text())
+    dec = doc["runs"][0]["decomposition"]
+    edges = [e for c in dec["clusters"] for e in c["edges"]] + dec["er"]
+    edges += [e for part in dec["es"].values() for e in part]
+    dec["clusters"], dec["er"], dec["es"] = [], [], {}
+    for u, v in sorted(edges):
+        dec["es"].setdefault(str(u), []).append([u, v])
+    if tamper in ("delta", "both"):
+        dec["delta"] = 5.0
+    if tamper in ("threshold", "both"):
+        dec["threshold"] = 64.0 ** 5.0
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    code, line, _ = _run(
+        capsys, ["--mode", "verify", "--mode-args", str(bad), "--out", str(out)]
+    )
+    assert code == 2
+    assert line == "verified=false"
+    result = json.loads(out.read_text())["runs"][0]["results"][0]
+    assert result["checks"]["config-delta"] is False
+    assert result["checks"]["orientation"] is False
+    assert any(f.startswith("config-delta: report delta") for f in result["failures"])
+
+
+@pytest.mark.parametrize("delta", [5.0, 0.0, 1.0, "0.5", True, None])
+def test_verify_config_delta_outside_unit_interval_exits_1(tmp_path, capsys, delta):
+    rpt = tmp_path / "r.json"
+    assert run_cli(
+        ["--mode", "decompose", "--gen", "er:n=64,p=0.3", "--seed", "2", "--out", str(rpt)]
+    ) == 0
+    capsys.readouterr()
+    doc = json.loads(rpt.read_text())
+    doc["config"]["delta"] = delta
+    doc["runs"][0]["decomposition"]["delta"] = delta
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["--mode", "verify", "--mode-args", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: report config delta")
+
+
 @pytest.mark.parametrize(
     "field",
     ["owner", "vertex", "edge", "delta", "clusters", "es", "er", "decomposition"],

@@ -16,6 +16,7 @@ from congestlab.graphcore import (
     gen_clique,
     gen_cycle,
     gen_er,
+    gen_hypercube,
     gen_path,
     gen_star,
     generate,
@@ -324,6 +325,79 @@ def test_black_box_rejects_bad_input():
         black_box_partition(g, [(0, 1), (1, 0)], 0.5)
 
 
+def test_black_box_reaches_case2a_after_peel(case2a_graph):
+    g = case2a_graph
+    step = black_box_partition(g, g.edge_list(), 0.3, seed=1, threshold_scale=0.01)
+    kinds = [w["kind"] for w in step.witnesses]
+    assert kinds == ["case2a", "case2b", "case2b", "case2b"]
+    assert [c.status for c in step.clusters] == ["C3-2"] * 5
+    # the peel took the shortcut and its 24 leaves into E_s
+    assert {360, 373} <= set(step.es_new)
+    assert "partition:case1" not in step.transcript.phases
+    _check_step_invariants(g, g.edge_list(), 0.3, step)
+
+
+def test_black_box_peeled_core_skips_the_half_size_exit():
+    # K10 with 60 leaves on vertex 0: the component (105 edges) is above
+    # half the input, its peeled core K10 (45 edges) below it. Only an
+    # unpeeled component takes the half-size exit; the core is
+    # walk-searched and ends terminal.
+    g = Graph(70, gen_clique(10).edge_list() + [(0, v) for v in range(10, 70)])
+    step = black_box_partition(g, g.edge_list(), 0.5, seed=0)
+    assert [(c.vertices, c.status) for c in step.clusters] == [
+        (frozenset(range(10)), "C3-1")
+    ]
+    assert "partition:nibble" in step.transcript.phases
+    _check_step_invariants(g, g.edge_list(), 0.5, step)
+
+
+# (graph, delta, threshold_scale, seed): together the steps reach every
+# partition branch and at least two recursion levels.
+BRANCH_CORPUS = [
+    ("caterpillar:blobs=400,blob_size=2", 0.05, 0.05, 0),
+    ("case2a", 0.3, 0.01, 1),
+    ("barbell:k=16,bridges=1", 0.5, 1.0, 1),
+    ("planted_cut:n=80,p=0.4,cross=3", 0.5, 1.0, 1),
+]
+
+
+def test_partition_branch_coverage(monkeypatch, case2a_graph):
+    partition = dc.black_box_partition
+    steps = []  # (graph, piece, delta, step)
+
+    def recorded(g, piece, delta, **kwargs):
+        step = partition(g, piece, delta, **kwargs)
+        steps.append((g, tuple(piece), delta, step))
+        return step
+
+    monkeypatch.setattr(dc, "black_box_partition", recorded)
+    for spec, delta, scale, seed in BRANCH_CORPUS:
+        g = case2a_graph if spec == "case2a" else generate(spec, seed=seed)
+        decompose(g, delta, seed=seed, threshold_scale=scale)
+
+    # decompose hands each C3-2 cluster's edges to the next level
+    level_of = {}
+    levels = set()
+    branches = set()
+    for g, piece, delta, step in steps:
+        level = level_of.setdefault(piece, 0)
+        levels.add(level)
+        for c in step.clusters:
+            level_of[c.edges] = level + 1
+        branches |= {w["kind"] for w in step.witnesses}
+        branches |= {c.status for c in step.clusters}
+        _check_step_invariants(g, piece, delta, step)
+    assert branches == {"C3-2", "case1", "case2a", "case2b", "C3-1"}
+    assert max(levels) >= 2
+
+
+def test_removal_ledger_fires_after_a_cut(monkeypatch):
+    g = gen_barbell(16, 1)
+    monkeypatch.setattr(dc, "LEDGER_FACTOR", 1e6)
+    with pytest.raises(AssertionError, match="removal ledger"):
+        black_box_partition(g, g.edge_list(), 0.5, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
@@ -554,6 +628,34 @@ def test_verifier_mixing_certificate_on_c60(monkeypatch, host_n, mixing_flags, e
     assert report.checks["cluster-mixing"] is (not mixing_flags)
     assert [f for f in report.flags if "mixing" in f] == mixing_flags
     assert calls == exact_calls
+
+
+def _hypercube_pair(d):
+    """Two copies of the d-cube joined by the single edge (0, 2^d)."""
+    n = 1 << d
+    cube = gen_hypercube(d).edge_list()
+    return Graph(2 * n, cube + [(a + n, b + n) for a, b in cube] + [(0, n)])
+
+
+@pytest.mark.parametrize(
+    "g, mixing_flags",
+    [
+        (gen_hypercube(11), []),  # t_spec 160 <= cap 14641
+        # t_spec 191909 > cap 14641, and no exact path above 2000 vertices
+        (_hypercube_pair(10), ["cluster 1: mixing not certified above 2000 vertices"]),
+    ],
+    ids=["hypercube-11", "hypercube-10-pair"],
+)
+def test_verifier_mixing_above_exact_limit(monkeypatch, g, mixing_flags):
+    assert g.n == 2048
+    deco = Decomposition(0.15, g.n ** 0.15, {e: 1 for e in g.edge_list()}, {}, [],
+                         {1: frozenset(range(g.n))})
+    calls = _count_exact_mixing(monkeypatch)
+    report = verify_decomposition(g, 0.15, deco)
+    assert report.checks["cluster-mixing"] is (not mixing_flags)
+    assert report.flags == mixing_flags
+    assert report.ok is (not mixing_flags)
+    assert calls == []
 
 
 def test_decompose_certifies_mixing_without_powering(monkeypatch):

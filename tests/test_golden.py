@@ -26,6 +26,13 @@ class-tuple listing shared by `enumerate_expander` and
 branch; the library pins raise the heavy threshold out of reach, so they
 run the id, class, tuple-allocation and delivery phases, the expander one
 with outward edges. Their reports hold integers only.
+
+The two library-level `decompose` pins cover the partition's diameter
+cuts, which no CLI pin reaches: a scaled caterpillar cut before any peel
+(case1), and a caterpillar whose shortcut the peel removes before the cut
+(case2a). They hash `decompose`'s own output rather than a CLI report, so
+no file path enters the hash; the case2a pin reads lambda2 in its walk
+searches and assumes the pinned BLAS.
 """
 
 import hashlib
@@ -35,6 +42,7 @@ import pytest
 
 from congestlab import graphcore as gc
 from congestlab.cli import run_cli
+from congestlab.decomposition import decompose
 from congestlab.triangle import (
     _triangles_of_edges,
     enumerate_expander,
@@ -101,6 +109,11 @@ NIBBLE_BRANCHES = {
 SUBGRAPH_GOLDEN = {
     ("er:n=60,p=0.3", 1, 3): "8f07142d295153077ca669158d4baf53d18755c819fe338db4bff04953646019",
     ("er:n=24,p=0.5", 1, 4): "9e9d584dcdf828a64c9df41e2b8261aac5cbe6e6026de94613c0fb93c6d0f9ba",
+}
+
+DIAMETER_CUT_GOLDEN = {
+    "case1": "63db5bab899a541e17875737b397053b89c4703de1920573538a82e5d45084bf",
+    "case2a": "c1ba3b2cca58b9d3ea27d2c98164de619bd9220a258cb7572e1a9d54654cedda",
 }
 
 SUBGRAPH_TRIADS_GOLDEN = "2ad0546f7177d3c8bf26a7426e9c9418eb31b9fac0842cc12862dd31d6e0bd9b"
@@ -188,3 +201,25 @@ def test_expander_triad_path_with_outward_edges_is_pinned():
     assert set(res.attribution) == set(_triangles_of_edges(universe))
     assert res.count == 979
     assert _listing_hash(res, t) == EXPANDER_TRIADS_GOLDEN
+
+
+def _decompose_hash(g, delta, threshold_scale, seed):
+    d, t = decompose(g, delta, seed=seed, threshold_scale=threshold_scale)
+    kinds = sorted(w["kind"] for w in d.certificates["witnesses"])
+    doc = json.dumps([d.as_json(), t.as_json()], sort_keys=True)
+    return d, kinds, hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_case1_diameter_cuts_are_pinned():
+    g = gc.generate("caterpillar:blobs=400,blob_size=2", seed=0)
+    d, kinds, digest = _decompose_hash(g, 0.05, 0.05, 0)
+    assert kinds == ["case1"] * 4
+    assert d.certificates["partition_calls"] == 6
+    assert digest == DIAMETER_CUT_GOLDEN["case1"]
+
+
+def test_case2a_diameter_cut_is_pinned(case2a_graph):
+    d, kinds, digest = _decompose_hash(case2a_graph, 0.3, 0.01, 1)
+    assert kinds == ["case2a"] + ["case2b"] * 28
+    assert len(d.clusters) == 30
+    assert digest == DIAMETER_CUT_GOLDEN["case2a"]

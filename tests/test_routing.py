@@ -1,5 +1,7 @@
 """Degree-class ids and the routing cost oracle."""
 
+import math
+
 import pytest
 
 from congestlab import graphcore as gc
@@ -148,3 +150,18 @@ def test_route_payload_width():
 def test_mixing_estimate_exact_small():
     g = gc.gen_clique(4)
     assert rta.mixing_estimate(g) == 3
+
+
+def test_mixing_estimate_above_exact_limit_is_the_spectral_bound():
+    g = gc.gen_hypercube(11)
+    assert g.n > gc.EXACT_MIXING_LIMIT
+    lam2 = gc.lambda2_normalized(g)
+    assert rta.mixing_estimate(g) == gc.mixing_time_bound(g, lam2) == 160
+    # the former estimate, ceil(4 log2 n / lambda2^2), bounds neither side
+    assert math.ceil(4.0 * math.log2(g.n) / lam2 ** 2) == 1332
+
+
+def test_mixing_estimate_without_a_spectral_gap_raises(monkeypatch):
+    monkeypatch.setattr(rta, "lambda2_normalized", lambda sub: 0.0)
+    with pytest.raises(gc.GraphError, match="does not mix"):
+        rta.mixing_estimate(gc.gen_hypercube(11))
