@@ -14,6 +14,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -223,48 +224,43 @@ def sparsest_cut_bruteforce(g: Graph) -> Cut:
 # ---------------------------------------------------------------------------
 
 
+def _adjacency(g: Graph) -> sparse.csr_matrix:
+    """0/1 adjacency matrix in canonical CSR form, read off g.adj."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(g.deg, out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=2 * g.m)
+    return sparse.csr_matrix((np.ones(2 * g.m), indices, indptr), shape=(g.n, g.n))
+
+
 def lazy_walk_operator(g: Graph) -> sparse.csr_matrix:
     """Column-stochastic lazy transition matrix T = (A D^-1 + I)/2.
 
     Column s is the distribution after one lazy step from s.  A vertex
     with no neighbors keeps all its mass.
     """
-    rows, cols, vals = [], [], []
-    for v in range(g.n):
-        rows.append(v)
-        cols.append(v)
-        vals.append(0.5 if g.deg[v] else 1.0)
-        if g.deg[v]:
-            share = 0.5 / g.deg[v]
-            for u in g.adj[v]:
-                rows.append(u)
-                cols.append(v)
-                vals.append(share)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    deg = np.asarray(g.deg, dtype=float)
+    share = np.divide(0.5, deg, out=np.zeros(g.n), where=deg > 0)
+    t = _adjacency(g) @ sparse.diags(share) + sparse.diags(np.where(deg > 0, 0.5, 1.0))
+    t.sort_indices()  # the matvec order of the walk follows the index order
+    return t
 
 
 def normalized_laplacian(g: Graph) -> sparse.csr_matrix:
     """I - D^-1/2 A D^-1/2 with zero rows for isolated vertices."""
-    rows, cols, data = [], [], []
-    inv_sqrt = [1.0 / math.sqrt(d) if d > 0 else 0.0 for d in g.deg]
-    for u, v in g.edges():
-        w = inv_sqrt[u] * inv_sqrt[v]
-        rows += [u, v]
-        cols += [v, u]
-        data += [-w, -w]
-    for v in range(g.n):
-        if g.deg[v] > 0:
-            rows.append(v)
-            cols.append(v)
-            data.append(1.0)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    deg = np.asarray(g.deg, dtype=float)
+    half = sparse.diags(np.divide(1.0, np.sqrt(deg), out=np.zeros(g.n), where=deg > 0))
+    lap = sparse.diags((deg > 0).astype(float)) - half @ _adjacency(g) @ half
+    lap.sort_indices()
+    return lap
 
 
 def lambda2_normalized(g: Graph) -> float:
     """Second-smallest eigenvalue of the normalized Laplacian.
 
     Dense solve up to n=1500; sparse Lanczos with a fixed start vector above
-    that, so results stay deterministic run to run.
+    that, so results stay deterministic run to run. A disconnected graph
+    above 1500 vertices gets its exact 0 without Lanczos, whose constant
+    start vector can miss a null space larger than one.
     """
     if g.n < 2:
         return 0.0
@@ -272,6 +268,8 @@ def lambda2_normalized(g: Graph) -> float:
     if g.n <= 1500:
         vals = np.linalg.eigvalsh(lap.toarray())
         return float(vals[1])
+    if len(connected_components(g)) > 1:
+        return 0.0
     import scipy.sparse.linalg as spla
 
     v0 = np.full(g.n, 1.0 / math.sqrt(g.n))
@@ -555,17 +553,12 @@ def gen_hypercube(d: int) -> Graph:
     return Graph(n, edges)
 
 
-def gen_er(n: int, p: float, seed=0, keep_isolated: bool = True) -> Graph:
+def gen_er(n: int, p: float, seed=0) -> Graph:
     if n < 1 or not (0.0 <= p <= 1.0):
         raise GraphError("er needs n >= 1 and p in [0, 1]")
     rng = _rng(seed, "er", n, p)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    g = Graph(n, edges)
-    if keep_isolated:
-        return g
-    kept = [v for v in range(n) if g.deg[v] > 0]
-    sub, _ = induced_subgraph(g, kept)
-    return sub
+    return Graph(n, edges)
 
 
 def gen_barbell(k: int, bridges: int = 1) -> Graph:
@@ -619,6 +612,7 @@ def gen_caterpillar(blobs: int, blob_size: int) -> Graph:
     return Graph(blobs * blob_size, edges)
 
 
+# The parameters each generator takes; generate rejects any other.
 _GENERATORS = {
     "clique": ("n",),
     "cycle": ("n",),
@@ -665,7 +659,8 @@ def generate(spec, seed=0, **params) -> Graph:
     """Build a named test graph deterministically from (spec, seed).
 
     `spec` is either a 'name:k=v,...' string or a generator name with params
-    passed as keywords.
+    passed as keywords. A parameter the generator does not take is a
+    GraphError.
     """
     if isinstance(spec, str) and (":" in spec or not params):
         name, parsed = parse_generator_spec(spec)
@@ -673,6 +668,11 @@ def generate(spec, seed=0, **params) -> Graph:
         params = parsed
     else:
         name = spec
+    if name not in _GENERATORS:
+        raise GraphError(f"unknown generator '{name}'")
+    for key in params:
+        if key not in _GENERATORS[name]:
+            raise GraphError(f"generator '{name}' takes no parameter '{key}'")
     if name == "clique":
         return gen_clique(_count(params, "n"))
     if name == "cycle":
@@ -684,19 +684,14 @@ def generate(spec, seed=0, **params) -> Graph:
     if name == "hypercube":
         return gen_hypercube(_count(params, "d"))
     if name == "er":
-        return gen_er(
-            _count(params, "n"), float(params["p"]), seed,
-            keep_isolated=bool(params.get("keep_isolated", True)),
-        )
+        return gen_er(_count(params, "n"), float(params["p"]), seed)
     if name == "barbell":
         return gen_barbell(_count(params, "k"), _count(params, "bridges", 1))
     if name == "planted_cut":
         return gen_planted_cut(
             _count(params, "n"), float(params["p"]), _count(params, "cross"), seed
         )
-    if name == "caterpillar":
-        return gen_caterpillar(_count(params, "blobs"), _count(params, "blob_size"))
-    raise GraphError(f"unknown generator '{name}'")
+    return gen_caterpillar(_count(params, "blobs"), _count(params, "blob_size"))
 
 
 # ---------------------------------------------------------------------------

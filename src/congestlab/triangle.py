@@ -9,10 +9,11 @@ Three layers:
   `enumerate_subgraphs` list only their occurrences and hand them to one
   class-tuple core, `_list_by_class_tuples`, which runs the heavy
   collector or the tuple routing and attributes every occurrence,
-* `enumerate_general`: decomposition-driven recursion that splits the
-  work into sparse-edge triangles (owner rules over the acyclic
-  orientation), per-cluster expander runs, and a recursive call on the
-  leftover edges, with every triangle attributed to exactly one vertex.
+* `enumerate_general`: one decomposition-driven loop over levels; each
+  level splits its work into sparse-edge triangles (owner rules over the
+  acyclic orientation) and per-cluster expander runs, and hands the
+  leftover edges to the next level. Every triangle enters one set once,
+  attributed to exactly one vertex.
 
 Round accounting follows the same policy as decomposition.py: instead of
 replaying the engine message by message, phases are charged through the
@@ -376,8 +377,7 @@ def _list_by_class_tuples(
     tx: rt.Transcript,
     g: Graph,
     members: Sequence[int],
-    inward: Sequence[Edge],
-    outward: Dict[Edge, int],
+    edges: Sequence[Edge],
     occurrences: Sequence[Tuple[int, ...]],
     s: int,
     seed,
@@ -390,13 +390,13 @@ def _list_by_class_tuples(
 
     The class-tuple partition of Dolev, Lenzen and Peled ("Tri, Tri
     Again", DISC 2012), shared by the triangle and the s-vertex listings.
-    The sorted `members` run it over the `inward` edges of g among them;
-    both endpoints send an inward edge, while each `outward` edge is sent
-    by the member it maps to; every delivery routes over g among the
-    members. If the member with the most of these edges (ties to the
-    smaller id) has at least heavy_scale * m / (20 n^((s-2)/s) log2 n),
-    it collects every edge and reports every occurrence. Otherwise every
-    vertex draws one of
+    The sorted `members` run it over `edges`, each with one or both ends
+    among them; an edge is sent by its member ends, and every delivery
+    routes over g among the members. With m the number of edges that lie
+    inside the members: if the member with the most incident edges (ties
+    to the smaller id) has at least heavy_scale * m / (20 n^((s-2)/s)
+    log2 n), it collects every edge and reports every occurrence.
+    Otherwise every vertex draws one of
     q = ceil(n^(1/s)) parts, each edge travels to the owners of all sorted
     class tuples holding its two parts, and each occurrence (a sorted
     vertex tuple) goes to the owner of its sorted part tuple, which must
@@ -404,7 +404,8 @@ def _list_by_class_tuples(
     under `label`, and the messages are charged to tx.
     """
     n = len(members)
-    universe = sorted(set(inward) | set(outward))
+    mset = set(members)
+    universe = sorted(edges)
     incident: Dict[int, List[Edge]] = {}
     for e in universe:
         incident.setdefault(e[0], []).append(e)
@@ -413,7 +414,8 @@ def _list_by_class_tuples(
     kappa_base = kappa if kappa is not None else kappa_default(n)
     q = _iceil_root(n, s)
     envelope = LOAD_ENVELOPE * s * s * q ** (s - 2)
-    heavy = heavy_scale * len(inward) / (
+    inner = sum(1 for u, v in universe if u in mset and v in mset)
+    heavy = heavy_scale * inner / (
         HEAVY_DEG_FACTOR * n ** ((s - 2.0) / s) * math.log2(max(n, 2))
     )
 
@@ -441,7 +443,7 @@ def _list_by_class_tuples(
     requests = []
     for e in universe:
         u, v = e
-        senders = (outward[e],) if e in outward else e
+        senders = [x for x in e if x in mset]
         for rest in rests:
             owner = alloc.owner_of((parts[u], parts[v]) + rest)
             for sender in senders:
@@ -511,26 +513,24 @@ def enumerate_expander(
     if not e_in:
         return TriangleSet(), transcript
 
-    # Charge every outward edge to a component endpoint with spare inward
-    # degree; feasible whenever each such edge touches a vertex at least as
-    # inward-heavy as its removed degree.
+    # Each outward edge is sent by its member end, which must have spare
+    # inward degree: no member sends more outward edges than it has
+    # inward ones.
     spare: Dict[int, int] = {v: 0 for v in members}
     for u, v in e_in:
         spare[u] += 1
         spare[v] += 1
-    sender_of: Dict[Edge, int] = {}
     for e in sorted(out_edges):
-        best = min((v for v in e if v in mset), key=lambda v: (-spare[v], v))
-        if spare[best] <= 0:
+        sender = e[0] if e[0] in mset else e[1]
+        if spare[sender] <= 0:
             raise GraphError(
-                f"outward edge {e} exceeds the sending capacity of {best}"
+                f"outward edge {e} exceeds the sending capacity of {sender}"
             )
-        spare[best] -= 1
-        sender_of[e] = best
+        spare[sender] -= 1
 
+    edges = e_in + list(out_edges)
     attribution = _list_by_class_tuples(
-        transcript, g, members, e_in, sender_of,
-        _triangles_of_edges(e_in + list(out_edges)),
+        transcript, g, members, edges, _triangles_of_edges(edges),
         3, seed, "triad-class", "triangle", zeta_scale, kappa,
     )
     return TriangleSet(attribution), transcript
@@ -541,115 +541,6 @@ def enumerate_expander(
 # ---------------------------------------------------------------------------
 
 
-def _solve_general(
-    g: Graph,
-    delta: float,
-    seed,
-    kappa: Optional[int],
-    level: int,
-    cap: int,
-    tx: rt.Transcript,
-) -> TriangleSet:
-    result = TriangleSet()
-    if g.m == 0 or g.n < 3:
-        return result
-    if level > cap:
-        raise GraphError(f"recursion depth exceeded the cap {cap}")
-
-    decomp, dtx = decompose(g, delta, seed=f"{seed}:L{level}")
-    tx.charge(f"triangle:decompose:{level}", dtx.rounds)
-    tx.message_count += dtx.message_count
-
-    # Sparse-edge triangles: owners announce their edges for one round per
-    # owned edge, and the orientation rules pick the unique reporter. The
-    # edge->tail map `tail` holds every E_s edge with its owner (decompose
-    # has verified one owner per edge and an acyclic orientation), so each
-    # triangle looks up only its own three edges. Only the triangles
-    # through an E_s edge are listed: its endpoints' common neighbours.
-    tail = {e: owner for owner, part in decomp.es.items() for e in part}
-    if tail:
-        tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
-        tx.message_count += sum(
-            len(part) * g.deg[owner] for owner, part in decomp.es.items()
-        )
-        sparse_triangles = {
-            tuple(sorted((a, b, w)))
-            for a, b in tail
-            for w in g.neighbor_set(a) & g.neighbor_set(b)
-        }
-        for t in sorted(sparse_triangles):
-            a, b, c = t
-            pairs = [
-                (tail[e], e[0] + e[1] - tail[e])
-                for e in ((a, b), (a, c), (b, c))
-                if e in tail
-            ]
-            owner = case1_report_owner(t, pairs)
-            assert owner is not None
-            # The owner sees its two incident edges; the opposite one it
-            # only hears of through the announcement of that edge's tail.
-            assert edge_key(*(v for v in t if v != owner)) in tail, (
-                "case-1 owner missed its opposite edge"
-            )
-            result.add(t, owner)
-
-    recursion_set = set(decomp.er)
-    case2_rounds = 0
-    if decomp.clusters:
-        # Clusters are vertex-disjoint, so g_m degrees are cluster degrees.
-        # A vertex with more removed than cluster degree sends nothing, and
-        # its cluster edges fall through to the recursion with E_r.
-        g_m = Graph(g.n, decomp.em)
-        deg_er: Dict[int, int] = {}
-        for u, v in decomp.er:
-            deg_er[u] = deg_er.get(u, 0) + 1
-            deg_er[v] = deg_er.get(v, 0) + 1
-        cluster_of: Dict[int, int] = {}
-        for cid, verts in decomp.clusters.items():
-            for v in verts:
-                if g_m.deg[v] >= deg_er.get(v, 0):
-                    cluster_of[v] = cid
-                else:
-                    recursion_set.update(edge_key(v, w) for w in g_m.adj[v])
-        cluster_out: Dict[int, List[Edge]] = {cid: [] for cid in decomp.clusters}
-        for e in sorted(decomp.er):
-            cu, cv = cluster_of.get(e[0]), cluster_of.get(e[1])
-            if cu is not None:
-                cluster_out[cu].append(e)
-            if cv is not None and cv != cu:
-                cluster_out[cv].append(e)
-
-        for cid in sorted(decomp.clusters):
-            part_set, etx = enumerate_expander(
-                g_m,
-                sorted(decomp.clusters[cid]),
-                cluster_out[cid],
-                seed=f"{seed}:L{level}:c{cid}",
-                kappa=kappa,
-            )
-            case2_rounds = max(case2_rounds, etx.rounds)
-            tx.message_count += etx.message_count
-            for t, owner in part_set.attribution.items():
-                a, b, c = t
-                tri_edges = {(a, b), (a, c), (b, c)}
-                if tri_edges <= recursion_set:
-                    continue  # the recursion owns these
-                result.add(t, owner)
-    if case2_rounds:
-        tx.charge(f"triangle:case2:{level}", case2_rounds)
-
-    if recursion_set:
-        assert 2 * len(recursion_set) <= g.m, "leftover edges failed to halve"
-        gr, old_ids = subgraph_from_edges(recursion_set)
-        sub_result = _solve_general(
-            gr, delta, f"{seed}:r{level}", kappa, level + 1, cap, tx
-        )
-        for t, owner in sub_result.attribution.items():
-            back = tuple(sorted(old_ids[x] for x in t))
-            result.add(back, old_ids[owner])
-    return result
-
-
 def enumerate_general(
     g: Graph,
     delta: float = 0.5,
@@ -658,14 +549,117 @@ def enumerate_general(
 ) -> Tuple[TriangleSet, rt.Transcript]:
     """Enumerate every triangle of g with exactly-once attribution.
 
-    Decomposes the edge set, reports sparse-edge triangles through the
-    orientation rules, runs the expander path on each cluster with its
-    outward removed edges, and recurses on what remains. The recursion
-    depth is capped at log2 m since the leftover halves each level.
+    One loop over levels. Each level decomposes its graph, reports the
+    sparse-edge triangles through the orientation rules, runs the
+    expander path on each cluster with its outward removed edges, and
+    hands the leftover edges on as the next level's graph. A level's
+    triangles go straight into one set, mapped back to g's ids through
+    the composed (monotone) relabelings. The depth is capped at log2 m
+    since the leftover halves each level.
     """
-    transcript = rt.Transcript(seed=seed)
+    tx = rt.Transcript(seed=seed)
+    result = TriangleSet()
     cap = max(int(math.log2(max(g.m, 2))) + 1, 1)
-    return _solve_general(g, delta, seed, kappa, 0, cap, transcript), transcript
+    level, to_g = 0, None
+    while g.m > 0 and g.n >= 3:
+        if level > cap:
+            raise GraphError(f"recursion depth exceeded the cap {cap}")
+        # to_g maps this level's ids to g's; it is monotone, so mapped
+        # triples stay sorted.
+        add = result.add if to_g is None else (
+            lambda t, owner: result.add(
+                (to_g[t[0]], to_g[t[1]], to_g[t[2]]), to_g[owner]
+            )
+        )
+
+        decomp, dtx = decompose(g, delta, seed=f"{seed}:L{level}")
+        tx.charge(f"triangle:decompose:{level}", dtx.rounds)
+        tx.message_count += dtx.message_count
+
+        # Sparse-edge triangles: owners announce their edges for one round
+        # per owned edge, and the orientation rules pick the unique
+        # reporter. The edge->tail map `tail` holds every E_s edge with its
+        # owner (decompose has verified one owner per edge and an acyclic
+        # orientation), so each triangle looks up only its own three edges.
+        # Only the triangles through an E_s edge are listed: its endpoints'
+        # common neighbours.
+        tail = {e: owner for owner, part in decomp.es.items() for e in part}
+        if tail:
+            tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
+            tx.message_count += sum(
+                len(part) * g.deg[owner] for owner, part in decomp.es.items()
+            )
+            sparse_triangles = {
+                tuple(sorted((a, b, w)))
+                for a, b in tail
+                for w in g.neighbor_set(a) & g.neighbor_set(b)
+            }
+            for t in sparse_triangles:
+                a, b, c = t
+                pairs = [
+                    (tail[e], e[0] + e[1] - tail[e])
+                    for e in ((a, b), (a, c), (b, c))
+                    if e in tail
+                ]
+                owner = case1_report_owner(t, pairs)
+                assert owner is not None
+                # The owner sees its two incident edges; the opposite one
+                # it only hears of through the announcement of its tail.
+                assert edge_key(*(v for v in t if v != owner)) in tail, (
+                    "case-1 owner missed its opposite edge"
+                )
+                add(t, owner)
+
+        recursion_set = set(decomp.er)
+        case2_rounds = 0
+        if decomp.clusters:
+            # Clusters are vertex-disjoint, so g_m degrees are cluster
+            # degrees. A vertex with more removed than cluster degree sends
+            # nothing, and its cluster edges fall through to the next level
+            # with E_r.
+            g_m = Graph(g.n, decomp.em)
+            deg_er: Dict[int, int] = {}
+            for u, v in decomp.er:
+                deg_er[u] = deg_er.get(u, 0) + 1
+                deg_er[v] = deg_er.get(v, 0) + 1
+            cluster_of: Dict[int, int] = {}
+            for cid, verts in decomp.clusters.items():
+                for v in verts:
+                    if g_m.deg[v] >= deg_er.get(v, 0):
+                        cluster_of[v] = cid
+                    else:
+                        recursion_set.update(edge_key(v, w) for w in g_m.adj[v])
+            cluster_out: Dict[int, List[Edge]] = {cid: [] for cid in decomp.clusters}
+            for e in decomp.er:
+                cu, cv = cluster_of.get(e[0]), cluster_of.get(e[1])
+                if cu is not None:
+                    cluster_out[cu].append(e)
+                if cv is not None and cv != cu:
+                    cluster_out[cv].append(e)
+
+            for cid in sorted(decomp.clusters):
+                part_set, etx = enumerate_expander(
+                    g_m, decomp.clusters[cid], cluster_out[cid],
+                    seed=f"{seed}:L{level}:c{cid}", kappa=kappa,
+                )
+                case2_rounds = max(case2_rounds, etx.rounds)
+                tx.message_count += etx.message_count
+                for t, owner in part_set.attribution.items():
+                    a, b, c = t
+                    if {(a, b), (a, c), (b, c)} <= recursion_set:
+                        continue  # the next level owns these
+                    add(t, owner)
+        if case2_rounds:
+            tx.charge(f"triangle:case2:{level}", case2_rounds)
+
+        if not recursion_set:
+            break
+        assert 2 * len(recursion_set) <= g.m, "leftover edges failed to halve"
+        g, old_ids = subgraph_from_edges(recursion_set)
+        to_g = old_ids if to_g is None else [to_g[x] for x in old_ids]
+        seed = f"{seed}:r{level}"
+        level += 1
+    return result, tx
 
 
 def count_triangles(g: Graph, delta: float = 0.5, seed=0) -> int:
@@ -749,7 +743,7 @@ def enumerate_subgraphs(
     ]
     members = [v for v in range(g.n) if g.deg[v] > 0]
     attribution = _list_by_class_tuples(
-        transcript, g, members, g.edge_list(), {}, occurrences,
+        transcript, g, members, g.edge_list(), occurrences,
         s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
     )
     return SubgraphSet(s, attribution), transcript

@@ -256,6 +256,15 @@ def test_fractional_count_exits_1(capsys):
     assert "'n'" in err
 
 
+def test_unknown_generator_parameter_exits_1(capsys):
+    code, out, err = _run(
+        capsys, ["--mode", "count", "--gen", "barbell:k=10,bridge=3", "--seed", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "'bridge'" in err
+
+
 def test_bad_thread_cap_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("CONGEST_LAB_THREADS", "two")
     argv = ["--mode", "count", "--gen", "clique:n=4", "--seed", "1", "--seeds", "2"]

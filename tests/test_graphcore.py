@@ -253,6 +253,53 @@ def test_lazy_walk_symmetry_small_graphs():
             assert np.abs(rho - rho.T).max() <= 1e-12
 
 
+def _is_canonical_csr(mat):
+    # strictly increasing column indices in every row: sorted, no duplicates
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    same_row = rows[1:] == rows[:-1]
+    return bool(np.all(np.diff(mat.indices)[same_row] > 0))
+
+
+def test_walk_operators_match_dense_definitions():
+    # T = (A D^-1 + I)/2 with mass kept at an isolated vertex, and
+    # L = I - D^-1/2 A D^-1/2 with a zero row there; the walk's matvec
+    # order follows the index order, so both must be canonical CSR
+    graphs = [
+        gc.gen_star(7),
+        gc.gen_hypercube(3),
+        gc.gen_barbell(5, 2),
+        random_graph(30, 0.2, 4),
+        gc.Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)]),  # vertex 3 isolated
+    ]
+    for g in graphs:
+        a = np.zeros((g.n, g.n))
+        for u, v in g.edges():
+            a[u, v] = a[v, u] = 1.0
+        deg = a.sum(axis=0)
+        walk = np.diag(np.where(deg > 0, 0.5, 1.0))
+        lap = np.diag((deg > 0).astype(float))
+        for u, v in zip(*np.nonzero(a)):
+            walk[u, v] = 0.5 / deg[v]
+            lap[u, v] = -(1.0 / math.sqrt(deg[u])) * (1.0 / math.sqrt(deg[v]))
+        got_walk = gc.lazy_walk_operator(g)
+        got_lap = gc.normalized_laplacian(g)
+        assert np.array_equal(got_walk.toarray(), walk)
+        assert np.array_equal(got_lap.toarray(), lap)
+        assert _is_canonical_csr(got_walk) and _is_canonical_csr(got_lap)
+        assert got_walk.nnz == g.n + 2 * g.m
+        assert got_lap.nnz == sum(1 for d in g.deg if d) + 2 * g.m
+
+
+def test_lambda2_disconnected_above_dense_limit_is_zero():
+    # two disjoint 10-cubes (2048 vertices) take the sparse path, where
+    # Lanczos from the constant vector returned 0.2; one 11-cube keeps
+    # its gap 2/11
+    cube = gc.gen_hypercube(10)
+    twins = gc.Graph(2048, list(cube.edges()) + [(u + 1024, v + 1024) for u, v in cube.edges()])
+    assert gc.lambda2_normalized(twins) == 0.0
+    assert gc.lambda2_normalized(gc.gen_hypercube(11)) == pytest.approx(2 / 11, abs=1e-9)
+
+
 def test_cheeger_consistency_small():
     for seed in range(6):
         g = random_graph(12, 0.35, seed)
@@ -299,6 +346,22 @@ def test_generate_rejects_fractional_counts(spec, name):
 def test_generate_accepts_whole_float_counts():
     assert gc.generate("clique:n=4.0").m == 6
     assert gc.generate("clique", n=4.0).m == 6
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs, name",
+    [
+        ("barbell:k=10,bridge=3", {}, "bridge"),
+        ("clique:n=5,m=3", {}, "m"),
+        ("er:n=10,p=0.5,keep_isolated=0", {}, "keep_isolated"),
+        ("hypercube:d=3,n=8", {}, "n"),
+        ("caterpillar", {"blobs": 3, "blob_size": 3, "size": 1}, "size"),
+        ("planted_cut:n=8,p=0.5,cross=2,x=1,y=2", {}, "x"),
+    ],
+)
+def test_generate_rejects_unknown_parameters(spec, kwargs, name):
+    with pytest.raises(gc.GraphError, match=f"takes no parameter '{name}'"):
+        gc.generate(spec, **kwargs)
 
 
 def test_generate_hypercube():

@@ -4,7 +4,9 @@ from itertools import combinations, product
 
 import pytest
 
+from congestlab import runtime as rt
 from congestlab import triangle as tr
+from congestlab.decomposition import Decomposition
 from congestlab.graphcore import (
     Graph,
     GraphError,
@@ -451,6 +453,33 @@ def test_expander_triad_branch_builds_one_graph_per_member_set(monkeypatch):
     assert "triangle:ids" in t.phases
     assert res.triangles == oracle
     assert built == [64]
+
+
+def _halving_decompose(g, delta, seed=0):
+    # a stand-in decomposition with no clusters: the first ceil(m/2)
+    # sorted edges go to E_s under their smaller endpoint (an acyclic
+    # orientation) and the rest to E_r, so every level drops its lowest
+    # vertices and relabels the survivors
+    edges = g.edge_list()
+    half = -(-len(edges) // 2)
+    es = {}
+    for u, v in edges[:half]:
+        es.setdefault(u, []).append((u, v))
+    t = rt.Transcript(seed=seed)
+    t.charge("partition", 1)
+    return Decomposition(delta, g.n ** delta, {}, es, edges[half:], {}), t
+
+
+def test_general_deep_levels_map_back_to_g(monkeypatch):
+    # no corpus instance reaches level 2, so the stand-in forces eight
+    # levels; each level's ids must be composed back to g's
+    monkeypatch.setattr(tr, "decompose", _halving_decompose)
+    g = gen_er(40, 0.5, seed=1)
+    res, t = enumerate_general(g, 0.5, seed=1)
+    assert res.triangles == brute_force_triangles(g).triangles
+    assert all(owner in tri for tri, owner in res.attribution.items())
+    levels = {k.rsplit(":", 1)[1] for k in t.phases if k.startswith("triangle:decompose:")}
+    assert levels == {str(i) for i in range(8)}
 
 
 def test_general_attribution_exactly_once():
