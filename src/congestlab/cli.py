@@ -12,7 +12,8 @@ import math
 import os
 import sys
 from concurrent import futures
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .decomposition import (
     _report_field,
@@ -382,6 +383,86 @@ def _csv_row(mode: str, run: dict) -> dict:
     return row
 
 
+# Scalars and non-str keys are encoded by the stdlib; ensure_ascii and
+# allow_nan keep their json.dumps defaults.
+_SCALAR = json.JSONEncoder(sort_keys=True)
+# Items of a fast-path list formatted and written per write call.
+_CHUNK = 4096
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: True is 'true', 1.5 is '1.5'."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _SCALAR.encode(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _int_formatter(items, depth: int) -> Optional[Callable[[list], Iterable[str]]]:
+    """A chunk formatter when items, a nonempty list, holds only exact ints
+    or only flat rows of exact ints of one length; rows open at `depth`.
+
+    Bools are not exact ints, so they never take this path.
+    """
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return lambda chunk: map("%d".__mod__, chunk)
+    if not kinds <= {list, tuple}:
+        return None
+    widths = set(map(len, items))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    if set(map(type, chain.from_iterable(items))) != {int}:
+        return None
+    inner = "\n" + "  " * (depth + 1)
+    row = "[" + inner + ("," + inner).join(["%d"] * widths.pop())
+    row += "\n" + "  " * depth + "]"
+    return lambda chunk: map(row.__mod__, map(tuple, chunk))
+
+
+def _write_json(obj, fh, depth: int = 0) -> None:
+    """Write obj to fh exactly as json.dumps(obj, indent=2, sort_keys=True).
+
+    The text goes out piece by piece, never as one string: an int list or a
+    list of int rows (triangles, edges) is formatted _CHUNK items per write.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            fh.write("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            fh.write(sep + _SCALAR.encode(_json_key(key)) + ": ")
+            _write_json(value, fh, depth + 1)
+            sep = "," + inner
+        fh.write("\n" + "  " * depth + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            fh.write("[]")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "," + inner
+        fh.write("[" + inner)
+        fmt = _int_formatter(obj, depth + 1)
+        if fmt is not None:
+            for i in range(0, len(obj), _CHUNK):
+                if i:
+                    fh.write(sep)
+                fh.write(sep.join(fmt(obj[i : i + _CHUNK])))
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    fh.write(sep)
+                _write_json(item, fh, depth + 1)
+        fh.write("\n" + "  " * depth + "]")
+    else:
+        fh.write(_SCALAR.encode(obj))
+
+
 def run_cli(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -404,8 +485,11 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         "summary": _summary(cfg, runs),
     }
     if args.out:
+        # Byte for byte what json.dump(report, indent=2, sort_keys=True)
+        # writes, but with int lists and triangle/edge rows formatted in
+        # chunks; the stdlib's indenting encoder is pure Python.
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            _write_json(report, fh)
             fh.write("\n")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

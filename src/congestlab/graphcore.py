@@ -624,6 +624,8 @@ _GENERATORS = {
     "planted_cut": ("n", "p", "cross"),
     "caterpillar": ("blobs", "blob_size"),
 }
+# The parameters a spec may leave out, with their values.
+_DEFAULTS = {"barbell": {"bridges": 1}}
 
 
 def parse_generator_spec(text: str) -> Tuple[str, dict]:
@@ -647,9 +649,9 @@ def parse_generator_spec(text: str) -> Tuple[str, dict]:
     return name, params
 
 
-def _count(params: dict, key: str, default=None) -> int:
+def _count(params: dict, key: str) -> int:
     """A generator count as an int; a fractional value is a GraphError."""
-    v = params[key] if default is None else params.get(key, default)
+    v = params[key]
     if isinstance(v, float) and not v.is_integer():
         raise GraphError(f"parameter '{key}' must be a whole number, got {v}")
     return int(v)
@@ -659,8 +661,8 @@ def generate(spec, seed=0, **params) -> Graph:
     """Build a named test graph deterministically from (spec, seed).
 
     `spec` is either a 'name:k=v,...' string or a generator name with params
-    passed as keywords. A parameter the generator does not take is a
-    GraphError.
+    passed as keywords. A parameter the generator does not take, or one it
+    needs and was not given, is a GraphError.
     """
     if isinstance(spec, str) and (":" in spec or not params):
         name, parsed = parse_generator_spec(spec)
@@ -673,6 +675,10 @@ def generate(spec, seed=0, **params) -> Graph:
     for key in params:
         if key not in _GENERATORS[name]:
             raise GraphError(f"generator '{name}' takes no parameter '{key}'")
+    params = {**_DEFAULTS.get(name, {}), **params}
+    for key in _GENERATORS[name]:
+        if key not in params:
+            raise GraphError(f"generator '{name}' needs parameter '{key}'")
     if name == "clique":
         return gen_clique(_count(params, "n"))
     if name == "cycle":
@@ -686,7 +692,7 @@ def generate(spec, seed=0, **params) -> Graph:
     if name == "er":
         return gen_er(_count(params, "n"), float(params["p"]), seed)
     if name == "barbell":
-        return gen_barbell(_count(params, "k"), _count(params, "bridges", 1))
+        return gen_barbell(_count(params, "k"), _count(params, "bridges"))
     if name == "planted_cut":
         return gen_planted_cut(
             _count(params, "n"), float(params["p"]), _count(params, "cross"), seed

@@ -17,7 +17,10 @@ Cost controls, all output-neutral:
     identically at every later level (smaller eps keeps strictly more), so
     a truncation-free failure is cached and skipped at b+1, b+2, ...
 Candidate prefixes are screened with floats and certified with exact
-rationals before anything is returned.
+rationals before anything is returned. A sweep is array work: the search
+builds its graph's CSR adjacency once, every prefix boundary comes from it
+in one pass, and only the screened ladder prefixes reach the exact test,
+in ladder order, so the winner is the one the sequential scan would pick.
 """
 
 import math
@@ -27,11 +30,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .graphcore import (
     Cut,
     Graph,
     GraphError,
+    _adjacency,
     conductance,
     connected_components,
     induced_subgraph,
@@ -132,25 +137,29 @@ def _sweep_order(p_vec: np.ndarray, deg: np.ndarray) -> np.ndarray:
     return support[np.lexsort((support, -rho))]
 
 
-def _boundary_profile(g: Graph, order: np.ndarray) -> np.ndarray:
-    """boundary[j] = edges leaving the first j vertices of the order."""
+def _boundary_profile(adj: sparse.csr_matrix, order: np.ndarray) -> np.ndarray:
+    """boundary[j - 1] = edges leaving the first j vertices of the order.
+
+    adj is the graph's CSR adjacency. An edge lies inside prefix j exactly
+    when both endpoints rank below j, so counting each inside edge at its
+    later endpoint's rank gives boundary(j) = vol(j) - 2 * inside(j).
+    """
     k = len(order)
-    rank = {int(v): i for i, v in enumerate(order)}
-    diff = np.zeros(k + 2, dtype=np.int64)
-    for v in order:
-        rv = rank[int(v)]
-        for u in g.adj[int(v)]:
-            ru = rank.get(u)
-            if ru is None:
-                diff[rv + 1] += 1
-            elif ru > rv:
-                diff[rv + 1] += 1
-                diff[ru + 1] -= 1
-    return np.cumsum(diff)[1 : k + 1]
+    rank = np.full(adj.shape[0], k, dtype=np.int64)
+    rank[order] = np.arange(k)
+    starts = adj.indptr[order]
+    degs = adj.indptr[order + 1] - starts
+    total = int(degs.sum())
+    # positions of every neighbour of order[0], order[1], ... in adj.indices
+    offsets = np.repeat(starts - np.cumsum(degs) + degs, degs) + np.arange(total)
+    own = np.repeat(np.arange(k), degs)
+    later = own[rank[adj.indices[offsets]] < own]
+    inside = np.cumsum(np.bincount(later, minlength=k))
+    return np.cumsum(degs) - 2 * inside
 
 
 def _sweep_vec(
-    g: Graph,
+    adj: sparse.csr_matrix,
     p_vec: np.ndarray,
     deg: np.ndarray,
     phi: float,
@@ -160,7 +169,10 @@ def _sweep_vec(
     """Ladder sweep over one distribution.
 
     Returns (order, j, x, vol, boundary, exact phi) for the first prefix
-    certified at or below 12 * phi by exact arithmetic, else None.
+    certified at or below 12 * phi by exact arithmetic, else None. Each
+    prefix length j is tried once, at the first ladder index x reaching it;
+    a float screen picks the candidates and exact rationals decide them in
+    ladder order.
     """
     order = _sweep_order(p_vec, deg)
     if len(order) == 0:
@@ -169,25 +181,21 @@ def _sweep_vec(
     j_max = int(np.searchsorted(vols, max_vol, side="right"))
     if j_max == 0:
         return None
-    bounds = _boundary_profile(g, order)
     x_top = _ladder_limit(phi, total_vol)
     targets = (1.0 + phi) ** np.arange(x_top + 1)
     js = np.minimum(np.searchsorted(vols, targets, side="right"), j_max)
-    screen = 12.0 * phi + FLOAT_SLACK
+    # js is nondecreasing, so the first index of each value is its first x
+    js, xs = np.unique(js, return_index=True)
+    xs, js = xs[js > 0], js[js > 0]
+    vol_j = vols[js - 1]
+    small = np.minimum(vol_j, total_vol - vol_j)
+    bnd = _boundary_profile(adj, order[:j_max])[js - 1]
+    screened = np.flatnonzero((small > 0) & (bnd <= (12.0 * phi + FLOAT_SLACK) * small))
     phi_cap = Fraction(12) * Fraction(phi)
-    tried = set()
-    for x, j in enumerate(js):
-        j = int(j)
-        if j == 0 or j in tried:
-            continue
-        tried.add(j)
-        vol_j = int(vols[j - 1])
-        small = min(vol_j, total_vol - vol_j)
-        if small <= 0:
-            continue
-        bnd = int(bounds[j - 1])
-        if bnd <= screen * small and Fraction(bnd, small) <= phi_cap:
-            return order, j, x, vol_j, bnd, Fraction(bnd, small)
+    for c in screened:
+        phi_exact = Fraction(int(bnd[c]), int(small[c]))
+        if phi_exact <= phi_cap:
+            return order, int(js[c]), int(xs[c]), int(vol_j[c]), int(bnd[c]), phi_exact
     return None
 
 
@@ -211,7 +219,7 @@ def sweep_cut(
             raise GraphError(f"distribution vertex {v} out of range")
         p_vec[v] = mass
     deg = np.array(g.deg, dtype=np.int64)
-    hit = _sweep_vec(g, p_vec, deg, phi, total_vol, max_vol)
+    hit = _sweep_vec(_adjacency(g), p_vec, deg, phi, total_vol, max_vol)
     if hit is None:
         return None
     order, j, x, vol_j, bnd, phi_exact = hit
@@ -395,6 +403,7 @@ def distributed_nibble(
     total_vol = 2 * m
     max_vol = (5.0 / 6.0) * total_vol
     deg = np.array(sub.deg, dtype=np.int64)
+    adj = _adjacency(sub)
     failed_cache: set = set()
 
     for b in range(1, b_top + 1):
@@ -419,7 +428,7 @@ def distributed_nibble(
             continue
 
         def on_sweep(t, i, col):
-            return _sweep_vec(sub, col, deg, phi, total_vol, max_vol)
+            return _sweep_vec(adj, col, deg, phi, total_vol, max_vol)
 
         winner, trunc_free, max_cong, steps = _run_walk_level(
             sub, fresh, params, weights, sweep_cb=on_sweep

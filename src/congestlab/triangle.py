@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -79,10 +80,7 @@ class TriangleSet:
         return len(self.attribution)
 
     def reporter_counts(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for owner in self.attribution.values():
-            out[owner] = out.get(owner, 0) + 1
-        return out
+        return Counter(self.attribution.values())
 
     def add(self, triple: Triple, owner: int) -> None:
         if triple in self.attribution:
@@ -91,7 +89,8 @@ class TriangleSet:
 
     def as_json(self) -> dict:
         return {
-            "triangles": [list(t) for t in sorted(self.attribution)],
+            # tuples: json writes them as lists, without a copy per triple
+            "triangles": sorted(self.attribution),
             "count": self.count,
             "attribution": {
                 str(v): c for v, c in sorted(self.reporter_counts().items())

@@ -1,13 +1,17 @@
 """Exit codes, summaries, reports, and determinism of the command line."""
 
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import congestlab
+from congestlab import cli
 from congestlab.cli import run_cli
 
 
@@ -326,3 +330,137 @@ def test_package_exports_resolve():
     missing = [name for name in congestlab.__all__ if not hasattr(congestlab, name)]
     assert missing == []
     assert len(set(congestlab.__all__)) == len(congestlab.__all__)
+
+
+def test_missing_generator_parameter_exits_1(capsys):
+    code, out, err = _run(capsys, ["--mode", "count", "--gen", "er:n=10", "--seed", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: generator 'er' needs parameter 'p'"
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+# ---------------------------------------------------------------------------
+
+
+def _written(doc) -> str:
+    fh = io.StringIO()
+    cli._write_json(doc, fh)
+    return fh.getvalue()
+
+
+ODD_DOCUMENTS = {
+    "empty-dict": {},
+    "empty-list": [],
+    "nested-empty": {"a": [], "b": {}, "c": [[], {}, [[]]], "d": [{}]},
+    "nested": {"x": [{"y": [1, [2, [3]]]}, ("t", 1)], "z": {"w": {"v": None}}},
+    "floats": [0.1, 1e-7, 1e16, -0.0, 2.5e-300, float("nan"), float("inf"), -float("inf")],
+    "float-rows": [[0.5, 1.0], [2.0, 3.5]],
+    "non-ascii": {"é": "naïve ☃ \u2028 \U0001f600", "tab\tquote\"": "back\\slash\n"},
+    "bool-keys": {True: 1, False: 2},
+    "none-key": {None: 3},
+    "int-keys": {10: "a", 2: "b", -1: "c"},
+    "float-keys": {1.5: 0, float("inf"): 1, -2.0: 2},
+    "bool-in-ints": [1, True],
+    "bool-in-rows": [[1, 2], [3, False]],
+    "mixed-widths": [[1, 2, 3], [4, 5]],
+    "empty-rows": [[], []],
+    "rows-and-ints": [[1, 2], 3],
+    "int-and-float": [1, 2.0],
+    "big-ints": [2**70, -(2**63), 0],
+    "tuple-rows": [(1, 2, 3), [4, 5, 6]],
+    "scalar": 7,
+    "string": "s",
+    "deep": {"runs": [{"triangles": [(0, 1, 2), (0, 1, 3)], "ok": True, "count": 2}]},
+    "long-rows": [(i, i + 1, i + 2) for i in range(3 * cli._CHUNK + 5)],
+    "long-ints": list(range(cli._CHUNK + 1)),
+    "exactly-one-chunk": [[i, -i] for i in range(cli._CHUNK)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_DOCUMENTS))
+def test_writer_matches_json_dumps(name):
+    doc = ODD_DOCUMENTS[name]
+    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_writer_fast_path_takes_only_exact_int_rows():
+    assert cli._int_formatter([[1, 2], [3, 4]], 1) is not None
+    assert cli._int_formatter([(1, 2, 3)], 1) is not None
+    assert cli._int_formatter([1, 2], 1) is not None
+    for items in ([1, True], [[1, True]], [[1, 2], [3]], [[], []], [1.0], [[1], 2]):
+        assert cli._int_formatter(items, 1) is None
+
+
+def test_writer_streams_in_chunks():
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    rows = [(i, i, i) for i in range(4 * cli._CHUNK)]
+    cli._write_json({"triangles": rows}, Sink())
+    assert "".join(writes) == json.dumps({"triangles": rows}, indent=2, sort_keys=True)
+    assert max(map(len, writes)) < len("".join(writes)) / 3
+
+
+def test_writer_rejects_what_json_rejects():
+    for doc in ({(1, 2): 0}, {"a": object()}, [{1: 0, "b": 1}]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _written(doc)
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+_json_keys = st.text(max_size=6) | st.integers() | st.booleans() | st.none() | st.floats()
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.tuples(st.integers(), st.integers()), max_size=6)
+    | st.lists(st.lists(st.integers(), min_size=3, max_size=3), max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+    | st.dictionaries(_json_keys, inner, max_size=1),
+    max_leaves=30,
+)
+
+
+@given(_json_docs)
+@settings(max_examples=300, deadline=None)
+def test_writer_property(doc):
+    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+MODE_ARGV = {
+    "decompose": ["--gen", "er:n=64,p=0.25", "--seed", "3"],
+    "nibble": ["--gen", "planted_cut:n=40,p=0.4,cross=2", "--seed", "1", "--phi", "0.02"],
+    "triangles": ["--gen", "barbell:k=12,bridges=1", "--seed", "1"],
+    "count": ["--gen", "er:n=60,p=0.2", "--seed", "1", "--seeds", "2"],
+    "detect": ["--gen", "path:n=10", "--seed", "0"],
+    "subgraphs": ["--gen", "clique:n=6", "--seed", "1", "--mode-args", "s=4"],
+    "probe": ["--gen", "er:n=40,p=0.3", "--seed", "2", "--mode-args", "q=4,trials=3"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_ARGV) + ["verify"])
+def test_every_mode_report_matches_json_dumps(tmp_path, capsys, mode):
+    rpt = tmp_path / "r.json"
+    if mode == "verify":
+        src = tmp_path / "src.json"
+        run_cli(["--mode", "decompose", "--out", str(src)] + MODE_ARGV["decompose"])
+        argv = ["--mode", "verify", "--mode-args", str(src)]
+    else:
+        argv = ["--mode", mode] + MODE_ARGV[mode]
+    assert run_cli(argv + ["--out", str(rpt)]) == 0
+    capsys.readouterr()
+    text = rpt.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

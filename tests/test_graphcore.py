@@ -364,6 +364,25 @@ def test_generate_rejects_unknown_parameters(spec, kwargs, name):
         gc.generate(spec, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "spec, gen, name",
+    [
+        ("er:n=10", "er", "p"),
+        ("barbell", "barbell", "k"),
+        ("planted_cut:n=5,p=0.5", "planted_cut", "cross"),
+    ],
+)
+def test_generate_names_missing_parameters(spec, gen, name):
+    with pytest.raises(gc.GraphError, match=f"generator '{gen}' needs parameter '{name}'"):
+        gc.generate(spec)
+
+
+def test_generate_barbell_bridges_default_to_one():
+    one = list(gc.generate("barbell:k=5,bridges=1").edges())
+    assert list(gc.generate("barbell:k=5").edges()) == one
+    assert list(gc.generate("barbell", k=5).edges()) == one
+
+
 def test_generate_hypercube():
     g = gc.generate("hypercube:d=3")
     assert g.n == 8 and g.m == 12

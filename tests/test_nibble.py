@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from congestlab import graphcore as gc
@@ -253,6 +254,93 @@ def test_sweep_ladder_neighborhood_property():
             for j2 in range(j, len(order)):
                 if vols[j2] <= (1 + phi) * vols[j] and phis[j2] is not None:
                     assert phis[j2] <= 12 * Fraction(phi)
+
+
+def _sweep_reference(g, p_vec, deg, phi, total_vol, max_vol):
+    """The sequential ladder loop: every x in turn, each prefix length once."""
+    order = nb._sweep_order(p_vec, deg)
+    if len(order) == 0:
+        return None
+    vols = np.cumsum(deg[order])
+    j_max = int(np.searchsorted(vols, max_vol, side="right"))
+    if j_max == 0:
+        return None
+    x_top = nb._ladder_limit(phi, total_vol)
+    targets = (1.0 + phi) ** np.arange(x_top + 1)
+    js = np.minimum(np.searchsorted(vols, targets, side="right"), j_max)
+    screen = 12.0 * phi + nb.FLOAT_SLACK
+    phi_cap = Fraction(12) * Fraction(phi)
+    tried = set()
+    for x, j in enumerate(js):
+        j = int(j)
+        if j == 0 or j in tried:
+            continue
+        tried.add(j)
+        vol_j = int(vols[j - 1])
+        small = min(vol_j, total_vol - vol_j)
+        if small <= 0:
+            continue
+        bnd = len(gc.boundary(g, order[:j].tolist()))
+        if bnd <= screen * small and Fraction(bnd, small) <= phi_cap:
+            return order.tolist(), j, x, vol_j, bnd, Fraction(bnd, small)
+    return None
+
+
+SWEEP_GRAPHS = {
+    "cycle": gc.gen_cycle(12),
+    "barbell": gc.gen_barbell(6, 1),
+    "planted_cut": gc.gen_planted_cut(24, 0.5, 2, seed=3),
+    "isolated": gc.Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]),
+}
+
+
+def _random_distributions(g, rng, count):
+    """Random masses on random supports, and lazy walks from random starts."""
+    for _ in range(count):
+        p_vec = np.zeros(g.n)
+        for v in rng.sample(range(g.n), rng.randint(1, g.n)):
+            p_vec[v] = rng.random()
+        yield p_vec
+        p = {rng.randrange(g.n): 1.0}
+        for _ in range(rng.randint(1, 6)):
+            p = nb.lazy_step(g, p)
+        p_vec = np.zeros(g.n)
+        for v, mass in p.items():
+            p_vec[v] = mass
+        yield p_vec
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+def test_boundary_profile_matches_boundary(name):
+    g = SWEEP_GRAPHS[name]
+    adj = gc._adjacency(g)
+    rng = random.Random(name)
+    for _ in range(20):
+        order = np.array(rng.sample(range(g.n), rng.randint(1, g.n)))
+        got = nb._boundary_profile(adj, order)
+        want = [len(gc.boundary(g, order[:j].tolist())) for j in range(1, len(order) + 1)]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+def test_sweep_vec_matches_sequential_loop(name):
+    g = SWEEP_GRAPHS[name]
+    adj = gc._adjacency(g)
+    deg = np.array(g.deg, dtype=np.int64)
+    total = 2 * g.m
+    rng = random.Random(name)
+    hits = 0
+    for p_vec in _random_distributions(g, rng, 15):
+        for phi in (1 / 12, 1 / 30, 1 / 200):
+            # the default cap, and a cap below the full sorted volume
+            for max_vol in ((5 / 6) * total, rng.uniform(1, total / 2)):
+                want = _sweep_reference(g, p_vec, deg, phi, total, max_vol)
+                got = nb._sweep_vec(adj, p_vec, deg, phi, total, max_vol)
+                if got is not None:
+                    got = (got[0].tolist(),) + got[1:]
+                assert got == want
+                hits += want is not None
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
