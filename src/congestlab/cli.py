@@ -171,7 +171,7 @@ def _run_decompose(cfg: dict, seed: int) -> dict:
 
 def _run_nibble(cfg: dict, seed: int) -> dict:
     g = _build_graph(cfg, seed)
-    comp = max(connected_components(g), key=len)
+    comp = max(connected_components(g), key=len, default=[])
     res = distributed_nibble(g, comp, cfg["phi"], seed=seed)
     run = {
         "seed": seed,

@@ -17,10 +17,12 @@ Cost controls, all output-neutral:
     identically at every later level (smaller eps keeps strictly more), so
     a truncation-free failure is cached and skipped at b+1, b+2, ...
 Candidate prefixes are screened with floats and certified with exact
-rationals before anything is returned. A sweep is array work: the search
-builds its graph's CSR adjacency once, every prefix boundary comes from it
-in one pass, and only the screened ladder prefixes reach the exact test,
-in ladder order, so the winner is the one the sequential scan would pick.
+rationals before anything is returned. A sweep is array work: every sweep
+of a search reads one CSR adjacency built at its start (the walk operator
+is built apart from it, through `lazy_walk_operator`, at every level),
+every prefix boundary comes from it in one pass, and only the screened
+ladder prefixes reach the exact test, in ladder order, so the winner is
+the one the sequential scan would pick.
 """
 
 import math

@@ -11,6 +11,11 @@ vertex receives a message. Late messages that only reach halted vertices
 occupy their channels but do not extend the round count. Under this
 convention a token flooded from one endpoint of a five-vertex path costs
 4 rounds and the same program on a 4-clique costs 1.
+
+Tree primitives are closed forms: `bfs_build` charges depth + 1, and
+`pipelined_convergecast` and `broadcast` charge depth + k - 1. No
+production path runs the engine; the tests audit each closed form
+against an engine replay or an explicit per-item schedule.
 """
 
 import random
@@ -239,57 +244,40 @@ class BfsTree:
         return out
 
 
-class _BfsWave(VertexProgram):
-    def __init__(self, root: int, members: frozenset):
-        self.root = root
-        self.members = members
-
-    def init(self, ctx: Ctx) -> None:
-        if ctx.v not in self.members:
-            ctx.halt()
-            return
-        ctx.state = {"level": None, "parent": None}
-        if ctx.v == self.root:
-            ctx.state["level"] = 0
-            for u in ctx.neighbors:
-                if u in self.members:
-                    ctx.send(u, "wave", 0)
-            ctx.halt()
-
-    def on_round(self, ctx: Ctx, inbox: List[Message]) -> None:
-        senders = {m.src for m in inbox if m.kind == "wave"}
-        level = min(m.payload[0] for m in inbox) + 1
-        ctx.state["level"] = level
-        ctx.state["parent"] = min(senders)
-        for u in ctx.neighbors:
-            if u in self.members and u not in senders:
-                ctx.send(u, "wave", level)
-        ctx.halt()
-
-
 def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[BfsTree, int]:
-    """Grow a BFS tree over one connected component via the engine.
+    """Grow a BFS tree over the members of one connected component.
 
-    Returns the tree and the rounds charged, which is the tree depth plus
-    a constant for the kickoff. A member the wave never reaches keeps
-    running with no traffic left, so the engine stalls, and that is
-    reported as a CongestError: the component is not connected.
+    Returns the tree and its closed-form charge, depth + 1: the wave from
+    the root crosses one level per round, plus a round for the kickoff.
+    Each vertex's parent is its smallest-id member neighbour one level up,
+    the sender a vertex adopts when the wave reaches it from several at
+    once. Non-members neither join nor relay, so a member that the members
+    alone cannot reach raises a CongestError: the component is not
+    connected. The tests replay the wave through `run` as the oracle of
+    this tree and this charge.
     """
     members = frozenset(component)
-    if root not in members:
+    if root not in members or not 0 <= root < g.n:
         raise CongestError(f"root {root} is not in the component")
-    try:
-        states, transcript = run(g, _BfsWave(root, members), seed=0, phase="bfs")
-    except StallError as exc:
-        raise CongestError(f"component is not connected: {exc}") from None
-    parent: Dict[int, Optional[int]] = {}
-    level: Dict[int, int] = {}
-    for v in members:
-        st = states[v]
-        parent[v] = st["parent"]
-        level[v] = st["level"]
+    parent: Dict[int, Optional[int]] = {root: None}
+    level = {root: 0}
+    frontier = [root]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if v in members and v not in parent:
+                    parent[v] = u
+                    level[v] = level[u] + 1
+                    reached.append(v)
+        frontier = sorted(reached)
+    if len(parent) < len(members):
+        missed = sorted(members - parent.keys())
+        raise CongestError(
+            f"component is not connected: root {root} does not reach {missed[:8]}"
+        )
     depth = max(level.values())
-    return BfsTree(root, parent, level, depth), transcript.rounds + 1
+    return BfsTree(root, parent, level, depth), depth + 1
 
 
 def pipelined_convergecast(depth: int, items_per_vertex: int) -> int:
@@ -302,7 +290,7 @@ def pipelined_convergecast(depth: int, items_per_vertex: int) -> int:
     """
     k = items_per_vertex
     if k < 0:
-        raise CongestError("items_per_vertex must be nonnegative")
+        raise CongestError("item count must be nonnegative")
     if k == 0 or depth == 0:
         return 0
     return depth + k - 1
@@ -313,9 +301,4 @@ def broadcast(depth: int, items: int) -> int:
 
     Mirror schedule of the convergecast: depth + k - 1.
     """
-    k = items
-    if k < 0:
-        raise CongestError("items must be nonnegative")
-    if k == 0 or depth == 0:
-        return 0
-    return depth + k - 1
+    return pipelined_convergecast(depth, items)

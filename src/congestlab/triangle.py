@@ -434,7 +434,8 @@ def _list_by_class_tuples(
 
     ids, id_rounds = assign_degree_class_ids(g, members)
     parts = {
-        v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q) for v in incident
+        v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q)
+        for v in set(incident).union(*occurrences)
     }
     alloc = _allocate_tuples(ids, g, q, s)
 

@@ -284,6 +284,18 @@ def test_graph_file_input(tmp_path, capsys):
     assert code == 0 and out == "triangles=1"
 
 
+def test_nibble_on_graph_file_without_vertices(tmp_path, capsys):
+    gf = tmp_path / "g.txt"
+    gf.write_text("# no edges\n# at all\n")
+    rpt = tmp_path / "r.json"
+    argv = ["--mode", "nibble", "--graph", str(gf), "--seed", "1", "--phi", "0.02"]
+    code, out, _ = _run(capsys, argv + ["--out", str(rpt)])
+    assert code == 0 and out == "cut=none status=failed"
+    (run,) = json.loads(rpt.read_text())["runs"]
+    assert run["n"] == 0 and run["component_size"] == 0
+    assert run["status"] == "failed" and run["ok"]
+
+
 def test_batch_csv_and_determinism(tmp_path, capsys):
     csv_path = tmp_path / "scale.csv"
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -310,6 +310,114 @@ def test_bfs_singleton_component():
     assert tree.depth == 0 and charged == 1
 
 
+class BfsWave(rt.VertexProgram):
+    """The BFS wave as a vertex program, the oracle for `rt.bfs_build`.
+
+    The root floods its member neighbours in init. A member takes its level
+    from the first round it hears the wave, adopts the smallest-id sender
+    as its parent, relays to its other member neighbours and halts.
+    Non-members halt at once and never relay.
+    """
+
+    def __init__(self, root, members):
+        self.root = root
+        self.members = members
+
+    def init(self, ctx):
+        if ctx.v not in self.members:
+            ctx.halt()
+            return
+        ctx.state = {"level": None, "parent": None}
+        if ctx.v == self.root:
+            ctx.state["level"] = 0
+            for u in ctx.neighbors:
+                if u in self.members:
+                    ctx.send(u, "wave", 0)
+            ctx.halt()
+
+    def on_round(self, ctx, inbox):
+        senders = {m.src for m in inbox}
+        level = min(m.payload[0] for m in inbox) + 1
+        ctx.state["level"] = level
+        ctx.state["parent"] = min(senders)
+        for u in ctx.neighbors:
+            if u in self.members and u not in senders:
+                ctx.send(u, "wave", level)
+        ctx.halt()
+
+
+def replay_bfs(g, component, root):
+    """Levels, parents and engine rounds of the BFS wave run through `rt.run`."""
+    members = frozenset(component)
+    states, tr = rt.run(g, BfsWave(root, members), seed=0, phase="bfs")
+    level = {v: states[v]["level"] for v in members}
+    parent = {v: states[v]["parent"] for v in members}
+    return level, parent, tr.rounds
+
+
+def _bfs_oracle_cases():
+    cases = []
+    for n in (1, 2, 5, 9):
+        cases.append(pytest.param(gc.gen_path(n), range(n), n - 1, id=f"path{n}"))
+    for n in (3, 8, 11):
+        cases.append(pytest.param(gc.gen_cycle(n), range(n), n // 2, id=f"cycle{n}"))
+    for n in (2, 7):
+        cases.append(pytest.param(gc.gen_star(n), range(n), 0, id=f"star{n}"))
+        cases.append(pytest.param(gc.gen_star(n), range(n), n - 1, id=f"star{n}-leaf"))
+    for n in (2, 4, 9):
+        cases.append(pytest.param(gc.gen_clique(n), range(n), n - 1, id=f"clique{n}"))
+    for d in (1, 3, 5):
+        cases.append(pytest.param(gc.gen_hypercube(d), range(2**d), 2**d - 1, id=f"cube{d}"))
+    for spec, seed in (
+        ("er:n=40,p=0.08", 1), ("er:n=60,p=0.05", 2), ("er:n=120,p=0.3", 4),
+        ("barbell:k=12,bridges=2", 0), ("caterpillar:blobs=5,blob_size=8", 0),
+    ):
+        g = gc.generate(spec, seed=seed)
+        comp = max(gc.connected_components(g), key=len)
+        cases.append(pytest.param(g, comp, comp[len(comp) // 2], id=spec))
+    cases.append(pytest.param(gc.Graph(3, [(1, 2)]), [0], 0, id="singleton"))
+    # members restricted to the path 0..5 of C8: the wave may not use 6, 7
+    cases.append(pytest.param(gc.gen_cycle(8), range(6), 0, id="c8-path"))
+    # the member set of the expander triad-path golden, inside all of g
+    er64 = gc.generate("er:n=64,p=0.3", seed=3)
+    cases.append(pytest.param(er64, range(48), 0, id="er64-48"))
+    return cases
+
+
+@pytest.mark.parametrize("g,component,root", _bfs_oracle_cases())
+def test_bfs_build_matches_engine_replay(g, component, root):
+    level, parent, rounds = replay_bfs(g, component, root)
+    tree, charged = rt.bfs_build(g, component, root)
+    assert tree.root == root
+    assert tree.level == level
+    assert tree.parent == parent
+    assert tree.depth == max(level.values())
+    assert charged == rounds + 1 == tree.depth + 1
+    bfs_invariants(g, tree)
+
+
+def test_bfs_build_keeps_to_the_members():
+    tree, charged = rt.bfs_build(gc.gen_cycle(8), range(6), 0)
+    assert [tree.level[v] for v in range(6)] == [0, 1, 2, 3, 4, 5]
+    assert tree.depth == 5 and charged == 6
+
+
+def test_bfs_build_unreachable_member_matches_engine_stall():
+    # vertex 2 hangs off the non-member 1: the replay stalls, the closed
+    # form refuses the component
+    g = gc.Graph(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(rt.StallError):
+        replay_bfs(g, [0, 2], 0)
+    with pytest.raises(rt.CongestError, match="not connected"):
+        rt.bfs_build(g, [0, 2], 0)
+
+
+@pytest.mark.parametrize("root", [-1, 5])
+def test_bfs_build_root_outside_graph(root):
+    with pytest.raises(rt.CongestError, match="not in the component"):
+        rt.bfs_build(gc.gen_path(3), [0, 1, 2, root], root)
+
+
 # ---------------------------------------------------------------------------
 # pipelined tree traffic
 # ---------------------------------------------------------------------------
@@ -389,3 +497,10 @@ def test_pipeline_degenerate():
     p = gc.gen_path(3)
     t, _ = rt.bfs_build(p, range(3), 0)
     assert rt.pipelined_convergecast(t.depth, 0) == 0
+
+
+def test_pipeline_rejects_negative_item_counts():
+    with pytest.raises(rt.CongestError, match="nonnegative"):
+        rt.pipelined_convergecast(3, -1)
+    with pytest.raises(rt.CongestError, match="nonnegative"):
+        rt.broadcast(3, -1)

@@ -557,6 +557,26 @@ def test_subgraphs_partition_path_exact():
     assert "subgraph:deliver" in t.phases
 
 
+@pytest.mark.parametrize("induced", [False, True])
+def test_subgraphs_occurrence_with_isolated_vertex(induced):
+    # vertex 6 has no edges, yet with one pattern edge over three slots it
+    # sits in occurrences; the class-tuple path must give it a part too
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2)])
+    central = {
+        vs
+        for vs in combinations(range(g.n), 3)
+        if (sum(g.has_edge(a, b) for a, b in combinations(vs, 2)) == 1
+            if induced else any(g.has_edge(a, b) for a, b in combinations(vs, 2)))
+    }
+    assert any(6 in vs for vs in central)
+    for heavy_scale in (1, 1e9):
+        res, t = enumerate_subgraphs(
+            g, 3, pattern=[(0, 1)], induced=induced, heavy_scale=heavy_scale
+        )
+        assert res.occurrences == central
+    assert "subgraph:deliver" in t.phases
+
+
 def test_subgraphs_rejects_bad_size_and_pattern():
     g = gen_clique(5)
     with pytest.raises(GraphError):
