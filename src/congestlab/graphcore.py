@@ -9,16 +9,17 @@ walk distributions are float64 with a documented 1e-12 comparison slack.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 Edge = Tuple[int, int]
 
@@ -42,32 +43,38 @@ def ln_me4(m: float) -> float:
     return math.log(m) + 4.0
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+MAX_VERTICES = 1 << 20  # larger vertex counts are refused before any allocation
 
-    __slots__ = ("n", "m", "adj", "deg", "_nbr_sets")
+
+class Graph:
+    """Immutable simple undirected graph on vertices 0..n-1.
+
+    Its canonical CSR arrays (`indptr`, `indices`, each row sorted) are
+    built once, here; `adj`, `deg` and the neighbor sets are read off them.
+    """
+
+    __slots__ = ("n", "m", "adj", "deg", "_nbr_sets", "indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        adj: List[List[int]] = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            k = edge_key(u, v)
-            if k in seen:
-                raise GraphError(f"duplicate edge {k}")
-            seen.add(k)
-            adj[u].append(v)
-            adj[v].append(u)
+        if n > MAX_VERTICES:
+            raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        lo, hi = _edge_ends(edges, n)
+        arcs = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        idx = np.int32 if len(arcs) < 2 ** 31 else np.int64
+        # arc u -> v is the key u * n + v, so row u spans keys [u * n, u * n + n)
+        self.indptr = np.searchsorted(arcs, np.arange(n + 1) * n).astype(idx)
+        self.indices = (arcs % n).astype(idx)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.n = n
-        self.m = len(seen)
-        self.adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self.deg: Tuple[int, ...] = tuple(len(a) for a in self.adj)
-        self._nbr_sets: Tuple[frozenset, ...] = tuple(frozenset(a) for a in self.adj)
+        self.m = len(lo)
+        flat, ptr = _id_objects(n)[self.indices].tolist(), self.indptr.tolist()
+        self.adj: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])
+        )
+        self.deg: Tuple[int, ...] = tuple(np.diff(ptr).tolist())
+        self._nbr_sets: Tuple[frozenset, ...] = tuple(map(frozenset, self.adj))
 
     def neighbor_set(self, v: int) -> frozenset:
         return self._nbr_sets[v]
@@ -75,12 +82,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._nbr_sets[u]
 
+    def _edge_array(self) -> np.ndarray:
+        """Canonical edges as a (m, 2) array, u < v, in sorted order."""
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keep = src < self.indices
+        return np.column_stack((src[keep], self.indices[keep]))
+
     def edges(self) -> Iterator[Edge]:
         """Canonical edges, u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        ids = _id_objects(self.n)
+        u, v = self._edge_array().T
+        return zip(ids[u].tolist(), ids[v].tolist())
 
     def edge_list(self) -> List[Edge]:
         return list(self.edges())
@@ -91,6 +103,53 @@ class Graph:
     def lazy_walk_matrix(self) -> np.ndarray:
         """Dense form of `lazy_walk_operator(self)`."""
         return lazy_walk_operator(self).toarray()
+
+
+def _id_objects(n: int) -> np.ndarray:
+    """Object array of the ints 0..n-1: indexing it and calling tolist()
+    hands out one shared int per vertex rather than a new one per entry."""
+    return np.arange(n).astype(object)
+
+
+def _edge_ends(edges: Iterable[Edge], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(smaller, larger) end arrays of edges checked to form a simple graph on n.
+
+    An integer array of in-range, loop-free, distinct edges passes straight
+    through. Anything else is read row by row, with the checks in input
+    order, so the first faulty row names the GraphError.
+    """
+    rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # rows of unequal length
+        arr = np.empty(0)
+    if arr.dtype.kind in "iu" and arr.shape[1:] == (2,) and arr.size:
+        # uint64 ids past int64 wrap to negatives, which fail the range test
+        u, v = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if lo.min() >= 0 and (lo < hi).all() and hi.max() < n:
+            keys = np.sort(lo * n + hi)
+            if (keys[1:] > keys[:-1]).all():
+                return lo, hi
+    seen = set()
+    for row in rows:
+        try:
+            u, v = row
+            u, v = operator.index(u), operator.index(v)
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"edge {row!r} is not a pair of integer vertex ids"
+            ) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        k = edge_key(u, v)
+        if k in seen:
+            raise GraphError(f"duplicate edge {k}")
+        seen.add(k)
+    pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def as_vertex_set(s: Iterable[int]) -> frozenset:
@@ -225,11 +284,10 @@ def sparsest_cut_bruteforce(g: Graph) -> Cut:
 
 
 def _adjacency(g: Graph) -> sparse.csr_matrix:
-    """0/1 adjacency matrix in canonical CSR form, read off g.adj."""
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(g.deg, out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=2 * g.m)
-    return sparse.csr_matrix((np.ones(2 * g.m), indices, indptr), shape=(g.n, g.n))
+    """0/1 adjacency matrix over g's own CSR arrays."""
+    return sparse.csr_matrix(
+        (np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)
+    )
 
 
 def lazy_walk_operator(g: Graph) -> sparse.csr_matrix:
@@ -290,20 +348,8 @@ def is_connected(g: Graph) -> bool:
 
 def bfs_levels(g: Graph, root: int) -> List[int]:
     """BFS level per vertex, -1 if unreachable."""
-    lev = [-1] * g.n
-    lev[root] = 0
-    frontier = [root]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in g.adj[v]:
-                if lev[u] < 0:
-                    lev[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return lev
+    dist = csgraph.dijkstra(_adjacency(g), indices=root, unweighted=True)
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64).tolist()
 
 
 MIXING_STEP_CAP = 5_000_000  # safety valve; Definition-1 scans never get near it
@@ -435,6 +481,25 @@ def verify_orientation(
 # ---------------------------------------------------------------------------
 
 
+def _relabel(pairs: np.ndarray, extra: Iterable[int] = ()) -> Tuple[Graph, np.ndarray]:
+    """The graph on the ids in the (k, 2) array `pairs` and in `extra`, each
+    renamed to its rank among them; returns it with the sorted ids. A pair
+    listed twice, in either orientation, is one edge.
+    """
+    ends = np.concatenate((pairs.ravel(), np.asarray(extra, dtype=np.int64)))
+    ids, pos = np.unique(ends, return_inverse=True)
+    pos = np.sort(pos[: pairs.size].reshape(-1, 2))
+    # return_index keeps np.unique on its sorting path, the fast one here
+    keys = np.unique(pos[:, 0] * len(ids) + pos[:, 1], return_index=True)[0]
+    return Graph(len(ids), np.column_stack(np.divmod(keys, len(ids)))), ids
+
+
+def _split_by(labels: np.ndarray, count: int, items: np.ndarray) -> List[np.ndarray]:
+    """items grouped by their labels 0..count-1, each group in input order."""
+    bounds = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+    return np.split(items[np.argsort(labels, kind="stable")], bounds) if count else []
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, List[int]]:
     """Induced subgraph with a monotone relabeling; returns (graph, old ids).
 
@@ -444,42 +509,23 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, List[int
     old = sorted(as_vertex_set(vertices))
     if len(old) == g.n and (not old or (old[0] == 0 and old[-1] == g.n - 1)):
         return g, old
-    idx = {v: i for i, v in enumerate(old)}
-    edges = [
-        (idx[u], idx[v])
-        for u, v in g.edges()
-        if u in idx and v in idx
-    ]
-    return Graph(len(old), edges), old
+    pairs = g._edge_array()
+    return _relabel(pairs[np.isin(pairs, old).all(axis=1)], old)[0], old
 
 
 def subgraph_from_edges(edges: Iterable[Edge]) -> Tuple[Graph, List[int]]:
     """Graph on exactly the endpoints of `edges` with a monotone relabeling."""
-    es = sorted({edge_key(u, v) for u, v in edges})
-    old = sorted({v for e in es for v in e})
-    idx = {v: i for i, v in enumerate(old)}
-    return Graph(len(old), [(idx[u], idx[v]) for u, v in es]), old
+    sub, ids = _relabel(np.array(list(edges), dtype=np.int64).reshape(-1, 2))
+    return sub, ids.tolist()
 
 
 def connected_components(g: Graph) -> List[List[int]]:
-    """Components as sorted vertex lists, ordered by minimum vertex."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+    """Components as sorted vertex lists, ordered by minimum vertex.
+
+    csgraph numbers the components in order of their smallest vertex.
+    """
+    count, labels = csgraph.connected_components(_adjacency(g), directed=False)
+    return [c.tolist() for c in _split_by(labels, count, np.arange(g.n))]
 
 
 def edge_components(edges: Iterable[Edge]) -> List[Tuple[Graph, List[int]]]:
@@ -487,27 +533,17 @@ def edge_components(edges: Iterable[Edge]) -> List[Tuple[Graph, List[int]]]:
 
     Returns (graph, old ids) per component, ordered by smallest vertex, each
     on exactly its component's endpoints with a monotone relabeling. The
-    set's graph is built once and split by connected_components: a
-    connected set comes back as that graph, and more components are
-    relabeled in one pass over its edges. An empty set has no components.
+    set's graph is built once and labeled by csgraph: a connected set comes
+    back as that graph, and each of several components is relabeled from
+    the set's edges. An empty set has no components.
     """
     whole, old = subgraph_from_edges(edges)
-    comps = connected_components(whole)
-    if len(comps) == 1:
+    count, labels = csgraph.connected_components(_adjacency(whole), directed=False)
+    if count == 1:
         return [(whole, old)]
-    which = [0] * whole.n
-    pos = [0] * whole.n
-    for c, verts in enumerate(comps):
-        for i, v in enumerate(verts):
-            which[v] = c
-            pos[v] = i
-    parts: List[List[Edge]] = [[] for _ in comps]
-    for u, v in whole.edges():
-        parts[which[u]].append((pos[u], pos[v]))
-    return [
-        (Graph(len(verts), part), [old[v] for v in verts])
-        for verts, part in zip(comps, parts)
-    ]
+    pairs = whole._edge_array()
+    parts = [_relabel(part) for part in _split_by(labels[pairs[:, 0]], count, pairs)]
+    return [(sub, np.asarray(old)[ids].tolist()) for sub, ids in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ Cost controls, all output-neutral:
     identically at every later level (smaller eps keeps strictly more), so
     a truncation-free failure is cached and skipped at b+1, b+2, ...
 Candidate prefixes are screened with floats and certified with exact
-rationals before anything is returned. A sweep is array work: every sweep
-of a search reads one CSR adjacency built at its start (the walk operator
-is built apart from it, through `lazy_walk_operator`, at every level),
-every prefix boundary comes from it in one pass, and only the screened
-ladder prefixes reach the exact test, in ladder order, so the winner is
-the one the sequential scan would pick.
+rationals before anything is returned. A search builds its walk operator
+once, through `lazy_walk_operator`, and every level walks with it. A
+sweep is array work: it reads the graph's own CSR arrays, every prefix
+boundary comes from it in one pass, and only the screened ladder prefixes
+reach the exact test, in ladder order, so the winner is the one the
+sequential scan would pick.
 """
 
 import math
@@ -38,7 +38,6 @@ from .graphcore import (
     Cut,
     Graph,
     GraphError,
-    _adjacency,
     conductance,
     connected_components,
     induced_subgraph,
@@ -139,29 +138,29 @@ def _sweep_order(p_vec: np.ndarray, deg: np.ndarray) -> np.ndarray:
     return support[np.lexsort((support, -rho))]
 
 
-def _boundary_profile(adj: sparse.csr_matrix, order: np.ndarray) -> np.ndarray:
+def _boundary_profile(g: Graph, order: np.ndarray) -> np.ndarray:
     """boundary[j - 1] = edges leaving the first j vertices of the order.
 
-    adj is the graph's CSR adjacency. An edge lies inside prefix j exactly
-    when both endpoints rank below j, so counting each inside edge at its
-    later endpoint's rank gives boundary(j) = vol(j) - 2 * inside(j).
+    Reads g's CSR arrays. An edge lies inside prefix j exactly when both
+    endpoints rank below j, so counting each inside edge at its later
+    endpoint's rank gives boundary(j) = vol(j) - 2 * inside(j).
     """
     k = len(order)
-    rank = np.full(adj.shape[0], k, dtype=np.int64)
+    rank = np.full(g.n, k, dtype=np.int64)
     rank[order] = np.arange(k)
-    starts = adj.indptr[order]
-    degs = adj.indptr[order + 1] - starts
+    starts = g.indptr[order]
+    degs = g.indptr[order + 1] - starts
     total = int(degs.sum())
-    # positions of every neighbour of order[0], order[1], ... in adj.indices
+    # positions of every neighbour of order[0], order[1], ... in g.indices
     offsets = np.repeat(starts - np.cumsum(degs) + degs, degs) + np.arange(total)
     own = np.repeat(np.arange(k), degs)
-    later = own[rank[adj.indices[offsets]] < own]
+    later = own[rank[g.indices[offsets]] < own]
     inside = np.cumsum(np.bincount(later, minlength=k))
     return np.cumsum(degs) - 2 * inside
 
 
 def _sweep_vec(
-    adj: sparse.csr_matrix,
+    g: Graph,
     p_vec: np.ndarray,
     deg: np.ndarray,
     phi: float,
@@ -191,7 +190,7 @@ def _sweep_vec(
     xs, js = xs[js > 0], js[js > 0]
     vol_j = vols[js - 1]
     small = np.minimum(vol_j, total_vol - vol_j)
-    bnd = _boundary_profile(adj, order[:j_max])[js - 1]
+    bnd = _boundary_profile(g, order[:j_max])[js - 1]
     screened = np.flatnonzero((small > 0) & (bnd <= (12.0 * phi + FLOAT_SLACK) * small))
     phi_cap = Fraction(12) * Fraction(phi)
     for c in screened:
@@ -221,7 +220,7 @@ def sweep_cut(
             raise GraphError(f"distribution vertex {v} out of range")
         p_vec[v] = mass
     deg = np.array(g.deg, dtype=np.int64)
-    hit = _sweep_vec(_adjacency(g), p_vec, deg, phi, total_vol, max_vol)
+    hit = _sweep_vec(g, p_vec, deg, phi, total_vol, max_vol)
     if hit is None:
         return None
     order, j, x, vol_j, bnd, phi_exact = hit
@@ -276,6 +275,7 @@ class NibbleResult:
 
 def _run_walk_level(
     sub: Graph,
+    t_mat: sparse.csr_matrix,
     sources: List[int],
     params: WalkParams,
     weights: Optional[List[int]] = None,
@@ -283,7 +283,8 @@ def _run_walk_level(
 ):
     """Advance all source walks at one level until a win or retirement.
 
-    Sources must be distinct; weights carry sampling multiplicities for the
+    t_mat is `lazy_walk_operator(sub)`, built once per search. Sources
+    must be distinct; weights carry sampling multiplicities for the
     congestion count (duplicate walks are identical, so they are advanced
     once and weighted). Returns (winner, trunc_free, max_cong, steps_run);
     winner is (t, column index, sweep hit) or None.
@@ -294,7 +295,6 @@ def _run_walk_level(
     k = len(sources)
     deg = np.array(sub.deg, dtype=np.int64)
     thresh = 2.0 * params.eps * deg
-    t_mat = lazy_walk_operator(sub)
     w = np.ones(k) if weights is None else np.array(weights, dtype=float)
 
     p = np.zeros((n, k))
@@ -405,7 +405,7 @@ def distributed_nibble(
     total_vol = 2 * m
     max_vol = (5.0 / 6.0) * total_vol
     deg = np.array(sub.deg, dtype=np.int64)
-    adj = _adjacency(sub)
+    t_mat = lazy_walk_operator(sub)
     failed_cache: set = set()
 
     for b in range(1, b_top + 1):
@@ -430,10 +430,10 @@ def distributed_nibble(
             continue
 
         def on_sweep(t, i, col):
-            return _sweep_vec(adj, col, deg, phi, total_vol, max_vol)
+            return _sweep_vec(sub, col, deg, phi, total_vol, max_vol)
 
         winner, trunc_free, max_cong, steps = _run_walk_level(
-            sub, fresh, params, weights, sweep_cb=on_sweep
+            sub, t_mat, fresh, params, weights, sweep_cb=on_sweep
         )
         transcript.charge("nibble:walk", max_cong * steps)
 

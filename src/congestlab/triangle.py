@@ -411,6 +411,8 @@ def _list_by_class_tuples(
         incident.setdefault(e[1], []).append(e)
 
     kappa_base = kappa if kappa is not None else kappa_default(n)
+    if kappa_base < 1:
+        raise GraphError("kappa must be at least 1")
     q = _iceil_root(n, s)
     envelope = LOAD_ENVELOPE * s * s * q ** (s - 2)
     inner = sum(1 for u, v in universe if u in mset and v in mset)

@@ -277,6 +277,29 @@ def test_bad_thread_cap_exits_1(capsys, monkeypatch):
     assert "'two'" in err
 
 
+@pytest.mark.parametrize("mode_args", [[], ["--mode-args", "s=4"]])
+@pytest.mark.parametrize("kappa", ["0", "-2"])
+def test_kappa_below_one_exits_1(capsys, mode_args, kappa):
+    mode = "subgraphs" if mode_args else "triangles"
+    argv = ["--mode", mode, "--gen", "barbell:k=16", "--seed", "1", "--kappa", kappa]
+    code, out, err = _run(capsys, argv + mode_args)
+    assert code == 1
+    assert out == ""
+    assert err == "error: kappa must be at least 1"
+
+
+def test_edge_list_vertex_count_limit_exits_1(tmp_path, capsys):
+    from congestlab.graphcore import MAX_VERTICES
+
+    gf = tmp_path / "g.txt"
+    gf.write_text(f"0 1\n0 {MAX_VERTICES}\n")
+    code, out, err = _run(capsys, ["--mode", "count", "--graph", str(gf), "--seed", "1"])
+    assert code == 1
+    assert out == ""
+    limit = f"vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"
+    assert err == f"error: {limit}"
+
+
 def test_graph_file_input(tmp_path, capsys):
     gf = tmp_path / "g.txt"
     gf.write_text("0 1\n1 2\n0 2\n2 3\n")

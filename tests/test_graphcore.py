@@ -35,6 +35,77 @@ def test_graph_rejects_out_of_range():
         gc.Graph(2, [(0, 2)])
 
 
+def test_graph_accepts_every_edge_container():
+    g = gc.gen_er(30, 0.2, seed=3)
+    es = g.edge_list()
+    swapped = [(v, u) for u, v in es]
+    for edges in (
+        es,
+        tuple(es),
+        iter(es),
+        (e for e in swapped),
+        set(es),
+        dict.fromkeys(swapped).keys(),
+        [(np.int64(u), np.int32(v)) for u, v in es],
+        np.array(swapped, dtype=np.uint16),
+    ):
+        h = gc.Graph(g.n, edges)
+        assert (h.m, h.adj, h.deg, h.edge_list()) == (g.m, g.adj, g.deg, es)
+    assert gc.Graph(2, []).edge_list() == [] and gc.Graph(0, ()).n == 0
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [0, 1, 1, 2],
+        [(0, 1, 2), (0, 1, 2)],
+        [(0, 1), (2,)],
+        [(0, 1.0)],
+        [(0.0, 1.0)],
+        [("0", "1")],
+        [(0, 1), None],
+        [(0, 1), "12"],
+        np.array([[0.0, 1.0]]),
+    ],
+)
+def test_graph_rejects_non_integer_pairs(edges):
+    with pytest.raises(gc.GraphError, match="is not a pair of integer vertex ids"):
+        gc.Graph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (3, 1)], "edge (3, 1) out of range for n=3"),
+        ([(0, -1)], "edge (0, -1) out of range for n=3"),
+        ([(0, 2 ** 70)], f"edge (0, {2 ** 70}) out of range for n=3"),
+        (np.array([[0, 2 ** 63]], np.uint64), f"edge (0, {2 ** 63}) out of range for n=3"),
+        (np.array([[2 ** 64 - 1, 1]], np.uint64), f"edge ({2 ** 64 - 1}, 1) out of range for n=3"),
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(2, 1), (0, 1), (1, 2)], "duplicate edge (1, 2)"),
+        ([(np.int64(1), np.int64(0)), (0, 1)], "duplicate edge (0, 1)"),
+        # the first faulty edge decides, whatever comes after it
+        ([(0, 1), (1, 1), (0, 5), (1, 0)], "self-loop at vertex 1"),
+        ([(0, 1), (1, 0), (1, 1), (0, 5)], "duplicate edge (0, 1)"),
+        ([(0, 1), (0, 5), (1, 0), (1, 1)], "edge (0, 5) out of range for n=3"),
+        ([(5, 5), (0, 1)], "edge (5, 5) out of range for n=3"),
+        ([(1, 1), (0.5, 1)], "self-loop at vertex 1"),
+        ([(0, 1), (1, 0), ("x", 1)], "duplicate edge (0, 1)"),
+    ],
+)
+def test_graph_names_the_first_faulty_edge(edges, message):
+    with pytest.raises(gc.GraphError) as err:
+        gc.Graph(3, edges)
+    assert str(err.value) == message
+
+
+def test_graph_vertex_count_limit():
+    with pytest.raises(gc.GraphError, match="exceeds the limit"):
+        gc.Graph(gc.MAX_VERTICES + 1, [])
+    with pytest.raises(gc.GraphError, match="exceeds the limit"):
+        gc.parse_edge_list(f"0 {gc.MAX_VERTICES}\n")
+
+
 def test_adjacency_sorted_and_symmetric():
     g = gc.gen_er(40, 0.2, seed=7)
     for v in range(g.n):
@@ -547,3 +618,128 @@ def test_subgraph_from_edges():
     sub, old = gc.subgraph_from_edges([(4, 2), (2, 7)])
     assert old == [2, 4, 7]
     assert sub.edge_list() == [(0, 1), (0, 2)]
+
+
+# ---------------------------------------------------------------------------
+# csgraph traversals and the shared relabel step against plain-Python oracles
+# ---------------------------------------------------------------------------
+
+
+def _oracle_adj(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
+
+
+def _oracle_components(n, edges):
+    """Depth-first search; components as sorted lists by smallest vertex."""
+    adj = _oracle_adj(n, edges)
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _oracle_levels(n, edges, root):
+    """Frontier BFS: level per vertex, -1 if unreachable."""
+    adj = _oracle_adj(n, edges)
+    lev = [-1] * n
+    lev[root] = 0
+    frontier = [root]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for u in adj[v]:
+                if lev[u] < 0:
+                    lev[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    return lev
+
+
+def _oracle_relabel(old, edges):
+    """(n, sorted canonical edges, old ids) of the edges among `old`."""
+    idx = {v: i for i, v in enumerate(old)}
+    es = sorted(
+        gc.edge_key(idx[u], idx[v]) for u, v in edges if u in idx and v in idx
+    )
+    return len(old), es, list(old)
+
+
+def _oracle_from_edges(edges):
+    es = {gc.edge_key(u, v) for u, v in edges}
+    return _oracle_relabel(sorted({v for e in es for v in e}), es)
+
+
+def _shape(graph, old):
+    return graph.n, graph.edge_list(), old
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs: empty, single-vertex, isolated vertices, disconnected."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # a canonical pair may arrive in either orientation
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+
+
+@given(graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_structure_queries_match_oracles(case, data):
+    n, edges = case
+    g = gc.Graph(n, edges)
+    canonical = sorted(gc.edge_key(u, v) for u, v in edges)
+    assert g.edge_list() == canonical
+    assert [list(a) for a in g.adj] == _oracle_adj(n, edges)
+    assert g.deg == tuple(len(a) for a in _oracle_adj(n, edges))
+    dense = np.zeros((n, n))
+    for u, v in edges:
+        dense[u, v] = dense[v, u] = 1.0
+    adj = gc._adjacency(g)
+    assert np.array_equal(adj.toarray(), dense) and _is_canonical_csr(adj)
+
+    comps = _oracle_components(n, edges)
+    assert gc.connected_components(g) == comps
+    assert gc.is_connected(g) == (len(comps) <= 1)
+    for root in range(n):
+        assert gc.bfs_levels(g, root) == _oracle_levels(n, edges, root)
+
+    keep = data.draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0))))
+    keep = {v for v in keep if v < n}
+    assert _shape(*gc.induced_subgraph(g, keep)) == _oracle_relabel(sorted(keep), edges)
+    assert _shape(*gc.subgraph_from_edges(edges)) == _oracle_from_edges(edges)
+    # an edge listed again, in the other orientation, is still one edge
+    twice = edges + [(v, u) for u, v in edges]
+    assert _shape(*gc.subgraph_from_edges(twice)) == _oracle_from_edges(edges)
+    # edge components: one per component with an edge, by smallest vertex
+    expect = [
+        _oracle_from_edges([e for e in edges if e[0] in comp])
+        for comp in comps
+        if len(comp) > 1
+    ]
+    assert [_shape(*c) for c in gc.edge_components(edges)] == expect
+    # shifted ids: the relabel is monotone, whatever the original ids
+    shifted = [(3 * u + 7, 3 * v + 7) for u, v in edges]
+    assert [_shape(*c)[:2] for c in gc.edge_components(shifted)] == [
+        c[:2] for c in expect
+    ]

@@ -88,7 +88,9 @@ def _walks(g, sources, params):
     def record(t, i, col):
         seen[i][t] = col.copy()
 
-    _, trunc_free, _, _ = nb._run_walk_level(g, sources, params, sweep_cb=record)
+    _, trunc_free, _, _ = nb._run_walk_level(
+        g, gc.lazy_walk_operator(g), sources, params, sweep_cb=record
+    )
     return seen, trunc_free
 
 
@@ -117,7 +119,7 @@ def test_truncated_walk_dead_start():
     seen, free = _walks(g, [0], params)
     # the dropped start already lost mass, so the walk is not truncation-free
     assert seen == {0: {}} and list(free) == [False]
-    assert nb._run_walk_level(g, [0], params)[2:] == (0, 0)
+    assert nb._run_walk_level(g, gc.lazy_walk_operator(g), [0], params)[2:] == (0, 0)
     # a unit mass exactly at 2 * eps * deg starts, then loses everything
     seen, free = _walks(gc.gen_path(3), [0], small_params(t0=5, eps=0.5))
     assert list(seen[0]) == [1]
@@ -313,11 +315,10 @@ def _random_distributions(g, rng, count):
 @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
 def test_boundary_profile_matches_boundary(name):
     g = SWEEP_GRAPHS[name]
-    adj = gc._adjacency(g)
     rng = random.Random(name)
     for _ in range(20):
         order = np.array(rng.sample(range(g.n), rng.randint(1, g.n)))
-        got = nb._boundary_profile(adj, order)
+        got = nb._boundary_profile(g, order)
         want = [len(gc.boundary(g, order[:j].tolist())) for j in range(1, len(order) + 1)]
         assert got.tolist() == want
 
@@ -325,7 +326,6 @@ def test_boundary_profile_matches_boundary(name):
 @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
 def test_sweep_vec_matches_sequential_loop(name):
     g = SWEEP_GRAPHS[name]
-    adj = gc._adjacency(g)
     deg = np.array(g.deg, dtype=np.int64)
     total = 2 * g.m
     rng = random.Random(name)
@@ -335,7 +335,7 @@ def test_sweep_vec_matches_sequential_loop(name):
             # the default cap, and a cap below the full sorted volume
             for max_vol in ((5 / 6) * total, rng.uniform(1, total / 2)):
                 want = _sweep_reference(g, p_vec, deg, phi, total, max_vol)
-                got = nb._sweep_vec(adj, p_vec, deg, phi, total, max_vol)
+                got = nb._sweep_vec(g, p_vec, deg, phi, total, max_vol)
                 if got is not None:
                     got = (got[0].tolist(),) + got[1:]
                 assert got == want
@@ -415,6 +415,36 @@ def test_nibble_cycle_exhausts_and_fails():
     assert res.status == "failed"
 
 
+def test_nibble_builds_one_walk_operator_per_search(monkeypatch):
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return gc.lazy_walk_operator(g)
+
+    calls = []
+    real = nb._run_walk_level
+
+    def walk(sub, t_mat, *args, **kwargs):
+        calls.append(t_mat)
+        return real(sub, t_mat, *args, **kwargs)
+
+    monkeypatch.setattr(nb, "lazy_walk_operator", counting)
+    monkeypatch.setattr(nb, "_run_walk_level", walk)
+    # the ER search walks three levels and fails; the barbell's cut wins at
+    # the first level
+    er = gc.gen_er(150, 0.05, seed=1)
+    for g, comp, seed, status, levels in (
+        (er, max(gc.connected_components(er), key=len), 1, "failed", 3),
+        (gc.gen_barbell(16, 1), range(32), 4, "cut", 1),
+    ):
+        built.clear()
+        calls.clear()
+        assert nb.distributed_nibble(g, comp, 1 / 50, seed=seed).status == status
+        assert len(built) == 1 and len(calls) == levels
+        assert all(t is calls[0] for t in calls)
+
+
 def test_nibble_finds_barbell_side():
     g = gc.gen_barbell(16, 1)
     res = nb.distributed_nibble(g, range(32), 1 / 50, seed=4)
@@ -456,7 +486,9 @@ def _congestion(g, component, params, sources, weights=None):
     """Peak number of walks alive at one vertex, as the nibble search charges it."""
     sub, old_ids = gc.induced_subgraph(g, sorted(component))
     pos = {v: i for i, v in enumerate(old_ids)}
-    _, _, max_cong, _ = nb._run_walk_level(sub, [pos[s] for s in sources], params, weights)
+    _, _, max_cong, _ = nb._run_walk_level(
+        sub, gc.lazy_walk_operator(sub), [pos[s] for s in sources], params, weights
+    )
     return max_cong
 
 

@@ -286,6 +286,13 @@ def test_expander_rejects_bad_out_edges():
         enumerate_expander(g6, [0, 1, 2], [(0, 3), (0, 4), (0, 5)])
 
 
+@pytest.mark.parametrize("kappa", [0, -2])
+def test_expander_rejects_kappa_below_one(kappa):
+    g = gen_clique(6)
+    with pytest.raises(GraphError, match="kappa must be at least 1"):
+        enumerate_expander(g, range(6), [], kappa=kappa)
+
+
 def test_expander_heavy_collector_is_a_member():
     # A C5 whose members all reach an outside hub 5: the hub has the most
     # incident edges, but the collector routes inside the component, so it
