@@ -15,7 +15,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -111,45 +111,59 @@ def _id_objects(n: int) -> np.ndarray:
     return np.arange(n).astype(object)
 
 
-def _edge_ends(edges: Iterable[Edge], n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(smaller, larger) end arrays of edges checked to form a simple graph on n.
-
-    An integer array of in-range, loop-free, distinct edges passes straight
-    through. Anything else is read row by row, with the checks in input
-    order, so the first faulty row names the GraphError.
-    """
-    rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+def _pair_array(rows) -> Optional[np.ndarray]:
+    """rows as a (k, 2) int64 array, or None unless numpy reads them as one
+    array of integer pairs. uint64 ids past int64 wrap to negatives."""
+    if not len(rows):
+        return np.empty((0, 2), dtype=np.int64)
     try:
         arr = np.asarray(rows)
     except ValueError:  # rows of unequal length
-        arr = np.empty(0)
-    if arr.dtype.kind in "iu" and arr.shape[1:] == (2,) and arr.size:
-        # uint64 ids past int64 wrap to negatives, which fail the range test
-        u, v = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if lo.min() >= 0 and (lo < hi).all() and hi.max() < n:
-            keys = np.sort(lo * n + hi)
-            if (keys[1:] > keys[:-1]).all():
-                return lo, hi
+        return None
+    if arr.dtype.kind not in "biu" or arr.shape[1:] != (2,):
+        return None
+    return arr.astype(np.int64)
+
+
+def _edge_ends(edges: Iterable[Edge], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(smaller, larger) end arrays of edges checked to form a simple graph on n.
+
+    Edges pass only as one integer array of in-range, loop-free, distinct
+    pairs. Otherwise `_first_fault` reads the rows again in input order and
+    raises for the first faulty one.
+    """
+    rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    arr = _pair_array(rows)
+    if arr is not None:
+        lo, hi = arr.min(axis=1), arr.max(axis=1)
+        keys = np.sort(lo * n + hi)
+        if (lo >= 0).all() and (lo < hi).all() and (hi < n).all() and (
+            keys[1:] > keys[:-1]
+        ).all():
+            return lo, hi
+    raise _first_fault(rows, n)
+
+
+def _first_fault(rows, n: int) -> GraphError:
+    """The GraphError for the first row that is not a pair of integer ids
+    in range, with distinct ends, and unlike every row before it."""
     seen = set()
     for row in rows:
         try:
             u, v = row
             u, v = operator.index(u), operator.index(v)
         except (TypeError, ValueError):
-            raise GraphError(
-                f"edge {row!r} is not a pair of integer vertex ids"
-            ) from None
+            return GraphError(f"edge {row!r} is not a pair of integer vertex ids")
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            return GraphError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
+            return GraphError(f"self-loop at vertex {u}")
         k = edge_key(u, v)
         if k in seen:
-            raise GraphError(f"duplicate edge {k}")
+            return GraphError(f"duplicate edge {k}")
         seen.add(k)
-    pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
+    # each row is sound, but their id types do not share one integer dtype
+    return GraphError("edge ids are not all of one integer type")
 
 
 def as_vertex_set(s: Iterable[int]) -> frozenset:
@@ -489,8 +503,8 @@ def _relabel(pairs: np.ndarray, extra: Iterable[int] = ()) -> Tuple[Graph, np.nd
     ends = np.concatenate((pairs.ravel(), np.asarray(extra, dtype=np.int64)))
     ids, pos = np.unique(ends, return_inverse=True)
     pos = np.sort(pos[: pairs.size].reshape(-1, 2))
-    # return_index keeps np.unique on its sorting path, the fast one here
-    keys = np.unique(pos[:, 0] * len(ids) + pos[:, 1], return_index=True)[0]
+    keys = np.sort(pos[:, 0] * len(ids) + pos[:, 1])
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # keys are nonnegative
     return Graph(len(ids), np.column_stack(np.divmod(keys, len(ids)))), ids
 
 
@@ -515,7 +529,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, List[int
 
 def subgraph_from_edges(edges: Iterable[Edge]) -> Tuple[Graph, List[int]]:
     """Graph on exactly the endpoints of `edges` with a monotone relabeling."""
-    sub, ids = _relabel(np.array(list(edges), dtype=np.int64).reshape(-1, 2))
+    pairs = _pair_array(list(edges))
+    if pairs is None:
+        raise GraphError("edges must be pairs of integer vertex ids")
+    sub, ids = _relabel(pairs)
     return sub, ids.tolist()
 
 

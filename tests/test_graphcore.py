@@ -68,9 +68,12 @@ def test_graph_accepts_every_edge_container():
         np.array([[0.0, 1.0]]),
     ],
 )
-def test_graph_rejects_non_integer_pairs(edges):
-    with pytest.raises(gc.GraphError, match="is not a pair of integer vertex ids"):
-        gc.Graph(3, edges)
+@pytest.mark.parametrize(
+    "build", [lambda es: gc.Graph(3, es), gc.subgraph_from_edges], ids=["graph", "sub"]
+)
+def test_graph_rejects_non_integer_pairs(edges, build):
+    with pytest.raises(gc.GraphError, match="pairs? of integer vertex ids"):
+        build(edges)
 
 
 @pytest.mark.parametrize(
@@ -91,6 +94,8 @@ def test_graph_rejects_non_integer_pairs(edges):
         ([(5, 5), (0, 1)], "edge (5, 5) out of range for n=3"),
         ([(1, 1), (0.5, 1)], "self-loop at vertex 1"),
         ([(0, 1), (1, 0), ("x", 1)], "duplicate edge (0, 1)"),
+        # numpy reads uint64 beside int64 as float64: no integer array
+        ([(np.uint64(0), np.int64(1))], "edge ids are not all of one integer type"),
     ],
 )
 def test_graph_names_the_first_faulty_edge(edges, message):
