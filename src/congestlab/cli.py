@@ -15,6 +15,8 @@ from concurrent import futures
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional
 
+import numpy as np
+
 from .decomposition import (
     _report_field,
     decompose,
@@ -201,9 +203,8 @@ def _run_triangles(cfg: dict, seed: int) -> dict:
         "ok": True,
     }
     if cfg["mode"] == "triangles":
-        doc = res.as_json()
-        run["triangles"] = doc["triangles"]
-        run["attribution"] = doc["attribution"]
+        run["triangles"] = res.rows()
+        run["attribution"] = {str(v): c for v, c in res.reporter_counts().items()}
     return run
 
 
@@ -403,10 +404,17 @@ def _json_key(key) -> str:
 
 def _int_formatter(items, depth: int) -> Optional[Callable[[list], Iterable[str]]]:
     """A chunk formatter when items, a nonempty list, holds only exact ints
-    or only flat rows of exact ints of one length; rows open at `depth`.
+    or only flat rows of exact ints of one length, or is a nonempty 2-D
+    integer array; rows open at `depth`.
 
-    Bools are not exact ints, so they never take this path.
+    Bools are not exact ints, so they never take this path. An array
+    chunk is formatted with one % over all its values.
     """
+    if isinstance(items, np.ndarray):
+        row, sep = _row_format(items.shape[1], depth), ",\n" + "  " * depth
+        return lambda chunk: [
+            sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+        ]
     kinds = set(map(type, items))
     if kinds == {int}:
         return lambda chunk: map("%d".__mod__, chunk)
@@ -417,18 +425,28 @@ def _int_formatter(items, depth: int) -> Optional[Callable[[list], Iterable[str]
         return None
     if set(map(type, chain.from_iterable(items))) != {int}:
         return None
-    inner = "\n" + "  " * (depth + 1)
-    row = "[" + inner + ("," + inner).join(["%d"] * widths.pop())
-    row += "\n" + "  " * depth + "]"
+    row = _row_format(widths.pop(), depth)
     return lambda chunk: map(row.__mod__, map(tuple, chunk))
 
 
-def _write_json(obj, fh, depth: int = 0) -> None:
-    """Write obj to fh exactly as json.dumps(obj, indent=2, sort_keys=True).
+def _row_format(width: int, depth: int) -> str:
+    """The %-format of one int row of `width` items that opens at `depth`."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(["%d"] * width) + "\n" + "  " * depth + "]"
 
-    The text goes out piece by piece, never as one string: an int list or a
-    list of int rows (triangles, edges) is formatted _CHUNK items per write.
+
+def _write_json(obj, fh, depth: int = 0) -> None:
+    """Write obj to fh exactly as json.dumps(obj, indent=2, sort_keys=True),
+    with a numpy array written as its tolist().
+
+    The text goes out piece by piece, never as one string: an int list, a
+    list of int rows (edges) or a 2-D int array (triangles) is formatted
+    _CHUNK items or rows per write.
     """
+    if isinstance(obj, np.ndarray) and not (
+        obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size
+    ):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             fh.write("{}")
@@ -440,8 +458,8 @@ def _write_json(obj, fh, depth: int = 0) -> None:
             _write_json(value, fh, depth + 1)
             sep = "," + inner
         fh.write("\n" + "  " * depth + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             fh.write("[]")
             return
         inner = "\n" + "  " * (depth + 1)

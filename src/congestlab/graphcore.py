@@ -679,6 +679,20 @@ _GENERATORS = {
 }
 # The parameters a spec may leave out, with their values.
 _DEFAULTS = {"barbell": {"bridges": 1}}
+# The vertex count each generator builds, from its (count) parameters. A
+# hypercube's dimension is capped at 21, already past the limit, so that a
+# huge d costs no huge power; negative counts are left to the generator.
+_VERTEX_COUNTS = {
+    "clique": lambda c: c["n"],
+    "cycle": lambda c: c["n"],
+    "path": lambda c: c["n"],
+    "star": lambda c: c["n"],
+    "er": lambda c: c["n"],
+    "hypercube": lambda c: 2 ** min(max(c["d"], 0), 21),
+    "barbell": lambda c: 2 * c["k"],
+    "planted_cut": lambda c: 2 * c["n"],
+    "caterpillar": lambda c: max(c["blobs"], 0) * max(c["blob_size"], 0),
+}
 
 
 def parse_generator_spec(text: str) -> Tuple[str, dict]:
@@ -732,25 +746,28 @@ def generate(spec, seed=0, **params) -> Graph:
     for key in _GENERATORS[name]:
         if key not in params:
             raise GraphError(f"generator '{name}' needs parameter '{key}'")
-    if name == "clique":
-        return gen_clique(_count(params, "n"))
-    if name == "cycle":
-        return gen_cycle(_count(params, "n"))
-    if name == "path":
-        return gen_path(_count(params, "n"))
-    if name == "star":
-        return gen_star(_count(params, "n"))
-    if name == "hypercube":
-        return gen_hypercube(_count(params, "d"))
-    if name == "er":
-        return gen_er(_count(params, "n"), float(params["p"]), seed)
-    if name == "barbell":
-        return gen_barbell(_count(params, "k"), _count(params, "bridges"))
-    if name == "planted_cut":
-        return gen_planted_cut(
-            _count(params, "n"), float(params["p"]), _count(params, "cross"), seed
+    c = {key: _count(params, key) for key in _GENERATORS[name] if key != "p"}
+    if _VERTEX_COUNTS[name](c) > MAX_VERTICES:
+        raise GraphError(
+            f"generator '{name}' would build more than {MAX_VERTICES} vertices"
         )
-    return gen_caterpillar(_count(params, "blobs"), _count(params, "blob_size"))
+    if name == "clique":
+        return gen_clique(c["n"])
+    if name == "cycle":
+        return gen_cycle(c["n"])
+    if name == "path":
+        return gen_path(c["n"])
+    if name == "star":
+        return gen_star(c["n"])
+    if name == "hypercube":
+        return gen_hypercube(c["d"])
+    if name == "er":
+        return gen_er(c["n"], float(params["p"]), seed)
+    if name == "barbell":
+        return gen_barbell(c["k"], c["bridges"])
+    if name == "planted_cut":
+        return gen_planted_cut(c["n"], float(params["p"]), c["cross"], seed)
+    return gen_caterpillar(c["blobs"], c["blob_size"])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ Three layers:
   leftover edges to the next level. Every triangle enters one set once,
   attributed to exactly one vertex.
 
+Triangles are int arrays from lister to report: one CSR wedge lister,
+`_triangles_of_edges`, serves the clusters and (through the sparse edges
+only) case 1 with sorted (k, 3) rows; the class-tuple core returns an
+owner array aligned with them; `TriangleSet` holds one sorted key array
+and its owners, and its `extend` refuses a triangle reported twice. The
+CLI writes `TriangleSet.rows()` straight into the report.
+
 Round accounting follows the same policy as decomposition.py: instead of
 replaying the engine message by message, phases are charged through the
 audited closed forms. Class announcements cost one round, sparse-edge
@@ -27,12 +34,15 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain, combinations, combinations_with_replacement, permutations
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .graphcore import (
+    MAX_VERTICES,
     Edge,
     Graph,
     GraphError,
@@ -58,6 +68,7 @@ HEAVY_DEG_FACTOR = 20.0
 CONCENTRATION_FACTOR = 24.0
 DEGREE_CHECK_FACTOR = 20.0
 LOAD_ENVELOPE = 600
+WEDGE_BLOCK = 1 << 13  # wedges the lister expands per block
 
 
 # ---------------------------------------------------------------------------
@@ -65,36 +76,81 @@ LOAD_ENVELOPE = 600
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TriangleSet:
-    """Canonical triangle triples with their reporting vertices."""
+_ID_MASK = MAX_VERTICES - 1  # ids fit in 20 bits, so a triangle packs into an int64
 
-    attribution: Dict[Triple, int] = field(default_factory=dict)
+
+class TriangleSet:
+    """Canonical triangles a < b < c with their reporting vertices.
+
+    The triangles are one sorted int64 key array, a << 40 | b << 20 | c,
+    with an aligned owner array. `extend` merges a batch of rows and
+    refuses any triangle reported twice, within the batch or against the
+    rows already held.
+    """
+
+    def __init__(self) -> None:
+        self._keys = np.empty(0, dtype=np.int64)
+        self._owners = np.empty(0, dtype=np.int64)
+
+    def extend(self, rows, owners) -> None:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        owners = np.asarray(owners, dtype=np.int64).reshape(-1)
+        if len(owners) != len(rows):
+            raise GraphError(f"{len(owners)} owners for {len(rows)} triangles")
+        a, b, c = rows.T
+        if not np.all((0 <= a) & (a < b) & (b < c) & (c <= _ID_MASK)):
+            raise GraphError("triangle rows must be vertex ids a < b < c")
+        keys = a << 40 | b << 20 | c
+        order = np.argsort(keys, kind="stable")
+        keys, owners = keys[order], owners[order]
+        again = _members(self._keys, keys)
+        again[1:] |= keys[1:] == keys[:-1]
+        if again.any():
+            key = int(keys[again.argmax()])
+            triple = (key >> 40, key >> 20 & _ID_MASK, key & _ID_MASK)
+            raise GraphError(f"triangle {triple} reported twice")
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._owners = np.insert(self._owners, at, owners)
+
+    def add(self, triple: Triple, owner: int) -> None:
+        self.extend([triple], [owner])
+
+    def rows(self) -> np.ndarray:
+        """The triangles as lex-sorted (k, 3) int64 rows."""
+        k = self._keys
+        return np.column_stack((k >> 40, k >> 20 & _ID_MASK, k & _ID_MASK))
+
+    def owners(self) -> np.ndarray:
+        """The reporting vertex of each row of `rows()`, read-only."""
+        view = self._owners.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def triangles(self) -> Set[Triple]:
-        return set(self.attribution)
+        return set(map(tuple, self.rows().tolist()))
+
+    @property
+    def attribution(self) -> Mapping[Triple, int]:
+        return MappingProxyType(
+            dict(zip(map(tuple, self.rows().tolist()), self._owners.tolist()))
+        )
 
     @property
     def count(self) -> int:
-        return len(self.attribution)
+        return len(self._keys)
 
     def reporter_counts(self) -> Dict[int, int]:
-        return Counter(self.attribution.values())
-
-    def add(self, triple: Triple, owner: int) -> None:
-        if triple in self.attribution:
-            raise GraphError(f"triangle {triple} reported twice")
-        self.attribution[triple] = owner
+        """Triangles per reporting vertex, in increasing vertex order."""
+        owners, counts = np.unique(self._owners, return_counts=True)
+        return dict(zip(owners.tolist(), counts.tolist()))
 
     def as_json(self) -> dict:
         return {
-            # tuples: json writes them as lists, without a copy per triple
-            "triangles": sorted(self.attribution),
+            "triangles": self.rows().tolist(),
             "count": self.count,
-            "attribution": {
-                str(v): c for v, c in sorted(self.reporter_counts().items())
-            },
+            "attribution": {str(v): c for v, c in self.reporter_counts().items()},
         }
 
 
@@ -127,31 +183,106 @@ def brute_force_triangles(g: Graph) -> TriangleSet:
     """
     if g.m > ORACLE_EDGE_CAP:
         raise GraphError(f"oracle capped at {ORACLE_EDGE_CAP} edges, got {g.m}")
+    rows = [
+        (u, v, w)
+        for u, v in g.edges()
+        for w in g.neighbor_set(u) & g.neighbor_set(v)
+        if w > v
+    ]
     result = TriangleSet()
-    for u, v in g.edges():
-        for w in g.neighbor_set(u) & g.neighbor_set(v):
-            if w > v:
-                result.add((u, v, w), u)
+    result.extend(rows, [u for u, _, _ in rows])
     return result
 
 
-def _triangles_of_edges(edges: Iterable[Edge]) -> List[Triple]:
-    """All triangles whose three edges lie in the given edge set."""
-    adj: Dict[int, Set[int]] = {}
-    canon = set()
-    for u, v in edges:
-        e = edge_key(u, v)
-        if e in canon:
-            continue
-        canon.add(e)
-        adj.setdefault(e[0], set()).add(e[1])
-        adj.setdefault(e[1], set()).add(e[0])
-    out: List[Triple] = []
-    for u, v in sorted(canon):
-        for w in adj[u] & adj[v]:
-            if w > v:
-                out.append((u, v, w))
-    return out
+def _edge_keys(edges, n: int) -> np.ndarray:
+    """The sorted, distinct keys lo * n + hi of the edges, ids below n."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return keys[np.diff(keys, prepend=-1) > 0]  # keys are nonnegative
+
+
+def _triangles_of_edges(edges, through=None) -> np.ndarray:
+    """All triangles whose three edges lie in `edges`, as lex-sorted (k, 3)
+    int64 rows a < b < c; with `through`, only those with an edge in it.
+
+    A CSR wedge lister over the sorted, distinct edge keys u * n + v.
+    Every edge is oriented low -> high, and each arc (u, v) takes every w
+    in N+(v): each triangle comes out once, from its lowest arc, and the
+    rows come out sorted. With `through`, when that means fewer wedges,
+    only the `through` edges are arcs, each from its end of larger degree
+    to its end y of smaller degree, with w over all of N(y); a triangle
+    comes out once per `through` edge it holds, and the repeats are
+    dropped. Otherwise every triangle is listed and those without a
+    `through` edge are dropped.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if not len(edges):
+        return np.empty((0, 3), dtype=np.int64)
+    if through is not None:
+        through = np.asarray(through, dtype=np.int64).reshape(-1, 2)
+        # n covers through's ids too, so that no pair there shares an edge's key
+        n = int(np.concatenate((edges, through)).max()) + 1
+    else:
+        n = int(edges.max()) + 1
+    keys = _edge_keys(edges, n)
+    tails, heads = np.divmod(keys, n)
+    indptr = np.searchsorted(tails, np.arange(n + 1))
+    if through is None:
+        return _close_wedges(keys, tails, heads, indptr, heads, n)
+    picked = _edge_keys(through, n)
+    picked = picked[_members(keys, picked)]
+    deg = np.bincount(np.concatenate((tails, heads)), minlength=n)
+    x, y = np.divmod(picked, n)
+    if np.minimum(deg[x], deg[y]).sum() >= np.diff(indptr)[heads].sum():
+        rows = _close_wedges(keys, tails, heads, indptr, heads, n)
+        a, b, c = rows.T
+        held = _members(picked, a * n + b)
+        held |= _members(picked, a * n + c)
+        held |= _members(picked, b * n + c)
+        return rows[held]
+    arcs = np.sort(np.concatenate((keys, heads * n + tails)))
+    flip = deg[x] < deg[y]
+    rows = _close_wedges(
+        arcs, np.where(flip, y, x), np.where(flip, x, y),
+        np.concatenate(([0], np.cumsum(deg))), arcs % n, n,
+    )
+    rows.sort(axis=1)
+    found = np.sort((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2])
+    found = found[np.diff(found, prepend=-1) > 0]
+    return np.column_stack((found // (n * n), found // n % n, found % n))
+
+
+def _close_wedges(look, src, dst, indptr, heads, n) -> np.ndarray:
+    """Rows (u, v, w) for each arc (u, v) = (src[i], dst[i]) and each w in
+    heads[indptr[v]:indptr[v + 1]] with u * n + w in the sorted keys `look`.
+
+    The wedges are expanded WEDGE_BLOCK at a time, in arc order.
+    """
+    fan = indptr[dst + 1] - indptr[dst]
+    ends = np.cumsum(fan)
+    if not len(ends) or not ends[-1]:
+        return np.empty((0, 3), dtype=np.int64)
+    # arc i's wedges are wedge numbers ends[i] - fan[i] .. ends[i] - 1
+    shift = indptr[dst] - (ends - fan)
+    starts = np.arange(0, ends[-1], WEDGE_BLOCK)
+    bounds = np.unique(np.searchsorted(ends, starts, "right"))
+    blocks = []
+    for lo, hi in zip(bounds, np.append(bounds[1:], len(fan))):
+        arc = np.repeat(np.arange(lo, hi), fan[lo:hi])
+        w = heads[np.arange(ends[lo] - fan[lo], ends[hi - 1]) + shift[arc]]
+        u = src[arc]
+        hit = _members(look, u * n + w)
+        blocks.append(np.column_stack((u[hit], dst[arc[hit]], w[hit])))
+    return np.concatenate(blocks)
+
+
+def _members(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Mask of the entries of cand that occur in the sorted array keys."""
+    if not len(keys):
+        return np.zeros(len(cand), dtype=bool)
+    at = np.searchsorted(keys, cand)
+    at[at == len(keys)] = 0
+    return keys[at] == cand
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +508,14 @@ def _list_by_class_tuples(
     g: Graph,
     members: Sequence[int],
     edges: Sequence[Edge],
-    occurrences: Sequence[Tuple[int, ...]],
+    occurrences: np.ndarray,
     s: int,
     seed,
     part_tag: str,
     label: str,
     heavy_scale: float,
     kappa: Optional[int],
-) -> Dict[Tuple[int, ...], int]:
+) -> np.ndarray:
     """Attribute every occurrence to one vertex through class s-tuples.
 
     The class-tuple partition of Dolev, Lenzen and Peled ("Tri, Tri
@@ -398,9 +529,10 @@ def _list_by_class_tuples(
     Otherwise every vertex draws one of
     q = ceil(n^(1/s)) parts, each edge travels to the owners of all sorted
     class tuples holding its two parts, and each occurrence (a sorted
-    vertex tuple) goes to the owner of its sorted part tuple, which must
-    have heard of all its edges. Returns the attribution; the phases,
-    under `label`, and the messages are charged to tx.
+    vertex row of the (k, s) array) goes to the owner of its sorted part
+    tuple, which must have heard of all its edges. Returns the owner of
+    each occurrence row; the phases, under `label`, and the messages are
+    charged to tx.
     """
     n = len(members)
     mset = set(members)
@@ -432,12 +564,12 @@ def _list_by_class_tuples(
         _, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
         tx.charge(f"{label}:collect", charged)
         tx.message_count += len(requests)
-        return {occ: star for occ in occurrences}
+        return np.full(len(occurrences), star, dtype=np.int64)
 
     ids, id_rounds = assign_degree_class_ids(g, members)
     parts = {
         v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q)
-        for v in set(incident).union(*occurrences)
+        for v in set(incident).union(occurrences.ravel().tolist())
     }
     alloc = _allocate_tuples(ids, g, q, s)
 
@@ -456,18 +588,18 @@ def _list_by_class_tuples(
     for owner, box in delivery.items():
         known[owner].update(tuple(payload) for _, payload in box)
     edge_set = set(universe)
-    attribution = {}
-    for occ in occurrences:
+    owners = []
+    for occ in occurrences.tolist():
         owner = alloc.owner_of(tuple(parts[v] for v in occ))
         for e in combinations(occ, 2):
             if e in edge_set:
                 assert e in known[owner], "owner missed an edge"
-        attribution[occ] = owner
+        owners.append(owner)
     tx.charge(f"{label}:ids", id_rounds)
     tx.charge(f"{label}:classes", 1)
     tx.charge(f"{label}:deliver", charged)
     tx.message_count += len(requests)
-    return attribution
+    return np.array(owners, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +663,14 @@ def enumerate_expander(
         spare[sender] -= 1
 
     edges = e_in + list(out_edges)
-    attribution = _list_by_class_tuples(
-        transcript, g, members, edges, _triangles_of_edges(edges),
+    rows = _triangles_of_edges(edges)
+    owners = _list_by_class_tuples(
+        transcript, g, members, edges, rows,
         3, seed, "triad-class", "triangle", zeta_scale, kappa,
     )
-    return TriangleSet(attribution), transcript
+    result = TriangleSet()
+    result.extend(rows, owners)
+    return result, transcript
 
 
 # ---------------------------------------------------------------------------
@@ -555,25 +690,19 @@ def enumerate_general(
     sparse-edge triangles through the orientation rules, runs the
     expander path on each cluster with its outward removed edges, and
     hands the leftover edges on as the next level's graph. A level's
-    triangles go straight into one set, mapped back to g's ids through
-    the composed (monotone) relabelings. The depth is capped at log2 m
-    since the leftover halves each level.
+    triangle rows and owners go straight into one set, mapped back to g's
+    ids through the composed (monotone) relabelings. The depth is capped
+    at log2 m since the leftover halves each level.
     """
     tx = rt.Transcript(seed=seed)
     result = TriangleSet()
     cap = max(int(math.log2(max(g.m, 2))) + 1, 1)
-    level, to_g = 0, None
+    # to_g maps this level's ids to g's; it is monotone, so mapped rows
+    # stay sorted.
+    level, to_g = 0, np.arange(g.n)
     while g.m > 0 and g.n >= 3:
         if level > cap:
             raise GraphError(f"recursion depth exceeded the cap {cap}")
-        # to_g maps this level's ids to g's; it is monotone, so mapped
-        # triples stay sorted.
-        add = result.add if to_g is None else (
-            lambda t, owner: result.add(
-                (to_g[t[0]], to_g[t[1]], to_g[t[2]]), to_g[owner]
-            )
-        )
-
         decomp, dtx = decompose(g, delta, seed=f"{seed}:L{level}")
         tx.charge(f"triangle:decompose:{level}", dtx.rounds)
         tx.message_count += dtx.message_count
@@ -583,20 +712,17 @@ def enumerate_general(
         # reporter. The edge->tail map `tail` holds every E_s edge with its
         # owner (decompose has verified one owner per edge and an acyclic
         # orientation), so each triangle looks up only its own three edges.
-        # Only the triangles through an E_s edge are listed: its endpoints'
-        # common neighbours.
+        # Only the triangles through an E_s edge are listed.
         tail = {e: owner for owner, part in decomp.es.items() for e in part}
         if tail:
             tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
             tx.message_count += sum(
                 len(part) * g.deg[owner] for owner, part in decomp.es.items()
             )
-            sparse_triangles = {
-                tuple(sorted((a, b, w)))
-                for a, b in tail
-                for w in g.neighbor_set(a) & g.neighbor_set(b)
-            }
-            for t in sparse_triangles:
+            through = np.fromiter(chain.from_iterable(tail), np.int64, 2 * len(tail))
+            rows = _triangles_of_edges(g._edge_array(), through)
+            owners = []
+            for t in rows.tolist():
                 a, b, c = t
                 pairs = [
                     (tail[e], e[0] + e[1] - tail[e])
@@ -610,7 +736,8 @@ def enumerate_general(
                 assert edge_key(*(v for v in t if v != owner)) in tail, (
                     "case-1 owner missed its opposite edge"
                 )
-                add(t, owner)
+                owners.append(owner)
+            result.extend(to_g[rows], to_g[owners])
 
         recursion_set = set(decomp.er)
         case2_rounds = 0
@@ -631,6 +758,8 @@ def enumerate_general(
                         cluster_of[v] = cid
                     else:
                         recursion_set.update(edge_key(v, w) for w in g_m.adj[v])
+            # The next level owns the triangles with all three edges left to it.
+            left = _edge_keys(list(recursion_set), g.n)
             cluster_out: Dict[int, List[Edge]] = {cid: [] for cid in decomp.clusters}
             for e in decomp.er:
                 cu, cv = cluster_of.get(e[0]), cluster_of.get(e[1])
@@ -646,11 +775,14 @@ def enumerate_general(
                 )
                 case2_rounds = max(case2_rounds, etx.rounds)
                 tx.message_count += etx.message_count
-                for t, owner in part_set.attribution.items():
-                    a, b, c = t
-                    if {(a, b), (a, c), (b, c)} <= recursion_set:
-                        continue  # the next level owns these
-                    add(t, owner)
+                rows, owners = part_set.rows(), part_set.owners()
+                a, b, c = rows.T
+                ours = ~(
+                    _members(left, a * g.n + b)
+                    & _members(left, a * g.n + c)
+                    & _members(left, b * g.n + c)
+                )
+                result.extend(to_g[rows[ours]], to_g[owners[ours]])
         if case2_rounds:
             tx.charge(f"triangle:case2:{level}", case2_rounds)
 
@@ -658,7 +790,7 @@ def enumerate_general(
             break
         assert 2 * len(recursion_set) <= g.m, "leftover edges failed to halve"
         g, old_ids = subgraph_from_edges(recursion_set)
-        to_g = old_ids if to_g is None else [to_g[x] for x in old_ids]
+        to_g = to_g[old_ids]
         seed = f"{seed}:r{level}"
         level += 1
     return result, tx
@@ -738,14 +870,18 @@ def enumerate_subgraphs(
     if g.m == 0 or g.n < s:
         return SubgraphSet(s), transcript
 
-    occurrences = [
-        verts
-        for verts in combinations(range(g.n), s)
-        if _matches(pattern, verts, g, induced)
-    ]
+    occurrences = np.array(
+        [
+            verts
+            for verts in combinations(range(g.n), s)
+            if _matches(pattern, verts, g, induced)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, s)
     members = [v for v in range(g.n) if g.deg[v] > 0]
-    attribution = _list_by_class_tuples(
+    owners = _list_by_class_tuples(
         transcript, g, members, g.edge_list(), occurrences,
         s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
     )
+    attribution = dict(zip(map(tuple, occurrences.tolist()), owners.tolist()))
     return SubgraphSet(s, attribution), transcript

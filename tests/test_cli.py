@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,6 +301,16 @@ def test_edge_list_vertex_count_limit_exits_1(tmp_path, capsys):
     assert err == f"error: {limit}"
 
 
+def test_generator_vertex_count_limit_exits_1(capsys):
+    from congestlab.graphcore import MAX_VERTICES
+
+    argv = ["--mode", "count", "--gen", "er:n=2000000,p=0", "--seed", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: generator 'er' would build more than {MAX_VERTICES} vertices"
+
+
 def test_graph_file_input(tmp_path, capsys):
     gf = tmp_path / "g.txt"
     gf.write_text("0 1\n1 2\n0 2\n2 3\n")
@@ -447,6 +458,63 @@ def test_writer_rejects_what_json_rejects():
             json.dumps(doc, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             _written(doc)
+
+
+ARRAYS = {
+    "empty-rows": np.zeros((0, 3), dtype=np.int64),
+    "one-row": np.array([[0, 1, 2]], dtype=np.int64),
+    "one-chunk": np.arange(3 * cli._CHUNK, dtype=np.int64).reshape(-1, 3),
+    "one-chunk-and-a-row": np.arange(-7, 3 * cli._CHUNK - 4, dtype=np.int64).reshape(-1, 3),
+    "int32": np.arange(-6, 6, dtype=np.int32).reshape(4, 3),
+    "int64-extremes": np.array([[-(2**63), 2**63 - 1]], dtype=np.int64),
+    "uint64-large": np.array([[2**64 - 1, 0]], dtype=np.uint64),
+    "zero-width": np.zeros((2, 0), dtype=np.int64),
+    "flat": np.arange(5),
+    "cube": np.arange(8).reshape(2, 2, 2),
+    "bool-rows": np.array([[True, False], [False, True]]),
+    "float-rows": np.array([[1.0, 2.0], [0.5, -0.0]]),
+    "whole-float-row": np.array([[1.0, 2.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_writer_arrays_match_json_dumps_of_tolist(name):
+    arr = ARRAYS[name]
+    assert _written(arr) == json.dumps(arr.tolist(), indent=2, sort_keys=True)
+    doc = {"runs": [{"triangles": arr, "count": len(arr)}], "ok": True}
+    plain = {"runs": [{"triangles": arr.tolist(), "count": len(arr)}], "ok": True}
+    assert _written(doc) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def test_writer_streams_array_rows_in_chunks():
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    rows = np.arange(12 * cli._CHUNK).reshape(-1, 3)
+    cli._write_json({"triangles": rows}, Sink())
+    want = json.dumps({"triangles": rows.tolist()}, indent=2, sort_keys=True)
+    assert "".join(writes) == want
+    assert max(map(len, writes)) < len(want) / 3
+
+
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=w, max_size=w),
+            max_size=9,
+        )
+    ),
+    st.sampled_from([np.int64, np.int32]),
+)
+@settings(max_examples=100, deadline=None)
+def test_writer_int_array_property(rows, dtype):
+    if dtype is np.int32:
+        rows = [[x % 2**31 for x in row] for row in rows]
+    arr = np.array(rows, dtype=dtype).reshape(len(rows), -1 if rows else 0)
+    assert _written(arr) == json.dumps(arr.tolist(), indent=2, sort_keys=True)
 
 
 _json_scalars = (

@@ -198,7 +198,7 @@ def test_expander_triad_path_with_outward_edges_is_pinned():
         "flag:zeta_scale_millis", "triangle:ids", "triangle:classes", "triangle:deliver",
     }
     universe = [e for e in g.edges() if e[0] in inside or e[1] in inside]
-    assert set(res.attribution) == set(_triangles_of_edges(universe))
+    assert set(res.attribution) == set(map(tuple, _triangles_of_edges(universe).tolist()))
     assert res.count == 979
     assert _listing_hash(res, t) == EXPANDER_TRIADS_GOLDEN
 

@@ -1,6 +1,7 @@
 """Graph core: cut arithmetic, oracles, generators, file format."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,44 @@ def test_graph_vertex_count_limit():
         gc.Graph(gc.MAX_VERTICES + 1, [])
     with pytest.raises(gc.GraphError, match="exceeds the limit"):
         gc.parse_edge_list(f"0 {gc.MAX_VERTICES}\n")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "path:n=1048577",
+        "er:n=2000000,p=0",
+        "clique:n=1048577",
+        "hypercube:d=21",
+        "hypercube:d=100000000",
+        "barbell:k=524289",
+        "planted_cut:n=524289,p=0,cross=0",
+        "caterpillar:blobs=1025,blob_size=1024",
+    ],
+)
+def test_generate_refuses_vertex_counts_above_the_limit_before_building(spec):
+    start = time.process_time()
+    with pytest.raises(gc.GraphError, match=f"more than {gc.MAX_VERTICES} vertices"):
+        gc.generate(spec)
+    assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "at_limit, above",
+    [
+        ("path:n=16", "path:n=17"),
+        ("er:n=16,p=0.5", "er:n=17,p=0.5"),
+        ("hypercube:d=4", "hypercube:d=5"),
+        ("barbell:k=8", "barbell:k=9"),
+        ("planted_cut:n=8,p=0.5,cross=3", "planted_cut:n=9,p=0.5,cross=3"),
+        ("caterpillar:blobs=4,blob_size=4", "caterpillar:blobs=3,blob_size=6"),
+    ],
+)
+def test_generate_vertex_limit_is_inclusive(monkeypatch, at_limit, above):
+    monkeypatch.setattr(gc, "MAX_VERTICES", 16)
+    assert gc.generate(at_limit, seed=1).n == 16
+    with pytest.raises(gc.GraphError, match="more than 16 vertices"):
+        gc.generate(above, seed=1)
 
 
 def test_adjacency_sorted_and_symmetric():

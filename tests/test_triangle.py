@@ -1,13 +1,19 @@
 """Triangle and subgraph enumeration against the brute-force oracles."""
 
+import json
+import re
 from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestlab import runtime as rt
 from congestlab import triangle as tr
 from congestlab.decomposition import Decomposition
 from congestlab.graphcore import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     connected_components,
@@ -22,6 +28,7 @@ from congestlab.routing import assign_degree_class_ids
 from congestlab.triangle import (
     TriangleSet,
     _allocate_tuples,
+    _triangles_of_edges,
     brute_force_triangles,
     case1_report_owner,
     count_triangles,
@@ -59,6 +66,165 @@ def test_triangle_set_rejects_double_report():
     s.add((0, 1, 2), 0)
     with pytest.raises(GraphError):
         s.add((0, 1, 2), 1)
+
+
+def test_triangle_set_extend_refuses_a_repeat_within_one_batch():
+    s = TriangleSet()
+    with pytest.raises(GraphError, match=re.escape("triangle (1, 2, 5) reported twice")):
+        s.extend([(0, 1, 2), (1, 2, 5), (0, 3, 4), (1, 2, 5)], [0, 1, 0, 2])
+    assert s.count == 0
+
+
+def test_triangle_set_extend_refuses_a_repeat_across_batches():
+    s = TriangleSet()
+    s.extend([(0, 1, 2), (3, 4, 5)], [0, 3])
+    with pytest.raises(GraphError, match=re.escape("triangle (3, 4, 5) reported twice")):
+        s.extend([(6, 7, 8), (3, 4, 5)], [6, 4])
+    assert s.count == 2
+    top = (MAX_VERTICES - 3, MAX_VERTICES - 2, MAX_VERTICES - 1)
+    s.add(top, top[0])
+    with pytest.raises(GraphError, match=re.escape(f"triangle {top} reported twice")):
+        s.add(top, top[2])
+
+
+@pytest.mark.parametrize(
+    "row", [(1, 0, 2), (0, 0, 1), (0, 2, 1), (-1, 0, 1), (0, 1, MAX_VERTICES)]
+)
+def test_triangle_set_refuses_rows_that_are_not_sorted_vertex_triples(row):
+    with pytest.raises(GraphError, match="a < b < c"):
+        TriangleSet().extend([row], [0])
+
+
+def test_triangle_set_needs_one_owner_per_row():
+    with pytest.raises(GraphError, match="2 owners for 1 triangles"):
+        TriangleSet().extend([(0, 1, 2)], [0, 1])
+
+
+def test_triangle_set_rows_sorted_with_aligned_owners():
+    s = TriangleSet()
+    s.extend([(2, 3, 4), (0, 1, 5)], [3, 1])
+    s.add((0, 1, 2), 2)
+    s.extend(np.empty((0, 3), dtype=np.int64), [])
+    top = (MAX_VERTICES - 3, MAX_VERTICES - 2, MAX_VERTICES - 1)
+    s.add(top, top[1])
+    assert s.rows().tolist() == [[0, 1, 2], [0, 1, 5], [2, 3, 4], list(top)]
+    assert s.owners().tolist() == [2, 1, 3, top[1]]
+    assert dict(s.attribution) == {(0, 1, 2): 2, (0, 1, 5): 1, (2, 3, 4): 3, top: top[1]}
+    assert s.triangles == {(0, 1, 2), (0, 1, 5), (2, 3, 4), top}
+    assert s.reporter_counts() == {1: 1, 2: 1, 3: 1, top[1]: 1}
+    with pytest.raises(ValueError):
+        s.owners()[0] = 7
+    with pytest.raises(TypeError):
+        s.attribution[(0, 1, 2)] = 7
+    assert s.owners().tolist() == [2, 1, 3, top[1]]
+
+
+def test_triangle_set_json_is_plain_lists_and_counts_sum_to_count():
+    res, _ = enumerate_general(gen_er(60, 0.3, seed=4), 0.5, seed=2)
+    counts = res.reporter_counts()
+    assert sum(counts.values()) == res.count > 0
+    assert list(counts) == sorted(counts)
+    doc = res.as_json()
+    assert type(doc["triangles"]) is list
+    assert all(type(row) is list and len(row) == 3 for row in doc["triangles"])
+    assert {type(x) for row in doc["triangles"] for x in row} == {int}
+    assert doc["triangles"] == sorted(doc["triangles"])
+    assert doc["attribution"] == {str(v): c for v, c in counts.items()}
+    assert json.loads(json.dumps(doc)) == doc
+
+
+# -- the wedge lister --------------------------------------------------------
+
+
+def _listed(rows):
+    assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 3
+    listed = [tuple(r) for r in rows.tolist()]
+    assert listed == sorted(set(listed)), "rows must be sorted and unique"
+    assert all(a < b < c for a, b, c in listed)
+    return listed
+
+
+def _oracle_rows(edges, through=None):
+    """Brute-force triangles of an edge list with any ids and repeats."""
+    canon = {edge_key(u, v) for u, v in edges}
+    n = max((v for e in canon for v in e), default=-1) + 1
+    rows = sorted(brute_force_triangles(Graph(n, canon)).triangles)
+    if through is None:
+        return rows
+    picked = {edge_key(u, v) for u, v in through}
+    return [t for t in rows if picked & {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}]
+
+
+_edge_lists = st.lists(
+    st.tuples(st.integers(0, 14), st.integers(0, 14)).filter(lambda e: e[0] != e[1]),
+    max_size=70,
+)
+
+
+@given(_edge_lists, st.data())
+@settings(max_examples=200, deadline=None)
+def test_lister_matches_brute_force(edges, data):
+    assert _listed(_triangles_of_edges(edges)) == _oracle_rows(edges)
+    through = data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
+    assert _listed(_triangles_of_edges(edges, through)) == _oracle_rows(edges, through)
+
+
+K5 = list(combinations(range(5), 2))
+
+
+@pytest.mark.parametrize(
+    "edges, want",
+    [
+        ([], []),
+        ([(3, 7)], []),
+        ([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0)], [(0, 1, 2)]),
+        ([(0, 1), (0, 1), (1, 2), (0, 2)], [(0, 1, 2)]),
+        ([(900, 40), (40, 77), (77, 900), (900, 5)], [(40, 77, 900)]),
+        (K5, list(combinations(range(5), 3))),
+        (np.array(K5, dtype=np.int32), list(combinations(range(5), 3))),
+    ],
+    ids=["empty", "one-edge", "both-orientations", "repeats", "sparse-ids", "K5", "K5-int32"],
+)
+def test_lister_cases(edges, want):
+    assert _listed(_triangles_of_edges(edges)) == want
+    assert _listed(_triangles_of_edges(edges, through=edges)) == want
+
+
+def test_lister_takes_the_cheaper_wedge_set(monkeypatch):
+    # K5 oriented low -> high has 10 wedges; through one edge the smaller
+    # degree is 4, so one through edge lists its own wedges, while through
+    # all ten (40 wedges) every triangle is listed once and filtered
+    arcs = []
+    close = tr._close_wedges
+
+    def spy(look, src, dst, indptr, heads, n):
+        arcs.append(list(zip(src.tolist(), dst.tolist())) if len(src) < 3 else len(src))
+        return close(look, src, dst, indptr, heads, n)
+
+    monkeypatch.setattr(tr, "_close_wedges", spy)
+    one = _listed(_triangles_of_edges(K5, through=[(1, 3)]))
+    assert one == [(0, 1, 3), (1, 2, 3), (1, 3, 4)]
+    assert _listed(_triangles_of_edges(K5, through=K5)) == list(combinations(range(5), 3))
+    # three edges (12 wedges) already cost more than listing K5: each
+    # triangle here holds one of them as its first, second or third edge
+    three = [(0, 2), (4, 1), (2, 3)]
+    assert _listed(_triangles_of_edges(K5, through=three)) == _oracle_rows(K5, three)
+    # (0, 9) is no edge; keyed with K5's ids alone (n = 7) it would read as (1, 2)
+    assert _listed(_triangles_of_edges(K5 + [(5, 6)], through=[(5, 6), (0, 9)])) == []
+    # the leaf 0 has degree 1, so its edge takes its one wedge there
+    leafed = [(0, 1)] + [(u + 1, v + 1) for u, v in K5]
+    assert _listed(_triangles_of_edges(leafed, through=[(0, 1)])) == []
+    assert arcs == [[(1, 3)], 10, 10, [(5, 6)], [(1, 0)]]
+
+
+def test_lister_expands_wedges_in_blocks(monkeypatch):
+    g = gen_er(40, 0.5, seed=2)
+    want = _listed(_triangles_of_edges(g.edge_list()))
+    monkeypatch.setattr(tr, "WEDGE_BLOCK", 7)
+    assert _listed(_triangles_of_edges(g.edge_list())) == want
+    assert _listed(_triangles_of_edges(g.edge_list(), g.edge_list()[::9])) == (
+        _oracle_rows(g.edge_list(), g.edge_list()[::9])
+    )
 
 
 # -- triad allocation --------------------------------------------------------
@@ -487,6 +653,58 @@ def test_general_deep_levels_map_back_to_g(monkeypatch):
     assert all(owner in tri for tri, owner in res.attribution.items())
     levels = {k.rsplit(":", 1)[1] for k in t.phases if k.startswith("triangle:decompose:")}
     assert levels == {str(i) for i in range(8)}
+
+
+def _filter_instance():
+    """K12 on 0..11 as one cluster; 0 and 1 each carry 13 removed edges to
+    the outside vertices 12..25, more than their cluster degree 11, and
+    the outside path 12-13-...-25 is E_s under its smaller ends.
+
+    So every cluster edge at 0 or 1 is left to the next level, and each
+    cluster triangle (0, 1, x) has all three edges left there.
+    """
+    cluster = list(combinations(range(12), 2))
+    er = [(0, o) for o in range(12, 25)] + [(1, o) for o in range(13, 26)]
+    es = {o: [(o, o + 1)] for o in range(12, 25)}
+    g = Graph(26, cluster + er + [e for part in es.values() for e in part])
+    decomp = Decomposition(
+        0.5, g.n ** 0.5, dict.fromkeys(cluster, 0), es, er, {0: frozenset(range(12))}
+    )
+    return g, decomp
+
+
+def test_general_recursion_filter_drops_the_next_levels_triangles(monkeypatch):
+    g, level0 = _filter_instance()
+    oracle = brute_force_triangles(g).triangles
+    assert len(oracle) == 220 + 12 + 24
+
+    def decompose(h, delta, seed=0):
+        if seed.endswith(":L0"):
+            return level0, rt.Transcript(seed=seed)
+        return _halving_decompose(h, delta, seed)
+
+    events = []
+    expander, extend = tr.enumerate_expander, TriangleSet.extend
+
+    def listed(*args, **kwargs):
+        res, t = expander(*args, **kwargs)
+        events.append(("listed", res.count))
+        return res, t
+
+    def kept(self, rows, owners):
+        events.append(("kept", len(rows)))
+        extend(self, rows, owners)
+
+    monkeypatch.setattr(tr, "decompose", decompose)
+    monkeypatch.setattr(tr, "enumerate_expander", listed)
+    monkeypatch.setattr(TriangleSet, "extend", kept)
+    res, t = enumerate_general(g, 0.5, seed=3)
+    assert res.triangles == oracle
+    assert res.count == len(oracle) == sum(res.reporter_counts().values())
+    assert "triangle:decompose:1" in t.phases
+    # level 0: the case-1 batch, the expander's own set of 220, then the
+    # cluster's batch, less the ten (0, 1, x) that the next level reports
+    assert events[:4] == [("kept", 24), ("kept", 220), ("listed", 220), ("kept", 210)]
 
 
 def test_general_attribution_exactly_once():
