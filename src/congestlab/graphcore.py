@@ -495,6 +495,13 @@ def verify_orientation(
 # ---------------------------------------------------------------------------
 
 
+def _edge_keys(edges, n: int) -> np.ndarray:
+    """The sorted, distinct keys lo * n + hi of the edges, ids below n."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return keys[np.diff(keys, prepend=-1) > 0]  # keys are nonnegative
+
+
 def _relabel(pairs: np.ndarray, extra: Iterable[int] = ()) -> Tuple[Graph, np.ndarray]:
     """The graph on the ids in the (k, 2) array `pairs` and in `extra`, each
     renamed to its rank among them; returns it with the sorted ids. A pair
@@ -502,9 +509,7 @@ def _relabel(pairs: np.ndarray, extra: Iterable[int] = ()) -> Tuple[Graph, np.nd
     """
     ends = np.concatenate((pairs.ravel(), np.asarray(extra, dtype=np.int64)))
     ids, pos = np.unique(ends, return_inverse=True)
-    pos = np.sort(pos[: pairs.size].reshape(-1, 2))
-    keys = np.sort(pos[:, 0] * len(ids) + pos[:, 1])
-    keys = keys[np.diff(keys, prepend=-1) > 0]  # keys are nonnegative
+    keys = _edge_keys(pos[: pairs.size], len(ids))
     return Graph(len(ids), np.column_stack(np.divmod(keys, len(ids)))), ids
 
 

@@ -16,11 +16,11 @@ Three layers:
   attributed to exactly one vertex.
 
 Triangles are int arrays from lister to report: one CSR wedge lister,
-`_triangles_of_edges`, serves the clusters and (through the sparse edges
-only) case 1 with sorted (k, 3) rows; the class-tuple core returns an
-owner array aligned with them; `TriangleSet` holds one sorted key array
-and its owners, and its `extend` refuses a triangle reported twice. The
-CLI writes `TriangleSet.rows()` straight into the report.
+`_triangles_of_edges`, serves the clusters and (keeping the rows with a
+sparse edge) case 1 with sorted (k, 3) rows; the class-tuple core returns
+an owner array aligned with them; `TriangleSet` holds one sorted key
+array and its owners, and its `extend` refuses a triangle reported twice.
+The CLI writes `TriangleSet.rows()` straight into the report.
 
 Round accounting follows the same policy as decomposition.py: instead of
 replaying the engine message by message, phases are charged through the
@@ -46,6 +46,7 @@ from .graphcore import (
     Edge,
     Graph,
     GraphError,
+    _edge_keys,
     edge_key,
     induced_subgraph,  # unused here; perfbench checks it wraps this binding
     subgraph_from_edges,
@@ -100,18 +101,23 @@ class TriangleSet:
         a, b, c = rows.T
         if not np.all((0 <= a) & (a < b) & (b < c) & (c <= _ID_MASK)):
             raise GraphError("triangle rows must be vertex ids a < b < c")
-        keys = a << 40 | b << 20 | c
+        keys = a << 40
+        keys |= b << 20
+        keys |= c
         order = np.argsort(keys, kind="stable")
         keys, owners = keys[order], owners[order]
+        del order
         again = _members(self._keys, keys)
         again[1:] |= keys[1:] == keys[:-1]
         if again.any():
             key = int(keys[again.argmax()])
             triple = (key >> 40, key >> 20 & _ID_MASK, key & _ID_MASK)
             raise GraphError(f"triangle {triple} reported twice")
-        at = np.searchsorted(self._keys, keys)
-        self._keys = np.insert(self._keys, at, keys)
-        self._owners = np.insert(self._owners, at, owners)
+        if len(self._keys):
+            at = np.searchsorted(self._keys, keys)
+            keys = np.insert(self._keys, at, keys)
+            owners = np.insert(self._owners, at, owners)
+        self._keys, self._owners = keys, owners
 
     def add(self, triple: Triple, owner: int) -> None:
         self.extend([triple], [owner])
@@ -194,26 +200,14 @@ def brute_force_triangles(g: Graph) -> TriangleSet:
     return result
 
 
-def _edge_keys(edges, n: int) -> np.ndarray:
-    """The sorted, distinct keys lo * n + hi of the edges, ids below n."""
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
-    return keys[np.diff(keys, prepend=-1) > 0]  # keys are nonnegative
-
-
 def _triangles_of_edges(edges, through=None) -> np.ndarray:
     """All triangles whose three edges lie in `edges`, as lex-sorted (k, 3)
     int64 rows a < b < c; with `through`, only those with an edge in it.
 
     A CSR wedge lister over the sorted, distinct edge keys u * n + v.
     Every edge is oriented low -> high, and each arc (u, v) takes every w
-    in N+(v): each triangle comes out once, from its lowest arc, and the
-    rows come out sorted. With `through`, when that means fewer wedges,
-    only the `through` edges are arcs, each from its end of larger degree
-    to its end y of smaller degree, with w over all of N(y); a triangle
-    comes out once per `through` edge it holds, and the repeats are
-    dropped. Otherwise every triangle is listed and those without a
-    `through` edge are dropped.
+    in N+(v), expanded WEDGE_BLOCK wedges at a time: each triangle comes
+    out once, from its lowest arc, and the rows come out sorted.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if not len(edges):
@@ -227,53 +221,30 @@ def _triangles_of_edges(edges, through=None) -> np.ndarray:
     keys = _edge_keys(edges, n)
     tails, heads = np.divmod(keys, n)
     indptr = np.searchsorted(tails, np.arange(n + 1))
-    if through is None:
-        return _close_wedges(keys, tails, heads, indptr, heads, n)
-    picked = _edge_keys(through, n)
-    picked = picked[_members(keys, picked)]
-    deg = np.bincount(np.concatenate((tails, heads)), minlength=n)
-    x, y = np.divmod(picked, n)
-    if np.minimum(deg[x], deg[y]).sum() >= np.diff(indptr)[heads].sum():
-        rows = _close_wedges(keys, tails, heads, indptr, heads, n)
-        a, b, c = rows.T
-        held = _members(picked, a * n + b)
-        held |= _members(picked, a * n + c)
-        held |= _members(picked, b * n + c)
-        return rows[held]
-    arcs = np.sort(np.concatenate((keys, heads * n + tails)))
-    flip = deg[x] < deg[y]
-    rows = _close_wedges(
-        arcs, np.where(flip, y, x), np.where(flip, x, y),
-        np.concatenate(([0], np.cumsum(deg))), arcs % n, n,
-    )
-    rows.sort(axis=1)
-    found = np.sort((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2])
-    found = found[np.diff(found, prepend=-1) > 0]
-    return np.column_stack((found // (n * n), found // n % n, found % n))
-
-
-def _close_wedges(look, src, dst, indptr, heads, n) -> np.ndarray:
-    """Rows (u, v, w) for each arc (u, v) = (src[i], dst[i]) and each w in
-    heads[indptr[v]:indptr[v + 1]] with u * n + w in the sorted keys `look`.
-
-    The wedges are expanded WEDGE_BLOCK at a time, in arc order.
-    """
-    fan = indptr[dst + 1] - indptr[dst]
+    fan = indptr[heads + 1] - indptr[heads]
     ends = np.cumsum(fan)
-    if not len(ends) or not ends[-1]:
+    if not ends[-1]:
         return np.empty((0, 3), dtype=np.int64)
     # arc i's wedges are wedge numbers ends[i] - fan[i] .. ends[i] - 1
-    shift = indptr[dst] - (ends - fan)
+    shift = indptr[heads] - (ends - fan)
     starts = np.arange(0, ends[-1], WEDGE_BLOCK)
     bounds = np.unique(np.searchsorted(ends, starts, "right"))
     blocks = []
     for lo, hi in zip(bounds, np.append(bounds[1:], len(fan))):
         arc = np.repeat(np.arange(lo, hi), fan[lo:hi])
         w = heads[np.arange(ends[lo] - fan[lo], ends[hi - 1]) + shift[arc]]
-        u = src[arc]
-        hit = _members(look, u * n + w)
-        blocks.append(np.column_stack((u[hit], dst[arc[hit]], w[hit])))
-    return np.concatenate(blocks)
+        u = tails[arc]
+        hit = _members(keys, u * n + w)
+        blocks.append(np.column_stack((u[hit], heads[arc[hit]], w[hit])))
+    rows = np.concatenate(blocks)
+    if through is None:
+        return rows
+    picked = _edge_keys(through, n)
+    a, b, c = rows.T
+    held = _members(picked, a * n + b)
+    held |= _members(picked, a * n + c)
+    held |= _members(picked, b * n + c)
+    return rows[held]
 
 
 def _members(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -689,13 +660,15 @@ def enumerate_general(
     One loop over levels. Each level decomposes its graph, reports the
     sparse-edge triangles through the orientation rules, runs the
     expander path on each cluster with its outward removed edges, and
-    hands the leftover edges on as the next level's graph. A level's
-    triangle rows and owners go straight into one set, mapped back to g's
-    ids through the composed (monotone) relabelings. The depth is capped
-    at log2 m since the leftover halves each level.
+    hands the leftover edges on as the next level's graph. Every level's
+    triangle rows and owners, mapped back to g's ids through the composed
+    (monotone) relabelings, enter one set in one batch at the end, which
+    refuses a triangle reported twice. The depth is capped at log2 m since
+    the leftover halves each level.
     """
     tx = rt.Transcript(seed=seed)
-    result = TriangleSet()
+    found: List[np.ndarray] = []  # triangle rows in g's ids
+    found_by: List[np.ndarray] = []  # their owners
     cap = max(int(math.log2(max(g.m, 2))) + 1, 1)
     # to_g maps this level's ids to g's; it is monotone, so mapped rows
     # stay sorted.
@@ -712,7 +685,7 @@ def enumerate_general(
         # reporter. The edge->tail map `tail` holds every E_s edge with its
         # owner (decompose has verified one owner per edge and an acyclic
         # orientation), so each triangle looks up only its own three edges.
-        # Only the triangles through an E_s edge are listed.
+        # Of the level's triangles, those with an E_s edge are case 1's.
         tail = {e: owner for owner, part in decomp.es.items() for e in part}
         if tail:
             tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
@@ -737,7 +710,8 @@ def enumerate_general(
                     "case-1 owner missed its opposite edge"
                 )
                 owners.append(owner)
-            result.extend(to_g[rows], to_g[owners])
+            found.append(to_g[rows])
+            found_by.append(to_g[np.array(owners, dtype=np.int64)])
 
         recursion_set = set(decomp.er)
         case2_rounds = 0
@@ -782,7 +756,8 @@ def enumerate_general(
                     & _members(left, a * g.n + c)
                     & _members(left, b * g.n + c)
                 )
-                result.extend(to_g[rows[ours]], to_g[owners[ours]])
+                found.append(to_g[rows[ours]])
+                found_by.append(to_g[owners[ours]])
         if case2_rounds:
             tx.charge(f"triangle:case2:{level}", case2_rounds)
 
@@ -793,6 +768,12 @@ def enumerate_general(
         to_g = to_g[old_ids]
         seed = f"{seed}:r{level}"
         level += 1
+    result = TriangleSet()
+    if found:
+        rows, owners = np.concatenate(found), np.concatenate(found_by)
+        found.clear()
+        found_by.clear()
+        result.extend(rows, owners)
     return result, tx
 
 

@@ -190,31 +190,15 @@ def test_lister_cases(edges, want):
     assert _listed(_triangles_of_edges(edges, through=edges)) == want
 
 
-def test_lister_takes_the_cheaper_wedge_set(monkeypatch):
-    # K5 oriented low -> high has 10 wedges; through one edge the smaller
-    # degree is 4, so one through edge lists its own wedges, while through
-    # all ten (40 wedges) every triangle is listed once and filtered
-    arcs = []
-    close = tr._close_wedges
-
-    def spy(look, src, dst, indptr, heads, n):
-        arcs.append(list(zip(src.tolist(), dst.tolist())) if len(src) < 3 else len(src))
-        return close(look, src, dst, indptr, heads, n)
-
-    monkeypatch.setattr(tr, "_close_wedges", spy)
+def test_lister_keeps_the_rows_with_a_through_edge():
     one = _listed(_triangles_of_edges(K5, through=[(1, 3)]))
     assert one == [(0, 1, 3), (1, 2, 3), (1, 3, 4)]
-    assert _listed(_triangles_of_edges(K5, through=K5)) == list(combinations(range(5), 3))
-    # three edges (12 wedges) already cost more than listing K5: each
-    # triangle here holds one of them as its first, second or third edge
+    # each triangle here holds one of these as its first, second or third edge
     three = [(0, 2), (4, 1), (2, 3)]
     assert _listed(_triangles_of_edges(K5, through=three)) == _oracle_rows(K5, three)
     # (0, 9) is no edge; keyed with K5's ids alone (n = 7) it would read as (1, 2)
     assert _listed(_triangles_of_edges(K5 + [(5, 6)], through=[(5, 6), (0, 9)])) == []
-    # the leaf 0 has degree 1, so its edge takes its one wedge there
-    leafed = [(0, 1)] + [(u + 1, v + 1) for u, v in K5]
-    assert _listed(_triangles_of_edges(leafed, through=[(0, 1)])) == []
-    assert arcs == [[(1, 3)], 10, 10, [(5, 6)], [(1, 0)]]
+    assert _listed(_triangles_of_edges(K5, through=[])) == []
 
 
 def test_lister_expands_wedges_in_blocks(monkeypatch):
@@ -684,7 +668,13 @@ def test_general_recursion_filter_drops_the_next_levels_triangles(monkeypatch):
         return _halving_decompose(h, delta, seed)
 
     events = []
-    expander, extend = tr.enumerate_expander, TriangleSet.extend
+    lister, expander, extend = tr._triangles_of_edges, tr.enumerate_expander, TriangleSet.extend
+
+    def case1(edges, through=None):
+        rows = lister(edges, through)
+        if through is not None:
+            events.append(("case1", len(rows)))
+        return rows
 
     def listed(*args, **kwargs):
         res, t = expander(*args, **kwargs)
@@ -696,15 +686,21 @@ def test_general_recursion_filter_drops_the_next_levels_triangles(monkeypatch):
         extend(self, rows, owners)
 
     monkeypatch.setattr(tr, "decompose", decompose)
+    monkeypatch.setattr(tr, "_triangles_of_edges", case1)
     monkeypatch.setattr(tr, "enumerate_expander", listed)
     monkeypatch.setattr(TriangleSet, "extend", kept)
     res, t = enumerate_general(g, 0.5, seed=3)
     assert res.triangles == oracle
     assert res.count == len(oracle) == sum(res.reporter_counts().values())
     assert "triangle:decompose:1" in t.phases
-    # level 0: the case-1 batch, the expander's own set of 220, then the
-    # cluster's batch, less the ten (0, 1, x) that the next level reports
-    assert events[:4] == [("kept", 24), ("kept", 220), ("listed", 220), ("kept", 210)]
+    # level 0: the 24 case-1 triangles, then the expander's own set of 220;
+    # later levels have no clusters, and one batch at the end holds them all
+    assert events[:3] == [("case1", 24), ("kept", 220), ("listed", 220)]
+    assert events[-1] == ("kept", len(oracle))
+    assert sum(1 for what, _ in events if what == "kept") == 2
+    # the filter drops the ten (0, 1, x) cluster rows that the next level reports
+    listed_rows = sum(k for what, k in events if what in ("case1", "listed"))
+    assert listed_rows - len(oracle) == 10
 
 
 def test_general_attribution_exactly_once():
