@@ -493,8 +493,9 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
     The edge-to-cluster map is recovered from the cluster edge lists. The
     per-owner sparse sets are read as listed, so an edge filed under an
     owner that is not one of its endpoints reaches the verifier unchanged.
-    A container of the wrong JSON type, a non-integer id or an edge that is
-    not a vertex pair raises GraphError.
+    A container of the wrong JSON type, a non-integer id, an edge that is
+    not a vertex pair, or a cluster edge, cluster id or owner listed twice
+    (which the maps would fold into one) raises GraphError.
     """
     doc = _report_field(doc, dict, "decomposition")
     em: Dict[Edge, int] = {}
@@ -502,14 +503,22 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
     for entry in _report_field(doc["clusters"], list, "clusters"):
         entry = _report_field(entry, dict, "cluster entry")
         cid = _report_id(entry["id"])
+        if cid in clusters:
+            raise GraphError(f"cluster id {cid} is listed twice")
         vertices = _report_field(entry["vertices"], list, "cluster vertices")
         clusters[cid] = frozenset(_report_id(v) for v in vertices)
         for e in _report_field(entry["edges"], list, "cluster edges"):
-            em[_report_edge(e)] = cid
+            e = _report_edge(e)
+            if e in em:
+                raise GraphError(f"edge {e} is listed twice")
+            em[e] = cid
     es: Dict[int, List[Edge]] = {}
     for owner, part in _report_field(doc["es"], dict, "es").items():
         part = _report_field(part, list, "es part")
-        es[_report_id(owner)] = [_report_edge(e) for e in part]
+        owner = _report_id(owner)
+        if owner in es:
+            raise GraphError(f"owner {owner} is listed twice")
+        es[owner] = [_report_edge(e) for e in part]
     try:
         delta, threshold = float(doc["delta"]), float(doc["threshold"])
     except (TypeError, ValueError):

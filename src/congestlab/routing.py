@@ -1,13 +1,16 @@
-"""Degree-class id assignment and a load-checked routing cost oracle.
+"""Degree-class id assignment and a load-priced routing cost oracle.
 
 Routing on a well-mixing component is priced, not packet-simulated: the
-oracle verifies the per-vertex load cap, delivers every payload exactly
-once, and charges rounds against the component's mixing-time estimate.
+oracle counts every vertex's load, stretches kappa by the least integer
+multiplier that fits the loads into the degree caps, and charges rounds
+against the component's mixing-time estimate.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .graphcore import (
     EXACT_MIXING_LIMIT,
@@ -20,8 +23,6 @@ from .graphcore import (
     mixing_time_exact,
 )
 from . import runtime as rt
-
-PAYLOAD_WORDS = rt.DEFAULT_WORDS
 
 
 def kappa_default(n: int) -> int:
@@ -53,13 +54,6 @@ class IdAssignment:
 
     def class_of_vertex(self, v: int) -> int:
         return class_of_new_id(self.new_id[v], self.counts)
-
-
-@dataclass(frozen=True)
-class RoutingRequest:
-    source: int
-    destination: int
-    payload: Tuple[int, ...] = ()
 
 
 def assign_degree_class_ids(
@@ -119,53 +113,41 @@ def mixing_estimate(sub: Graph) -> int:
 def route(
     g: Graph,
     component: Sequence[int],
-    requests: Sequence[RoutingRequest],
+    requests,
     kappa: Optional[int] = None,
-) -> Tuple[Dict[int, List[Tuple[int, Tuple[int, ...]]]], int]:
-    """Deliver point-to-point requests inside one component and price them.
+) -> Tuple[int, int]:
+    """Price one batch of point-to-point requests inside a component.
 
-    Every vertex may appear in at most deg(v) * kappa requests, counting
-    source and destination slots separately; exceeding the cap raises an
-    error naming the overloaded vertex. Delivery is exact. A non-empty
-    request list is charged tau * kappa rounds, with tau the component's
-    mixing-time estimate; the cap keeps every normalized load at most 1.
+    `requests` is a (k, 2) int array-like of (source, destination) member
+    ids. Each request carries one edge, 2 words, within rt.DEFAULT_WORDS.
+    A vertex's load counts its source and destination slots. The batch
+    runs at the least integer multiplier mult >= 1 with load(v) <= deg(v)
+    * kappa * mult at every member v, deg counting member neighbors, and
+    costs tau * kappa * mult rounds, with tau the component's mixing-time
+    estimate (Ghaffari, Kuhn and Su, PODC 2017). Returns (rounds, mult);
+    an empty batch is (0, 0).
     """
     members = sorted(set(component))
-    member_set = set(members)
     if kappa is None:
         kappa = kappa_default(len(members))
     if kappa < 1:
         raise GraphError("kappa must be at least 1")
-    if not requests:
-        return {}, 0
+    pairs = np.asarray(requests, dtype=np.int64).reshape(-1, 2)
+    if not len(pairs):
+        return 0, 0
 
     sub, old_ids = induced_subgraph(g, members)
-    deg_of = {old_ids[i]: sub.deg[i] for i in range(sub.n)}
-    load: Dict[int, int] = {v: 0 for v in members}
-    for req in requests:
-        if req.source not in member_set or req.destination not in member_set:
-            raise GraphError(
-                f"request {req.source}->{req.destination} leaves the component"
-            )
-        if len(req.payload) > PAYLOAD_WORDS:
-            raise GraphError(
-                f"payload of {len(req.payload)} words exceeds {PAYLOAD_WORDS}"
-            )
-        load[req.source] += 1
-        load[req.destination] += 1
-
-    for v in members:
-        cap = deg_of[v] * kappa
-        if load[v] > cap:
-            raise GraphError(
-                f"vertex {v} carries load {load[v]} above its cap {cap}"
-            )
-
-    delivery: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-    for req in requests:
-        delivery.setdefault(req.destination, []).append((req.source, req.payload))
-    for box in delivery.values():
-        box.sort()
-
-    tau = mixing_estimate(sub)
-    return delivery, tau * kappa
+    ids = np.asarray(old_ids, dtype=np.int64)
+    inside = np.isin(pairs, ids).all(axis=1)
+    if not inside.all():
+        u, v = pairs[inside.argmin()].tolist()
+        raise GraphError(f"request {u}->{v} leaves the component")
+    load = np.bincount(np.searchsorted(ids, pairs).ravel(), minlength=sub.n)
+    cap = np.asarray(sub.deg, dtype=np.int64) * kappa
+    busy = load > 0
+    stranded = busy & (cap == 0)
+    if stranded.any():
+        v = old_ids[stranded.argmax()]
+        raise GraphError(f"vertex {v} has no edges to route over")
+    mult = int((-(-load[busy] // cap[busy])).max())
+    return mixing_estimate(sub) * kappa * mult, mult

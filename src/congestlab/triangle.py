@@ -25,9 +25,11 @@ The CLI writes `TriangleSet.rows()` straight into the report.
 Round accounting follows the same policy as decomposition.py: instead of
 replaying the engine message by message, phases are charged through the
 audited closed forms. Class announcements cost one round, sparse-edge
-announcements cost one round per owned edge, and bulk deliveries are
-priced by routing.route on the actual request multiset, with the load
-multiplier checked against a fixed concentration envelope.
+announcements cost one round per owned edge, and each bulk delivery is
+priced by routing.route from its (sender, receiver) rows: route stretches
+kappa by the least multiplier that fits the per-vertex loads, and the
+class-tuple core checks that multiplier against a fixed concentration
+envelope.
 """
 
 from __future__ import annotations
@@ -51,13 +53,7 @@ from .graphcore import (
     induced_subgraph,  # unused here; perfbench checks it wraps this binding
     subgraph_from_edges,
 )
-from .routing import (
-    IdAssignment,
-    RoutingRequest,
-    assign_degree_class_ids,
-    kappa_default,
-    route,
-)
+from .routing import IdAssignment, assign_degree_class_ids, route
 from .decomposition import decompose
 from . import runtime as rt
 
@@ -429,47 +425,6 @@ def case1_report_owner(triangle, oriented) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# priced delivery
-# ---------------------------------------------------------------------------
-
-
-def _deliver(
-    g: Graph,
-    members: Sequence[int],
-    requests: Sequence[RoutingRequest],
-    kappa_base: int,
-    envelope: int,
-) -> Tuple[Dict[int, List[Tuple[int, Tuple[int, ...]]]], int, int]:
-    """Route requests among `members` of g, stretching kappa to fit the load.
-
-    A vertex's routing degree is its degree in g among the members; only
-    `route` extracts their subgraph. The charge comes out as tau *
-    kappa_base * mult, the per-unit routing price times the normalized
-    load ceiling. A multiplier above the concentration envelope means the
-    random classes failed to spread the load as promised and is an error.
-    """
-    if not requests:
-        return {}, 0, 0
-    mset = set(members)
-    load: Dict[int, int] = {}
-    for req in requests:
-        load[req.source] = load.get(req.source, 0) + 1
-        load[req.destination] = load.get(req.destination, 0) + 1
-    mult = 1
-    for v, l in load.items():
-        deg = len(g.neighbor_set(v) & mset) if v in mset else 0
-        if deg == 0:
-            raise GraphError(f"vertex {v} has no edges to route over")
-        mult = max(mult, math.ceil(l / (deg * kappa_base)))
-    if mult > envelope:
-        raise GraphError(
-            f"routing load multiplier {mult} exceeds the envelope {envelope}"
-        )
-    delivery, charged = route(g, members, requests, kappa=kappa_base * mult)
-    return delivery, charged, mult
-
-
-# ---------------------------------------------------------------------------
 # class-tuple listing
 # ---------------------------------------------------------------------------
 
@@ -501,76 +456,80 @@ def _list_by_class_tuples(
     q = ceil(n^(1/s)) parts, each edge travels to the owners of all sorted
     class tuples holding its two parts, and each occurrence (a sorted
     vertex row of the (k, s) array) goes to the owner of its sorted part
-    tuple, which must have heard of all its edges. Returns the owner of
-    each occurrence row; the phases, under `label`, and the messages are
-    charged to tx.
+    tuple, which must have heard of all its edges. Either way the
+    deliveries are one batch of (sender, receiver) rows priced by `route`,
+    whose load multiplier must stay within the concentration envelope.
+    Returns the owner of each occurrence row; the phases, under `label`,
+    and the messages are charged to tx.
     """
     n = len(members)
-    mset = set(members)
-    universe = sorted(edges)
-    incident: Dict[int, List[Edge]] = {}
-    for e in universe:
-        incident.setdefault(e[0], []).append(e)
-        incident.setdefault(e[1], []).append(e)
+    ids_of = np.asarray(members, dtype=np.int64)
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    sends = np.isin(ends, ids_of)  # an edge is sent by its member ends
+    inc = np.bincount(np.searchsorted(ids_of, ends[sends]), minlength=n)
 
-    kappa_base = kappa if kappa is not None else kappa_default(n)
-    if kappa_base < 1:
-        raise GraphError("kappa must be at least 1")
     q = _iceil_root(n, s)
     envelope = LOAD_ENVELOPE * s * s * q ** (s - 2)
-    inner = sum(1 for u, v in universe if u in mset and v in mset)
+    inner = int(sends.all(axis=1).sum())
     heavy = heavy_scale * inner / (
         HEAVY_DEG_FACTOR * n ** ((s - 2.0) / s) * math.log2(max(n, 2))
     )
 
-    star = max(members, key=lambda v: (len(incident.get(v, ())), -v))
-    if len(incident.get(star, ())) >= heavy:
+    at = int(inc.argmax())  # members are sorted, so ties go to the smaller id
+    if inc[at] >= heavy:
         # Heavy collector: every member ships its incident edges to star.
-        requests = [
-            RoutingRequest(u, star, payload=e)
-            for u in members
-            if u != star
-            for e in incident.get(u, ())
-        ]
-        _, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
-        tx.charge(f"{label}:collect", charged)
-        tx.message_count += len(requests)
-        return np.full(len(occurrences), star, dtype=np.int64)
+        star = int(ids_of[at])
+        inc[at] = 0
+        requests = np.column_stack(
+            (np.repeat(ids_of, inc), np.full(int(inc.sum()), star))
+        )
+        owners = np.full(len(occurrences), star, dtype=np.int64)
+        phase = "collect"
+    else:
+        ids, id_rounds = assign_degree_class_ids(g, members)
+        parts = {
+            v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q)
+            for v in set(ends.ravel().tolist()).union(occurrences.ravel().tolist())
+        }
+        alloc = _allocate_tuples(ids, g, q, s)
 
-    ids, id_rounds = assign_degree_class_ids(g, members)
-    parts = {
-        v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q)
-        for v in set(incident).union(occurrences.ravel().tolist())
-    }
-    alloc = _allocate_tuples(ids, g, q, s)
-
-    rests = list(combinations_with_replacement(range(1, q + 1), s - 2))
-    requests = []
-    for e in universe:
-        u, v = e
-        senders = [x for x in e if x in mset]
-        for rest in rests:
-            owner = alloc.owner_of((parts[u], parts[v]) + rest)
+        # A member knows its incident edges and every edge sent to it.
+        rests = list(combinations_with_replacement(range(1, q + 1), s - 2))
+        known: Dict[int, Set[Edge]] = {v: set() for v in members}
+        rows: List[Tuple[int, int]] = []
+        for e, sent in zip(edges, sends.tolist()):
+            u, v = e
+            senders = [x for x, member in zip(e, sent) if member]
             for sender in senders:
-                requests.append(RoutingRequest(sender, owner, payload=e))
-    delivery, charged, _ = _deliver(g, members, requests, kappa_base, envelope)
+                known[sender].add(e)
+            for rest in rests:
+                owner = alloc.owner_of((parts[u], parts[v]) + rest)
+                for sender in senders:
+                    rows.append((sender, owner))
+                    known[owner].add(e)
+        requests = np.array(rows, dtype=np.int64).reshape(-1, 2)
 
-    known: Dict[int, Set[Edge]] = {v: set(incident.get(v, ())) for v in members}
-    for owner, box in delivery.items():
-        known[owner].update(tuple(payload) for _, payload in box)
-    edge_set = set(universe)
-    owners = []
-    for occ in occurrences.tolist():
-        owner = alloc.owner_of(tuple(parts[v] for v in occ))
-        for e in combinations(occ, 2):
-            if e in edge_set:
-                assert e in known[owner], "owner missed an edge"
-        owners.append(owner)
-    tx.charge(f"{label}:ids", id_rounds)
-    tx.charge(f"{label}:classes", 1)
-    tx.charge(f"{label}:deliver", charged)
+        edge_set = set(edges)
+        owner_list = []
+        for occ in occurrences.tolist():
+            owner = alloc.owner_of(tuple(parts[v] for v in occ))
+            for e in combinations(occ, 2):
+                if e in edge_set:
+                    assert e in known[owner], "owner missed an edge"
+            owner_list.append(owner)
+        owners = np.array(owner_list, dtype=np.int64)
+        tx.charge(f"{label}:ids", id_rounds)
+        tx.charge(f"{label}:classes", 1)
+        phase = "deliver"
+
+    charged, mult = route(g, members, requests, kappa)
+    if mult > envelope:
+        raise GraphError(
+            f"routing load multiplier {mult} exceeds the envelope {envelope}"
+        )
+    tx.charge(f"{label}:{phase}", charged)
     tx.message_count += len(requests)
-    return np.array(owners, dtype=np.int64)
+    return owners
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +551,8 @@ def enumerate_expander(
     must have exactly one endpoint in the component, so the edges among
     the members are exactly g's and every delivery routes over g among
     them. The triangles of inward plus outward edges are attributed by the
-    class-triad listing at tuple size 3: the member of largest total
-    degree, if that reaches m / (20 n^(1/3) log2 n), collects everything
+    class-triad listing at tuple size 3: the member with the most incident
+    edges, if that reaches m / (20 n^(1/3) log2 n), collects everything
     directly; otherwise every vertex samples one of q = ceil(n^(1/3))
     parts, edges travel to the owners of the matching class triads, and
     each owner reports exactly the triangles whose sorted part triple

@@ -191,6 +191,39 @@ def test_verify_malformed_report_exits_1(tmp_path, capsys, field):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "case, spec, seed, err",
+    [
+        ("edge", "barbell:k=12,bridges=1", 1, "error: edge (0, 1) is listed twice"),
+        ("cluster", "barbell:k=12,bridges=1", 1, "error: cluster id 1 is listed twice"),
+        ("owner", "er:n=50,p=0.3", 0, "error: owner 44 is listed twice"),
+    ],
+)
+def test_verify_label_listed_twice_exits_1(tmp_path, capsys, case, spec, seed, err):
+    rpt = tmp_path / "r.json"
+    assert run_cli(
+        ["--mode", "decompose", "--gen", spec, "--seed", str(seed), "--out", str(rpt)]
+    ) == 0
+    capsys.readouterr()
+    code, out, _ = _run(capsys, ["--mode", "verify", "--mode-args", str(rpt)])
+    assert code == 0 and out == "verified=true"
+    doc = json.loads(rpt.read_text())
+    dec = doc["runs"][0]["decomposition"]
+    cluster = next(c for c in dec["clusters"] if c["id"] == 1)
+    if case == "edge":
+        # the repeat would overwrite the first listing with the same label
+        cluster["edges"].append(cluster["edges"][0])
+    elif case == "cluster":
+        dec["clusters"].append(cluster)
+    else:
+        # "044" is owner 44 again, and its list would replace the first one
+        dec["es"]["044"] = list(dec["es"]["44"])
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps(doc))
+    code, out, msg = _run(capsys, ["--mode", "verify", "--mode-args", str(bad)])
+    assert (code, out, msg) == (1, "", err)
+
+
 @pytest.mark.parametrize("case", ["list", "config", "runs", "run", "seed"])
 def test_verify_report_container_types_exit_1(tmp_path, capsys, case):
     rpt = tmp_path / "r.json"

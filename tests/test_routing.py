@@ -1,6 +1,7 @@
 """Degree-class ids and the routing cost oracle."""
 
 import math
+import random
 
 import pytest
 
@@ -76,75 +77,81 @@ def test_kappa_default():
     assert rta.kappa_default(1) == 1
 
 
+def _all_pairs(n):
+    return [(u, v) for u in range(n) for v in range(n) if u != v]
+
+
 def test_route_empty():
     g = gc.gen_clique(4)
-    delivery, rounds = rta.route(g, range(4), [])
-    assert delivery == {} and rounds == 0
+    assert rta.route(g, range(4), []) == (0, 0)
 
 
 def test_route_k4_full_load():
     g = gc.gen_clique(4)
-    reqs = [
-        rta.RoutingRequest(u, v, (u, v))
-        for u in range(4)
-        for v in range(4)
-        if u != v
-    ]
-    delivery, rounds = rta.route(g, range(4), reqs, kappa=2)
-    assert rounds == 6  # mixing time 3 times kappa 2
-    assert sum(len(v) for v in delivery.values()) == 12
-    for dst, box in delivery.items():
-        assert [s for s, _ in box] == sorted(s for s, _ in box)
-        for src, payload in box:
-            assert payload == (src, dst)
+    # every vertex sends 3 and receives 3: load 6 = deg 3 * kappa 2
+    rounds, mult = rta.route(g, range(4), _all_pairs(4), kappa=2)
+    assert (rounds, mult) == (6, 1)  # mixing time 3 times kappa 2
 
 
-def test_route_overload_names_vertex():
+def test_route_star_leaf_stretches_kappa():
     g = gc.gen_star(5)
-    reqs = [rta.RoutingRequest(0, 1, (i,)) for i in range(3)]
-    # leaf 1 has degree 1; with kappa=2 its cap is 2, load is 3
-    with pytest.raises(gc.GraphError, match="vertex 1"):
-        rta.route(g, range(5), reqs, kappa=2)
+    # leaf 1 has degree 1 and load 3 against its kappa-2 cap of 2
+    rounds, mult = rta.route(g, range(5), [(0, 1)] * 3, kappa=2)
+    assert mult == 2
+    assert rounds == rta.mixing_estimate(g) * 2 * 2
 
 
-def test_route_multiset_preserved():
+def test_route_mult_matches_a_python_oracle():
     g = gc.gen_er(40, 0.3, seed=6)
     comp = max(gc.connected_components(g), key=len)
-    import random
-
     rng = random.Random(5)
-    reqs = []
-    for i in range(60):
-        u, v = rng.sample(comp, 2)
-        reqs.append(rta.RoutingRequest(u, v, (i,)))
-    delivery, rounds = rta.route(g, comp, reqs, kappa=8)
-    got = sorted(p for box in delivery.values() for _, p in box)
-    assert got == sorted(r.payload for r in reqs)
-    assert rounds > 0
+    reqs = [tuple(rng.sample(comp, 2)) for _ in range(400)]
+    load = {}
+    for u, v in reqs:
+        load[u] = load.get(u, 0) + 1
+        load[v] = load.get(v, 0) + 1
+    members = set(comp)
+    kappa = 2
+    want = max(
+        math.ceil(l / (len(g.neighbor_set(v) & members) * kappa))
+        for v, l in load.items()
+    )
+    assert want > 1
+    sub, _ = gc.induced_subgraph(g, comp)
+    rounds, mult = rta.route(g, comp, reqs, kappa=kappa)
+    assert mult == want
+    assert rounds == rta.mixing_estimate(sub) * kappa * want
+    # the stretched kappa fits the batch at multiplier 1 and the same price
+    assert rta.route(g, comp, reqs, kappa=kappa * want) == (rounds, 1)
 
 
 def test_route_rounds_monotone_in_load():
     g = gc.gen_clique(8)
-    light = [rta.RoutingRequest(0, 1, (1,))]
-    heavy = [
-        rta.RoutingRequest(u, v, (u,)) for u in range(8) for v in range(8) if u != v
-    ]
-    _, r0 = rta.route(g, range(8), [], kappa=4)
-    _, r1 = rta.route(g, range(8), light, kappa=4)
-    _, r2 = rta.route(g, range(8), heavy, kappa=4)
-    assert r0 <= r1 <= r2
+    light = [(0, 1)]
+    heavy = _all_pairs(8) * 3
+    r0, _ = rta.route(g, range(8), [], kappa=4)
+    r1, _ = rta.route(g, range(8), light, kappa=4)
+    r2, m2 = rta.route(g, range(8), heavy, kappa=4)
+    assert r0 <= r1 < r2 and m2 == 2
 
 
 def test_route_rejects_outside_component():
     g = gc.gen_barbell(4, 1)
-    with pytest.raises(gc.GraphError):
-        rta.route(g, range(4), [rta.RoutingRequest(0, 6, ())], kappa=4)
+    with pytest.raises(gc.GraphError, match="request 0->6 leaves the component"):
+        rta.route(g, range(4), [(0, 6)], kappa=4)
 
 
-def test_route_payload_width():
+def test_route_rejects_a_loaded_vertex_without_member_edges():
+    g = gc.Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(gc.GraphError, match="vertex 2 has no edges to route over"):
+        rta.route(g, [0, 1, 2], [(0, 1), (1, 2)], kappa=4)
+
+
+@pytest.mark.parametrize("kappa", [0, -1])
+def test_route_rejects_kappa_below_one(kappa):
     g = gc.gen_clique(3)
-    with pytest.raises(gc.GraphError):
-        rta.route(g, range(3), [rta.RoutingRequest(0, 1, (1, 2, 3, 4, 5))])
+    with pytest.raises(gc.GraphError, match="kappa must be at least 1"):
+        rta.route(g, range(3), [], kappa=kappa)
 
 
 def test_mixing_estimate_exact_small():

@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -416,6 +417,69 @@ def test_expander_partition_deterministic():
     b, tb = enumerate_expander(g, comp, [], seed=7, zeta_scale=1e9)
     assert a.attribution == b.attribution
     assert ta.phases == tb.phases
+
+
+class _OwnerFlip:
+    """Allocation fake: one owner for the first `sends` lookups, then another."""
+
+    def __init__(self, sends, first, then):
+        self.sends, self.first, self.then, self.calls = sends, first, then, 0
+
+    def owner_of(self, class_tuple):
+        self.calls += 1
+        return self.first if self.calls <= self.sends else self.then
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_triad_owner_missing_an_edge_trips_the_assert(monkeypatch, flip):
+    g = gen_er(64, 0.4, seed=3)
+    comp = max(connected_components(g), key=len)
+    first = comp[0]
+    then = comp[-1] if flip else first
+    inner = sum(1 for u, v in g.edges() if u in comp and v in comp)
+    # The send loop asks once per edge and per class triad holding its two
+    # parts (q of them at size 3); every edge goes to `first`, so `then`
+    # knows only its own incident edges when the occurrences are owned.
+    monkeypatch.setattr(
+        tr,
+        "_allocate_tuples",
+        lambda ids, g_in, q, size: _OwnerFlip(inner * q, first, then),
+    )
+    if flip:
+        with pytest.raises(AssertionError, match="owner missed an edge"):
+            enumerate_expander(g, comp, [], seed=5, zeta_scale=1e9)
+    else:
+        res, t = enumerate_expander(g, comp, [], seed=5, zeta_scale=1e9)
+        assert res.reporter_counts() == {first: res.count}
+        assert "triangle:deliver" in t.phases
+
+
+@pytest.mark.parametrize("zeta_scale, phase", [(1.0, "collect"), (1e9, "deliver")])
+def test_load_envelope_check_can_fail(monkeypatch, zeta_scale, phase):
+    g = gen_er(64, 0.4, seed=3)
+    comp = max(connected_components(g), key=len)
+    mults = []
+
+    def spy(*args, **kwargs):
+        charged, mult = route(*args, **kwargs)
+        mults.append(mult)
+        return charged, mult
+
+    route = tr.route
+    monkeypatch.setattr(tr, "route", spy)
+    want, t = enumerate_expander(g, comp, [], seed=5, zeta_scale=zeta_scale)
+    assert f"triangle:{phase}" in t.phases
+    (mult,) = mults
+    assert mult >= 1
+    # envelope = LOAD_ENVELOPE * 9 q at tuple size 3; Fraction keeps it exact
+    per_unit = 9 * tr._iceil_root(len(comp), 3)
+    monkeypatch.setattr(tr, "LOAD_ENVELOPE", Fraction(mult, per_unit))
+    res, _ = enumerate_expander(g, comp, [], seed=5, zeta_scale=zeta_scale)
+    assert res.attribution == want.attribution
+    monkeypatch.setattr(tr, "LOAD_ENVELOPE", Fraction(mult - 1, per_unit))
+    match = f"routing load multiplier {mult} exceeds the envelope {mult - 1}$"
+    with pytest.raises(GraphError, match=match):
+        enumerate_expander(g, comp, [], seed=5, zeta_scale=zeta_scale)
 
 
 def test_expander_rejects_bad_out_edges():
