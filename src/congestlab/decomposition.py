@@ -19,10 +19,12 @@ wave through the engine; the runtime tests validate those forms.
 """
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .graphcore import (
     EXACT_MIXING_LIMIT,
@@ -30,6 +32,8 @@ from .graphcore import (
     Edge,
     Graph,
     GraphError,
+    _pair_array,
+    _relabel,
     bfs_levels,
     conductance,
     edge_components,
@@ -41,7 +45,6 @@ from .graphcore import (
     mixing_time_bound,
     mixing_time_exact,
     sparsest_cut_bruteforce,
-    subgraph_from_edges,
     verify_orientation,
 )
 from . import nibble as nib
@@ -177,11 +180,32 @@ def high_diameter_cut(
 # ---------------------------------------------------------------------------
 
 
+def _edge_tuples(pairs: np.ndarray) -> List[Edge]:
+    """The rows of a (k, 2) int array as a list of int pairs."""
+    return list(zip(*pairs.T.tolist()))
+
+
 @dataclass
 class PeelResult:
-    e_diamond: List[Edge]
-    es_parts: Dict[int, List[Edge]]
+    """A peel as arrays: `kept`, the edges left, sorted; `peeled`, the
+    peeled edges grouped by owner; `owners`, the owner of each. The tuple
+    views `e_diamond` and `es_parts` are read off them."""
+
+    kept: np.ndarray
+    peeled: np.ndarray
+    owners: np.ndarray
     iterations: int
+
+    @property
+    def e_diamond(self) -> List[Edge]:
+        return _edge_tuples(self.kept)
+
+    @property
+    def es_parts(self) -> Dict[int, List[Edge]]:
+        parts: Dict[int, List[Edge]] = {}
+        for v, e in zip(self.owners.tolist(), _edge_tuples(self.peeled)):
+            parts.setdefault(v, []).append(e)
+        return parts
 
 
 def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
@@ -193,27 +217,35 @@ def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
     away from itself, except that an edge between two vertices of the
     same batch goes to the smaller id. Passes repeat while they remove
     more than threshold / 2 vertices, so after the final pass every
-    remaining degree sits strictly above threshold / 2. No BFS runs here:
+    remaining degree sits strictly above threshold / 2. A pass counts the
+    remaining degrees with one bincount over the edges still alive, and
+    lists a batch's edges by owner, then by other end. No BFS runs here:
     the caller holds the piece's BFS depth from its split and charges the
     peel depth + 2 * iterations + 1 rounds.
     """
-    adj: List[Set[int]] = [set(a) for a in g.adj]
-    es_parts: Dict[int, List[Edge]] = {}
+    alive = g._edge_array()
+    owners: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    peeled: List[np.ndarray] = [np.empty((0, 2), dtype=np.int64)]
     iterations = 0
     while True:
-        z = [v for v in range(g.n) if 1 <= len(adj[v]) <= threshold]
-        if not z:
+        deg = np.bincount(alive.ravel(), minlength=g.n)
+        batch = (deg >= 1) & (deg <= threshold)
+        size = int(np.count_nonzero(batch))
+        if not size:
             break
         iterations += 1
-        for v in z:
-            for u in sorted(adj[v]):
-                es_parts.setdefault(v, []).append(edge_key(u, v))
-                adj[u].discard(v)
-            adj[v] = set()
-        if len(z) <= threshold / 2.0:
+        ends_in = batch[alive]
+        taken = ends_in.any(axis=1)
+        part = alive[taken]
+        owner = np.where(ends_in[taken, 0], part[:, 0], part[:, 1])
+        # part is in key order, so each owner's other ends come out ascending
+        order = np.argsort(owner, kind="stable")
+        owners.append(owner[order])
+        peeled.append(part[order])
+        alive = alive[~taken]
+        if size <= threshold / 2.0:
             break
-    remaining = sorted({edge_key(u, v) for v in range(g.n) for u in adj[v]})
-    return PeelResult(remaining, es_parts, iterations)
+    return PeelResult(alive, np.concatenate(peeled), np.concatenate(owners), iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -266,46 +298,65 @@ def black_box_partition(
     |E_i| over the deque and the clusters. Only a cut grows the removed
     set and every other step only lowers that sum, so no other step needs
     the check. Each component's graph is built once, by edge_components.
+    Pieces travel as sorted (k, 2) int arrays of canonical edges; the
+    returned clusters and edge sets hold tuples.
     """
-    if not edges:
+    if not len(edges):
         raise GraphError("edge set is empty")
     if not 0 < delta < 1:
         raise GraphError("delta must lie in (0, 1)")
-    edges = sorted(edge_key(u, v) for u, v in edges)
-    if len(set(edges)) != len(edges):
+    pairs = _pair_array(edges)
+    if pairs is None:
+        raise GraphError("edges must be pairs of integer vertex ids")
+    pairs = np.sort(pairs, axis=1)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    if (pairs[1:] == pairs[:-1]).all(axis=1).any():
         raise GraphError("duplicate edges in input")
     threshold = g.n ** delta
-    m_call = len(edges)
+    m_call = len(pairs)
     m_log = log2m(g.m)
     bar = threshold_scale * DIAMETER_FACTOR * m_log ** 2
     phi_nibble = phi_nibble_default(g.m)
 
     clusters: List[ClusterPiece] = []
+    cluster_pairs: List[np.ndarray] = []  # each cluster's edges as an array
     es_new: Dict[int, List[Edge]] = {}
     er_new: List[Edge] = []
     witnesses: List[dict] = []
     halt_rounds: Dict[int, int] = {}
     tx = rt.Transcript()
     initial_potential = _potential([m_call])
-    # (sorted edges, None) for a piece, (sorted edges, (graph, vertex map,
-    # BFS depth, peeled)) for a component.
-    queue = deque([(tuple(edges), None)])
+    # (edges, None) for a piece, (edges, (graph, vertex ids, BFS depth,
+    # peeled)) for a component; edges in the input's ids, vertex ids
+    # indexed by the graph's.
+    queue = deque([(pairs, None)])
     nibble_calls = 0
 
-    def apply_cut(cut: Cut, piece_graph: Graph, to_global: List[int], label: str):
-        in_side = [False] * piece_graph.n
-        for v in cut.side:
-            in_side[v] = True
-        # indexed by how many endpoints lie on the cut's side
-        parts: Tuple[List[Edge], ...] = ([], [], [])
-        for a, b in piece_graph.edges():
-            parts[in_side[a] + in_side[b]].append(edge_key(to_global[a], to_global[b]))
-        side_b, boundary, side_a = parts
+    def shed(owners: np.ndarray, part: np.ndarray) -> None:
+        """File each edge of part into E_s under its owner, in order."""
+        for v, e in zip(owners.tolist(), _edge_tuples(part)):
+            es_new.setdefault(v, []).append(e)
+
+    def add_cluster(piece: np.ndarray, ids: np.ndarray, status: str) -> None:
+        vertices = ids.tolist()
+        edges = tuple(_edge_tuples(piece))
+        clusters.append(ClusterPiece(frozenset(vertices), edges, status))
+        cluster_pairs.append(piece)
+        halt_rounds.update(dict.fromkeys(vertices, start_round + tx.rounds))
+
+    def apply_cut(cut: Cut, piece_graph: Graph, ids: np.ndarray, label: str):
+        in_side = np.zeros(piece_graph.n, dtype=bool)
+        in_side[list(cut.side)] = True
+        local = piece_graph._edge_array()
+        # how many endpoints of each edge lie on the cut's side
+        count = in_side[local].sum(axis=1)
+        ends = ids[local]
+        boundary = ends[count == 1]
         assert len(boundary) == cut.boundary_size
         assert cut.boundary_size * WITNESS_FACTOR * m_log <= min(
             cut.vol_side, cut.vol_complement
         ), "cut witness"
-        er_new.extend(boundary)
+        er_new.extend(_edge_tuples(boundary))
         witnesses.append(
             {
                 "kind": label,
@@ -314,69 +365,59 @@ def black_box_partition(
                 "ledger_price": WITNESS_FACTOR * m_log,
             }
         )
-        for part in (side_a, side_b):
-            if part:
-                queue.append((tuple(sorted(part)), None))
+        for part in (ends[count == 2], ends[count == 0]):
+            if len(part):
+                queue.append((part, None))
         # removal ledger, over the deque and the finished clusters
         sizes = [len(entry[0]) for entry in queue] + [len(c.edges) for c in clusters]
         drop = initial_potential - _potential(sizes)
         assert LEDGER_FACTOR * m_log * len(er_new) <= drop + 1e-9, "removal ledger"
 
-    def split(piece_edges, peeled: bool) -> List[tuple]:
+    def split(piece: np.ndarray, peeled: bool) -> List[tuple]:
         """One component entry per component, in edge_components order."""
         out = []
-        for cg, cverts in edge_components(piece_edges):
-            item = tuple((cverts[a], cverts[b]) for a, b in cg.edges())
-            out.append((item, (cg, cverts, max(bfs_levels(cg, 0)), peeled)))
+        for cg, cverts in edge_components(piece):
+            ids = np.asarray(cverts, dtype=np.int64)
+            out.append((ids[cg._edge_array()], (cg, ids, max(bfs_levels(cg, 0)), peeled)))
         return out
 
     while queue:
         piece, comp = queue.popleft()
 
         if comp is None:
-            # Remove-1: shed edges joining two low-degree vertices. Pieces
-            # hold sorted canonical edges, so u < v throughout.
-            piece_deg = Counter(v for e in piece for v in e)
-            kept: List[Edge] = []
-            for u, v in piece:
-                if piece_deg[u] <= threshold and piece_deg[v] <= threshold:
-                    es_new.setdefault(u, []).append((u, v))
-                else:
-                    kept.append((u, v))
-            tx.charge("partition:remove", 2)
+            # Remove-1: shed edges joining two low-degree vertices to
+            # their smaller end. Pieces hold sorted canonical edges.
+            low = np.bincount(piece.ravel())[piece] <= threshold
+            both = low.all(axis=1)
+            shed(piece[both, 0], piece[both])
 
             # Split-1: components of what remains.
-            comps = split(kept, False)
+            tx.charge("partition:remove", 2)
+            comps = split(piece[~both], False)
             tx.charge("partition:split", max((c[1][2] for c in comps), default=0) + 1)
             queue.extendleft(reversed(comps))
             continue
 
-        cg, cverts, d_tilde, peeled = comp
+        cg, ids, d_tilde, peeled = comp
         if not peeled and len(piece) <= m_call / 2.0:
-            clusters.append(ClusterPiece(frozenset(cverts), piece, "C3-2"))
-            halt_rounds.update(dict.fromkeys(cverts, start_round + tx.rounds))
+            add_cluster(piece, ids, "C3-2")
         elif d_tilde >= bar:
             label = "case2a" if peeled else "case1"
             cut, hc_rounds = high_diameter_cut(
                 cg, 0, threshold, threshold_scale=threshold_scale, m_for_logs=g.m
             )
             tx.charge(f"partition:{label}", hc_rounds)
-            apply_cut(cut, cg, cverts, label)
+            apply_cut(cut, cg, ids, label)
         elif not peeled:
             peel = low_degree_peel(cg, threshold)
             tx.charge("partition:peel", d_tilde + 2 * peel.iterations + 1)
             if peel.iterations == 0:
-                queue.appendleft((piece, (cg, cverts, d_tilde, True)))
+                queue.appendleft((piece, (cg, ids, d_tilde, True)))
                 continue
-            now = start_round + tx.rounds
-            for local_v, part in peel.es_parts.items():
-                owner = cverts[local_v]
-                es_new.setdefault(owner, []).extend(
-                    (cverts[a], cverts[b]) for a, b in part
-                )
-                halt_rounds[owner] = now
-            cores = split([(cverts[a], cverts[b]) for a, b in peel.e_diamond], True)
-            queue.extendleft(reversed(cores))
+            owners = ids[peel.owners]
+            shed(owners, ids[peel.peeled])
+            halt_rounds.update(dict.fromkeys(owners.tolist(), start_round + tx.rounds))
+            queue.extendleft(reversed(split(ids[peel.kept], True)))
         else:
             nibble_calls += 1
             res = nib.distributed_nibble(
@@ -384,15 +425,14 @@ def black_box_partition(
             )
             tx.charge("partition:nibble", res.transcript.rounds)
             if res.status == "cut":
-                apply_cut(res.cut, cg, cverts, "case2b")
+                apply_cut(res.cut, cg, ids, "case2b")
                 continue
             # Terminal piece: peeling left every degree above half the
             # threshold and the walk search certified no sparse cut.
             assert min(cg.deg) > threshold / 2.0, "terminal degree floor"
-            clusters.append(ClusterPiece(frozenset(cverts), piece, "C3-1"))
-            halt_rounds.update(dict.fromkeys(cverts, start_round + tx.rounds))
+            add_cluster(piece, ids, "C3-1")
 
-    all_vertices = {v for e in edges for v in e}
+    all_vertices = set(np.unique(pairs).tolist())
     cluster_vertices: Set[int] = set()
     for c in clusters:
         assert not (cluster_vertices & c.vertices), "clusters overlap"
@@ -402,13 +442,10 @@ def black_box_partition(
     for v in s_vertices | set(es_new):
         halt_rounds.setdefault(v, now)
 
-    em_deg: Dict[int, int] = {}
-    for c in clusters:
-        for u, v in c.edges:
-            em_deg[u] = em_deg.get(u, 0) + 1
-            em_deg[v] = em_deg.get(v, 0) + 1
+    em_ends = np.concatenate([pairs[:0]] + cluster_pairs).ravel()
+    em_deg = np.bincount(em_ends, minlength=int(pairs.max()) + 1).tolist()
     for v, part in es_new.items():
-        assert len(part) + em_deg.get(v, 0) <= threshold + 1e-9, "sparse cap"
+        assert len(part) + em_deg[v] <= threshold + 1e-9, "sparse cap"
 
     return PartitionStep(
         clusters=clusters,
@@ -444,6 +481,7 @@ class Decomposition:
         return groups
 
     def as_json(self) -> dict:
+        """The decomposition as plain JSON lists, rows sorted."""
         groups = self.edges_by_cluster()
         return {
             "delta": self.delta,
@@ -452,17 +490,24 @@ class Decomposition:
                 {
                     "id": cid,
                     "vertices": sorted(self.clusters[cid]),
-                    "edges": [list(e) for e in sorted(groups.get(cid, ()))],
+                    "edges": _sorted_rows(groups.get(cid, ())),
                 }
                 for cid in sorted(self.clusters)
             ],
-            "es": {
-                str(v): [list(e) for e in sorted(part)]
-                for v, part in sorted(self.es.items())
-            },
-            "er": [list(e) for e in sorted(self.er)],
+            "es": {str(v): _sorted_rows(part) for v, part in sorted(self.es.items())},
+            "er": _sorted_rows(self.er),
             "certificates": self.certificates,
         }
+
+
+def _sorted_rows(edges) -> List[List[int]]:
+    """Edges as [u, v] lists in sorted order, by one lexsort unless an id
+    does not fit int64."""
+    rows = list(edges)
+    pairs = _pair_array(rows)
+    if pairs is None:
+        return [list(e) for e in sorted(rows)]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()
 
 
 def _report_id(x) -> int:
@@ -563,7 +608,7 @@ def decompose(
     depth_cap = max(int(4 * log2m(g.m)), 1)
     work = deque()
     if g.m:
-        work.append((tuple(g.edge_list()), 0, 0))
+        work.append((tuple(g.edges()), 0, 0))
     call_index = 0
     while work:
         piece, depth, start = work.popleft()
@@ -588,20 +633,20 @@ def decompose(
         witnesses.extend(step.witnesses)
         for v, r in step.halt_rounds.items():
             halt_rounds[v] = max(halt_rounds.get(v, 0), r)
-        piece_vertices = {v for e in piece for v in e}
+        # the step's clusters and s_vertices split the piece's vertices
+        piece_n = len(step.s_vertices) + sum(len(c.vertices) for c in step.clusters)
         for c in step.clusters:
             if c.status == "C3-1":
                 terminal.append(c)
             else:
-                assert len(c.vertices) < len(piece_vertices), "no vertex progress"
+                assert len(c.vertices) < piece_n, "no vertex progress"
                 work.append((c.edges, depth + 1, start + step.transcript.rounds))
 
     em: Dict[Edge, int] = {}
     clusters: Dict[int, frozenset] = {}
     for cid, c in enumerate(sorted(terminal, key=lambda c: min(c.vertices)), start=1):
         clusters[cid] = c.vertices
-        for e in c.edges:
-            em[e] = cid
+        em.update(dict.fromkeys(c.edges, cid))
 
     deco = Decomposition(
         delta=delta,
@@ -628,6 +673,14 @@ def decompose(
 # ---------------------------------------------------------------------------
 # verifier
 # ---------------------------------------------------------------------------
+
+
+def _label_pairs(edges) -> np.ndarray:
+    """A label set's edges as a (k, 2) array: int64 when numpy reads them
+    as integer pairs, else of Python objects (an id past int64)."""
+    rows = list(edges)
+    pairs = _pair_array(rows)
+    return pairs if pairs is not None else np.array(rows, dtype=object).reshape(-1, 2)
 
 
 @dataclass
@@ -665,30 +718,39 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
         if not ok:
             failures.append(f"{name}: {detail}" if detail else name)
 
-    all_edges = set(g.edge_list())
-    em_edges = set(d.em)
-    es_edges = [e for part in d.es.values() for e in part]
-    er_edges = list(d.er)
-    labeled = list(em_edges) + es_edges + er_edges
-    check(
-        "partition",
-        len(labeled) == len(set(labeled)) == len(all_edges)
-        and set(labeled) == all_edges,
-        "labels must cover every edge exactly once",
-    )
+    em = _label_pairs(d.em)
+    es = _label_pairs([e for part in d.es.values() for e in part])
+    er = _label_pairs(d.er)
+    # Every id must be a vertex before it enters a key lo * n + hi: an id
+    # of n or more would alias another edge's key.
+    in_range = [
+        p.dtype != object and bool(((p >= 0) & (p < g.n)).all()) for p in (em, es, er)
+    ]
+    partition = all(in_range)
+    if partition:
+        labeled = np.concatenate((em, es, er))
+        g_edges = g._edge_array()
+        partition = bool((labeled[:, 0] < labeled[:, 1]).all()) and np.array_equal(
+            np.sort(labeled[:, 0] * g.n + labeled[:, 1]),
+            g_edges[:, 0] * g.n + g_edges[:, 1],
+        )
+    check("partition", partition, "labels must cover every edge exactly once")
 
-    by_cluster = d.edges_by_cluster()
+    # E_m grouped by cluster id with one argsort
+    cids = np.asarray(list(d.em.values()))
+    order = np.argsort(cids)
+    found, starts = np.unique(cids[order], return_index=True)
+    by_cluster = dict(zip(found.tolist(), np.split(em[order], starts[1:])))
     ok_clusters = not set(by_cluster) - set(d.clusters)
     conduct_ok = True
     mixing_ok = True
     for cid in sorted(d.clusters):
-        cluster_edges = by_cluster.get(cid)
-        if not cluster_edges:
+        if cid not in by_cluster:
             ok_clusters = False
             continue
-        sub, old = subgraph_from_edges(cluster_edges)
+        sub, old = _relabel(by_cluster[cid])
         connected = is_connected(sub)
-        if not connected or set(old) != set(d.clusters[cid]):
+        if not connected or set(old.tolist()) != set(d.clusters[cid]):
             ok_clusters = False
         floor = phi_star(g.m, sub.m)
         lam2 = None
@@ -719,13 +781,11 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
             flags.append(f"cluster {cid}: {miss}")
     check("clusters-connected", ok_clusters, "each cluster must span a component")
 
-    em_deg: Dict[int, int] = {}
-    for u, v in em_edges:
-        em_deg[u] = em_deg.get(u, 0) + 1
-        em_deg[v] = em_deg.get(v, 0) + 1
+    ends = em.ravel()
+    em_deg = np.bincount(ends) if in_range[0] else np.unique(ends, return_counts=True)[1]
     check(
         "min-degree",
-        all(dv >= threshold / 2.0 for dv in em_deg.values()),
+        bool((em_deg[em_deg > 0] >= threshold / 2.0).all()),
         f"every clustered vertex needs at least {threshold / 2.0:.2f} cluster edges",
     )
 
@@ -734,8 +794,8 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
 
     check(
         "removed-fraction",
-        len(er_edges) <= g.m / 6.0,
-        f"{len(er_edges)} removed of {g.m}",
+        len(d.er) <= g.m / 6.0,
+        f"{len(d.er)} removed of {g.m}",
     )
 
     check("cluster-conductance", conduct_ok, "see flags")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -49,11 +50,12 @@ MAX_VERTICES = 1 << 20  # larger vertex counts are refused before any allocation
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Its canonical CSR arrays (`indptr`, `indices`, each row sorted) are
-    built once, here; `adj`, `deg` and the neighbor sets are read off them.
+    Its canonical CSR arrays (`indptr`, `indices`, each row sorted) and
+    `deg` are built here, once. The per-vertex views `adj` and
+    `neighbor_set` are read off the arrays on first use.
     """
 
-    __slots__ = ("n", "m", "adj", "deg", "_nbr_sets", "indptr", "indices")
+    __slots__ = ("n", "m", "deg", "indptr", "indices", "_adj", "_nbr_sets")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -69,18 +71,26 @@ class Graph:
         self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.n = n
         self.m = len(lo)
-        flat, ptr = _id_objects(n)[self.indices].tolist(), self.indptr.tolist()
-        self.adj: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])
-        )
-        self.deg: Tuple[int, ...] = tuple(np.diff(ptr).tolist())
-        self._nbr_sets: Tuple[frozenset, ...] = tuple(map(frozenset, self.adj))
+        self.deg: Tuple[int, ...] = tuple(np.diff(self.indptr).tolist())
+        self._adj: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._nbr_sets: Optional[Tuple[frozenset, ...]] = None
+
+    @property
+    def adj(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each vertex's neighbors, ascending."""
+        if self._adj is None:
+            flat, ptr = _id_objects(self.n)[self.indices].tolist(), self.indptr.tolist()
+            self._adj = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return self._adj
 
     def neighbor_set(self, v: int) -> frozenset:
+        if self._nbr_sets is None:
+            self._nbr_sets = tuple(map(frozenset, self.adj))
         return self._nbr_sets[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        """Is (u, v) an edge; False for any u that is not a vertex."""
+        return 0 <= u < self.n and v in self.neighbor_set(u)
 
     def _edge_array(self) -> np.ndarray:
         """Canonical edges as a (m, 2) array, u < v, in sorted order."""
@@ -534,7 +544,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, List[int
 
 def subgraph_from_edges(edges: Iterable[Edge]) -> Tuple[Graph, List[int]]:
     """Graph on exactly the endpoints of `edges` with a monotone relabeling."""
-    pairs = _pair_array(list(edges))
+    rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    pairs = _pair_array(rows)
     if pairs is None:
         raise GraphError("edges must be pairs of integer vertex ids")
     sub, ids = _relabel(pairs)
@@ -780,11 +791,62 @@ def generate(spec, seed=0, **params) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+# Whitespace and line-break code points, read off str.isspace and
+# str.splitlines, so that the array parse cuts text where str.split and
+# str.splitlines do. The last entry, False, stands for every code point
+# above U+3000, the last whitespace character.
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+_BREAK = np.array([len(f"a{chr(c)}b".splitlines()) == 2 for c in range(0x3002)])
+# A comment runs from '#' to the end of its line.
+_COMMENT = re.compile("#[^%s]*" % re.escape("".join(map(chr, np.flatnonzero(_BREAK)))))
+
+
+def _id_rows(text: str) -> Optional[np.ndarray]:
+    """The words of comment-free text as a (k, 2) int64 array, or None
+    unless every line holds none or two words and each word is an int,
+    as int() reads it, that fits int64."""
+    try:
+        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    at = np.minimum(codes, len(_SPACE) - 1)
+    space = _SPACE[at]
+    first = ~space  # the first character of each word
+    first[1:] &= space[:-1]
+    words = np.bincount(np.cumsum(_BREAK[at])[first])
+    if ((words != 0) & (words != 2)).any():
+        return None
+    tokens = text.split()
+    try:
+        ids = np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    return ids.reshape(-1, 2)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the 'u v' per line edge-list format; '#' starts a comment.
 
-    Self-loops and duplicate edges are rejected with their line numbers.
+    Well-formed text is read in one array pass. Otherwise `_parse_lines`
+    reads it again line by line and names the first faulty line: a
+    self-loop or a duplicate edge is rejected with its line number.
     """
+    pairs = _id_rows(_COMMENT.sub("", text))
+    if pairs is not None:
+        if not len(pairs):
+            return Graph(0, pairs)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        n = int(hi.max()) + 1
+        if (lo >= 0).all() and (lo < hi).all() and n <= MAX_VERTICES:
+            keys = np.sort(lo * n + hi)
+            if (keys[1:] > keys[:-1]).all():
+                return Graph(n, np.column_stack(np.divmod(keys, n)))
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """`parse_edge_list` one line at a time: raises for the first faulty
+    line, and past every line for a vertex count above the limit."""
     edges: List[Edge] = []
     seen: Dict[Edge, int] = {}
     max_v = -1

@@ -101,6 +101,57 @@ def test_verify_names_sparse_edge_filed_under_wrong_owner(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize(
+    "owner, edge", [(61, [61, 62]), (10 ** 30, [10 ** 30, 10 ** 30 + 1])]
+)
+def test_verify_names_sparse_edge_outside_the_graph(tmp_path, capsys, owner, edge):
+    # ends past the 60 vertices: the graph lookup must report, not crash
+    rpt = tmp_path / "r.json"
+    assert run_cli(
+        ["--mode", "decompose", "--gen", "path:n=60", "--seed", "1", "--out", str(rpt)]
+    ) == 0
+    capsys.readouterr()
+    doc = json.loads(rpt.read_text())
+    doc["runs"][0]["decomposition"]["es"].setdefault(str(owner), []).append(edge)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    code, line, _ = _run(
+        capsys, ["--mode", "verify", "--mode-args", str(bad), "--out", str(out)]
+    )
+    assert code == 2
+    assert line == "verified=false"
+    result = json.loads(out.read_text())["runs"][0]["results"][0]
+    assert result["checks"]["partition"] is False
+    assert f"edge {tuple(edge)} not in graph" in "; ".join(result["failures"])
+
+
+def test_graph_file_gives_the_runs_of_its_generator(tmp_path, capsys):
+    # A file holds no isolated vertex above its largest id, so only specs
+    # whose top vertex has an edge come back as the same graph.
+    from test_golden import DECOMPOSE_GOLDEN
+
+    from congestlab.graphcore import generate, save_edge_list
+
+    compared = 0
+    for spec, seed in sorted(DECOMPOSE_GOLDEN):
+        g = generate(spec, seed=seed)
+        if g.deg[g.n - 1] == 0:
+            continue
+        path = tmp_path / "g.edges"
+        save_edge_list(g, path)
+        runs = []
+        for source in (["--gen", spec], ["--graph", str(path)]):
+            rpt = tmp_path / "r.json"
+            argv = ["--mode", "decompose", *source, "--seed", str(seed), "--out", str(rpt)]
+            assert run_cli(argv) == 0
+            runs.append(json.loads(rpt.read_text())["runs"])
+        assert runs[0] == runs[1]
+        compared += 1
+    capsys.readouterr()
+    assert compared >= 4
+
+
 @pytest.mark.parametrize("tamper", ["delta", "threshold", "both"])
 def test_verify_checks_report_delta_against_config(tmp_path, capsys, tamper):
     # Every edge moved into E_s under its smaller endpoint breaks the

@@ -686,3 +686,126 @@ def test_mixing_bound_dominates_exact_on_clustered_specs(spec):
 def test_phi_star_is_tiny_but_positive():
     f = phi_star(2016, 2016)
     assert 0 < f < 1e-6
+
+
+def test_dense_decompose_reads_no_per_vertex_view(monkeypatch):
+    # the partition, the peel and the verifier all read CSR and edge arrays
+    def refused(self, *args):
+        raise AssertionError("a per-vertex view was read")
+
+    monkeypatch.setattr(Graph, "adj", property(refused))
+    monkeypatch.setattr(Graph, "neighbor_set", refused)
+    deco, _ = decompose(gen_er(300, 0.3, seed=1), 0.5, seed=1)
+    assert list(deco.clusters) == [1]
+
+
+# ---------------------------------------------------------------------------
+# array peel against the set-based peel
+# ---------------------------------------------------------------------------
+
+
+def _oracle_peel(g, threshold):
+    """The set-based peel: one Python set per vertex, passes over range(n)."""
+    adj = [set(a) for a in g.adj]
+    es_parts = {}
+    iterations = 0
+    while True:
+        z = [v for v in range(g.n) if 1 <= len(adj[v]) <= threshold]
+        if not z:
+            break
+        iterations += 1
+        for v in z:
+            for u in sorted(adj[v]):
+                es_parts.setdefault(v, []).append(edge_key(u, v))
+                adj[u].discard(v)
+            adj[v] = set()
+        if len(z) <= threshold / 2.0:
+            break
+    remaining = sorted({edge_key(u, v) for v in range(g.n) for u in adj[v]})
+    return remaining, es_parts, iterations
+
+
+PEEL_SPECS = [
+    "path:n=300",
+    "star:n=40",
+    "cycle:n=50",
+    "hypercube:d=6",
+    "barbell:k=12,bridges=3",
+    "caterpillar:blobs=30,blob_size=4",
+    "planted_cut:n=60,p=0.15,cross=5",
+    "er:n=300,p=0.01",
+    "er:n=200,p=0.03",
+    "er:n=120,p=0.08",
+    "er:n=1600,p=0.1",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spec", PEEL_SPECS)
+def test_array_peel_matches_the_set_peel(spec, seed):
+    g = generate(spec, seed=seed)
+    for threshold in (1, 1.4, 2, 3, 4, 6, 10, g.n ** 0.3, g.n ** 0.5):
+        res = low_degree_peel(g, threshold)
+        remaining, es_parts, iterations = _oracle_peel(g, threshold)
+        assert res.iterations == iterations
+        assert res.e_diamond == remaining
+        assert list(res.es_parts.items()) == list(es_parts.items())
+
+
+# ---------------------------------------------------------------------------
+# verifier: ids outside the graph
+# ---------------------------------------------------------------------------
+
+
+def test_verifier_rejects_an_id_that_aliases_a_key():
+    # (0, 65) has the key 0 * 60 + 65 of (1, 5) on 60 vertices
+    g = gen_path(60)
+    deco, _ = decompose(g, 0.5)
+    deco.er.append((0, 65))
+    report = verify_decomposition(g, 0.5, deco)
+    assert report.checks["partition"] is False
+
+
+def test_verifier_rejects_an_alias_in_place_of_an_edge():
+    # (9, 71) stands in for the path edge (10, 11): both have the key 611,
+    # so only the range check tells them apart
+    g = gen_path(60)
+    deco, _ = decompose(g, 0.5)
+    owner = next(v for v, part in deco.es.items() if (10, 11) in part)
+    deco.es[owner].remove((10, 11))
+    deco.er.append((9, 71))
+    report = verify_decomposition(g, 0.5, deco)
+    assert report.checks["partition"] is False
+    assert report.checks["removed-fraction"] is True
+
+
+def test_verifier_rejects_a_cluster_edge_swapped_for_a_non_edge():
+    g = gen_barbell(16, 1)
+    deco, _ = decompose(g, 0.5, seed=3)
+    cid = deco.em.pop((0, 1))
+    assert not g.has_edge(0, 17)
+    deco.em[(0, 17)] = cid
+    report = verify_decomposition(g, 0.5, deco)
+    assert len(deco.em) + len(deco.er) + sum(map(len, deco.es.values())) == g.m
+    assert report.checks["partition"] is False
+    assert not report.ok
+
+
+@pytest.mark.parametrize("big", [10 ** 30, 2 ** 63])
+@pytest.mark.parametrize("label", ["em", "es", "er"])
+@pytest.mark.parametrize("spec", ["path:n=60", "barbell:k=16,bridges=1"])
+def test_verifier_reports_ids_past_int64(spec, label, big):
+    g = generate(spec, seed=3)
+    deco, _ = decompose(g, 0.5, seed=3)
+    e = (big, big + 1)
+    if label == "em":
+        deco.em[e] = min(deco.clusters, default=1)
+    elif label == "es":
+        deco.es[big] = [e]
+    else:
+        deco.er.append(e)
+    report = verify_decomposition(g, 0.5, deco)
+    assert report.checks["partition"] is False
+    assert not report.ok
+    if label == "es":
+        assert any(f"edge {e} not in graph" in f for f in report.failures)

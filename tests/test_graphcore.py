@@ -620,6 +620,117 @@ def test_edge_list_rejects_garbage():
         gc.parse_edge_list("0 1 2\n")
 
 
+def _oracle_parse(text):
+    """The line-by-line edge-list parse: (n, edges) or the GraphError text."""
+    edges, seen, max_v = [], {}, -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            return f"line {lineno}: expected 'u v', got '{raw.strip()}'"
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            return f"line {lineno}: non-integer vertex id"
+        if u < 0 or v < 0:
+            return f"line {lineno}: negative vertex id"
+        if u == v:
+            return f"line {lineno}: self-loop at vertex {u}"
+        k = gc.edge_key(u, v)
+        if k in seen:
+            return f"line {lineno}: duplicate of edge {k} first seen on line {seen[k]}"
+        seen[k] = lineno
+        edges.append(k)
+        max_v = max(max_v, u, v)
+    n = max_v + 1 if edges else 0
+    if n > gc.MAX_VERTICES:
+        return f"vertex count {n} exceeds the limit of {gc.MAX_VERTICES}"
+    return n, edges
+
+
+def _parsed(text):
+    """parse_edge_list(text) as (n, CSR arrays) or its GraphError text."""
+    try:
+        g = gc.parse_edge_list(text)
+    except gc.GraphError as exc:
+        return str(exc)
+    return g.n, g.indptr.tolist(), g.indices.tolist()
+
+
+def _expected(text):
+    got = _oracle_parse(text)
+    if isinstance(got, str):
+        return got
+    g = gc.Graph(*got)
+    return g.n, g.indptr.tolist(), g.indices.tolist()
+
+
+WELL_FORMED = [
+    "",
+    "# only a comment\n\n",
+    "# header\n0 1\n\n1 2  # trailing\n",
+    "0\t1\n1 \t 2\n",
+    "0 1\r\n1 2\r\n# c\r\n",
+    "+3 1\n1_0 2\n",
+    "\u0663 \u0661\n\u0967 9\n",  # Arabic-Indic and Devanagari digits
+    "007 0008\n",
+    "0 1\x0c2 3\u20284 5\x855 6",  # form feed, line and next-line separators
+    "  4 2   \n\n\n2 7#x#y\n",
+]
+
+
+@pytest.mark.parametrize("text", WELL_FORMED)
+def test_edge_list_array_parse_matches_the_line_parse(monkeypatch, text):
+    expect = _expected(text)
+    assert not isinstance(expect, str)
+
+    def refused(text):
+        raise AssertionError("well-formed text left the array parse")
+
+    monkeypatch.setattr(gc, "_parse_lines", refused)
+    assert _parsed(text) == expect
+
+
+FAULTS = [
+    "0 1.5",
+    "1e3 0",
+    "0x10 1",
+    "0 " + "9" * 25,
+    "-4 2",
+    "5 5",
+    "1 0",  # reverses the edge on line 1
+    "7",
+    "0 1 2",
+    "0 \ud800",
+]
+
+
+@pytest.mark.parametrize("later", ["", "2 2\n"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_edge_list_fault_named_as_the_line_parse_names_it(fault, later):
+    # the fault sits on line 4; a self-loop may follow on line 5
+    text = "0 1\n# comment\n\n" + fault + "\n" + later
+    expect = _oracle_parse(text)
+    assert isinstance(expect, str)
+    assert _parsed(text) == expect
+
+
+def test_edge_list_array_parse_reads_a_saved_graph(tmp_path):
+    g = gc.gen_er(400, 0.05, seed=1)
+    path = tmp_path / "g.edges"
+    gc.save_edge_list(g, path)
+    text = path.read_text()
+    assert _parsed(text) == _expected(text) == (g.n, g.indptr.tolist(), g.indices.tolist())
+
+
+@given(st.text(alphabet="0123 \t\n\r#-+_.x\u0663\x0c", max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_edge_list_parse_matches_the_line_parse_on_any_text(text):
+    assert _parsed(text) == _expected(text)
+
+
 # ---------------------------------------------------------------------------
 # subgraph helpers
 # ---------------------------------------------------------------------------
