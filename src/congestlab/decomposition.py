@@ -16,6 +16,12 @@ combinatorial thresholds; natural logs appear only inside walk parameters.
 Round charges use the audited closed forms from the runtime module (BFS
 depth, pipelined convergecast and broadcast) rather than replaying each
 wave through the engine; the runtime tests validate those forms.
+
+Edges travel as sorted (k, 2) int rows of canonical pairs u < v from the
+graph to the report. A Decomposition holds its three edge sets in the
+layout the report lists them: E_m rows per cluster id, E_s rows per owner
+and one E_r array, so writing a report is one tolist() per set, and the
+report reader builds the same arrays back.
 """
 
 import math
@@ -32,6 +38,8 @@ from .graphcore import (
     Edge,
     Graph,
     GraphError,
+    _exact_ints,
+    _labeled_rows,
     _pair_array,
     _relabel,
     bfs_levels,
@@ -144,20 +152,17 @@ def high_diameter_cut(
     if d_tilde < bar:
         raise GraphError(f"eccentricity {d_tilde} is below the diameter bar {bar:.1f}")
 
-    low = [v for v in range(g.n) if g.deg[v] <= threshold / 2.0]
-    low_set = set(low)
-    for v in low:
-        for u in g.adj[v]:
-            if u in low_set:
-                raise GraphError(
-                    f"edge {edge_key(u, v)} joins two low-degree vertices"
-                )
+    edges = g._edge_array()
+    low = np.asarray(g.deg) <= threshold / 2.0
+    both_low = edges[low[edges].all(axis=1)]
+    if len(both_low):
+        u, v = both_low[0].tolist()
+        raise GraphError(f"edge {(u, v)} joins two low-degree vertices")
 
-    crossing = [0] * d_tilde
-    for u, v in g.edges():
-        lu, lv = levels[u], levels[v]
-        if abs(lu - lv) == 1:
-            crossing[max(lu, lv) - 1] += 1
+    # edges between levels i - 1 and i, counted at index i - 1
+    ends = np.asarray(levels)[edges]
+    upper = ends[np.abs(ends[:, 0] - ends[:, 1]) == 1].max(axis=1)
+    crossing = np.bincount(upper - 1, minlength=d_tilde).tolist()
     j = balanced_index(crossing, m_logs, bar_scale=threshold_scale)
     cut = conductance(g, {v for v in range(g.n) if levels[v] <= j - 1})
 
@@ -180,32 +185,16 @@ def high_diameter_cut(
 # ---------------------------------------------------------------------------
 
 
-def _edge_tuples(pairs: np.ndarray) -> List[Edge]:
-    """The rows of a (k, 2) int array as a list of int pairs."""
-    return list(zip(*pairs.T.tolist()))
-
-
 @dataclass
 class PeelResult:
     """A peel as arrays: `kept`, the edges left, sorted; `peeled`, the
-    peeled edges grouped by owner; `owners`, the owner of each. The tuple
-    views `e_diamond` and `es_parts` are read off them."""
+    peeled edges grouped by owner, batch by batch; `owners`, the owner of
+    each."""
 
     kept: np.ndarray
     peeled: np.ndarray
     owners: np.ndarray
     iterations: int
-
-    @property
-    def e_diamond(self) -> List[Edge]:
-        return _edge_tuples(self.kept)
-
-    @property
-    def es_parts(self) -> Dict[int, List[Edge]]:
-        parts: Dict[int, List[Edge]] = {}
-        for v, e in zip(self.owners.tolist(), _edge_tuples(self.peeled)):
-            parts.setdefault(v, []).append(e)
-        return parts
 
 
 def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
@@ -256,15 +245,15 @@ def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
 @dataclass
 class ClusterPiece:
     vertices: frozenset
-    edges: Tuple[Edge, ...]
+    edges: np.ndarray  # sorted (k, 2) rows
     status: str  # "C3-1" (certified terminal) or "C3-2" (awaits recursion)
 
 
 @dataclass
 class PartitionStep:
     clusters: List[ClusterPiece]
-    es_new: Dict[int, List[Edge]]
-    er_new: List[Edge]
+    es_new: Tuple[np.ndarray, np.ndarray]  # (rows, the owner of each row)
+    er_new: np.ndarray
     witnesses: List[dict]
     s_vertices: frozenset
     halt_rounds: Dict[int, int]
@@ -298,8 +287,10 @@ def black_box_partition(
     |E_i| over the deque and the clusters. Only a cut grows the removed
     set and every other step only lowers that sum, so no other step needs
     the check. Each component's graph is built once, by edge_components.
-    Pieces travel as sorted (k, 2) int arrays of canonical edges; the
-    returned clusters and edge sets hold tuples.
+    Pieces travel as sorted (k, 2) int arrays of canonical edges, and the
+    returned clusters and edge sets hold such rows: each cluster its
+    sorted piece, es_new its shed rows with an owner array in the order
+    they were shed, and er_new the removed rows in the order they were cut.
     """
     if not len(edges):
         raise GraphError("edge set is empty")
@@ -319,9 +310,8 @@ def black_box_partition(
     phi_nibble = phi_nibble_default(g.m)
 
     clusters: List[ClusterPiece] = []
-    cluster_pairs: List[np.ndarray] = []  # each cluster's edges as an array
-    es_new: Dict[int, List[Edge]] = {}
-    er_new: List[Edge] = []
+    shed = [(pairs[:0], pairs[:0, 0])]  # (E_s rows, the owner of each)
+    removed = [pairs[:0]]
     witnesses: List[dict] = []
     halt_rounds: Dict[int, int] = {}
     tx = rt.Transcript()
@@ -332,16 +322,9 @@ def black_box_partition(
     queue = deque([(pairs, None)])
     nibble_calls = 0
 
-    def shed(owners: np.ndarray, part: np.ndarray) -> None:
-        """File each edge of part into E_s under its owner, in order."""
-        for v, e in zip(owners.tolist(), _edge_tuples(part)):
-            es_new.setdefault(v, []).append(e)
-
     def add_cluster(piece: np.ndarray, ids: np.ndarray, status: str) -> None:
         vertices = ids.tolist()
-        edges = tuple(_edge_tuples(piece))
-        clusters.append(ClusterPiece(frozenset(vertices), edges, status))
-        cluster_pairs.append(piece)
+        clusters.append(ClusterPiece(frozenset(vertices), piece, status))
         halt_rounds.update(dict.fromkeys(vertices, start_round + tx.rounds))
 
     def apply_cut(cut: Cut, piece_graph: Graph, ids: np.ndarray, label: str):
@@ -356,7 +339,7 @@ def black_box_partition(
         assert cut.boundary_size * WITNESS_FACTOR * m_log <= min(
             cut.vol_side, cut.vol_complement
         ), "cut witness"
-        er_new.extend(_edge_tuples(boundary))
+        removed.append(boundary)
         witnesses.append(
             {
                 "kind": label,
@@ -371,7 +354,8 @@ def black_box_partition(
         # removal ledger, over the deque and the finished clusters
         sizes = [len(entry[0]) for entry in queue] + [len(c.edges) for c in clusters]
         drop = initial_potential - _potential(sizes)
-        assert LEDGER_FACTOR * m_log * len(er_new) <= drop + 1e-9, "removal ledger"
+        cut_count = sum(map(len, removed))
+        assert LEDGER_FACTOR * m_log * cut_count <= drop + 1e-9, "removal ledger"
 
     def split(piece: np.ndarray, peeled: bool) -> List[tuple]:
         """One component entry per component, in edge_components order."""
@@ -389,7 +373,7 @@ def black_box_partition(
             # their smaller end. Pieces hold sorted canonical edges.
             low = np.bincount(piece.ravel())[piece] <= threshold
             both = low.all(axis=1)
-            shed(piece[both, 0], piece[both])
+            shed.append((piece[both], piece[both, 0]))
 
             # Split-1: components of what remains.
             tx.charge("partition:remove", 2)
@@ -415,7 +399,7 @@ def black_box_partition(
                 queue.appendleft((piece, (cg, ids, d_tilde, True)))
                 continue
             owners = ids[peel.owners]
-            shed(owners, ids[peel.peeled])
+            shed.append((ids[peel.peeled], owners))
             halt_rounds.update(dict.fromkeys(owners.tolist(), start_round + tx.rounds))
             queue.extendleft(reversed(split(ids[peel.kept], True)))
         else:
@@ -432,25 +416,23 @@ def black_box_partition(
             assert min(cg.deg) > threshold / 2.0, "terminal degree floor"
             add_cluster(piece, ids, "C3-1")
 
-    all_vertices = set(np.unique(pairs).tolist())
-    cluster_vertices: Set[int] = set()
-    for c in clusters:
-        assert not (cluster_vertices & c.vertices), "clusters overlap"
-        cluster_vertices |= c.vertices
-    s_vertices = frozenset(all_vertices - cluster_vertices)
+    clustered = np.concatenate([pairs[:0, 0]] + [np.unique(c.edges) for c in clusters])
+    assert len(np.unique(clustered)) == len(clustered), "clusters overlap"
+    s_vertices = frozenset(np.setdiff1d(pairs, clustered).tolist())
+    es_rows, es_owners = map(np.concatenate, zip(*shed))
     now = start_round + tx.rounds
-    for v in s_vertices | set(es_new):
+    for v in s_vertices | set(es_owners.tolist()):
         halt_rounds.setdefault(v, now)
 
-    em_ends = np.concatenate([pairs[:0]] + cluster_pairs).ravel()
-    em_deg = np.bincount(em_ends, minlength=int(pairs.max()) + 1).tolist()
-    for v, part in es_new.items():
-        assert len(part) + em_deg[v] <= threshold + 1e-9, "sparse cap"
+    size = int(pairs.max()) + 1
+    em = np.concatenate([pairs[:0]] + [c.edges for c in clusters])
+    load = np.bincount(es_owners, minlength=size) + np.bincount(em.ravel(), minlength=size)
+    assert (load[es_owners] <= threshold + 1e-9).all(), "sparse cap"
 
     return PartitionStep(
         clusters=clusters,
-        es_new=es_new,
-        er_new=er_new,
+        es_new=(es_rows, es_owners),
+        er_new=np.concatenate(removed),
         witnesses=witnesses,
         s_vertices=s_vertices,
         halt_rounds=halt_rounds,
@@ -465,24 +447,22 @@ def black_box_partition(
 
 @dataclass
 class Decomposition:
+    """E = E_m + E_s + E_r as sorted (k, 2) rows, laid out as the report
+    lists them: `em` maps each cluster id to its E_m rows, `es` each
+    owner, ascending, to the E_s rows oriented away from it, and `er`
+    holds E_r. Rows are int64, or Python ints when a report names an id
+    past int64."""
+
     delta: float
     threshold: float
-    em: Dict[Edge, int]
-    es: Dict[int, List[Edge]]
-    er: List[Edge]
+    em: Dict[int, np.ndarray]
+    es: Dict[int, np.ndarray]
+    er: np.ndarray
     clusters: Dict[int, frozenset]
     certificates: dict = field(default_factory=dict)
 
-    def edges_by_cluster(self) -> Dict[int, List[Edge]]:
-        """E_m grouped by cluster id in one pass; lists are unsorted."""
-        groups: Dict[int, List[Edge]] = {}
-        for e, cid in self.em.items():
-            groups.setdefault(cid, []).append(e)
-        return groups
-
     def as_json(self) -> dict:
-        """The decomposition as plain JSON lists, rows sorted."""
-        groups = self.edges_by_cluster()
+        """The decomposition as plain JSON lists."""
         return {
             "delta": self.delta,
             "threshold": self.threshold,
@@ -490,24 +470,14 @@ class Decomposition:
                 {
                     "id": cid,
                     "vertices": sorted(self.clusters[cid]),
-                    "edges": _sorted_rows(groups.get(cid, ())),
+                    "edges": self.em[cid].tolist() if cid in self.em else [],
                 }
                 for cid in sorted(self.clusters)
             ],
-            "es": {str(v): _sorted_rows(part) for v, part in sorted(self.es.items())},
-            "er": _sorted_rows(self.er),
+            "es": {str(v): part.tolist() for v, part in self.es.items()},
+            "er": self.er.tolist(),
             "certificates": self.certificates,
         }
-
-
-def _sorted_rows(edges) -> List[List[int]]:
-    """Edges as [u, v] lists in sorted order, by one lexsort unless an id
-    does not fit int64."""
-    rows = list(edges)
-    pairs = _pair_array(rows)
-    if pairs is None:
-        return [list(e) for e in sorted(rows)]
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()
 
 
 def _report_id(x) -> int:
@@ -515,12 +485,6 @@ def _report_id(x) -> int:
     if (type(x) is int) or (isinstance(x, str) and x.isdecimal()):
         return int(x)
     raise GraphError(f"report id {x!r} is not a nonnegative integer")
-
-
-def _report_edge(e) -> Edge:
-    if not isinstance(e, (list, tuple)) or len(e) != 2:
-        raise GraphError(f"report edge {e!r} is not a vertex pair")
-    return edge_key(_report_id(e[0]), _report_id(e[1]))
 
 
 def _report_field(x, kind: type, what: str):
@@ -532,19 +496,37 @@ def _report_field(x, kind: type, what: str):
     return x
 
 
+def _report_rows(edges, what: str, listed: Optional[Set[Edge]] = None) -> np.ndarray:
+    """A report's edge list as (k, 2) canonical rows in listed order, each
+    id kept at its value. With `listed`, the edges read so far, a repeat
+    raises GraphError."""
+    pairs = []
+    for e in _report_field(edges, list, what):
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise GraphError(f"report edge {e!r} is not a vertex pair")
+        e = edge_key(_report_id(e[0]), _report_id(e[1]))
+        if listed is not None:
+            if e in listed:
+                raise GraphError(f"edge {e} is listed twice")
+            listed.add(e)
+        pairs.append(e)
+    return _exact_ints(pairs).reshape(-1, 2)
+
+
 def decomposition_from_json(doc: dict) -> "Decomposition":
     """Rebuild a Decomposition from its as_json dict.
 
-    The edge-to-cluster map is recovered from the cluster edge lists. The
-    per-owner sparse sets are read as listed, so an edge filed under an
-    owner that is not one of its endpoints reaches the verifier unchanged.
-    A container of the wrong JSON type, a non-integer id, an edge that is
-    not a vertex pair, or a cluster edge, cluster id or owner listed twice
-    (which the maps would fold into one) raises GraphError.
+    Each label set is read into the arrays `decompose` builds, in the
+    order the report lists it. The per-owner sparse sets are read as
+    listed, so an edge filed under an owner that is not one of its
+    endpoints reaches the verifier unchanged. A container of the wrong
+    JSON type, a non-integer id, an edge that is not a vertex pair, or a
+    cluster edge, cluster id or owner listed twice raises GraphError.
     """
     doc = _report_field(doc, dict, "decomposition")
-    em: Dict[Edge, int] = {}
+    em: Dict[int, np.ndarray] = {}
     clusters: Dict[int, frozenset] = {}
+    listed: Set[Edge] = set()
     for entry in _report_field(doc["clusters"], list, "clusters"):
         entry = _report_field(entry, dict, "cluster entry")
         cid = _report_id(entry["id"])
@@ -552,18 +534,14 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
             raise GraphError(f"cluster id {cid} is listed twice")
         vertices = _report_field(entry["vertices"], list, "cluster vertices")
         clusters[cid] = frozenset(_report_id(v) for v in vertices)
-        for e in _report_field(entry["edges"], list, "cluster edges"):
-            e = _report_edge(e)
-            if e in em:
-                raise GraphError(f"edge {e} is listed twice")
-            em[e] = cid
-    es: Dict[int, List[Edge]] = {}
+        em[cid] = _report_rows(entry["edges"], "cluster edges", listed)
+    es: Dict[int, np.ndarray] = {}
     for owner, part in _report_field(doc["es"], dict, "es").items():
         part = _report_field(part, list, "es part")
         owner = _report_id(owner)
         if owner in es:
             raise GraphError(f"owner {owner} is listed twice")
-        es[owner] = [_report_edge(e) for e in part]
+        es[owner] = _report_rows(part, "es part")
     try:
         delta, threshold = float(doc["delta"]), float(doc["threshold"])
     except (TypeError, ValueError):
@@ -573,7 +551,7 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
         threshold=threshold,
         em=em,
         es=es,
-        er=[_report_edge(e) for e in _report_field(doc["er"], list, "er")],
+        er=_report_rows(doc["er"], "er"),
         clusters=clusters,
         certificates=doc.get("certificates", {}),
     )
@@ -599,8 +577,9 @@ def decompose(
     transcript = rt.Transcript(seed=seed)
     transcript.flag("threshold_scale", threshold_scale)
 
-    es: Dict[int, List[Edge]] = {}
-    er: List[Edge] = []
+    empty = np.empty((0, 2), dtype=np.int64)
+    shed = [(empty, empty[:, 0])]  # (E_s rows, the owner of each) per step
+    removed = [empty]
     terminal: List[ClusterPiece] = []
     witnesses: List[dict] = []
     halt_rounds: Dict[int, int] = {}
@@ -608,7 +587,7 @@ def decompose(
     depth_cap = max(int(4 * log2m(g.m)), 1)
     work = deque()
     if g.m:
-        work.append((tuple(g.edges()), 0, 0))
+        work.append((g._edge_array(), 0, 0))
     call_index = 0
     while work:
         piece, depth, start = work.popleft()
@@ -625,11 +604,8 @@ def decompose(
         )
         for label, amount in step.transcript.phases.items():
             transcript.charge(label, amount)
-        for v, part in step.es_new.items():
-            bucket = es.setdefault(v, [])
-            bucket.extend(part)
-            assert len(bucket) <= threshold + 1e-9, "sparse cap grew past n^delta"
-        er.extend(step.er_new)
+        shed.append(step.es_new)
+        removed.append(step.er_new)
         witnesses.extend(step.witnesses)
         for v, r in step.halt_rounds.items():
             halt_rounds[v] = max(halt_rounds.get(v, 0), r)
@@ -642,19 +618,23 @@ def decompose(
                 assert len(c.vertices) < piece_n, "no vertex progress"
                 work.append((c.edges, depth + 1, start + step.transcript.rounds))
 
-    em: Dict[Edge, int] = {}
-    clusters: Dict[int, frozenset] = {}
-    for cid, c in enumerate(sorted(terminal, key=lambda c: min(c.vertices)), start=1):
-        clusters[cid] = c.vertices
-        em.update(dict.fromkeys(c.edges, cid))
+    terminal.sort(key=lambda c: min(c.vertices))
+    rows, owners = map(np.concatenate, zip(*shed))
+    assert np.bincount(owners, minlength=1).max() <= threshold + 1e-9, (
+        "sparse cap grew past n^delta"
+    )
+    # E_s grouped by owner, each owner's rows sorted
+    order = np.lexsort((rows[:, 1], rows[:, 0], owners))
+    found, starts = np.unique(owners[order], return_index=True)
+    er = np.concatenate(removed)
 
     deco = Decomposition(
         delta=delta,
         threshold=threshold,
-        em=em,
-        es=es,
-        er=er,
-        clusters=clusters,
+        em={cid: c.edges for cid, c in enumerate(terminal, start=1)},
+        es=dict(zip(found.tolist(), np.split(rows[order], starts[1:]))),
+        er=er[np.lexsort((er[:, 1], er[:, 0]))],
+        clusters={cid: c.vertices for cid, c in enumerate(terminal, start=1)},
         certificates={
             "witnesses": witnesses,
             "halt_rounds": {str(v): r for v, r in sorted(halt_rounds.items())},
@@ -673,14 +653,6 @@ def decompose(
 # ---------------------------------------------------------------------------
 # verifier
 # ---------------------------------------------------------------------------
-
-
-def _label_pairs(edges) -> np.ndarray:
-    """A label set's edges as a (k, 2) array: int64 when numpy reads them
-    as integer pairs, else of Python objects (an id past int64)."""
-    rows = list(edges)
-    pairs = _pair_array(rows)
-    return pairs if pairs is not None else np.array(rows, dtype=object).reshape(-1, 2)
 
 
 @dataclass
@@ -718,9 +690,9 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
         if not ok:
             failures.append(f"{name}: {detail}" if detail else name)
 
-    em = _label_pairs(d.em)
-    es = _label_pairs([e for part in d.es.values() for e in part])
-    er = _label_pairs(d.er)
+    em, _ = _labeled_rows(d.em)
+    es, _ = _labeled_rows(d.es)
+    er = d.er
     # Every id must be a vertex before it enters a key lo * n + hi: an id
     # of n or more would alias another edge's key.
     in_range = [
@@ -736,19 +708,14 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
         )
     check("partition", partition, "labels must cover every edge exactly once")
 
-    # E_m grouped by cluster id with one argsort
-    cids = np.asarray(list(d.em.values()))
-    order = np.argsort(cids)
-    found, starts = np.unique(cids[order], return_index=True)
-    by_cluster = dict(zip(found.tolist(), np.split(em[order], starts[1:])))
-    ok_clusters = not set(by_cluster) - set(d.clusters)
+    ok_clusters = not set(d.em) - set(d.clusters)
     conduct_ok = True
     mixing_ok = True
     for cid in sorted(d.clusters):
-        if cid not in by_cluster:
+        if not len(d.em.get(cid, ())):
             ok_clusters = False
             continue
-        sub, old = _relabel(by_cluster[cid])
+        sub, old = _relabel(d.em[cid])
         connected = is_connected(sub)
         if not connected or set(old.tolist()) != set(d.clusters[cid]):
             ok_clusters = False

@@ -13,7 +13,6 @@ import operator
 import random
 import re
 import sys
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -448,56 +447,81 @@ class OrientationReport:
     max_out_degree: int
 
 
+def _exact_ints(values) -> np.ndarray:
+    """values as an int64 array, or as one of Python ints when an id does
+    not fit int64; unlike `_pair_array`, it never wraps an id."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def _labeled_rows(parts) -> Tuple[np.ndarray, np.ndarray]:
+    """The (k, 2) rows of a label -> rows map stacked in its order, with
+    the label of each row."""
+    rows = [_exact_ints(p).reshape(-1, 2) for p in parts.values()]
+    labels = _exact_ints(list(parts)).repeat([len(r) for r in rows])
+    return np.concatenate([np.empty((0, 2), dtype=np.int64)] + rows), labels
+
+
 def verify_orientation(
-    g: Graph, owned: Dict[int, List[Edge]], cap: float
+    g: Graph, owned: Dict[int, np.ndarray], cap: float
 ) -> OrientationReport:
     """Check the arboricity witness: per-owner cap and global acyclicity.
 
-    owned maps each owner to the edges oriented away from it. Each listed
-    edge must touch its owner, exist in g and have no second owner.
-    Violations are reported, not raised, so tampered inputs stay inspectable.
+    owned maps each owner to the (k, 2) rows of the edges oriented away
+    from it. Each listed edge must touch its owner, exist in g and have no
+    second owner. Owners are read in ascending order, each one's rows in
+    their order, and so are the violations; a repeat names the previous
+    owner. Violations are reported, not raised, so tampered inputs stay
+    inspectable.
     """
-    violations: List[str] = []
-    seen: Dict[Edge, int] = {}
-    max_out = 0
-    for v, es in sorted(owned.items()):
-        max_out = max(max_out, len(es))
-        if len(es) > cap:
-            violations.append(f"vertex {v} owns {len(es)} edges, cap {cap:g}")
-        for e in es:
-            if v not in e:
-                violations.append(f"edge {e} not incident to owner {v}")
-                continue
-            if not g.has_edge(*e):
-                violations.append(f"edge {e} not in graph")
-            if e in seen:
-                violations.append(f"edge {e} owned by both {seen[e]} and {v}")
-            seen[e] = v
-    # Kahn toposort over owner -> other endpoint arcs.
-    indeg: Dict[int, int] = {}
-    succ: Dict[int, List[int]] = {}
-    verts = set()
-    for v, es in owned.items():
-        for e in es:
-            if v not in e:
-                continue
-            w = e[0] if e[1] == v else e[1]
-            succ.setdefault(v, []).append(w)
-            indeg[w] = indeg.get(w, 0) + 1
-            verts.add(v)
-            verts.add(w)
-    dq = deque(sorted(x for x in verts if indeg.get(x, 0) == 0))
-    done = 0
-    while dq:
-        x = dq.popleft()
-        done += 1
-        for w in succ.get(x, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                dq.append(w)
-    if done != len(verts):
-        violations.append("orientation contains a directed cycle")
-    return OrientationReport(not violations, tuple(violations), max_out)
+    owners = sorted(owned)
+    rows, tails = _labeled_rows({v: owned[v] for v in owners})
+    sizes = [len(owned[v]) for v in owners]
+    at_u = rows[:, 0] == tails
+    incident = at_u | (rows[:, 1] == tails)
+    # membership: ids in range first, then the keys lo * n + hi
+    in_graph = ((rows >= 0) & (rows < g.n)).all(axis=1)
+    ends = rows[in_graph].astype(np.int64)
+    g_edges = g._edge_array()
+    in_graph[in_graph] = np.isin(
+        ends.min(axis=1) * g.n + ends.max(axis=1), g_edges[:, 0] * g.n + g_edges[:, 1]
+    )
+    # rank the ids, so that rows with ids past int64 key like the others
+    ids, ranked = np.unique(rows.ravel(), return_inverse=True)
+    u, w = ranked[0::2], ranked[1::2]
+    key = u * len(ids) + w
+    listed = np.flatnonzero(incident)
+    listed = listed[np.argsort(key[listed], kind="stable")]
+    again = key[listed[1:]] == key[listed[:-1]]
+    previous = dict(zip(listed[1:][again].tolist(), tails[listed[:-1][again]].tolist()))
+
+    events = []  # ((row position, 0 for the cap or 1), violation)
+    start = 0
+    for v, size in zip(owners, sizes):
+        if size > cap:
+            events.append(((start, 0), f"vertex {v} owns {size} edges, cap {cap:g}"))
+        start += size
+    for r in sorted(set(np.flatnonzero(~incident | ~in_graph).tolist()) | set(previous)):
+        e, v = tuple(rows[r].tolist()), tails[r]
+        if not incident[r]:
+            events.append(((r, 1), f"edge {e} not incident to owner {v}"))
+            continue
+        if not in_graph[r]:
+            events.append(((r, 1), f"edge {e} not in graph"))
+        if r in previous:
+            events.append(((r, 1), f"edge {e} owned by both {previous[r]} and {v}"))
+    violations = [msg for _, msg in sorted(events, key=lambda ev: ev[0])]
+
+    # owner -> other end arcs; a row (v, v) is a loop csgraph does not see
+    src, dst = np.where(at_u, u, w)[incident], np.where(at_u, w, u)[incident]
+    if len(src):
+        arcs = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(len(ids),) * 2)
+        count, _ = csgraph.connected_components(arcs, directed=True, connection="strong")
+        if count < len(ids) or (src == dst).any():
+            violations.append("orientation contains a directed cycle")
+    return OrientationReport(not violations, tuple(violations), max(sizes, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -827,24 +851,30 @@ def _id_rows(text: str) -> Optional[np.ndarray]:
 def parse_edge_list(text: str) -> Graph:
     """Parse the 'u v' per line edge-list format; '#' starts a comment.
 
-    Well-formed text is read in one array pass. Otherwise `_parse_lines`
-    reads it again line by line and names the first faulty line: a
-    self-loop or a duplicate edge is rejected with its line number.
+    A leading "# <n> vertices" line, as `save_edge_list` writes it, sets
+    the vertex count, so an isolated top vertex survives; otherwise n is
+    the largest id + 1. Well-formed text is read in one array pass.
+    Otherwise `_parse_lines` reads it again line by line and names the
+    first faulty line: a self-loop, a duplicate edge or an id at or past
+    the header's n is rejected with its line number.
     """
+    header = re.match(r"#[ \t]*(\d+) vertices\b", text)
+    n = int(header.group(1)) if header else None
     pairs = _id_rows(_COMMENT.sub("", text))
     if pairs is not None:
         if not len(pairs):
-            return Graph(0, pairs)
+            return Graph(n or 0, pairs)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        n = int(hi.max()) + 1
-        if (lo >= 0).all() and (lo < hi).all() and n <= MAX_VERTICES:
+        top = int(hi.max()) + 1
+        n = top if n is None else n
+        if (lo >= 0).all() and (lo < hi).all() and top <= n <= MAX_VERTICES:
             keys = np.sort(lo * n + hi)
             if (keys[1:] > keys[:-1]).all():
                 return Graph(n, np.column_stack(np.divmod(keys, n)))
-    return _parse_lines(text)
+    return _parse_lines(text, n)
 
 
-def _parse_lines(text: str) -> Graph:
+def _parse_lines(text: str, n: Optional[int]) -> Graph:
     """`parse_edge_list` one line at a time: raises for the first faulty
     line, and past every line for a vertex count above the limit."""
     edges: List[Edge] = []
@@ -865,6 +895,11 @@ def _parse_lines(text: str) -> Graph:
             raise GraphError(f"line {lineno}: negative vertex id")
         if u == v:
             raise GraphError(f"line {lineno}: self-loop at vertex {u}")
+        if n is not None and max(u, v) >= n:
+            raise GraphError(
+                f"line {lineno}: vertex id {max(u, v)} is not below"
+                f" the header's {n} vertices"
+            )
         k = edge_key(u, v)
         if k in seen:
             raise GraphError(
@@ -873,7 +908,9 @@ def _parse_lines(text: str) -> Graph:
         seen[k] = lineno
         edges.append(k)
         max_v = max(max_v, u, v)
-    return Graph(max_v + 1 if edges else 0, edges)
+    if n is None:
+        n = max_v + 1 if edges else 0
+    return Graph(n, edges)
 
 
 def load_edge_list(path) -> Graph:

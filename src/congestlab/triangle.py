@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -49,6 +49,7 @@ from .graphcore import (
     Graph,
     GraphError,
     _edge_keys,
+    _labeled_rows,
     edge_key,
     induced_subgraph,  # unused here; perfbench checks it wraps this binding
     subgraph_from_edges,
@@ -641,75 +642,68 @@ def enumerate_general(
 
         # Sparse-edge triangles: owners announce their edges for one round
         # per owned edge, and the orientation rules pick the unique
-        # reporter. The edge->tail map `tail` holds every E_s edge with its
-        # owner (decompose has verified one owner per edge and an acyclic
-        # orientation), so each triangle looks up only its own three edges.
+        # reporter. Every E_s row comes with its owner, its tail (decompose
+        # has verified one owner per edge and an acyclic orientation), and
+        # each triangle looks up only its own three edges among their keys.
         # Of the level's triangles, those with an E_s edge are case 1's.
-        tail = {e: owner for owner, part in decomp.es.items() for e in part}
-        if tail:
+        es_rows, tails = _labeled_rows(decomp.es)
+        if len(es_rows):
             tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
-            tx.message_count += sum(
-                len(part) * g.deg[owner] for owner, part in decomp.es.items()
-            )
-            through = np.fromiter(chain.from_iterable(tail), np.int64, 2 * len(tail))
-            rows = _triangles_of_edges(g._edge_array(), through)
+            tx.message_count += int(np.diff(g.indptr)[tails].sum())
+            rows = _triangles_of_edges(g._edge_array(), es_rows)
+            es_keys = es_rows[:, 0] * g.n + es_rows[:, 1]
+            order = np.argsort(es_keys)
+            a, b, c = rows.T
+            # the tails of each triangle's edges ab, ac and bc, -1 off E_s
+            keys = np.column_stack((a * g.n + b, a * g.n + c, b * g.n + c))
+            at = np.searchsorted(es_keys, keys, sorter=order).clip(max=len(order) - 1)
+            at = order[at]
+            tri_tails = np.where(es_keys[at] == keys, tails[at], -1).tolist()
             owners = []
-            for t in rows.tolist():
-                a, b, c = t
-                pairs = [
-                    (tail[e], e[0] + e[1] - tail[e])
-                    for e in ((a, b), (a, c), (b, c))
-                    if e in tail
-                ]
+            for t, tail in zip(rows.tolist(), tri_tails):
+                sides = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+                pairs = [(x, e[0] + e[1] - x) for e, x in zip(sides, tail) if x >= 0]
                 owner = case1_report_owner(t, pairs)
                 assert owner is not None
                 # The owner sees its two incident edges; the opposite one
                 # it only hears of through the announcement of its tail.
-                assert edge_key(*(v for v in t if v != owner)) in tail, (
-                    "case-1 owner missed its opposite edge"
-                )
+                assert tail[2 - t.index(owner)] >= 0, "case-1 owner missed its opposite edge"
                 owners.append(owner)
             found.append(to_g[rows])
             found_by.append(to_g[np.array(owners, dtype=np.int64)])
 
-        recursion_set = set(decomp.er)
+        er = decomp.er
+        left = _edge_keys(er, g.n)  # the keys of the next level's edges
         case2_rounds = 0
         if decomp.clusters:
             # Clusters are vertex-disjoint, so g_m degrees are cluster
             # degrees. A vertex with more removed than cluster degree sends
             # nothing, and its cluster edges fall through to the next level
             # with E_r.
-            g_m = Graph(g.n, decomp.em)
-            deg_er: Dict[int, int] = {}
-            for u, v in decomp.er:
-                deg_er[u] = deg_er.get(u, 0) + 1
-                deg_er[v] = deg_er.get(v, 0) + 1
-            cluster_of: Dict[int, int] = {}
+            em_rows, _ = _labeled_rows(decomp.em)
+            g_m = Graph(g.n, em_rows)
+            cluster_of = np.full(g.n, -1)
             for cid, verts in decomp.clusters.items():
-                for v in verts:
-                    if g_m.deg[v] >= deg_er.get(v, 0):
-                        cluster_of[v] = cid
-                    else:
-                        recursion_set.update(edge_key(v, w) for w in g_m.adj[v])
-            # The next level owns the triangles with all three edges left to it.
-            left = _edge_keys(list(recursion_set), g.n)
-            cluster_out: Dict[int, List[Edge]] = {cid: [] for cid in decomp.clusters}
-            for e in decomp.er:
-                cu, cv = cluster_of.get(e[0]), cluster_of.get(e[1])
-                if cu is not None:
-                    cluster_out[cu].append(e)
-                if cv is not None and cv != cu:
-                    cluster_out[cv].append(e)
+                cluster_of[list(verts)] = cid
+            dropped = (cluster_of >= 0) & (
+                np.diff(g_m.indptr) < np.bincount(er.ravel(), minlength=g.n)
+            )
+            cluster_of[dropped] = -1
+            left = _edge_keys(
+                np.concatenate((er, em_rows[dropped[em_rows].any(axis=1)])), g.n
+            )
+            out_of = cluster_of[er]
 
             for cid in sorted(decomp.clusters):
                 part_set, etx = enumerate_expander(
-                    g_m, decomp.clusters[cid], cluster_out[cid],
+                    g_m, decomp.clusters[cid], er[(out_of == cid).any(axis=1)].tolist(),
                     seed=f"{seed}:L{level}:c{cid}", kappa=kappa,
                 )
                 case2_rounds = max(case2_rounds, etx.rounds)
                 tx.message_count += etx.message_count
                 rows, owners = part_set.rows(), part_set.owners()
                 a, b, c = rows.T
+                # The next level owns the triangles with all three edges left to it.
                 ours = ~(
                     _members(left, a * g.n + b)
                     & _members(left, a * g.n + c)
@@ -720,10 +714,10 @@ def enumerate_general(
         if case2_rounds:
             tx.charge(f"triangle:case2:{level}", case2_rounds)
 
-        if not recursion_set:
+        if not len(left):
             break
-        assert 2 * len(recursion_set) <= g.m, "leftover edges failed to halve"
-        g, old_ids = subgraph_from_edges(recursion_set)
+        assert 2 * len(left) <= g.m, "leftover edges failed to halve"
+        g, old_ids = subgraph_from_edges(np.column_stack(np.divmod(left, g.n)))
         to_g = to_g[old_ids]
         seed = f"{seed}:r{level}"
         level += 1

@@ -126,9 +126,8 @@ def test_criterion_03_cluster_certificates(decomposition_runs):
     checked = 0
     for spec, seed, g, d, _, _ in runs:
         cap = max(log2m(g.n), 1.0) ** 4
-        by_cluster = d.edges_by_cluster()
         for cid in sorted(d.clusters):
-            sub, _ = subgraph_from_edges(by_cluster[cid])
+            sub, _ = subgraph_from_edges(d.em[cid])
             floor = phi_star(g.m, sub.m)
             checked += 1
             if sub.n <= 24:

@@ -127,19 +127,19 @@ def test_verify_names_sparse_edge_outside_the_graph(tmp_path, capsys, owner, edg
 
 
 def test_graph_file_gives_the_runs_of_its_generator(tmp_path, capsys):
-    # A file holds no isolated vertex above its largest id, so only specs
-    # whose top vertex has an edge come back as the same graph.
+    # The file's "# n vertices" header keeps an isolated top vertex, as in
+    # er:n=60,p=0.03 seed 1, so every spec comes back as the same graph.
     from test_golden import DECOMPOSE_GOLDEN
 
-    from congestlab.graphcore import generate, save_edge_list
+    from congestlab.graphcore import generate, load_edge_list, save_edge_list
 
+    assert generate("er:n=60,p=0.03", seed=1).deg[59] == 0
     compared = 0
-    for spec, seed in sorted(DECOMPOSE_GOLDEN):
+    for spec, seed in sorted(DECOMPOSE_GOLDEN) + [("er:n=60,p=0.03", 1)]:
         g = generate(spec, seed=seed)
-        if g.deg[g.n - 1] == 0:
-            continue
         path = tmp_path / "g.edges"
         save_edge_list(g, path)
+        assert load_edge_list(path).n == g.n
         runs = []
         for source in (["--gen", spec], ["--graph", str(path)]):
             rpt = tmp_path / "r.json"
@@ -149,7 +149,7 @@ def test_graph_file_gives_the_runs_of_its_generator(tmp_path, capsys):
         assert runs[0] == runs[1]
         compared += 1
     capsys.readouterr()
-    assert compared >= 4
+    assert compared == len(DECOMPOSE_GOLDEN) + 1
 
 
 @pytest.mark.parametrize("tamper", ["delta", "threshold", "both"])

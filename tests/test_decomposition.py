@@ -1,7 +1,9 @@
 import json
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from congestlab import decomposition as dc
@@ -31,11 +33,13 @@ from congestlab.decomposition import (
     balanced_index,
     black_box_partition,
     decompose,
+    decomposition_from_json,
     high_diameter_cut,
     low_degree_peel,
     phi_star,
     verify_decomposition,
 )
+from test_golden import DECOMPOSE_GOLDEN
 
 
 # ---------------------------------------------------------------------------
@@ -174,51 +178,44 @@ def test_high_diameter_cut_root_outside():
 def test_peel_star_all_edges_to_leaves():
     g = gen_star(6)
     res = low_degree_peel(g, 4.0)
-    assert res.e_diamond == []
-    assert sorted(res.es_parts) == [1, 2, 3, 4, 5]
-    for leaf, part in res.es_parts.items():
-        assert part == [(0, leaf)]
+    assert len(res.kept) == 0
+    assert res.owners.tolist() == [1, 2, 3, 4, 5]
+    assert res.peeled.tolist() == [[0, leaf] for leaf in range(1, 6)]
     assert res.iterations == 1
 
 
 def test_peel_clique_untouched():
     g = gen_clique(5)
     res = low_degree_peel(g, 2.0)
-    assert res.es_parts == {}
-    assert len(res.e_diamond) == 10
+    assert len(res.peeled) == len(res.owners) == 0
+    assert len(res.kept) == 10
     assert res.iterations == 0
 
 
 def test_peel_path_single_batch():
     g = gen_path(10)
     res = low_degree_peel(g, 4.0)
-    assert res.e_diamond == []
+    assert len(res.kept) == 0
     assert res.iterations == 1
     # every edge went to its smaller endpoint
-    for v, part in res.es_parts.items():
-        for e in part:
-            assert min(e) == v
+    assert res.owners.tolist() == res.peeled.min(axis=1).tolist()
 
 
 def test_peel_cascade_on_long_path():
     g = gen_path(800)
     res = low_degree_peel(g, 1.4)
-    assert res.e_diamond == []
+    assert len(res.kept) == 0
     assert res.iterations == 400
-    assert sum(len(p) for p in res.es_parts.values()) == 799
-    assert max(len(p) for p in res.es_parts.values()) == 1
+    assert len(res.peeled) == len(res.owners) == 799
+    assert max(Counter(res.owners.tolist()).values()) == 1
 
 
 def test_peel_remainder_degrees_above_half_threshold():
     g = gen_er(60, 0.15, seed=3)
     res = low_degree_peel(g, 6.0)
-    deg = {}
-    for u, v in res.e_diamond:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
+    deg = Counter(res.kept.ravel().tolist())
     assert all(d > 3.0 for d in deg.values())
-    peeled = sum(len(p) for p in res.es_parts.values())
-    assert peeled + len(res.e_diamond) == g.m
+    assert len(res.peeled) + len(res.kept) == g.m
 
 
 # ---------------------------------------------------------------------------
@@ -228,34 +225,35 @@ def test_peel_remainder_degrees_above_half_threshold():
 
 def _check_step_invariants(g, edges, delta, step):
     threshold = g.n ** delta
+    edges = [tuple(e) for e in np.asarray(edges).tolist()]
     incident = {v for e in edges for v in e}
     seen = set()
     for c in step.clusters:
         assert not (seen & c.vertices)
         seen |= c.vertices
-        assert {v for e in c.edges for v in e} == set(c.vertices)
+        assert set(c.edges.ravel().tolist()) == set(c.vertices)
+        # each cluster's rows are sorted canonical pairs
+        rows = c.edges.tolist()
+        assert rows == sorted(rows) and all(u < v for u, v in rows)
     assert seen | set(step.s_vertices) == incident
     assert seen & set(step.s_vertices) == set()
 
-    em_deg = {}
-    for c in step.clusters:
-        for u, v in c.edges:
-            em_deg[u] = em_deg.get(u, 0) + 1
-            em_deg[v] = em_deg.get(v, 0) + 1
-    for v, part in step.es_new.items():
-        assert len(part) + em_deg.get(v, 0) <= threshold + 1e-9
+    es_rows, es_owners = step.es_new
+    assert len(es_rows) == len(es_owners)
+    assert all(v in e for v, e in zip(es_owners.tolist(), es_rows.tolist()))
+    em_deg = Counter(v for c in step.clusters for v in c.edges.ravel().tolist())
+    for v, count in Counter(es_owners.tolist()).items():
+        assert count + em_deg[v] <= threshold + 1e-9
 
     m_call = len(edges)
     sizes = [len(c.edges) for c in step.clusters]
     drop = m_call * math.log2(m_call) - sum(s * math.log2(s) for s in sizes if s > 1)
     assert 6 * log2m(g.m) * len(step.er_new) <= drop + 1e-9
 
-    labeled = list(step.er_new)
-    for part in step.es_new.values():
-        labeled += part
+    labeled = step.er_new.tolist() + es_rows.tolist()
     for c in step.clusters:
-        labeled += list(c.edges)
-    assert sorted(labeled) == sorted(edges)
+        labeled += c.edges.tolist()
+    assert sorted(map(tuple, labeled)) == sorted(edges)
 
 
 def test_black_box_caterpillar_uses_long_cuts():
@@ -266,7 +264,7 @@ def test_black_box_caterpillar_uses_long_cuts():
     step = black_box_partition(g, g.edge_list(), 0.1)
     assert any(w["kind"] == "case1" for w in step.witnesses)
     assert all(c.status == "C3-2" for c in step.clusters)
-    assert step.clusters and step.es_new
+    assert step.clusters and len(step.es_new[0])
     assert "partition:case1" in step.transcript.phases
     assert "partition:nibble" not in step.transcript.phases
     _check_step_invariants(g, g.edge_list(), 0.1, step)
@@ -279,7 +277,7 @@ def test_black_box_clique_single_terminal_cluster():
     c = step.clusters[0]
     assert c.status == "C3-1"
     assert c.vertices == frozenset(range(64))
-    assert step.er_new == [] and step.es_new == {}
+    assert len(step.er_new) == len(step.es_new[0]) == 0
     assert "partition:nibble" in step.transcript.phases
     _check_step_invariants(g, g.edge_list(), 0.5, step)
 
@@ -287,7 +285,7 @@ def test_black_box_clique_single_terminal_cluster():
 def test_black_box_barbell_cuts_bridge():
     g = gen_barbell(16, 1)
     step = black_box_partition(g, g.edge_list(), 0.5, seed=1)
-    assert step.er_new == [(0, 16)]
+    assert step.er_new.tolist() == [[0, 16]]
     assert sorted(c.status for c in step.clusters) == ["C3-2", "C3-2"]
     sides = sorted(sorted(c.vertices) for c in step.clusters)
     assert sides == [list(range(16)), list(range(16, 32))]
@@ -300,15 +298,15 @@ def test_black_box_er_sparse_invariants():
     edges = g.edge_list()
     step = black_box_partition(g, edges, 0.5)
     _check_step_invariants(g, edges, 0.5, step)
-    assert step.es_new  # low-degree pairs shed their mutual edges
+    assert len(step.es_new[0])  # low-degree pairs shed their mutual edges
 
 
 def test_black_box_deterministic():
     g = gen_er(128, 0.1, seed=5)
     a = black_box_partition(g, g.edge_list(), 0.5, seed=9)
     b = black_box_partition(g, g.edge_list(), 0.5, seed=9)
-    assert a.er_new == b.er_new
-    assert a.es_new == b.es_new
+    assert np.array_equal(a.er_new, b.er_new)
+    assert all(map(np.array_equal, a.es_new, b.es_new))
     assert [(sorted(c.vertices), c.status) for c in a.clusters] == [
         (sorted(c.vertices), c.status) for c in b.clusters
     ]
@@ -332,7 +330,7 @@ def test_black_box_reaches_case2a_after_peel(case2a_graph):
     assert kinds == ["case2a", "case2b", "case2b", "case2b"]
     assert [c.status for c in step.clusters] == ["C3-2"] * 5
     # the peel took the shortcut and its 24 leaves into E_s
-    assert {360, 373} <= set(step.es_new)
+    assert {360, 373} <= set(step.es_new[1].tolist())
     assert "partition:case1" not in step.transcript.phases
     _check_step_invariants(g, g.edge_list(), 0.3, step)
 
@@ -367,7 +365,7 @@ def test_partition_branch_coverage(monkeypatch, case2a_graph):
 
     def recorded(g, piece, delta, **kwargs):
         step = partition(g, piece, delta, **kwargs)
-        steps.append((g, tuple(piece), delta, step))
+        steps.append((g, piece, delta, step))
         return step
 
     monkeypatch.setattr(dc, "black_box_partition", recorded)
@@ -375,15 +373,15 @@ def test_partition_branch_coverage(monkeypatch, case2a_graph):
         g = case2a_graph if spec == "case2a" else generate(spec, seed=seed)
         decompose(g, delta, seed=seed, threshold_scale=scale)
 
-    # decompose hands each C3-2 cluster's edges to the next level
+    # decompose hands each C3-2 cluster's rows to the next level
     level_of = {}
     levels = set()
     branches = set()
     for g, piece, delta, step in steps:
-        level = level_of.setdefault(piece, 0)
+        level = level_of.setdefault(piece.tobytes(), 0)
         levels.add(level)
         for c in step.clusters:
-            level_of[c.edges] = level + 1
+            level_of[c.edges.tobytes()] = level + 1
         branches |= {w["kind"] for w in step.witnesses}
         branches |= {c.status for c in step.clusters}
         _check_step_invariants(g, piece, delta, step)
@@ -408,8 +406,8 @@ def test_decompose_clique_one_cluster():
     deco, transcript = decompose(g, 0.5)
     assert list(deco.clusters) == [1]
     assert deco.clusters[1] == frozenset(range(64))
-    assert len(deco.em) == g.m
-    assert deco.es == {} and deco.er == []
+    assert deco.em[1].tolist() == [list(e) for e in g.edges()]
+    assert deco.es == {} and len(deco.er) == 0
     assert transcript.rounds > 0
     assert "partition:nibble" in transcript.phases
     report = verify_decomposition(g, 0.5, deco)
@@ -436,13 +434,13 @@ def test_decompose_builds_each_piece_graph_once(monkeypatch):
 def test_decompose_path_all_sparse():
     g = gen_path(100)
     deco, _ = decompose(g, 0.5)
-    assert deco.em == {} and deco.er == []
+    assert deco.em == {} and len(deco.er) == 0
     assert sum(len(p) for p in deco.es.values()) == 99
     assert max(len(p) for p in deco.es.values()) <= 2
     # edges go to their smaller endpoint, so arrows climb the path
+    assert list(deco.es) == sorted(deco.es)
     for v, part in deco.es.items():
-        for e in part:
-            assert min(e) == v
+        assert (part.min(axis=1) == v).all()
     assert verify_decomposition(g, 0.5, deco).ok
 
 
@@ -452,7 +450,7 @@ def test_decompose_random_tree_all_sparse():
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     g = Graph(n, edges)
     deco, _ = decompose(g, 0.5)
-    assert deco.em == {} and deco.er == []
+    assert deco.em == {} and len(deco.er) == 0
     assert sum(len(p) for p in deco.es.values()) == n - 1
     assert verify_decomposition(g, 0.5, deco).ok
 
@@ -461,8 +459,8 @@ def test_decompose_dense_er_single_cluster():
     g = gen_er(512, 0.25, seed=1)
     deco, _ = decompose(g, 0.5)
     assert list(deco.clusters) == [1]
-    assert len(deco.em) == g.m
-    assert deco.er == []
+    assert len(deco.em[1]) == g.m
+    assert len(deco.er) == 0
     report = verify_decomposition(g, 0.5, deco)
     assert report.ok and not report.flags
 
@@ -481,7 +479,7 @@ def test_decompose_sparse_er_mixed_labels():
 def test_decompose_barbell_two_clusters():
     g = gen_barbell(16, 1)
     deco, _ = decompose(g, 0.5, seed=3)
-    assert deco.er == [(0, 16)]
+    assert deco.er.tolist() == [[0, 16]]
     assert sorted(sorted(vs) for vs in deco.clusters.values()) == [
         list(range(16)),
         list(range(16, 32)),
@@ -526,7 +524,7 @@ def test_decompose_bad_delta():
 def test_decompose_empty_graph():
     g = Graph(5, [])
     deco, transcript = decompose(g, 0.5)
-    assert deco.em == {} and deco.es == {} and deco.er == []
+    assert deco.em == {} and deco.es == {} and len(deco.er) == 0
     assert transcript.rounds == 0
 
 
@@ -535,49 +533,84 @@ def test_decompose_empty_graph():
 # ---------------------------------------------------------------------------
 
 
+# A tampered decomposition takes the path of a tampered report: edit the
+# as_json() dict, then read it back with decomposition_from_json.
+
+
+def _tampered(g, delta, edit, seed=0):
+    deco, _ = decompose(g, delta, seed=seed)
+    doc = deco.as_json()
+    edit(doc)
+    return verify_decomposition(g, delta, decomposition_from_json(doc))
+
+
 def test_verifier_catches_excess_removals():
+    def move(doc):
+        moved = 0
+        for v in sorted(doc["es"], key=int):
+            while doc["es"][v] and moved <= 17:
+                doc["er"].append(doc["es"][v].pop())
+                moved += 1
+        doc["es"] = {v: p for v, p in doc["es"].items() if p}
+
     g = gen_path(100)
-    deco, _ = decompose(g, 0.5)
-    moved = 0
-    for v in sorted(deco.es):
-        while deco.es[v] and moved <= 17:
-            deco.er.append(deco.es[v].pop())
-            moved += 1
-    deco.es = {v: p for v, p in deco.es.items() if p}
-    report = verify_decomposition(g, 0.5, deco)
+    report = _tampered(g, 0.5, move)
     assert report.checks["removed-fraction"] is False
     assert not report.ok
 
 
 def test_verifier_catches_broken_cluster():
+    def cut_out_0(doc):
+        (cluster,) = doc["clusters"]
+        doc["er"] += [e for e in cluster["edges"] if 0 in e]
+        cluster["edges"] = [e for e in cluster["edges"] if 0 not in e]
+
     g = gen_clique(64)
-    deco, _ = decompose(g, 0.5)
-    for e in [e for e in deco.em if 0 in e]:
-        del deco.em[e]
-        deco.er.append(e)
-    report = verify_decomposition(g, 0.5, deco)
+    report = _tampered(g, 0.5, cut_out_0)
     assert report.checks["clusters-connected"] is False
     assert not report.ok
 
 
+def test_verifier_fails_a_cluster_listed_without_edges():
+    def empty(doc):
+        cluster = doc["clusters"][1]
+        doc["er"] += cluster["edges"]
+        cluster["edges"] = []
+
+    report = _tampered(gen_barbell(16, 1), 0.5, empty, seed=3)
+    assert report.checks["clusters-connected"] is False
+    assert report.checks["partition"] is True
+
+
 def test_verifier_catches_orientation_cycle():
+    def turn(doc):
+        doc["es"]["0"].remove([0, 7])
+        doc["es"].setdefault("7", []).append([0, 7])
+        doc["es"] = {v: p for v, p in doc["es"].items() if p}
+
     g = gen_cycle(8)
     deco, _ = decompose(g, 0.5)
-    assert (0, 7) in deco.es.get(0, [])
-    deco.es[0].remove((0, 7))
-    deco.es.setdefault(7, []).append((0, 7))
-    deco.es = {v: p for v, p in deco.es.items() if p}
-    report = verify_decomposition(g, 0.5, deco)
+    assert [0, 7] in deco.es[0].tolist()
+    report = _tampered(g, 0.5, turn)
     assert report.checks["orientation"] is False
+    assert "orientation contains a directed cycle" in report.failures[0]
 
 
 def test_verifier_catches_merged_clusters():
+    def merge(doc):
+        one, two = doc["clusters"]
+        doc["clusters"] = [
+            {
+                "id": 1,
+                "vertices": one["vertices"] + two["vertices"],
+                "edges": one["edges"] + two["edges"],
+            }
+        ]
+
     g = gen_barbell(16, 1)
     deco, _ = decompose(g, 0.5, seed=3)
     assert sorted(deco.clusters) == [1, 2]
-    deco.em = {e: 1 for e in deco.em}
-    deco.clusters = {1: deco.clusters[1] | deco.clusters[2]}
-    report = verify_decomposition(g, 0.5, deco)
+    report = _tampered(g, 0.5, merge, seed=3)
     assert report.checks["clusters-connected"] is False
     assert report.checks["cluster-mixing"] is False
     assert "cluster 1: disconnected, mixing undefined" in report.flags
@@ -586,12 +619,13 @@ def test_verifier_catches_merged_clusters():
 
 def test_verifier_catches_sparse_edge_not_in_graph():
     g = gen_path(100)
-    deco, _ = decompose(g, 0.5)
-    deco.es.setdefault(10, []).append((10, 50))
-    report = verify_decomposition(g, 0.5, deco)
+    report = _tampered(g, 0.5, lambda doc: doc["es"].setdefault("10", []).append([10, 50]))
     assert report.checks["orientation"] is False
     assert any("edge (10, 50) not in graph" in f for f in report.failures)
     assert not report.ok
+
+
+NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
 
 def _count_exact_mixing(monkeypatch):
@@ -615,9 +649,9 @@ def _count_exact_mixing(monkeypatch):
     ],
 )
 def test_verifier_mixing_certificate_on_c60(monkeypatch, host_n, mixing_flags, exact_calls):
-    cycle = list(gen_cycle(60).edges())
+    cycle = gen_cycle(60)._edge_array()
     g = Graph(host_n, cycle)
-    deco = Decomposition(0.5, host_n ** 0.5, {e: 1 for e in cycle}, {}, [],
+    deco = Decomposition(0.5, host_n ** 0.5, {1: cycle}, {}, NO_EDGES,
                          {1: frozenset(range(60))})
     sub = gen_cycle(60)
     t_spec = mixing_time_bound(sub, lambda2_normalized(sub))
@@ -648,7 +682,7 @@ def _hypercube_pair(d):
 )
 def test_verifier_mixing_above_exact_limit(monkeypatch, g, mixing_flags):
     assert g.n == 2048
-    deco = Decomposition(0.15, g.n ** 0.15, {e: 1 for e in g.edge_list()}, {}, [],
+    deco = Decomposition(0.15, g.n ** 0.15, {1: g._edge_array()}, {}, NO_EDGES,
                          {1: frozenset(range(g.n))})
     calls = _count_exact_mixing(monkeypatch)
     report = verify_decomposition(g, 0.15, deco)
@@ -675,9 +709,8 @@ def test_decompose_certifies_mixing_without_powering(monkeypatch):
 )
 def test_mixing_bound_dominates_exact_on_clustered_specs(spec):
     deco, _ = decompose(generate(spec, seed=1), 0.5, seed=1)
-    groups = deco.edges_by_cluster()
-    assert len(groups) >= 2
-    for edges in groups.values():
+    assert len(deco.em) >= 2
+    for edges in deco.em.values():
         sub, _ = subgraph_from_edges(edges)
         t_spec = mixing_time_bound(sub, lambda2_normalized(sub))
         assert t_spec >= mixing_time_exact(sub)
@@ -689,14 +722,19 @@ def test_phi_star_is_tiny_but_positive():
 
 
 def test_dense_decompose_reads_no_per_vertex_view(monkeypatch):
-    # the partition, the peel and the verifier all read CSR and edge arrays
+    # the partition, the peel, the verifier and the report all read CSR
+    # and edge arrays, never per-vertex views or edge tuples
     def refused(self, *args):
         raise AssertionError("a per-vertex view was read")
 
     monkeypatch.setattr(Graph, "adj", property(refused))
     monkeypatch.setattr(Graph, "neighbor_set", refused)
-    deco, _ = decompose(gen_er(300, 0.3, seed=1), 0.5, seed=1)
+    monkeypatch.setattr(Graph, "edges", refused)
+    g = gen_er(300, 0.3, seed=1)
+    deco, _ = decompose(g, 0.5, seed=1)
     assert list(deco.clusters) == [1]
+    assert len(deco.as_json()["clusters"][0]["edges"]) == g.m
+    assert verify_decomposition(g, 0.5, deco).ok
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +786,10 @@ def test_array_peel_matches_the_set_peel(spec, seed):
         res = low_degree_peel(g, threshold)
         remaining, es_parts, iterations = _oracle_peel(g, threshold)
         assert res.iterations == iterations
-        assert res.e_diamond == remaining
-        assert list(res.es_parts.items()) == list(es_parts.items())
+        assert res.kept.tolist() == [list(e) for e in remaining]
+        # each owner's block, in the order the oracle first filed it
+        assert res.owners.tolist() == [v for v, part in es_parts.items() for _ in part]
+        assert res.peeled.tolist() == [list(e) for part in es_parts.values() for e in part]
 
 
 # ---------------------------------------------------------------------------
@@ -760,33 +800,36 @@ def test_array_peel_matches_the_set_peel(spec, seed):
 def test_verifier_rejects_an_id_that_aliases_a_key():
     # (0, 65) has the key 0 * 60 + 65 of (1, 5) on 60 vertices
     g = gen_path(60)
-    deco, _ = decompose(g, 0.5)
-    deco.er.append((0, 65))
-    report = verify_decomposition(g, 0.5, deco)
+    report = _tampered(g, 0.5, lambda doc: doc["er"].append([0, 65]))
     assert report.checks["partition"] is False
 
 
 def test_verifier_rejects_an_alias_in_place_of_an_edge():
     # (9, 71) stands in for the path edge (10, 11): both have the key 611,
     # so only the range check tells them apart
+    def swap(doc):
+        owner = next(v for v, part in doc["es"].items() if [10, 11] in part)
+        doc["es"][owner].remove([10, 11])
+        doc["er"].append([9, 71])
+
     g = gen_path(60)
-    deco, _ = decompose(g, 0.5)
-    owner = next(v for v, part in deco.es.items() if (10, 11) in part)
-    deco.es[owner].remove((10, 11))
-    deco.er.append((9, 71))
-    report = verify_decomposition(g, 0.5, deco)
+    report = _tampered(g, 0.5, swap)
     assert report.checks["partition"] is False
     assert report.checks["removed-fraction"] is True
 
 
 def test_verifier_rejects_a_cluster_edge_swapped_for_a_non_edge():
     g = gen_barbell(16, 1)
-    deco, _ = decompose(g, 0.5, seed=3)
-    cid = deco.em.pop((0, 1))
     assert not g.has_edge(0, 17)
-    deco.em[(0, 17)] = cid
+    deco, _ = decompose(g, 0.5, seed=3)
+    doc = deco.as_json()
+    edges = next(c["edges"] for c in doc["clusters"] if [0, 1] in c["edges"])
+    edges[edges.index([0, 1])] = [0, 17]
+    deco = decomposition_from_json(doc)
     report = verify_decomposition(g, 0.5, deco)
-    assert len(deco.em) + len(deco.er) + sum(map(len, deco.es.values())) == g.m
+    assert sum(map(len, deco.em.values())) + len(deco.er) + sum(
+        map(len, deco.es.values())
+    ) == g.m
     assert report.checks["partition"] is False
     assert not report.ok
 
@@ -797,15 +840,40 @@ def test_verifier_rejects_a_cluster_edge_swapped_for_a_non_edge():
 def test_verifier_reports_ids_past_int64(spec, label, big):
     g = generate(spec, seed=3)
     deco, _ = decompose(g, 0.5, seed=3)
+    doc = deco.as_json()
     e = (big, big + 1)
     if label == "em":
-        deco.em[e] = min(deco.clusters, default=1)
+        if not doc["clusters"]:
+            doc["clusters"].append({"id": 1, "vertices": list(e), "edges": []})
+        doc["clusters"][0]["edges"].append(list(e))
     elif label == "es":
-        deco.es[big] = [e]
+        doc["es"][str(big)] = [list(e)]
     else:
-        deco.er.append(e)
+        doc["er"].append(list(e))
+    deco = decomposition_from_json(json.loads(json.dumps(doc)))
+    # the reader keeps each id at its value, in rows of Python ints
+    rows = {"em": lambda: deco.em[1], "es": lambda: deco.es[big], "er": lambda: deco.er}[label]()
+    assert rows.dtype == object and tuple(rows[-1]) == e
     report = verify_decomposition(g, 0.5, deco)
     assert report.checks["partition"] is False
     assert not report.ok
     if label == "es":
         assert any(f"edge {e} not in graph" in f for f in report.failures)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, delta, scale",
+    [(spec, seed, 0.5, 1.0) for spec, seed in sorted(DECOMPOSE_GOLDEN)]
+    + [("caterpillar:blobs=400,blob_size=2", 0, 0.05, 0.05), ("case2a", 1, 0.3, 0.01)],
+)
+def test_report_round_trip_gives_the_same_arrays(spec, seed, delta, scale, case2a_graph):
+    g = case2a_graph if spec == "case2a" else generate(spec, seed=seed)
+    d, _ = decompose(g, delta, seed=seed, threshold_scale=scale)
+    back = decomposition_from_json(json.loads(json.dumps(d.as_json())))
+    for got, want in ((back.em, d.em), (back.es, d.es)):
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == np.int64 and np.array_equal(got[key], want[key])
+    assert back.er.dtype == np.int64 and np.array_equal(back.er, d.er)
+    assert back.as_json() == d.as_json()
+    assert verify_decomposition(g, delta, back) == verify_decomposition(g, delta, d)

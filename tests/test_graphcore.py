@@ -587,6 +587,97 @@ def test_orientation_double_ownership_fails():
     assert not rep.ok
 
 
+def _oracle_orientation(g, owned, cap):
+    """The per-edge orientation check: a neighbour-set lookup per listed
+    edge and Kahn's toposort over the owner -> other end arcs; returns
+    (violations, max out-degree)."""
+    from collections import deque
+
+    violations = []
+    seen = {}
+    max_out = 0
+    for v, es in sorted(owned.items()):
+        max_out = max(max_out, len(es))
+        if len(es) > cap:
+            violations.append(f"vertex {v} owns {len(es)} edges, cap {cap:g}")
+        for e in es:
+            if v not in e:
+                violations.append(f"edge {e} not incident to owner {v}")
+                continue
+            if not (0 <= e[0] < g.n and e[1] in set(g.adj[e[0]])):
+                violations.append(f"edge {e} not in graph")
+            if e in seen:
+                violations.append(f"edge {e} owned by both {seen[e]} and {v}")
+            seen[e] = v
+    indeg, succ, verts = {}, {}, set()
+    for v, es in owned.items():
+        for e in es:
+            if v not in e:
+                continue
+            w = e[0] if e[1] == v else e[1]
+            succ.setdefault(v, []).append(w)
+            indeg[w] = indeg.get(w, 0) + 1
+            verts |= {v, w}
+    dq = deque(sorted(x for x in verts if indeg.get(x, 0) == 0))
+    done = 0
+    while dq:
+        x = dq.popleft()
+        done += 1
+        for w in succ.get(x, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                dq.append(w)
+    if done != len(verts):
+        violations.append("orientation contains a directed cycle")
+    return violations, max_out
+
+
+ORIENTATION_CASES = {
+    "star": (gc.gen_star(5), {leaf: [(0, leaf)] for leaf in range(1, 5)}, 1),
+    "3-cycle": (gc.gen_clique(3), {0: [(0, 1)], 1: [(1, 2)], 2: [(0, 2)]}, 5),
+    "cap excess": (gc.gen_star(5), {0: [(0, leaf) for leaf in range(1, 5)]}, 3),
+    "owned twice": (gc.gen_clique(3), {1: [(0, 1)], 0: [(0, 1)]}, 5),
+    "owned three times": (gc.gen_clique(4), {1: [(0, 1), (1, 2), (0, 1)], 0: [(0, 1)]}, 5),
+    "not incident": (gc.gen_clique(4), {3: [(0, 1)], 0: [(0, 2)]}, 5),
+    "not in g": (gc.gen_path(4), {0: [(0, 2)], 1: [(1, 2)]}, 5),
+    "self-loop": (gc.gen_path(4), {2: [(2, 2)], 0: [(0, 1)]}, 5),
+    # (0, 11) has the key 0 * 8 + 11 of the edge (1, 3)
+    "alias": (gc.gen_clique(8), {0: [(0, 11), (0, 1)]}, 5),
+    "mixed": (
+        gc.gen_clique(5),
+        {4: [(3, 4), (0, 1), (2, 4), (1, 4)], 1: [(1, 4), (1, 7)], 0: [(0, 9)]},
+        2,
+    ),
+    **{
+        f"id {big}": (gc.gen_path(4), {big: [(big, big + 1)], 1: [(big, 1), (1, 2)]}, 5)
+        for big in (10 ** 30, 2 ** 63)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORIENTATION_CASES))
+def test_orientation_on_arrays_matches_the_per_edge_check(case):
+    g, owned, cap = ORIENTATION_CASES[case]
+    violations, max_out = _oracle_orientation(g, owned, cap)
+    assert bool(violations) == (case != "star")
+    # lists of pairs, and the (k, 2) rows a decomposition holds
+    as_rows = {v: gc._exact_ints(part).reshape(-1, 2) for v, part in owned.items()}
+    for form in (owned, as_rows):
+        rep = gc.verify_orientation(g, form, cap)
+        assert rep.violations == tuple(violations)
+        assert rep.max_out_degree == max_out
+        assert rep.ok is (not violations)
+
+
+def test_orientation_names_the_previous_owner():
+    g, owned, cap = ORIENTATION_CASES["owned three times"]
+    assert gc.verify_orientation(g, owned, cap).violations == (
+        "edge (0, 1) owned by both 0 and 1",
+        "edge (0, 1) owned by both 1 and 1",
+        "orientation contains a directed cycle",  # 0 -> 1 and 1 -> 0
+    )
+
+
 # ---------------------------------------------------------------------------
 # edge-list format
 # ---------------------------------------------------------------------------
@@ -598,6 +689,32 @@ def test_edge_list_roundtrip(tmp_path):
     gc.save_edge_list(g, path)
     h = gc.load_edge_list(path)
     assert h.n == g.n and h.edge_list() == g.edge_list()
+
+
+def test_edge_list_header_keeps_an_isolated_top_vertex(tmp_path):
+    g = gc.generate("er:n=60,p=0.03", seed=1)
+    assert g.deg[g.n - 1] == 0
+    path = tmp_path / "g.edges"
+    gc.save_edge_list(g, path)
+    h = gc.load_edge_list(path)
+    assert (h.n, h.edge_list()) == (60, g.edge_list())
+
+
+def test_edge_list_header_sets_n_on_both_parses(monkeypatch):
+    assert gc.parse_edge_list("# 4 vertices, 0 edges\n").n == 4
+    # only a leading header counts
+    assert gc.parse_edge_list("0 1\n# 7 vertices, 1 edges\n").n == 2
+    # a lone surrogate in a comment sends the text to the line parse
+    for text in ("# 7 vertices, 1 edges\n0 1\n", "# 7 vertices, 1 edges\n0 1 # \ud800\n"):
+        g = gc.parse_edge_list(text)
+        assert (g.n, g.edge_list()) == (7, [(0, 1)])
+
+
+def test_edge_list_id_past_the_header_names_its_line():
+    for text in ("# 3 vertices, 2 edges\n0 1\n1 3\n", "# 3 vertices\n0 1\n1 3 # \ud800\n"):
+        with pytest.raises(gc.GraphError) as err:
+            gc.parse_edge_list(text)
+        assert str(err.value) == "line 3: vertex id 3 is not below the header's 3 vertices"
 
 
 def test_edge_list_comments_and_blanks():

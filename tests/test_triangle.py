@@ -681,11 +681,10 @@ def _halving_decompose(g, delta, seed=0):
     # sorted edges go to E_s under their smaller endpoint (an acyclic
     # orientation) and the rest to E_r, so every level drops its lowest
     # vertices and relabels the survivors
-    edges = g.edge_list()
+    edges = g._edge_array()
     half = -(-len(edges) // 2)
-    es = {}
-    for u, v in edges[:half]:
-        es.setdefault(u, []).append((u, v))
+    owners, starts = np.unique(edges[:half, 0], return_index=True)
+    es = dict(zip(owners.tolist(), np.split(edges[:half], starts[1:])))
     t = rt.Transcript(seed=seed)
     t.charge("partition", 1)
     return Decomposition(delta, g.n ** delta, {}, es, edges[half:], {}), t
@@ -711,12 +710,12 @@ def _filter_instance():
     So every cluster edge at 0 or 1 is left to the next level, and each
     cluster triangle (0, 1, x) has all three edges left there.
     """
-    cluster = list(combinations(range(12), 2))
-    er = [(0, o) for o in range(12, 25)] + [(1, o) for o in range(13, 26)]
-    es = {o: [(o, o + 1)] for o in range(12, 25)}
-    g = Graph(26, cluster + er + [e for part in es.values() for e in part])
+    cluster = np.array(list(combinations(range(12), 2)))
+    er = np.array([(0, o) for o in range(12, 25)] + [(1, o) for o in range(13, 26)])
+    es = {o: np.array([(o, o + 1)]) for o in range(12, 25)}
+    g = Graph(26, np.concatenate([cluster, er, *es.values()]))
     decomp = Decomposition(
-        0.5, g.n ** 0.5, dict.fromkeys(cluster, 0), es, er, {0: frozenset(range(12))}
+        0.5, g.n ** 0.5, {0: cluster}, es, er, {0: frozenset(range(12))}
     )
     return g, decomp
 
