@@ -464,6 +464,16 @@ def _labeled_rows(parts) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate([np.empty((0, 2), dtype=np.int64)] + rows), labels
 
 
+def _members(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Mask of the entries of cand, of any shape, that occur in the sorted
+    array keys."""
+    if not len(keys):
+        return np.zeros(np.shape(cand), dtype=bool)
+    at = np.searchsorted(keys, cand)
+    at[at == len(keys)] = 0
+    return keys[at] == cand
+
+
 def verify_orientation(
     g: Graph, owned: Dict[int, np.ndarray], cap: float
 ) -> OrientationReport:
@@ -481,13 +491,15 @@ def verify_orientation(
     sizes = [len(owned[v]) for v in owners]
     at_u = rows[:, 0] == tails
     incident = at_u | (rows[:, 1] == tails)
-    # membership: ids in range first, then the keys lo * n + hi
+    # membership: ids in range first, then the keys lo * n + hi among g's
+    # sorted ones
     in_graph = ((rows >= 0) & (rows < g.n)).all(axis=1)
-    ends = rows[in_graph].astype(np.int64)
-    g_edges = g._edge_array()
-    in_graph[in_graph] = np.isin(
-        ends.min(axis=1) * g.n + ends.max(axis=1), g_edges[:, 0] * g.n + g_edges[:, 1]
-    )
+    if in_graph.any():
+        ends = rows[in_graph].astype(np.int64)
+        g_edges = g._edge_array()
+        in_graph[in_graph] = _members(
+            g_edges[:, 0] * g.n + g_edges[:, 1], ends.min(axis=1) * g.n + ends.max(axis=1)
+        )
     # rank the ids, so that rows with ids past int64 key like the others
     ids, ranked = np.unique(rows.ravel(), return_inverse=True)
     u, w = ranked[0::2], ranked[1::2]

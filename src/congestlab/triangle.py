@@ -18,9 +18,11 @@ Three layers:
 Triangles are int arrays from lister to report: one CSR wedge lister,
 `_triangles_of_edges`, serves the clusters and (keeping the rows with a
 sparse edge) case 1 with sorted (k, 3) rows; the class-tuple core returns
-an owner array aligned with them; `TriangleSet` holds one sorted key
-array and its owners, and its `extend` refuses a triangle reported twice.
-The CLI writes `TriangleSet.rows()` straight into the report.
+an owner array aligned with the cluster rows, and one array rule,
+`_case1_owners`, applies the orientation rules to every case-1 row at
+once from the tails of its three edges; `TriangleSet` holds one sorted
+key array and its owners, and its `extend` refuses a triangle reported
+twice. The CLI writes `TriangleSet.rows()` straight into the report.
 
 Round accounting follows the same policy as decomposition.py: instead of
 replaying the engine message by message, phases are charged through the
@@ -50,6 +52,7 @@ from .graphcore import (
     GraphError,
     _edge_keys,
     _labeled_rows,
+    _members,
     edge_key,
     induced_subgraph,  # unused here; perfbench checks it wraps this binding
     subgraph_from_edges,
@@ -244,15 +247,6 @@ def _triangles_of_edges(edges, through=None) -> np.ndarray:
     return rows[held]
 
 
-def _members(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Mask of the entries of cand that occur in the sorted array keys."""
-    if not len(keys):
-        return np.zeros(len(cand), dtype=bool)
-    at = np.searchsorted(keys, cand)
-    at[at == len(keys)] = 0
-    return keys[at] == cand
-
-
 # ---------------------------------------------------------------------------
 # class triads
 # ---------------------------------------------------------------------------
@@ -386,43 +380,70 @@ def edge_concentration_probe(g: Graph, q: int, seed=0, trials: int = 20) -> Prob
 # ---------------------------------------------------------------------------
 
 
+# Row positions: edge j of a sorted row (a, b, c) is ab, ac, bc, so vertex
+# p's opposite edge is 2 - p; of the two other vertices, p's smaller one is
+# _SMALLER_OTHER[p].
+_INCIDENT = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])  # vertex x edge
+_SMALLER_OTHER = np.array([1, 0, 0])
+
+
+def _case1_owners(rows: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """The unique reporter of each triangle touching oriented edges.
+
+    `rows` are sorted (k, 3) triangles a < b < c, and `tails` the (k, 3)
+    tails of their edges ab, ac and bc, -1 for an unoriented edge. The
+    published rules apply in order, to every row at once: an out-degree-2
+    apex lets the smaller head report; a sink (in-degree 2) the smaller
+    tail; a lone oriented edge the third vertex; a directed path
+    x -> z -> y its end y, the head of z's out-edge. They cover every
+    acyclic pattern, as the exhaustive test checks; a row with no oriented
+    edge or a cyclic pattern gets -1.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    tails = np.asarray(tails, dtype=np.int64).reshape(-1, 3)
+    out = (tails[:, :, None] == rows[:, None, :]).sum(axis=1)
+    deg = (tails >= 0).astype(np.int64) @ _INCIDENT
+    inn = deg - out
+    apex, sink = out == 2, inn == 2
+    oriented = deg.sum(axis=1) // 2
+    pos = np.select(
+        [apex.any(axis=1), sink.any(axis=1), oriented == 1, oriented == 2],
+        [
+            _SMALLER_OTHER[apex.argmax(axis=1)],
+            _SMALLER_OTHER[sink.argmax(axis=1)],
+            (deg == 0).argmax(axis=1),
+            ((inn == 1) & (out == 0)).argmax(axis=1),
+        ],
+        -1,
+    )
+    owners = rows[np.arange(len(rows)), pos]
+    owners[pos < 0] = -1
+    return owners
+
+
 def case1_report_owner(triangle, oriented) -> Optional[int]:
     """Pick the unique reporter of a triangle touching oriented edges.
 
     `oriented` holds (tail, head) pairs for the triangle's oriented edges;
     absent pairs are unoriented, and pairs off the triangle are ignored.
-    Returns None when no edge is oriented. The caller passes only the
-    triangle's own (at most three) pairs, so a call costs O(1).
-    The three published rules (out-degree-2 apex, lone directed edge or
-    directed path, common sink) cover every acyclic pattern, as the
-    exhaustive test checks; a cyclic pattern matches none of them and
-    returns None.
+    A one-row call to `_case1_owners`: returns None when no edge is
+    oriented or the pattern is cyclic, an edge oriented both ways
+    included.
     """
     verts = tuple(sorted(set(triangle)))
     if len(verts) != 3:
         raise GraphError("a triangle needs three distinct vertices")
-    vset = set(verts)
-    pairs = {(a, b) for a, b in oriented if a in vset and b in vset and a != b}
-    if not pairs:
-        return None
-    out = {v: sorted(b for a, b in pairs if a == v) for v in verts}
-    inn = {v: sorted(a for a, b in pairs if b == v) for v in verts}
-
-    for v in verts:
-        if len(out[v]) == 2:
-            return out[v][0]
-    # A sink here has its opposite edge unoriented, or an end would be an apex.
-    for v in verts:
-        if len(inn[v]) == 2:
-            return inn[v][0]
-    if len(pairs) == 1:
-        ((a, b),) = pairs
-        return next(v for v in verts if v not in (a, b))
-    if len(pairs) == 2:
-        # Neither an apex nor a sink, so a directed path a -> z -> b.
-        (z,) = {b for _, b in pairs} & {a for a, _ in pairs}
-        return out[z][0]
-    return None
+    sides = dict(zip(combinations(verts, 2), range(3)))
+    tails = [-1] * 3
+    for a, b in set(oriented):
+        j = sides.get(edge_key(a, b))
+        if j is None:
+            continue
+        if tails[j] >= 0:
+            return None
+        tails[j] = a
+    owner = int(_case1_owners(verts, tails)[0])
+    return owner if owner >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +455,7 @@ def _list_by_class_tuples(
     tx: rt.Transcript,
     g: Graph,
     members: Sequence[int],
-    edges: Sequence[Edge],
+    edges,
     occurrences: np.ndarray,
     s: int,
     seed,
@@ -460,8 +481,8 @@ def _list_by_class_tuples(
     tuple, which must have heard of all its edges. Either way the
     deliveries are one batch of (sender, receiver) rows priced by `route`,
     whose load multiplier must stay within the concentration envelope.
-    Returns the owner of each occurrence row; the phases, under `label`,
-    and the messages are charged to tx.
+    `edges` are (k, 2) rows u < v. Returns the owner of each occurrence
+    row; the phases, under `label`, and the messages are charged to tx.
     """
     n = len(members)
     ids_of = np.asarray(members, dtype=np.int64)
@@ -498,7 +519,8 @@ def _list_by_class_tuples(
         rests = list(combinations_with_replacement(range(1, q + 1), s - 2))
         known: Dict[int, Set[Edge]] = {v: set() for v in members}
         rows: List[Tuple[int, int]] = []
-        for e, sent in zip(edges, sends.tolist()):
+        pairs = list(map(tuple, ends.tolist()))
+        for e, sent in zip(pairs, sends.tolist()):
             u, v = e
             senders = [x for x, member in zip(e, sent) if member]
             for sender in senders:
@@ -510,7 +532,7 @@ def _list_by_class_tuples(
                     known[owner].add(e)
         requests = np.array(rows, dtype=np.int64).reshape(-1, 2)
 
-        edge_set = set(edges)
+        edge_set = set(pairs)
         owner_list = []
         for occ in occurrences.tolist():
             owner = alloc.owner_of(tuple(parts[v] for v in occ))
@@ -560,40 +582,45 @@ def enumerate_expander(
     equals one of its triads.
     """
     members = sorted(set(component))
-    mset = set(members)
+    ids = np.asarray(members, dtype=np.int64)
     transcript = rt.Transcript(seed=seed)
     transcript.flag("zeta_scale", zeta_scale)
 
-    e_in = [
-        (u, v) for u in members for v in g.adj[u] if u < v and v in mset
-    ]
-    out_edges: Set[Edge] = set()
-    for u, v in e_out:
-        e = edge_key(u, v)
-        if e[0] in mset and e[1] in mset:
+    inside = np.zeros(g.n, dtype=bool)
+    inside[ids] = True
+    g_edges = g._edge_array()
+    e_in = g_edges[inside[g_edges].all(axis=1)]
+    pairs = np.asarray(e_out, dtype=np.int64).reshape(-1, 2)
+    ends_in = _members(ids, pairs)  # an outer end need not be a vertex of g
+    stray = ends_in[:, 0] == ends_in[:, 1]
+    if stray.any():
+        at = int(stray.argmax())
+        e = edge_key(*pairs[at].tolist())
+        if ends_in[at, 0]:
             raise GraphError(f"outward edge {e} already lies inside the component")
-        if e[0] not in mset and e[1] not in mset:
-            raise GraphError(f"outward edge {e} does not touch the component")
-        out_edges.add(e)
-    if not e_in:
+        raise GraphError(f"outward edge {e} does not touch the component")
+    if not len(e_in):
         return TriangleSet(), transcript
 
     # Each outward edge is sent by its member end, which must have spare
     # inward degree: no member sends more outward edges than it has
-    # inward ones.
-    spare: Dict[int, int] = {v: 0 for v in members}
-    for u, v in e_in:
-        spare[u] += 1
-        spare[v] += 1
-    for e in sorted(out_edges):
-        sender = e[0] if e[0] in mset else e[1]
-        if spare[sender] <= 0:
-            raise GraphError(
-                f"outward edge {e} exceeds the sending capacity of {sender}"
-            )
-        spare[sender] -= 1
+    # inward ones. Read in sorted order, the first edge past its sender's
+    # spare is refused.
+    out = np.unique(np.sort(pairs, axis=1), axis=0)
+    sender = np.where(_members(ids, out[:, 0]), out[:, 0], out[:, 1])
+    spare = np.bincount(e_in.ravel(), minlength=g.n)
+    order = np.argsort(sender, kind="stable")
+    rank = np.empty(len(out), dtype=np.int64)  # the edge's place among its sender's
+    rank[order] = np.arange(len(out)) - np.searchsorted(sender[order], sender[order])
+    over = rank >= spare[sender]
+    if over.any():
+        at = int(over.argmax())
+        raise GraphError(
+            f"outward edge {tuple(out[at].tolist())} exceeds the sending"
+            f" capacity of {sender[at]}"
+        )
 
-    edges = e_in + list(out_edges)
+    edges = np.concatenate((e_in, out))
     rows = _triangles_of_edges(edges)
     owners = _list_by_class_tuples(
         transcript, g, members, edges, rows,
@@ -658,19 +685,15 @@ def enumerate_general(
             keys = np.column_stack((a * g.n + b, a * g.n + c, b * g.n + c))
             at = np.searchsorted(es_keys, keys, sorter=order).clip(max=len(order) - 1)
             at = order[at]
-            tri_tails = np.where(es_keys[at] == keys, tails[at], -1).tolist()
-            owners = []
-            for t, tail in zip(rows.tolist(), tri_tails):
-                sides = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-                pairs = [(x, e[0] + e[1] - x) for e, x in zip(sides, tail) if x >= 0]
-                owner = case1_report_owner(t, pairs)
-                assert owner is not None
-                # The owner sees its two incident edges; the opposite one
-                # it only hears of through the announcement of its tail.
-                assert tail[2 - t.index(owner)] >= 0, "case-1 owner missed its opposite edge"
-                owners.append(owner)
+            tri_tails = np.where(es_keys[at] == keys, tails[at], -1)
+            owners = _case1_owners(rows, tri_tails)
+            mine = rows == owners[:, None]
+            assert mine.any(axis=1).all(), "case-1 triangle without an owner"
+            # The owner sees its two incident edges; the opposite one it
+            # only hears of through the announcement of its tail.
+            assert (tri_tails[:, ::-1][mine] >= 0).all(), "case-1 owner missed its opposite edge"
             found.append(to_g[rows])
-            found_by.append(to_g[np.array(owners, dtype=np.int64)])
+            found_by.append(to_g[owners])
 
         er = decomp.er
         left = _edge_keys(er, g.n)  # the keys of the next level's edges
@@ -814,7 +837,7 @@ def enumerate_subgraphs(
     ).reshape(-1, s)
     members = [v for v in range(g.n) if g.deg[v] > 0]
     owners = _list_by_class_tuples(
-        transcript, g, members, g.edge_list(), occurrences,
+        transcript, g, members, g._edge_array(), occurrences,
         s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
     )
     attribution = dict(zip(map(tuple, occurrences.tolist()), owners.tolist()))

@@ -4,8 +4,9 @@ Each (mode, spec, seed) pins the sha256 of the JSON report that `run_cli`
 writes. The triangle-mode reports carry integers and strings only, so BLAS
 builds cannot move their hashes. Their instances cover the branches the
 enumeration takes: an all-sparse graph (case 1 only), sparse edges beside
-one cluster, clusters with removed edges, and a recursion level on the
-leftover edges.
+one cluster, clusters with removed edges, a recursion level on the
+leftover edges, and a level whose few sparse edges share triangles with
+cluster edges (case-1 attribution beside case 2).
 
 The `decompose` reports also pin floating-point results, through the
 verifier's check booleans and the nibble search's lambda2 screen, so their
@@ -60,6 +61,10 @@ GOLDEN = {
     ("triangles", "caterpillar:blobs=4,blob_size=30", 1): "faff688addd102d5606796bf04c0407dff43f3127deb55461933acf16cfe1ec4",
     ("count", "planted_cut:n=80,p=0.4,cross=3", 1): "a5f48bb5deb0762fe7824de3e484e3cea7a7b4f8722882e4ee18e9135c0853e8",
     ("triangles", "planted_cut:n=80,p=0.4,cross=3", 1): "6361f8a643a1ee6550f898fe7a64e5b18b2dbf85c97c71bafed39995a46fe7dd",
+    ("count", "er:n=50,p=0.3", 0): "d56d4caf68ca8bff596a39616c226cf27be90bf10a7537f5e5eed0e9c51313d0",
+    ("triangles", "er:n=50,p=0.3", 0): "6887e8e9369c8fdd0c93386f78097905fbf883f78e9eacd187b3d0d2dc7c2315",
+    ("count", "er:n=50,p=0.3", 2): "26720138b150758d57f4db24250742ff9d2294ea9246187c46c91e816988b2a4",
+    ("triangles", "er:n=50,p=0.3", 2): "271090321ecfa101ecf2a587073b3fab315e7446a827860c0414c07dcfa47897",
 }
 
 # Phase labels each instance must produce, so that a hash keeps covering
@@ -72,6 +77,7 @@ BRANCHES = {
     "planted_cut:n=80,p=0.4,cross=3": {
         "triangle:case2:0", "triangle:decompose:1", "triangle:case1:1",
     },
+    "er:n=50,p=0.3": {"triangle:case1:0", "triangle:case2:0"},
 }
 
 DECOMPOSE_GOLDEN = {

@@ -3,7 +3,7 @@
 import json
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from congestlab.graphcore import (
     gen_cycle,
     gen_er,
     gen_path,
+    generate,
 )
 from congestlab.routing import assign_degree_class_ids
 from congestlab.triangle import (
@@ -360,6 +361,134 @@ def test_case1_exhaustive_acyclic_patterns():
     assert seen == 24
 
 
+def _oracle_case1_owner(triangle, oriented):
+    """The published owner rules over sets, one triangle at a time."""
+    verts = tuple(sorted(set(triangle)))
+    if len(verts) != 3:
+        raise GraphError("a triangle needs three distinct vertices")
+    vset = set(verts)
+    pairs = {(a, b) for a, b in oriented if a in vset and b in vset and a != b}
+    if not pairs:
+        return None
+    out = {v: sorted(b for a, b in pairs if a == v) for v in verts}
+    inn = {v: sorted(a for a, b in pairs if b == v) for v in verts}
+
+    for v in verts:
+        if len(out[v]) == 2:
+            return out[v][0]
+    # A sink here has its opposite edge unoriented, or an end would be an apex.
+    for v in verts:
+        if len(inn[v]) == 2:
+            return inn[v][0]
+    if len(pairs) == 1:
+        ((a, b),) = pairs
+        return next(v for v in verts if v not in (a, b))
+    if len(pairs) == 2:
+        # Neither an apex nor a sink, so a directed path a -> z -> b.
+        (z,) = {b for _, b in pairs} & {a for a, _ in pairs}
+        return out[z][0]
+    return None
+
+
+def _oracle_case1_owners(rows, tails):
+    """`tr._case1_owners` as a loop over the set-based oracle."""
+    owners = []
+    for t, tail in zip(rows.tolist(), tails.tolist()):
+        sides = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+        pairs = [(x, e[0] + e[1] - x) for e, x in zip(sides, tail) if x >= 0]
+        owner = _oracle_case1_owner(t, pairs)
+        owners.append(-1 if owner is None else owner)
+    return np.array(owners, dtype=np.int64).reshape(-1)
+
+
+def _patterns():
+    """Every orientation of the triangle's three edges, under each of the
+    6 id orders of its vertices: (sorted row, tails of ab, ac, bc, pairs)."""
+    for ids in permutations((10, 20, 30)):
+        x, y, z = ids
+        for states in product((0, 1, 2), repeat=3):
+            pairs = [
+                (u, v) if st == 1 else (v, u)
+                for (u, v), st in zip(((x, y), (x, z), (y, z)), states)
+                if st
+            ]
+            row = tuple(sorted(ids))
+            tails = [
+                next((a for a, b in pairs if {a, b} == {u, v}), -1)
+                for u, v in combinations(row, 2)
+            ]
+            yield row, tails, pairs
+
+
+def _is_cyclic(pairs):
+    return len(pairs) == 3 and len({b for _, b in pairs}) == 3
+
+
+def test_case1_array_rule_matches_oracle_on_every_pattern():
+    # all 24 acyclic patterns under all 6 id orders, so that every vertex
+    # takes each of the a < b < c roles
+    cases = [(r, t, p) for r, t, p in _patterns() if p and not _is_cyclic(p)]
+    assert len(cases) == 24 * 6
+    rows = np.array([r for r, _, _ in cases])
+    tails = np.array([t for _, t, _ in cases])
+    expected = [_oracle_case1_owner(r, p) for r, _, p in cases]
+    assert None not in expected
+    assert tr._case1_owners(rows, tails).tolist() == expected
+    assert [case1_report_owner(r, p) for r, _, p in cases] == expected
+
+
+def test_case1_cyclic_and_empty_patterns_get_no_owner():
+    cases = [(r, t, p) for r, t, p in _patterns() if not p or _is_cyclic(p)]
+    # per id order: the empty pattern and the two directed cycles
+    assert len(cases) == 3 * 6
+    rows = np.array([r for r, _, _ in cases])
+    tails = np.array([t for _, t, _ in cases])
+    assert tr._case1_owners(rows, tails).tolist() == [-1] * len(cases)
+    for r, _, p in cases:
+        assert _oracle_case1_owner(r, p) is None
+        assert case1_report_owner(r, p) is None
+    # an edge oriented both ways is a cycle too
+    assert case1_report_owner((1, 2, 3), {(1, 2), (2, 1)}) is None
+
+
+def _general_owners_match_oracle(monkeypatch, g, seed):
+    res, t = enumerate_general(g, 0.5, seed=seed)
+    assert any(k.startswith("triangle:case1") for k in t.phases)
+    calls = []
+
+    def oracle(rows, tails):
+        calls.append(len(rows))
+        return _oracle_case1_owners(rows, tails)
+
+    monkeypatch.setattr(tr, "_case1_owners", oracle)
+    looped, t_looped = enumerate_general(g, 0.5, seed=seed)
+    monkeypatch.undo()
+    assert sum(calls) > 0
+    assert dict(looped.attribution) == dict(res.attribution)
+    assert t_looped.as_json() == t.as_json()
+    return res, t
+
+
+@pytest.mark.parametrize(
+    "spec,seed",
+    [
+        ("er:n=120,p=0.06", 1),
+        ("er:n=150,p=0.12", 2),
+        ("er:n=50,p=0.3", 0),
+        ("er:n=50,p=0.3", 2),
+    ],
+)
+def test_general_case1_owners_match_oracle_loop(monkeypatch, spec, seed):
+    # the golden count specs with case-1 triangles, and two levels whose
+    # E_s is a few of about 400 edges, beside case 2
+    _general_owners_match_oracle(monkeypatch, generate(spec, seed=seed), seed)
+
+
+def test_general_case1_owners_match_oracle_loop_on_mixed_triangle(monkeypatch):
+    res, _ = _general_owners_match_oracle(monkeypatch, _clique_with_apex(), 3)
+    assert res.attribution[(0, 1, 20)] == 0
+
+
 # -- expander path -----------------------------------------------------------
 
 
@@ -500,6 +629,22 @@ def test_expander_rejects_bad_out_edges():
         enumerate_expander(g6, [0, 1, 2], [(0, 3), (0, 4), (0, 5)])
 
 
+def test_expander_bad_out_edge_errors_name_the_first_offender():
+    # the first bad edge in e_out's order, of either kind, is named
+    g = Graph(6, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(GraphError, match=re.escape("outward edge (3, 4) does not touch")):
+        enumerate_expander(g, [0, 1, 2], [(0, 3), (4, 3), (1, 0)])
+    with pytest.raises(GraphError, match=re.escape("outward edge (0, 1) already lies inside")):
+        enumerate_expander(g, [0, 1, 2], [(0, 3), (1, 0), (4, 3)])
+    # capacity is read in sorted edge order: 0 may send two of its edges,
+    # so (0, 5), its third, is refused, not (1, 3) or (0, 3)
+    match = re.escape("outward edge (0, 5) exceeds the sending capacity of 0")
+    with pytest.raises(GraphError, match=match + "$"):
+        enumerate_expander(g, [0, 1, 2], [(5, 0), (1, 3), (0, 4), (0, 3), (3, 1)])
+    with pytest.raises(GraphError, match=re.escape("(2, 5) exceeds the sending capacity of 2")):
+        enumerate_expander(g, [0, 1, 2], [(2, 5), (2, 4), (2, 3), (0, 5), (0, 3)])
+
+
 @pytest.mark.parametrize("kappa", [0, -2])
 def test_expander_rejects_kappa_below_one(kappa):
     g = gen_clique(6)
@@ -593,21 +738,27 @@ def test_general_sparse_regime_is_case1_only():
 
 
 def test_general_case1_calls_get_only_own_pairs(monkeypatch):
-    # each case-1 call sees the triangle's own oriented edges, never all
-    # of E_s, so the cost per triangle stays constant
-    sizes = []
-    real = tr.case1_report_owner
+    # the owner rule sees each case-1 triangle once, with only its own
+    # three edges' tails, never all of E_s, so the cost per triangle stays
+    # constant
+    calls = []
+    real = tr._case1_owners
 
-    def spy(triangle, oriented):
-        sizes.append(len(oriented))
-        return real(triangle, oriented)
+    def spy(rows, tails):
+        calls.append((rows, tails))
+        return real(rows, tails)
 
-    monkeypatch.setattr(tr, "case1_report_owner", spy)
+    monkeypatch.setattr(tr, "_case1_owners", spy)
     g = gen_er(128, 8.0 / 128, seed=4)
     res, _ = enumerate_general(g, 0.5, seed=4)
     assert res.triangles == brute_force_triangles(g).triangles
-    assert len(sizes) == res.count > 0
-    assert max(sizes) <= 3 and min(sizes) >= 1
+    ((rows, tails),) = calls
+    assert rows.shape == tails.shape == (res.count, 3)
+    assert res.count > 0
+    ends = rows[:, [[0, 1], [0, 2], [1, 2]]]  # the ends of edges ab, ac, bc
+    oriented = tails >= 0
+    assert oriented.any(axis=1).all()
+    assert (ends == tails[:, :, None]).any(axis=2)[oriented].all()
 
 
 def _clique_with_apex():
@@ -629,12 +780,12 @@ def test_general_case1_owner_knowledge_check_fires(monkeypatch):
 
     # the apex's opposite edge (0, 1) is a cluster edge that nobody
     # announced to it, so reporting from the apex must trip the check
-    real = tr.case1_report_owner
+    real = tr._case1_owners
 
-    def apex_reports(triangle, oriented):
-        return 20 if 20 in triangle else real(triangle, oriented)
+    def apex_reports(rows, tails):
+        return np.where((rows == 20).any(axis=1), 20, real(rows, tails))
 
-    monkeypatch.setattr(tr, "case1_report_owner", apex_reports)
+    monkeypatch.setattr(tr, "_case1_owners", apex_reports)
     with pytest.raises(AssertionError, match="opposite edge"):
         enumerate_general(g, 0.5, seed=3)
 
