@@ -49,12 +49,12 @@ MAX_VERTICES = 1 << 20  # larger vertex counts are refused before any allocation
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Its canonical CSR arrays (`indptr`, `indices`, each row sorted) and
-    `deg` are built here, once. The per-vertex views `adj` and
-    `neighbor_set` are read off the arrays on first use.
+    Its one representation is the canonical CSR arrays, built here once:
+    vertex v's neighbours are `indices[indptr[v]:indptr[v + 1]]`, ascending.
+    `deg`, `edges()` and the edge array are read off the same arrays.
     """
 
-    __slots__ = ("n", "m", "deg", "indptr", "indices", "_adj", "_nbr_sets")
+    __slots__ = ("n", "m", "deg", "indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -71,25 +71,6 @@ class Graph:
         self.n = n
         self.m = len(lo)
         self.deg: Tuple[int, ...] = tuple(np.diff(self.indptr).tolist())
-        self._adj: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._nbr_sets: Optional[Tuple[frozenset, ...]] = None
-
-    @property
-    def adj(self) -> Tuple[Tuple[int, ...], ...]:
-        """Each vertex's neighbors, ascending."""
-        if self._adj is None:
-            flat, ptr = _id_objects(self.n)[self.indices].tolist(), self.indptr.tolist()
-            self._adj = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
-        return self._adj
-
-    def neighbor_set(self, v: int) -> frozenset:
-        if self._nbr_sets is None:
-            self._nbr_sets = tuple(map(frozenset, self.adj))
-        return self._nbr_sets[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Is (u, v) an edge; False for any u that is not a vertex."""
-        return 0 <= u < self.n and v in self.neighbor_set(u)
 
     def _edge_array(self) -> np.ndarray:
         """Canonical edges as a (m, 2) array, u < v, in sorted order."""
@@ -204,20 +185,29 @@ class Cut:
         }
 
 
+def _side_mask(g: Graph, ss: frozenset) -> np.ndarray:
+    """Boolean mask of the vertex set ss over 0..n-1."""
+    if not all(0 <= v < g.n for v in ss):
+        raise GraphError("vertex out of range")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(ss)] = True
+    return mask
+
+
+def _crossing(g: Graph, mask: np.ndarray) -> np.ndarray:
+    """Rows of g's edge array with exactly one end inside the mask."""
+    e = g._edge_array()
+    return e[mask[e[:, 0]] != mask[e[:, 1]]]
+
+
 def volume(g: Graph, s: Iterable[int]) -> int:
     """Sum of degrees of s in g; degrees always w.r.t. the graph passed in."""
-    return sum(g.deg[v] for v in as_vertex_set(s))
+    return int(np.diff(g.indptr)[_side_mask(g, as_vertex_set(s))].sum())
 
 
 def boundary(g: Graph, s: Iterable[int]) -> List[Edge]:
     """Edges of g with exactly one endpoint in s, in canonical sorted order."""
-    ss = as_vertex_set(s)
-    out = []
-    for v in ss:
-        for u in g.adj[v]:
-            if u not in ss:
-                out.append(edge_key(u, v))
-    return sorted(set(out))
+    return list(map(tuple, _crossing(g, _side_mask(g, as_vertex_set(s))).tolist()))
 
 
 def conductance(g: Graph, s: Iterable[int]) -> Cut:
@@ -225,15 +215,9 @@ def conductance(g: Graph, s: Iterable[int]) -> Cut:
     ss = as_vertex_set(s)
     if not ss or len(ss) >= g.n:
         raise GraphError("empty side: conductance needs a nonempty proper subset")
-    if not all(0 <= v < g.n for v in ss):
-        raise GraphError("vertex out of range")
     vol_s = volume(g, ss)
     vol_c = 2 * g.m - vol_s
-    b = 0
-    for v in ss:
-        for u in g.adj[v]:
-            if u not in ss:
-                b += 1
+    b = len(_crossing(g, _side_mask(g, ss)))
     denom = min(vol_s, vol_c)
     if denom == 0:
         raise GraphError("empty side: cut has a side of zero volume")

@@ -97,12 +97,13 @@ def lazy_step(g: Graph, p: Distribution) -> Distribution:
     The sequential reference that the walk tests hold `_run_walk_level` to.
     """
     out: Distribution = {}
+    ptr, flat = g.indptr.tolist(), g.indices.tolist()
     for x, mass in p.items():
         out[x] = out.get(x, 0.0) + mass / 2.0
         d = g.deg[x]
         if d:
             share = mass / (2.0 * d)
-            for y in g.adj[x]:
+            for y in flat[ptr[x] : ptr[x + 1]]:
                 out[y] = out.get(y, 0.0) + share
     return {x: v for x, v in out.items() if v > 0.0}
 

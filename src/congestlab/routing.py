@@ -73,8 +73,9 @@ def assign_degree_class_ids(
     if members[0] < 0 or members[-1] >= g.n:
         raise GraphError(f"component has a vertex outside 0..{g.n - 1}")
     tree, bfs_rounds = rt.bfs_build(g, members, members[0])
-    mset = frozenset(members)
-    deg_of = {v: len(g.neighbor_set(v) & mset) for v in members}
+    e = g._edge_array()
+    member_deg = np.bincount(e[np.isin(e, members).all(axis=1)].ravel(), minlength=g.n)
+    deg_of = dict(zip(members, member_deg[members].tolist()))
 
     n = len(members)
     counts = [0] * (int(log2m(n)) + 1)

@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .graphcore import Graph, GraphError
 
 DEFAULT_WORDS = 4
@@ -108,14 +110,14 @@ class VertexProgram:
 
 
 class Ctx:
-    """Per-vertex view handed to program handlers."""
+    """Per-vertex view handed to program handlers; `neighbors` is v's CSR row."""
 
     __slots__ = ("v", "n", "neighbors", "deg", "state", "rng", "round", "_engine", "halted")
 
     def __init__(self, v: int, g: Graph, rng: random.Random, engine: "_Engine"):
         self.v = v
         self.n = g.n
-        self.neighbors = tuple(g.adj[v])
+        self.neighbors = tuple(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist())
         self.deg = g.deg[v]
         self.state: Any = None
         self.rng = rng
@@ -145,7 +147,8 @@ class _Engine:
     def __init__(self, g: Graph, w: int):
         self.g = g
         self.w = w
-        self.nbr_sets = [g.neighbor_set(v) for v in range(g.n)]
+        ptr, flat = g.indptr.tolist(), g.indices.tolist()
+        self.nbr_sets = [frozenset(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
         self.outbox: Dict[int, List[Message]] = {}
         self.sent_pairs: set = set()
         self.round_index = 0
@@ -253,24 +256,31 @@ def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[BfsTree, i
     the sender a vertex adopts when the wave reaches it from several at
     once. Non-members neither join nor relay, so a member that the members
     alone cannot reach raises a CongestError: the component is not
-    connected. The tests replay the wave through `run` as the oracle of
-    this tree and this charge.
+    connected. The wave is a frontier over g's CSR rows; the tests replay it
+    through `run`, and run the loop BFS, as oracles of tree and charge.
     """
     members = frozenset(component)
     if root not in members or not 0 <= root < g.n:
         raise CongestError(f"root {root} is not in the component")
+    reached = np.ones(g.n, dtype=bool)  # non-members never join or relay
+    reached[[v for v in members if 0 <= v < g.n and v != root]] = False
     parent: Dict[int, Optional[int]] = {root: None}
     level = {root: 0}
-    frontier = [root]
-    while frontier:
-        reached = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if v in members and v not in parent:
-                    parent[v] = u
-                    level[v] = level[u] + 1
-                    reached.append(v)
-        frontier = sorted(reached)
+    frontier, d = np.array([root]), 0
+    while len(frontier):
+        d += 1
+        # every arc out of the ascending frontier, row by row: the first
+        # arc into a vertex comes from its smallest-id frontier neighbour
+        starts = g.indptr[frontier]
+        degs = g.indptr[frontier + 1] - starts
+        arcs = np.repeat(starts - np.cumsum(degs) + degs, degs) + np.arange(degs.sum())
+        src, dst = np.repeat(frontier, degs), g.indices[arcs]
+        fresh = ~reached[dst]
+        frontier, first = np.unique(dst[fresh], return_index=True)
+        reached[frontier] = True
+        new = frontier.tolist()
+        parent.update(zip(new, src[fresh][first].tolist()))
+        level.update(dict.fromkeys(new, d))
     if len(parent) < len(members):
         missed = sorted(members - parent.keys())
         raise CongestError(

@@ -50,6 +50,7 @@ from .graphcore import (
     Edge,
     Graph,
     GraphError,
+    _adjacency,
     _edge_keys,
     _labeled_rows,
     _members,
@@ -189,12 +190,9 @@ def brute_force_triangles(g: Graph) -> TriangleSet:
     """
     if g.m > ORACLE_EDGE_CAP:
         raise GraphError(f"oracle capped at {ORACLE_EDGE_CAP} edges, got {g.m}")
-    rows = [
-        (u, v, w)
-        for u, v in g.edges()
-        for w in g.neighbor_set(u) & g.neighbor_set(v)
-        if w > v
-    ]
+    ptr, flat = g.indptr.tolist(), g.indices.tolist()
+    nbrs = [frozenset(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
+    rows = [(u, v, w) for u, v in g.edges() for w in nbrs[u] & nbrs[v] if w > v]
     result = TriangleSet()
     result.extend(rows, [u for u, _, _ in rows])
     return result
@@ -364,14 +362,14 @@ def edge_concentration_probe(g: Graph, q: int, seed=0, trials: int = 20) -> Prob
     else:
         degree_ok = True
     per_trial: List[int] = []
+    e = g._edge_array()
     for t in range(trials):
         rng = random.Random(f"{seed}:probe:{t}")
-        part = [rng.randint(1, q) for _ in range(g.n)]
-        counts: Dict[Tuple[int, int], int] = {}
-        for u, v in g.edges():
-            key = (min(part[u], part[v]), max(part[u], part[v]))
-            counts[key] = counts.get(key, 0) + 1
-        per_trial.append(max(counts.values()) if counts else 0)
+        # parts ranked 0..k-1 (k <= n), so no pair key overflows for any q
+        _, part = np.unique([rng.randint(1, q) for _ in range(g.n)], return_inverse=True)
+        a, b = part[e[:, 0]], part[e[:, 1]]
+        _, counts = np.unique(np.minimum(a, b) * g.n + np.maximum(a, b), return_counts=True)
+        per_trial.append(int(counts.max()) if len(counts) else 0)
     return ProbeResult(per_trial, bound, degree_ok)
 
 
@@ -770,14 +768,14 @@ def detect_triangle(g: Graph, delta: float = 0.5, seed=0) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _matches(pattern: Sequence[Edge], verts: Sequence[int], g: Graph, induced: bool) -> bool:
+def _matches(pattern: Sequence[Edge], verts: Sequence[int], adj: list, induced: bool) -> bool:
     s = len(verts)
     pat = {edge_key(a, b) for a, b in pattern}
     for perm in permutations(range(s)):
         ok = True
         for a in range(s):
             for b in range(a + 1, s):
-                present = g.has_edge(verts[perm[a]], verts[perm[b]])
+                present = adj[verts[perm[a]]][verts[perm[b]]]
                 wanted = edge_key(a, b) in pat
                 if wanted and not present:
                     ok = False
@@ -827,11 +825,12 @@ def enumerate_subgraphs(
     if g.m == 0 or g.n < s:
         return SubgraphSet(s), transcript
 
+    adj = (_adjacency(g).toarray() > 0).tolist()
     occurrences = np.array(
         [
             verts
             for verts in combinations(range(g.n), s)
-            if _matches(pattern, verts, g, induced)
+            if _matches(pattern, verts, adj, induced)
         ],
         dtype=np.int64,
     ).reshape(-1, s)

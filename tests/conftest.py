@@ -1,8 +1,21 @@
-"""Shared test graphs."""
+"""Shared test graphs and the neighbour-list oracle."""
 
 import pytest
 
 from congestlab.graphcore import Graph, gen_caterpillar
+
+
+def oracle_adj(n, edges):
+    """Each vertex's neighbours, ascending, from the edge list alone.
+
+    A Graph keeps only its CSR arrays; the tests read neighbours from here
+    when they need them independently of those arrays.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
 
 
 @pytest.fixture

@@ -10,10 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congestlab import graphcore as gc
+from conftest import oracle_adj
 
 
 def random_graph(n, p, seed):
     return gc.gen_er(n, p, seed=seed)
+
+
+def _rows(g):
+    """g's CSR rows as lists."""
+    return [g.indices[a:b].tolist() for a, b in zip(g.indptr, g.indptr[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +42,11 @@ def test_graph_rejects_out_of_range():
         gc.Graph(2, [(0, 2)])
 
 
+def test_graph_holds_one_representation():
+    # the CSR arrays and the degrees read off them; no second copy of the rows
+    assert gc.Graph.__slots__ == ("n", "m", "deg", "indptr", "indices")
+
+
 def test_graph_accepts_every_edge_container():
     g = gc.gen_er(30, 0.2, seed=3)
     es = g.edge_list()
@@ -51,7 +62,7 @@ def test_graph_accepts_every_edge_container():
         np.array(swapped, dtype=np.uint16),
     ):
         h = gc.Graph(g.n, edges)
-        assert (h.m, h.adj, h.deg, h.edge_list()) == (g.m, g.adj, g.deg, es)
+        assert (h.m, _rows(h), h.deg, h.edge_list()) == (g.m, oracle_adj(g.n, es), g.deg, es)
     assert gc.Graph(2, []).edge_list() == [] and gc.Graph(0, ()).n == 0
 
 
@@ -152,10 +163,12 @@ def test_generate_vertex_limit_is_inclusive(monkeypatch, at_limit, above):
 
 def test_adjacency_sorted_and_symmetric():
     g = gc.gen_er(40, 0.2, seed=7)
+    rows = _rows(g)
+    assert rows == oracle_adj(g.n, g.edges())
     for v in range(g.n):
-        assert list(g.adj[v]) == sorted(g.adj[v])
-        for u in g.adj[v]:
-            assert v in g.adj[u]
+        assert rows[v] == sorted(rows[v])
+        for u in rows[v]:
+            assert v in rows[u]
     assert sum(g.deg) == 2 * g.m
 
 
@@ -211,6 +224,42 @@ def test_conductance_exact_identity_random():
             continue
         cut = gc.conductance(g, s)
         assert cut.phi * min(cut.vol_side, cut.vol_complement) == cut.boundary_size
+
+
+@pytest.mark.parametrize("fn", [gc.volume, gc.boundary, gc.conductance])
+@pytest.mark.parametrize("side", [{-1}, {5}, {7}, {0, -1}, {1, 2, 7}])
+def test_cut_functions_reject_ids_outside_the_graph(fn, side):
+    # star(5) has vertices 0..4: -1 once read as vertex 4 and 7 as an IndexError
+    with pytest.raises(gc.GraphError, match="vertex out of range"):
+        fn(gc.gen_star(5), side)
+
+
+def _oracle_cut(g, s):
+    """The set-based cut: each member's neighbours outside s, read from the
+    edge list; returns (volume, boundary edges)."""
+    adj = oracle_adj(g.n, g.edges())
+    vol = sum(len(adj[v]) for v in s)
+    return vol, sorted({gc.edge_key(u, v) for v in s for u in adj[v] if u not in s})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cut_arithmetic_matches_the_set_count(seed):
+    rng = np.random.default_rng(seed)
+    g = gc.gen_er(int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.5)), seed=seed)
+    for _ in range(30):
+        s = {int(v) for v in rng.choice(g.n, size=rng.integers(0, g.n + 1), replace=False)}
+        vol, bnd = _oracle_cut(g, s)
+        assert gc.volume(g, s) == vol
+        assert gc.boundary(g, s) == bnd
+        if not s or len(s) == g.n or min(vol, 2 * g.m - vol) == 0:
+            with pytest.raises(gc.GraphError, match="empty side"):
+                gc.conductance(g, s)
+            continue
+        cut = gc.conductance(g, s)
+        assert (cut.side, cut.boundary_size, cut.vol_side, cut.vol_complement) == (
+            frozenset(s), len(bnd), vol, 2 * g.m - vol
+        )
+        assert cut.phi == Fraction(len(bnd), min(vol, 2 * g.m - vol))
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10**6))
@@ -593,6 +642,7 @@ def _oracle_orientation(g, owned, cap):
     (violations, max out-degree)."""
     from collections import deque
 
+    adj = [set(a) for a in oracle_adj(g.n, g.edges())]
     violations = []
     seen = {}
     max_out = 0
@@ -604,7 +654,7 @@ def _oracle_orientation(g, owned, cap):
             if v not in e:
                 violations.append(f"edge {e} not incident to owner {v}")
                 continue
-            if not (0 <= e[0] < g.n and e[1] in set(g.adj[e[0]])):
+            if not (0 <= e[0] < g.n and e[1] in adj[e[0]]):
                 violations.append(f"edge {e} not in graph")
             if e in seen:
                 violations.append(f"edge {e} owned by both {seen[e]} and {v}")
@@ -897,17 +947,9 @@ def test_subgraph_from_edges():
 # ---------------------------------------------------------------------------
 
 
-def _oracle_adj(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return [sorted(a) for a in adj]
-
-
 def _oracle_components(n, edges):
     """Depth-first search; components as sorted lists by smallest vertex."""
-    adj = _oracle_adj(n, edges)
+    adj = oracle_adj(n, edges)
     seen = [False] * n
     comps = []
     for s in range(n):
@@ -929,7 +971,7 @@ def _oracle_components(n, edges):
 
 def _oracle_levels(n, edges, root):
     """Frontier BFS: level per vertex, -1 if unreachable."""
-    adj = _oracle_adj(n, edges)
+    adj = oracle_adj(n, edges)
     lev = [-1] * n
     lev[root] = 0
     frontier = [root]
@@ -982,8 +1024,8 @@ def test_structure_queries_match_oracles(case, data):
     g = gc.Graph(n, edges)
     canonical = sorted(gc.edge_key(u, v) for u, v in edges)
     assert g.edge_list() == canonical
-    assert [list(a) for a in g.adj] == _oracle_adj(n, edges)
-    assert g.deg == tuple(len(a) for a in _oracle_adj(n, edges))
+    assert _rows(g) == oracle_adj(n, edges)
+    assert g.deg == tuple(len(a) for a in oracle_adj(n, edges))
     dense = np.zeros((n, n))
     for u, v in edges:
         dense[u, v] = dense[v, u] = 1.0

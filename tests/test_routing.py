@@ -7,6 +7,7 @@ import pytest
 
 from congestlab import graphcore as gc
 from congestlab import routing as rta
+from conftest import oracle_adj
 
 
 def test_star_assignment():
@@ -71,6 +72,38 @@ def test_assignment_rejects_vertex_outside_graph():
         rta.assign_degree_class_ids(g, [2, 3, 4])
 
 
+def _oracle_assignment(g, members):
+    """The set count: each member's neighbours intersected with the members;
+    returns (member degrees, new ids, class counts)."""
+    adj = oracle_adj(g.n, g.edges())
+    deg_of = {v: len(set(adj[v]) & members) for v in members}
+    counts = [0] * (int(gc.log2m(len(members))) + 1)
+    for v in members:
+        counts[rta.degree_class(deg_of[v])] += 1
+    order = sorted(members, key=lambda v: (rta.degree_class(deg_of[v]), v))
+    return deg_of, {v: i + 1 for i, v in enumerate(order)}, counts
+
+
+def test_assignment_matches_the_set_count():
+    # members are BFS balls inside larger graphs, so most have non-member
+    # neighbours that their member degree must not count
+    rng = random.Random(4)
+    differs = 0
+    for k in range(30):
+        g = gc.gen_er(rng.randint(20, 90), rng.uniform(0.05, 0.3), seed=k)
+        adj = oracle_adj(g.n, g.edges())
+        members = {rng.randrange(g.n)}
+        for _ in range(rng.randint(1, 2)):
+            members |= {u for v in members for u in adj[v]}
+        asg, _ = rta.assign_degree_class_ids(g, members)
+        deg_of, new_id, counts = _oracle_assignment(g, members)
+        assert (asg.new_id, asg.counts) == (new_id, counts)
+        differs += any(
+            rta.degree_class(deg_of[v]) != rta.degree_class(g.deg[v]) for v in members
+        )
+    assert differs > 10
+
+
 def test_kappa_default():
     assert rta.kappa_default(4) == 4
     assert rta.kappa_default(1024) == 16
@@ -111,9 +144,10 @@ def test_route_mult_matches_a_python_oracle():
         load[u] = load.get(u, 0) + 1
         load[v] = load.get(v, 0) + 1
     members = set(comp)
+    adj = oracle_adj(g.n, g.edges())
     kappa = 2
     want = max(
-        math.ceil(l / (len(g.neighbor_set(v) & members) * kappa))
+        math.ceil(l / (len(set(adj[v]) & members) * kappa))
         for v, l in load.items()
     )
     assert want > 1

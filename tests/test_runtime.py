@@ -1,9 +1,12 @@
 """Engine semantics: rounds, bandwidth, halting, BFS, pipelining."""
 
+import random
+
 import pytest
 
 from congestlab import graphcore as gc
 from congestlab import runtime as rt
+from conftest import oracle_adj
 
 
 class Flood(rt.VertexProgram):
@@ -238,12 +241,13 @@ def test_run_transcript_rounds_are_its_phase():
 
 
 def bfs_invariants(g, tree):
+    adj = oracle_adj(g.n, g.edges())
     assert tree.parent[tree.root] is None
     assert tree.level[tree.root] == 0
     for v, p in tree.parent.items():
         if p is not None:
             assert tree.level[v] == tree.level[p] + 1
-            assert g.has_edge(v, p)
+            assert p in adj[v]
     assert tree.depth == max(tree.level.values())
 
 
@@ -504,3 +508,70 @@ def test_pipeline_rejects_negative_item_counts():
         rt.pipelined_convergecast(3, -1)
     with pytest.raises(rt.CongestError, match="nonnegative"):
         rt.broadcast(3, -1)
+
+
+# ---------------------------------------------------------------------------
+# the array BFS against the loop BFS
+# ---------------------------------------------------------------------------
+
+
+def _oracle_bfs(g, component, root):
+    """The loop BFS: the frontier in ascending order, each row in order, a
+    vertex taking the first member that reaches it as its parent. Returns
+    (parent, level, depth) or the CongestError message."""
+    adj = oracle_adj(g.n, g.edges())
+    members = frozenset(component)
+    if root not in members or not 0 <= root < g.n:
+        return f"root {root} is not in the component"
+    parent = {root: None}
+    level = {root: 0}
+    frontier = [root]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in members and v not in parent:
+                    parent[v] = u
+                    level[v] = level[u] + 1
+                    reached.append(v)
+        frontier = sorted(reached)
+    if len(parent) < len(members):
+        missed = sorted(members - parent.keys())
+        return f"component is not connected: root {root} does not reach {missed[:8]}"
+    return parent, level, max(level.values())
+
+
+def _ball(g, centre, radius):
+    """Vertices within `radius` hops of centre: connected, rarely a whole component."""
+    adj = oracle_adj(g.n, g.edges())
+    ball, frontier = {centre}, [centre]
+    for _ in range(radius):
+        frontier = [u for v in frontier for u in adj[v] if u not in ball]
+        ball.update(frontier)
+    return ball
+
+
+def test_bfs_build_matches_the_loop_oracle():
+    rng = random.Random(11)
+    seen = {"partial tree": 0, "not connected": 0, "not in the component": 0}
+    for k in range(40):
+        g = gc.gen_er(rng.randint(10, 70), rng.uniform(0.03, 0.2), seed=k)
+        for _ in range(6):
+            members = _ball(g, rng.randrange(g.n), rng.randint(0, 4))
+            # dropping members makes others reachable only through non-members
+            members -= set(rng.sample(sorted(members), min(len(members) - 1, rng.randint(0, 2))))
+            roots = [rng.choice(sorted(members))]
+            roots += [rng.choice([-1, g.n, rng.randrange(g.n)])]
+            for root in roots:
+                want = _oracle_bfs(g, members, root)
+                try:
+                    tree, charged = rt.bfs_build(g, members, root)
+                except rt.CongestError as exc:
+                    assert str(exc) == want
+                    seen[next(key for key in seen if key in want)] += 1
+                    continue
+                assert (tree.parent, tree.level, tree.depth) == want
+                assert charged == tree.depth + 1
+                comp = next(c for c in gc.connected_components(g) if root in c)
+                seen["partial tree"] += len(members) < len(comp)
+    assert min(seen.values()) > 10, seen

@@ -1,6 +1,7 @@
 """Triangle and subgraph enumeration against the brute-force oracles."""
 
 import json
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congestlab import runtime as rt
+from conftest import oracle_adj
 from congestlab import triangle as tr
 from congestlab.decomposition import Decomposition
 from congestlab.graphcore import (
@@ -696,6 +698,28 @@ def test_probe_rejects_bad_q():
         edge_concentration_probe(gen_clique(4), 0)
 
 
+def _oracle_probe(g, q, seed, trials):
+    """The dict count: one (min part, max part) key per edge, per trial."""
+    per_trial = []
+    for t in range(trials):
+        rng = random.Random(f"{seed}:probe:{t}")
+        part = [rng.randint(1, q) for _ in range(g.n)]
+        counts = {}
+        for u, v in g.edges():
+            key = (min(part[u], part[v]), max(part[u], part[v]))
+            counts[key] = counts.get(key, 0) + 1
+        per_trial.append(max(counts.values()) if counts else 0)
+    return per_trial
+
+
+@pytest.mark.parametrize("spec", ["er:n=120,p=0.2", "barbell:k=9,bridges=2", "star:n=30"])
+@pytest.mark.parametrize("q", [1, 2, 3, 8, 10**6, 10**30])
+def test_probe_matches_the_dict_count(spec, q):
+    # a q past int64 still counts exactly, and no table of q^2 slots is built
+    g = generate(spec, seed=2)
+    assert edge_concentration_probe(g, q, seed=5, trials=6).per_trial == _oracle_probe(g, q, 5, 6)
+
+
 # -- general enumeration -----------------------------------------------------
 
 
@@ -962,10 +986,11 @@ def test_subgraphs_triangle_reduction():
 def test_subgraphs_er48_four_cliques_match_bruteforce():
     g = gen_er(48, 0.5, seed=2)
     res, t = enumerate_subgraphs(g, 4, seed=3)
+    adj = [set(a) for a in oracle_adj(g.n, g.edges())]
     brute = {
         vs
         for vs in combinations(range(g.n), 4)
-        if all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+        if all(b in adj[a] for a, b in combinations(vs, 2))
     }
     assert res.occurrences == brute
     assert t.rounds > 0
@@ -982,10 +1007,11 @@ def test_subgraphs_path_pattern_induced_flag():
 
 def test_subgraphs_partition_path_exact():
     g = gen_er(24, 0.5, seed=5)
+    adj = [set(a) for a in oracle_adj(g.n, g.edges())]
     brute = {
         vs
         for vs in combinations(range(g.n), 4)
-        if all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+        if all(b in adj[a] for a, b in combinations(vs, 2))
     }
     res, t = enumerate_subgraphs(g, 4, seed=1, heavy_scale=1e9)
     assert res.occurrences == brute
@@ -997,11 +1023,12 @@ def test_subgraphs_occurrence_with_isolated_vertex(induced):
     # vertex 6 has no edges, yet with one pattern edge over three slots it
     # sits in occurrences; the class-tuple path must give it a part too
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2)])
+    adj = [set(a) for a in oracle_adj(g.n, g.edges())]
     central = {
         vs
         for vs in combinations(range(g.n), 3)
-        if (sum(g.has_edge(a, b) for a, b in combinations(vs, 2)) == 1
-            if induced else any(g.has_edge(a, b) for a, b in combinations(vs, 2)))
+        if (sum(b in adj[a] for a, b in combinations(vs, 2)) == 1
+            if induced else any(b in adj[a] for a, b in combinations(vs, 2)))
     }
     assert any(6 in vs for vs in central)
     for heavy_scale in (1, 1e9):
