@@ -609,76 +609,120 @@ def _rng(seed, *scope) -> random.Random:
     return random.Random(tag)  # str seeding hashes via sha512, platform-stable
 
 
+# Vertex pairs drawn per chunk by `_coin_pairs`: 8 MB of doubles at a time.
+_PAIR_CHUNK = 1 << 20
+
+
+def _coin_pairs(rng: random.Random, n: int, p: float) -> np.ndarray:
+    """Pairs (i, j), 0 <= i < j < n, each kept when its draw is below p.
+
+    The pairs take rng's doubles in row-major order, as one `rng.random()`
+    per pair would: numpy's MT19937 continues rng's stream and builds each
+    double from the same two 32-bit words, `_PAIR_CHUNK` pairs at a time.
+    rng is handed back where that loop would leave it.
+    """
+    version, words, gauss = rng.getstate()
+    mt = np.random.RandomState(0)  # a fixed seed skips the OS entropy read
+    mt.set_state(("MT19937", np.array(words[:-1], dtype=np.uint32), words[-1]))
+    rows = np.arange(n + 1)
+    before = rows * (2 * n - 1 - rows) // 2  # pairs in the rows above row i
+    total = int(before[-1])
+    hits = [np.empty(0, dtype=np.int64)]
+    for start in range(0, total, _PAIR_CHUNK):
+        draws = mt.random_sample(min(_PAIR_CHUNK, total - start))
+        hits.append(np.flatnonzero(draws < p) + start)
+    keys = np.concatenate(hits)
+    i = np.searchsorted(before, keys, side="right") - 1
+    _, key, pos = mt.get_state()[:3]
+    rng.setstate((version, tuple(key.tolist()) + (int(pos),), gauss))
+    return np.column_stack((i, keys - before[i] + i + 1))
+
+
+def _clique_pairs(k: int, bases) -> np.ndarray:
+    """The edges of a K_k on vertices base..base+k-1, for each base."""
+    pairs = np.column_stack(np.triu_indices(k, 1))
+    return (pairs + np.asarray(bases).reshape(-1, 1, 1)).reshape(-1, 2)
+
+
 def gen_clique(n: int) -> Graph:
     if n < 1:
         raise GraphError("clique needs n >= 1")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, _clique_pairs(n, [0]))
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    ids = np.arange(n)
+    return Graph(n, np.column_stack((ids, (ids + 1) % n)))
 
 
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    ids = np.arange(n - 1)
+    return Graph(n, np.column_stack((ids, ids + 1)))
 
 
 def gen_star(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
     if n < 2:
         raise GraphError("star needs n >= 2")
-    return Graph(n, [(0, i) for i in range(1, n)])
+    leaves = np.arange(1, n)
+    return Graph(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
 def gen_hypercube(d: int) -> Graph:
     if d < 1:
         raise GraphError("hypercube needs d >= 1")
     n = 1 << d
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-    return Graph(n, edges)
+    ids = np.arange(n)
+    pairs = []
+    for b in range(d):
+        low = ids[ids & (1 << b) == 0]  # the ends with bit b clear
+        pairs.append(np.column_stack((low, low | (1 << b))))
+    return Graph(n, np.concatenate(pairs))
 
 
 def gen_er(n: int, p: float, seed=0) -> Graph:
+    """G(n, p): pair (i, j) is an edge when its `random()` draw, in
+    row-major order from `_rng(seed, "er", n, p)`, is below p. The draws
+    come in row chunks from the same MT19937 stream (`_coin_pairs`)."""
     if n < 1 or not (0.0 <= p <= 1.0):
         raise GraphError("er needs n >= 1 and p in [0, 1]")
-    rng = _rng(seed, "er", n, p)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    return Graph(n, _coin_pairs(_rng(seed, "er", n, p), n, p))
 
 
 def gen_barbell(k: int, bridges: int = 1) -> Graph:
     """Two K_k cliques joined by `bridges` disjoint bridge edges."""
     if k < 2 or bridges < 1 or bridges > k:
         raise GraphError("barbell needs 2 <= bridges <= k")
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)] if k > 1 else []
-    edges += [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
-    edges += [(i, k + i) for i in range(bridges)]
-    return Graph(2 * k, edges)
+    ends = np.arange(bridges)
+    bridge = np.column_stack((ends, k + ends))
+    return Graph(2 * k, np.concatenate((_clique_pairs(k, [0, k]), bridge)))
 
 
 def gen_planted_cut(n: int, p: float, cross: int, seed=0) -> Graph:
     """Two er(n, p) blocks plus exactly `cross` uniform cross pairs.
 
-    Duplicate cross pairs are resampled so the budget is exact.
+    One stream `_rng(seed, "planted", n, p, cross)` draws block A's pairs,
+    then block B's (ids + n), as `gen_er` does, then the cross pairs one
+    `randrange` pair at a time. Duplicate cross pairs are resampled so the
+    budget is exact.
     """
     if n < 1 or cross < 0 or cross > n * n:
         raise GraphError("planted_cut needs n >= 1 and 0 <= cross <= n^2")
     rng = _rng(seed, "planted", n, p, cross)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    edges += [
-        (n + i, n + j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-    ]
+    block_a = _coin_pairs(rng, n, p)
+    block_b = _coin_pairs(rng, n, p) + n
     chosen = set()
     while len(chosen) < cross:
         u = rng.randrange(n)
         v = n + rng.randrange(n)
         if (u, v) not in chosen:
             chosen.add((u, v))
-    return Graph(2 * n, edges + sorted(chosen))
+    cut = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+    return Graph(2 * n, np.concatenate((block_a, block_b, cut)))
 
 
 def gen_caterpillar(blobs: int, blob_size: int) -> Graph:
@@ -688,17 +732,9 @@ def gen_caterpillar(blobs: int, blob_size: int) -> Graph:
     """
     if blobs < 2 or blob_size < 2:
         raise GraphError("caterpillar needs blobs >= 2 and blob_size >= 2")
-    edges = []
-    for b in range(blobs):
-        base = b * blob_size
-        edges += [
-            (base + i, base + j)
-            for i in range(blob_size)
-            for j in range(i + 1, blob_size)
-        ]
-        if b + 1 < blobs:
-            edges.append((base + blob_size - 1, base + blob_size))
-    return Graph(blobs * blob_size, edges)
+    bases = np.arange(blobs) * blob_size
+    joins = np.column_stack((bases[1:] - 1, bases[1:]))
+    return Graph(blobs * blob_size, np.concatenate((_clique_pairs(blob_size, bases), joins)))
 
 
 # The parameters each generator takes; generate rejects any other.
@@ -914,8 +950,17 @@ def load_edge_list(path) -> Graph:
         return parse_edge_list(fh.read())
 
 
+# Edges formatted per write by `save_edge_list`.
+_WRITE_CHUNK = 1 << 16
+
+
 def save_edge_list(g: Graph, path) -> None:
+    """Write g as a "# <n> vertices, <m> edges" header and one "u v" line
+    per edge, in sorted order: one %-format per `_WRITE_CHUNK` edges, fed
+    the shared ids of `_id_objects` rather than a new int per endpoint."""
+    ids, pairs = _id_objects(g.n), g._edge_array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {g.n} vertices, {g.m} edges\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        for start in range(0, len(pairs), _WRITE_CHUNK):
+            ends = ids[pairs[start:start + _WRITE_CHUNK]].ravel().tolist()
+            fh.write("%d %d\n" * (len(ends) // 2) % tuple(ends))

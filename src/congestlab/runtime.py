@@ -256,14 +256,17 @@ def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[BfsTree, i
     the sender a vertex adopts when the wave reaches it from several at
     once. Non-members neither join nor relay, so a member that the members
     alone cannot reach raises a CongestError: the component is not
-    connected. The wave is a frontier over g's CSR rows; the tests replay it
-    through `run`, and run the loop BFS, as oracles of tree and charge.
+    connected. A member outside 0..n-1 is refused before the wave. The wave
+    is a frontier over g's CSR rows; the tests replay it through `run`, and
+    run the loop BFS, as oracles of tree and charge.
     """
     members = frozenset(component)
     if root not in members or not 0 <= root < g.n:
         raise CongestError(f"root {root} is not in the component")
+    if min(members) < 0 or max(members) >= g.n:
+        raise CongestError(f"component has a vertex outside 0..{g.n - 1}")
     reached = np.ones(g.n, dtype=bool)  # non-members never join or relay
-    reached[[v for v in members if 0 <= v < g.n and v != root]] = False
+    reached[[v for v in members if v != root]] = False
     parent: Dict[int, Optional[int]] = {root: None}
     level = {root: 0}
     frontier, d = np.array([root]), 0

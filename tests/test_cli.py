@@ -134,20 +134,25 @@ def test_graph_file_gives_the_runs_of_its_generator(tmp_path, capsys):
     from congestlab.graphcore import generate, load_edge_list, save_edge_list
 
     assert generate("er:n=60,p=0.03", seed=1).deg[59] == 0
-    compared = 0
+    compared, kinds = 0, set()
     for spec, seed in sorted(DECOMPOSE_GOLDEN) + [("er:n=60,p=0.03", 1)]:
         g = generate(spec, seed=seed)
         path = tmp_path / "g.edges"
         save_edge_list(g, path)
         assert load_edge_list(path).n == g.n
-        runs = []
+        runs, reports = [], []
         for source in (["--gen", spec], ["--graph", str(path)]):
             rpt = tmp_path / "r.json"
             argv = ["--mode", "decompose", *source, "--seed", str(seed), "--out", str(rpt)]
             assert run_cli(argv) == 0
             runs.append(json.loads(rpt.read_text())["runs"])
+            data = rpt.read_bytes()
+            reports.append(data[data.index(b'\n  "runs": '):])  # all past the config
         assert runs[0] == runs[1]
+        assert reports[0] == reports[1]
+        kinds.add(spec.partition(":")[0])
         compared += 1
+    assert {"er", "planted_cut"} <= kinds
     capsys.readouterr()
     assert compared == len(DECOMPOSE_GOLDEN) + 1
 

@@ -1,6 +1,7 @@
 """Graph core: cut arithmetic, oracles, generators, file format."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -602,6 +603,178 @@ def test_generator_spec_errors():
 
 
 # ---------------------------------------------------------------------------
+# generators against their loop oracles
+# ---------------------------------------------------------------------------
+
+
+def _er_loop(rng, n, p, base=0):
+    """One `rng.random()` per pair (i, j), i < j, in row-major order."""
+    return [(base + i, base + j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+def _oracle_generate(name, c, p, seed):
+    """The loop generators: each graph's edges, as a list of pairs."""
+    if name == "er":
+        return _er_loop(gc._rng(seed, "er", c["n"], p), c["n"], p)
+    if name == "planted_cut":
+        n, cross = c["n"], c["cross"]
+        rng = gc._rng(seed, "planted", n, p, cross)
+        edges = _er_loop(rng, n, p) + _er_loop(rng, n, p, base=n)
+        chosen = set()
+        while len(chosen) < cross:
+            u = rng.randrange(n)
+            v = n + rng.randrange(n)
+            if (u, v) not in chosen:
+                chosen.add((u, v))
+        return edges + sorted(chosen)
+    if name == "clique":
+        return [(i, j) for i in range(c["n"]) for j in range(i + 1, c["n"])]
+    if name == "cycle":
+        return [(i, (i + 1) % c["n"]) for i in range(c["n"])]
+    if name == "path":
+        return [(i, i + 1) for i in range(c["n"] - 1)]
+    if name == "star":
+        return [(0, i) for i in range(1, c["n"])]
+    if name == "hypercube":
+        n, d = 1 << c["d"], c["d"]
+        return [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
+    if name == "barbell":
+        k = c["k"]
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        edges += [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
+        return edges + [(i, k + i) for i in range(c["bridges"])]
+    assert name == "caterpillar"
+    edges = []
+    for b in range(c["blobs"]):
+        base = b * c["blob_size"]
+        edges += [
+            (base + i, base + j)
+            for i in range(c["blob_size"])
+            for j in range(i + 1, c["blob_size"])
+        ]
+        if b + 1 < c["blobs"]:
+            edges.append((base + c["blob_size"] - 1, base + c["blob_size"]))
+    return edges
+
+
+def _assert_generates_its_oracle(spec, seed):
+    name, params = gc.parse_generator_spec(spec)
+    params = {**gc._DEFAULTS.get(name, {}), **params}
+    c = {key: int(v) for key, v in params.items() if key != "p"}
+    want = sorted(gc.edge_key(*e) for e in _oracle_generate(name, c, float(params.get("p", 0)), seed))
+    g = gc.generate(spec, seed=seed)
+    assert np.array_equal(g._edge_array(), np.array(want, dtype=np.int64).reshape(-1, 2)), (spec, seed)
+
+
+def _perfbench_specs():
+    """Every spec the benchmark generates, warm-ups included."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    loader = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run)
+    return {s for w in run.WORKLOADS.values() for s in w.specs + (w.warmup,)}
+
+
+def _golden_specs():
+    import test_golden as tg
+
+    keys = [k[1] for k in tg.GOLDEN] + [k[0] for k in tg.DECOMPOSE_GOLDEN]
+    keys += [k[0] for k in tg.NIBBLE_GOLDEN] + [k[0] for k in tg.SUBGRAPH_GOLDEN]
+    return set(keys)
+
+
+# The er and planted_cut graphs the tests build, as specs.
+_TEST_SPECS = {
+    "er:n=1024,p=0.02", "er:n=120,p=0.06", "er:n=120,p=0.08", "er:n=120,p=0.2",
+    "er:n=120,p=0.3", "er:n=128,p=0.0625", "er:n=128,p=0.1", "er:n=128,p=0.25",
+    "er:n=128,p=0.5", "er:n=150,p=0.12", "er:n=16,p=0.5", "er:n=1600,p=0.1",
+    "er:n=17,p=0.5", "er:n=200,p=0.03", "er:n=200,p=0.2", "er:n=24,p=0.5",
+    "er:n=300,p=0.01", "er:n=40,p=0.08", "er:n=40,p=0.3", "er:n=50,p=0.3",
+    "er:n=500,p=0.05", "er:n=512,p=0.25", "er:n=60,p=0.03", "er:n=60,p=0.05",
+    "er:n=60,p=0.2", "er:n=60,p=0.3", "er:n=64,p=0.25", "er:n=64,p=0.3",
+    "er:n=100,p=0.1", "er:n=100,p=0.3", "er:n=14,p=0.3", "er:n=150,p=0.05",
+    "er:n=16,p=0.3", "er:n=20,p=0.25", "er:n=25,p=0.15", "er:n=25,p=0.2",
+    "er:n=25,p=0.5", "er:n=256,p=0.05", "er:n=30,p=0.2", "er:n=30,p=0.3",
+    "er:n=300,p=0.3", "er:n=40,p=0.2", "er:n=40,p=0.5", "er:n=400,p=0.05",
+    "er:n=48,p=0.5", "er:n=512,p=0.5", "er:n=60,p=0.08", "er:n=60,p=0.15",
+    "er:n=64,p=0.2", "er:n=64,p=0.4", "er:n=64,p=0.5", "er:n=80,p=0.1",
+    "planted_cut:n=300,p=0.2,cross=4", "planted_cut:n=40,p=0.4,cross=2",
+    "planted_cut:n=60,p=0.15,cross=5", "planted_cut:n=64,p=0.3,cross=4",
+    "planted_cut:n=8,p=0.5,cross=3", "planted_cut:n=80,p=0.4,cross=3",
+    "planted_cut:n=9,p=0.5,cross=3", "planted_cut:n=20,p=0.4,cross=5",
+    "planted_cut:n=24,p=0.5,cross=2", "planted_cut:n=32,p=0.4,cross=3",
+}
+# n = 1 and 2, p = 0 and 1, and cross = n^2.
+_EDGE_SPECS = {
+    "er:n=1,p=0.5", "er:n=1,p=1", "er:n=2,p=0.5", "er:n=2,p=0", "er:n=2,p=1",
+    "er:n=7,p=0", "er:n=7,p=1", "planted_cut:n=1,p=0.5,cross=1",
+    "planted_cut:n=2,p=1,cross=4", "planted_cut:n=5,p=0.5,cross=25",
+}
+_SEEDED_SPECS = sorted(
+    s for s in _TEST_SPECS | _EDGE_SPECS | _golden_specs() | _perfbench_specs()
+    if s.startswith(("er:", "planted_cut:"))
+)
+
+
+@pytest.mark.parametrize("spec", _SEEDED_SPECS)
+def test_seeded_generators_match_the_loop_oracle(spec):
+    for seed in list(range(10)) + ["x"]:
+        _assert_generates_its_oracle(spec, seed)
+
+
+def test_seeded_corpus_covers_the_golden_and_benchmark_specs():
+    assert {"er:n=1600,p=0.1", "er:n=120,p=0.2", "planted_cut:n=30,p=0.3,cross=2"} <= set(
+        _SEEDED_SPECS
+    )
+    assert {"er:n=150,p=0.12", "planted_cut:n=80,p=0.4,cross=3"} <= set(_SEEDED_SPECS)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "clique:n=1", "clique:n=2", "clique:n=16", "cycle:n=3", "cycle:n=40",
+        "path:n=1", "path:n=2", "path:n=60", "star:n=2", "star:n=9",
+        "hypercube:d=1", "hypercube:d=6", "barbell:k=2", "barbell:k=2,bridges=2",
+        "barbell:k=40,bridges=1", "barbell:k=100,bridges=1", "barbell:k=7,bridges=7",
+        "caterpillar:blobs=2,blob_size=2", "caterpillar:blobs=4,blob_size=30",
+        "caterpillar:blobs=8,blob_size=60",
+    ],
+)
+def test_deterministic_generators_match_the_loop_oracle(spec):
+    _assert_generates_its_oracle(spec, 0)
+
+
+def test_er_1600_straddles_a_pair_chunk_and_spans_more_than_one_write_chunk():
+    rows = np.arange(1601)
+    before = rows * (2 * 1600 - 1 - rows) // 2  # a chunk boundary inside a row
+    assert before[-1] > gc._PAIR_CHUNK and gc._PAIR_CHUNK not in before
+    assert gc.generate("er:n=1600,p=0.1", seed=1).m > gc._WRITE_CHUNK
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+def test_seeded_generators_match_the_loop_oracle_across_small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(gc, "_PAIR_CHUNK", chunk)
+    for spec in ("er:n=1,p=0.5", "er:n=2,p=1", "er:n=13,p=0.4", "planted_cut:n=9,p=0.5,cross=3"):
+        for seed in (0, 1, "x"):
+            _assert_generates_its_oracle(spec, seed)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (2, 0.5), (13, 0.0), (13, 1.0), (40, 0.3), (1449, 0.01)])
+@pytest.mark.parametrize("seed", ["x", 7])
+def test_coin_pairs_hands_the_stream_back_where_the_loop_leaves_it(n, p, seed):
+    mine, loop = random.Random(seed), random.Random(seed)
+    mine.gauss(0, 1)  # a cached gauss value rides along in the state
+    loop.gauss(0, 1)
+    pairs = gc._coin_pairs(mine, n, p)
+    assert pairs.tolist() == [list(e) for e in _er_loop(loop, n, p)]
+    assert mine.getstate() == loop.getstate()
+    assert [mine.random(), mine.randrange(n)] == [loop.random(), loop.randrange(n)]
+
+
+# ---------------------------------------------------------------------------
 # orientation verifier
 # ---------------------------------------------------------------------------
 
@@ -748,6 +921,45 @@ def test_edge_list_header_keeps_an_isolated_top_vertex(tmp_path):
     gc.save_edge_list(g, path)
     h = gc.load_edge_list(path)
     assert (h.n, h.edge_list()) == (60, g.edge_list())
+
+
+def _loop_save(g, path):
+    """The per-edge writer that `save_edge_list` replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {g.n} vertices, {g.m} edges\n")
+        for u, v in g.edges():
+            fh.write(f"{u} {v}\n")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gc.Graph(0, []),
+        gc.Graph(5, []),
+        gc.generate("er:n=60,p=0.03", seed=1),  # isolated top vertex
+        gc.generate("er:n=1600,p=0.1", seed=1),  # more than one chunk
+        gc.gen_clique(1),
+    ],
+    ids=["empty", "m0", "isolated-top", "er1600", "k1"],
+)
+def test_save_edge_list_writes_the_loop_writers_bytes(tmp_path, g):
+    mine, loop = tmp_path / "mine.edges", tmp_path / "loop.edges"
+    gc.save_edge_list(g, mine)
+    _loop_save(g, loop)
+    assert mine.read_bytes() == loop.read_bytes()
+    h = gc.load_edge_list(mine)
+    assert h.n == g.n
+    assert h.indptr.tolist() == g.indptr.tolist() and h.indices.tolist() == g.indices.tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 5])
+def test_save_edge_list_matches_the_loop_writer_across_small_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(gc, "_WRITE_CHUNK", chunk)
+    for g in (gc.gen_path(5), gc.gen_path(6), gc.gen_star(9), gc.gen_er(30, 0.2, seed=3)):
+        mine, loop = tmp_path / "mine.edges", tmp_path / "loop.edges"
+        gc.save_edge_list(g, mine)
+        _loop_save(g, loop)
+        assert mine.read_bytes() == loop.read_bytes()
 
 
 def test_edge_list_header_sets_n_on_both_parses(monkeypatch):

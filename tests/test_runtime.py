@@ -422,6 +422,18 @@ def test_bfs_build_root_outside_graph(root):
         rt.bfs_build(gc.gen_path(3), [0, 1, 2, root], root)
 
 
+@pytest.mark.parametrize("member", [-1, 7])
+def test_bfs_build_names_a_member_outside_the_graph(member):
+    with pytest.raises(rt.CongestError, match=r"component has a vertex outside 0\.\.2"):
+        rt.bfs_build(gc.gen_path(3), [0, 1, 2, member], 0)
+
+
+def test_bfs_build_still_calls_an_in_range_gap_not_connected():
+    g = gc.Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(rt.CongestError, match=r"root 0 does not reach \[2, 3\]"):
+        rt.bfs_build(g, [0, 1, 2, 3], 0)
+
+
 # ---------------------------------------------------------------------------
 # pipelined tree traffic
 # ---------------------------------------------------------------------------
