@@ -573,6 +573,8 @@ def decompose(
     """
     if not 0 < delta < 1:
         raise GraphError("delta must lie in (0, 1)")
+    if not 0 < threshold_scale < math.inf:
+        raise GraphError("threshold_scale must be a positive finite number")
     threshold = g.n ** delta
     transcript = rt.Transcript(seed=seed)
     transcript.flag("threshold_scale", threshold_scale)

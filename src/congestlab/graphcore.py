@@ -696,7 +696,7 @@ def gen_er(n: int, p: float, seed=0) -> Graph:
 def gen_barbell(k: int, bridges: int = 1) -> Graph:
     """Two K_k cliques joined by `bridges` disjoint bridge edges."""
     if k < 2 or bridges < 1 or bridges > k:
-        raise GraphError("barbell needs 2 <= bridges <= k")
+        raise GraphError("barbell needs k >= 2 and 1 <= bridges <= k")
     ends = np.arange(bridges)
     bridge = np.column_stack((ends, k + ends))
     return Graph(2 * k, np.concatenate((_clique_pairs(k, [0, k]), bridge)))
@@ -710,8 +710,8 @@ def gen_planted_cut(n: int, p: float, cross: int, seed=0) -> Graph:
     `randrange` pair at a time. Duplicate cross pairs are resampled so the
     budget is exact.
     """
-    if n < 1 or cross < 0 or cross > n * n:
-        raise GraphError("planted_cut needs n >= 1 and 0 <= cross <= n^2")
+    if n < 1 or not (0.0 <= p <= 1.0) or cross < 0 or cross > n * n:
+        raise GraphError("planted_cut needs n >= 1, p in [0, 1] and 0 <= cross <= n^2")
     rng = _rng(seed, "planted", n, p, cross)
     block_a = _coin_pairs(rng, n, p)
     block_b = _coin_pairs(rng, n, p) + n

@@ -18,11 +18,14 @@ Cost controls, all output-neutral:
     a truncation-free failure is cached and skipped at b+1, b+2, ...
 Candidate prefixes are screened with floats and certified with exact
 rationals before anything is returned. A search builds its walk operator
-once, through `lazy_walk_operator`, and every level walks with it. A
-sweep is array work: it reads the graph's own CSR arrays, every prefix
-boundary comes from it in one pass, and only the screened ladder prefixes
-reach the exact test, in ladder order, so the winner is the one the
-sequential scan would pick.
+once, through `lazy_walk_operator`, and every level walks with it; it
+builds its ladder of volume targets once too, and every sweep reads it.
+A sweep is array work: it reads the graph's own CSR arrays, every prefix
+boundary comes from it in one pass, each prefix finds its first ladder
+index with one search of its volume in the ladder, and only the screened
+ladder prefixes reach the exact test, in ladder order, so the winner is
+the one the sequential scan would pick. A sweep's cost follows its
+distribution's support, not the ladder's length.
 """
 
 import math
@@ -133,6 +136,32 @@ def _ladder_limit(phi: float, total_vol: int) -> int:
     return math.ceil(math.log(top) / math.log(1.0 + phi))
 
 
+def _ladder(phi: float, total_vol: int) -> np.ndarray:
+    """The volume targets (1 + phi)^x for x = 0.._ladder_limit, in order.
+
+    They depend on (phi, total_vol) alone, so a search builds them once.
+    """
+    return (1.0 + phi) ** np.arange(_ladder_limit(phi, total_vol) + 1)
+
+
+def _ladder_prefixes(
+    vols: np.ndarray, j_max: int, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The prefix lengths j a ladder sweep tries, with each one's ladder index x.
+
+    Target x reaches prefix j when vols[j - 1] <= targets[x], so first[j - 1]
+    is j's first index. Target x picks the largest prefix it reaches, capped
+    at j_max, so j is picked iff first[j - 1] is on the ladder and, for
+    j < j_max, prefix j + 1 needs a later index. These are the (j, x) pairs,
+    in ladder order, that a scan over every target picks.
+    """
+    first = np.searchsorted(targets, vols[:j_max], side="left")
+    tried = first < len(targets)
+    tried[:-1] &= first[:-1] < first[1:]
+    js = np.flatnonzero(tried) + 1
+    return js, first[tried]
+
+
 def _sweep_order(p_vec: np.ndarray, deg: np.ndarray) -> np.ndarray:
     support = np.flatnonzero(p_vec > 0.0)
     rho = p_vec[support] / deg[support].clip(min=1)
@@ -167,14 +196,17 @@ def _sweep_vec(
     phi: float,
     total_vol: int,
     max_vol: float,
+    targets: np.ndarray,
 ) -> Optional[Tuple[np.ndarray, int, int, int, int, Fraction]]:
     """Ladder sweep over one distribution.
 
-    Returns (order, j, x, vol, boundary, exact phi) for the first prefix
-    certified at or below 12 * phi by exact arithmetic, else None. Each
-    prefix length j is tried once, at the first ladder index x reaching it;
-    a float screen picks the candidates and exact rationals decide them in
-    ladder order.
+    targets is `_ladder(phi, total_vol)`, built once per search. Returns
+    (order, j, x, vol, boundary, exact phi) for the first prefix certified
+    at or below 12 * phi by exact arithmetic, else None. Each prefix length
+    j is tried once, at the first ladder index x reaching it
+    (`_ladder_prefixes`); a float screen picks the candidates and exact
+    rationals decide them in ladder order. The cost follows the
+    distribution's support, not the ladder's length.
     """
     order = _sweep_order(p_vec, deg)
     if len(order) == 0:
@@ -183,12 +215,7 @@ def _sweep_vec(
     j_max = int(np.searchsorted(vols, max_vol, side="right"))
     if j_max == 0:
         return None
-    x_top = _ladder_limit(phi, total_vol)
-    targets = (1.0 + phi) ** np.arange(x_top + 1)
-    js = np.minimum(np.searchsorted(vols, targets, side="right"), j_max)
-    # js is nondecreasing, so the first index of each value is its first x
-    js, xs = np.unique(js, return_index=True)
-    xs, js = xs[js > 0], js[js > 0]
+    js, xs = _ladder_prefixes(vols, j_max, targets)
     vol_j = vols[js - 1]
     small = np.minimum(vol_j, total_vol - vol_j)
     bnd = _boundary_profile(g, order[:j_max])[js - 1]
@@ -221,7 +248,7 @@ def sweep_cut(
             raise GraphError(f"distribution vertex {v} out of range")
         p_vec[v] = mass
     deg = np.array(g.deg, dtype=np.int64)
-    hit = _sweep_vec(g, p_vec, deg, phi, total_vol, max_vol)
+    hit = _sweep_vec(g, p_vec, deg, phi, total_vol, max_vol, _ladder(phi, total_vol))
     if hit is None:
         return None
     order, j, x, vol_j, bnd, phi_exact = hit
@@ -406,6 +433,7 @@ def distributed_nibble(
     total_vol = 2 * m
     max_vol = (5.0 / 6.0) * total_vol
     deg = np.array(sub.deg, dtype=np.int64)
+    targets = _ladder(phi, total_vol)
     t_mat = lazy_walk_operator(sub)
     failed_cache: set = set()
 
@@ -431,7 +459,7 @@ def distributed_nibble(
             continue
 
         def on_sweep(t, i, col):
-            return _sweep_vec(sub, col, deg, phi, total_vol, max_vol)
+            return _sweep_vec(sub, col, deg, phi, total_vol, max_vol, targets)
 
         winner, trunc_free, max_cong, steps = _run_walk_level(
             sub, t_mat, fresh, params, weights, sweep_cb=on_sweep

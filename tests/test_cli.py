@@ -467,6 +467,24 @@ def test_package_exports_resolve():
     assert len(set(congestlab.__all__)) == len(congestlab.__all__)
 
 
+@pytest.mark.parametrize("p", ["2", "-1"])
+def test_planted_cut_p_outside_unit_interval_exits_1(capsys, p):
+    argv = ["--mode", "count", "--gen", f"planted_cut:n=10,p={p},cross=1", "--seed", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: planted_cut needs n >= 1, p in [0, 1] and 0 <= cross <= n^2"
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_decompose_bad_threshold_scale_exits_1(capsys, scale):
+    argv = ["--mode", "decompose", "--gen", "er:n=30,p=0.3", "--seed", "1"]
+    code, out, err = _run(capsys, argv + ["--case1-threshold-scale", scale])
+    assert code == 1
+    assert out == ""
+    assert err == "error: threshold_scale must be a positive finite number"
+
+
 def test_missing_generator_parameter_exits_1(capsys):
     code, out, err = _run(capsys, ["--mode", "count", "--gen", "er:n=10", "--seed", "1"])
     assert code == 1

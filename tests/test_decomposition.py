@@ -522,6 +522,12 @@ def test_decompose_bad_delta():
         decompose(gen_clique(4), 1.0)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_decompose_refuses_a_non_positive_or_non_finite_scale(scale):
+    with pytest.raises(GraphError, match="threshold_scale must be a positive finite number"):
+        decompose(gen_clique(4), 0.5, threshold_scale=scale)
+
+
 def test_decompose_empty_graph():
     g = Graph(5, [])
     deco, transcript = decompose(g, 0.5)

@@ -602,6 +602,20 @@ def test_generator_spec_errors():
         gc.parse_generator_spec("er:n=")
 
 
+@pytest.mark.parametrize("p", [2.0, -1.0, 1.5, float("nan")])
+def test_planted_cut_refuses_p_outside_unit_interval(p):
+    with pytest.raises(gc.GraphError, match=r"p in \[0, 1\]"):
+        gc.gen_planted_cut(10, p, 1, seed=1)
+
+
+@pytest.mark.parametrize("k, bridges", [(1, 1), (1, 0), (5, 0), (5, 6)])
+def test_barbell_error_names_its_check(k, bridges):
+    with pytest.raises(gc.GraphError) as err:
+        gc.gen_barbell(k, bridges)
+    assert str(err.value) == "barbell needs k >= 2 and 1 <= bridges <= k"
+    assert gc.gen_barbell(5, 1).m == 21 and gc.gen_barbell(5, 5).m == 25
+
+
 # ---------------------------------------------------------------------------
 # generators against their loop oracles
 # ---------------------------------------------------------------------------

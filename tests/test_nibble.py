@@ -258,6 +258,22 @@ def test_sweep_ladder_neighborhood_property():
                     assert phis[j2] <= 12 * Fraction(phi)
 
 
+def _reference_ladder(vols, j_max, phi, total_vol):
+    """The materialised ladder: every target x in turn picks its largest
+    fitting prefix j <= j_max; returns each j once, at its first x."""
+    x_top = nb._ladder_limit(phi, total_vol)
+    targets = (1.0 + phi) ** np.arange(x_top + 1)
+    js = np.minimum(np.searchsorted(vols, targets, side="right"), j_max)
+    tried, pairs = set(), []
+    for x, j in enumerate(js):
+        j = int(j)
+        if j == 0 or j in tried:
+            continue
+        tried.add(j)
+        pairs.append((j, x))
+    return pairs
+
+
 def _sweep_reference(g, p_vec, deg, phi, total_vol, max_vol):
     """The sequential ladder loop: every x in turn, each prefix length once."""
     order = nb._sweep_order(p_vec, deg)
@@ -267,17 +283,9 @@ def _sweep_reference(g, p_vec, deg, phi, total_vol, max_vol):
     j_max = int(np.searchsorted(vols, max_vol, side="right"))
     if j_max == 0:
         return None
-    x_top = nb._ladder_limit(phi, total_vol)
-    targets = (1.0 + phi) ** np.arange(x_top + 1)
-    js = np.minimum(np.searchsorted(vols, targets, side="right"), j_max)
     screen = 12.0 * phi + nb.FLOAT_SLACK
     phi_cap = Fraction(12) * Fraction(phi)
-    tried = set()
-    for x, j in enumerate(js):
-        j = int(j)
-        if j == 0 or j in tried:
-            continue
-        tried.add(j)
+    for j, x in _reference_ladder(vols, j_max, phi, total_vol):
         vol_j = int(vols[j - 1])
         small = min(vol_j, total_vol - vol_j)
         if small <= 0:
@@ -335,12 +343,47 @@ def test_sweep_vec_matches_sequential_loop(name):
             # the default cap, and a cap below the full sorted volume
             for max_vol in ((5 / 6) * total, rng.uniform(1, total / 2)):
                 want = _sweep_reference(g, p_vec, deg, phi, total, max_vol)
-                got = nb._sweep_vec(g, p_vec, deg, phi, total, max_vol)
+                ladder = nb._ladder(phi, total)
+                got = nb._sweep_vec(g, p_vec, deg, phi, total, max_vol, ladder)
                 if got is not None:
                     got = (got[0].tolist(),) + got[1:]
                 assert got == want
                 hits += want is not None
     assert hits > 0
+
+
+# (vols, j_max, phi, total_vol): prefix volumes against the ladder's edge cases
+LADDER_CASES = {
+    # vol 1 equals target x = 0, (1 + phi)^0
+    "unit_first_volume": ([1, 3, 4, 9], 4, 1 / 12, 40),
+    # a degree-0 vertex second in the order: prefixes 1 and 2 share volume 2
+    "degree_zero_vertex": ([2, 2, 5, 7], 4, 1 / 12, 40),
+    # 100..103 all lie between targets 57 (95.8) and 58 (103.8)
+    "prefixes_between_targets": ([1, 4, 100, 101, 102, 103, 200], 7, 1 / 12, 1000),
+    # j_max cuts the support inside a run of prefixes sharing their first x
+    "j_max_below_support": ([1, 4, 100, 101, 102, 103, 200], 4, 1 / 12, 1000),
+    # the ladder tops out at x = 58 (103.8), below the last volume
+    "x_top_below_last_volume": ([1, 4, 100, 101, 102, 200], 6, 1 / 12, 120),
+    # a planted-cut search's ladder: 20,933 targets
+    "long_ladder": (
+        np.cumsum(random.Random(7).choices([0, 1, 2, 3, 40, 41], k=80)).tolist(),
+        80,
+        0.000492,
+        35_522,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_ladder_prefixes_match_materialised_ladder(name):
+    vols, j_max, phi, total_vol = LADDER_CASES[name]
+    vols = np.array(vols, dtype=np.int64)
+    targets = nb._ladder(phi, total_vol)
+    assert len(targets) == nb._ladder_limit(phi, total_vol) + 1
+    js, xs = nb._ladder_prefixes(vols, j_max, targets)
+    want = _reference_ladder(vols, j_max, phi, total_vol)
+    assert list(zip(js.tolist(), xs.tolist())) == want
+    assert want
 
 
 # ---------------------------------------------------------------------------
