@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent import futures
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -102,6 +102,11 @@ def _config_from_args(args) -> dict:
     mode = args.mode
     if args.seeds < 1:
         raise GraphError("--seeds must be at least 1")
+    # routing.route refuses the same kappa, but only when a run routes.
+    if args.kappa is not None and args.kappa < 1:
+        raise GraphError("kappa must be at least 1")
+    if args.round_cap is not None and args.round_cap < 0:
+        raise GraphError("--round-cap must be nonnegative")
     if mode != "verify":
         if args.seed is None:
             raise GraphError("--seed is mandatory (no wall-clock seeding)")
@@ -387,7 +392,7 @@ def _csv_row(mode: str, run: dict) -> dict:
 # Scalars and non-str keys are encoded by the stdlib; ensure_ascii and
 # allow_nan keep their json.dumps defaults.
 _SCALAR = json.JSONEncoder(sort_keys=True)
-# Items of a fast-path list formatted and written per write call.
+# Items or rows of a fast-path list or array formatted per write call.
 _CHUNK = 4096
 
 
@@ -402,22 +407,22 @@ def _json_key(key) -> str:
     )
 
 
-def _int_formatter(items, depth: int) -> Optional[Callable[[list], Iterable[str]]]:
+def _int_formatter(items, depth: int) -> Optional[Callable[[int], str]]:
     """A chunk formatter when items, a nonempty list, holds only exact ints
     or only flat rows of exact ints of one length, or is a nonempty 2-D
     integer array; rows open at `depth`.
 
-    Bools are not exact ints, so they never take this path. An array
-    chunk is formatted with one % over all its values.
+    fmt(i) is the text of items i to i + _CHUNK, joined by the separator
+    between items. Bools are not exact ints, so they never take this
+    path. List items are formatted with one % each; array rows come from
+    per-id text tables (`_array_formatter`).
     """
     if isinstance(items, np.ndarray):
-        row, sep = _row_format(items.shape[1], depth), ",\n" + "  " * depth
-        return lambda chunk: [
-            sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
-        ]
+        return _array_formatter(items, depth)
+    sep = ",\n" + "  " * depth
     kinds = set(map(type, items))
     if kinds == {int}:
-        return lambda chunk: map("%d".__mod__, chunk)
+        return lambda i: sep.join(map("%d".__mod__, items[i : i + _CHUNK]))
     if not kinds <= {list, tuple}:
         return None
     widths = set(map(len, items))
@@ -426,7 +431,59 @@ def _int_formatter(items, depth: int) -> Optional[Callable[[list], Iterable[str]
     if set(map(type, chain.from_iterable(items))) != {int}:
         return None
     row = _row_format(widths.pop(), depth)
-    return lambda chunk: map(row.__mod__, map(tuple, chunk))
+    return lambda i: sep.join(map(row.__mod__, map(tuple, items[i : i + _CHUNK])))
+
+
+def _array_formatter(arr: np.ndarray, depth: int) -> Callable[[int], str]:
+    """fmt(i) for a nonempty 2-D int array whose rows open at `depth`.
+
+    Each distinct value becomes text once, in a table with one column per
+    array column: column 0 holds, per id, the previous row's close, the
+    separator, this row's open bracket and the id; every other column
+    holds the comma and the id. The text of rows i to i + _CHUNK is one
+    gather from the table, each column from its own column, and one join,
+    with the first row's lead (it has no previous row) cut off and the
+    last row's close added.
+
+    An id's slot is its offset from the minimum when the values span
+    fewer slots than the array has values, and its rank among the
+    distinct values otherwise, so the table never outgrows the array.
+    """
+    indent = "  " * depth
+    inner = "\n" + indent + "  "
+    tail = "\n" + indent + "]"
+    lead = tail + ",\n" + indent
+    low = arr.min()
+    lo, hi = int(low), int(arr.max())
+    if hi - lo < arr.size:
+        ids = range(lo, hi + 1)
+        # Offsets lie in [0, hi - lo]: int64 arithmetic, which wraps
+        # modulo 2**64 like the cast from uint64, gives them exactly.
+        base = low.astype(np.int64)
+
+        def slots(i: int) -> np.ndarray:
+            return arr[i : i + _CHUNK].astype(np.int64, copy=False) - base
+
+    else:
+        distinct, inverse = np.unique(arr, return_inverse=True)
+        ids, inverse = distinct.tolist(), inverse.reshape(arr.shape)
+
+        def slots(i: int) -> np.ndarray:
+            return inverse[i : i + _CHUNK]
+
+    texts = list(map(str, ids))
+    table = np.empty((len(texts), arr.shape[1]), dtype=object)
+    table[:, 0] = np.array([lead + "[" + inner + t for t in texts], dtype=object)
+    table[:, 1:] = np.array(["," + inner + t for t in texts], dtype=object)[:, None]
+    columns = np.arange(arr.shape[1])
+
+    def fmt(i: int) -> str:
+        parts = table[slots(i), columns].ravel().tolist()
+        parts[0] = parts[0][len(lead) :]
+        parts.append(tail)
+        return "".join(parts)
+
+    return fmt
 
 
 def _row_format(width: int, depth: int) -> str:
@@ -470,7 +527,7 @@ def _write_json(obj, fh, depth: int = 0) -> None:
             for i in range(0, len(obj), _CHUNK):
                 if i:
                     fh.write(sep)
-                fh.write(sep.join(fmt(obj[i : i + _CHUNK])))
+                fh.write(fmt(i))
         else:
             for i, item in enumerate(obj):
                 if i:
@@ -504,8 +561,10 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     }
     if args.out:
         # Byte for byte what json.dump(report, indent=2, sort_keys=True)
-        # writes, but with int lists and triangle/edge rows formatted in
-        # chunks; the stdlib's indenting encoder is pure Python.
+        # writes, but one write per chunk of int items or rows: int lists
+        # and edge rows by one % per item, triangle rows by gathering and
+        # joining each id's text, made once per array. The stdlib's
+        # indenting encoder is pure Python.
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_json(report, fh)
             fh.write("\n")

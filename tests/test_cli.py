@@ -378,6 +378,29 @@ def test_kappa_below_one_exits_1(capsys, mode_args, kappa):
     assert err == "error: kappa must be at least 1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "count", "--gen", "path:n=10", "--kappa", "0"],
+        ["--mode", "decompose", "--gen", "er:n=30,p=0.3", "--kappa", "-3"],
+    ],
+)
+def test_kappa_below_one_exits_1_without_routing(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--seed", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: kappa must be at least 1"
+
+
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_negative_round_cap_exits_1(capsys, cap):
+    argv = ["--mode", "triangles", "--gen", "clique:n=4", "--seed", "1", "--round-cap", cap]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --round-cap must be nonnegative"
+
+
 def test_edge_list_vertex_count_limit_exits_1(tmp_path, capsys):
     from congestlab.graphcore import MAX_VERTICES
 
@@ -442,6 +465,16 @@ def test_round_cap_failure(capsys):
         ["--mode", "triangles", "--gen", "clique:n=4", "--seed", "1", "--round-cap", "1"],
     )
     assert code == 2
+
+
+def test_round_cap_zero_fails_a_run_that_charges_rounds(tmp_path, capsys):
+    rpt = tmp_path / "r.json"
+    argv = ["--mode", "triangles", "--gen", "clique:n=4", "--seed", "1", "--round-cap", "0"]
+    code, out, _ = _run(capsys, argv + ["--out", str(rpt)])
+    assert code == 2 and out == "triangles=4"
+    (run,) = json.loads(rpt.read_text())["runs"]
+    assert run["transcript"]["rounds"] > 0
+    assert run["round_cap_exceeded"] and not run["ok"]
 
 
 def test_console_entry_point():
@@ -624,6 +657,46 @@ def test_writer_int_array_property(rows, dtype):
     assert _written(arr) == json.dumps(arr.tolist(), indent=2, sort_keys=True)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_writer_int_array_window_property(data):
+    # Values in a narrow window [lo, lo + span] take the offset table when
+    # the window is narrower than the array and np.unique otherwise; a
+    # small _CHUNK puts rows on both sides of chunk seams.
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.int8, np.uint64]))
+    rows, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+    span = data.draw(st.integers(0, 2 * rows * width))
+    info = np.iinfo(dtype)
+    lo = data.draw(st.integers(int(info.min), int(info.max) - span))
+    values = st.integers(lo, lo + span)
+    flat = data.draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+    arr = np.array(flat, dtype=dtype).reshape(rows, width)
+    doc = {"runs": [{"triangles": arr}]}
+    plain = {"runs": [{"triangles": arr.tolist()}]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK", data.draw(st.integers(1, 5)))
+        assert _written(arr) == json.dumps(arr.tolist(), indent=2, sort_keys=True)
+        assert _written(doc) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("lo", [-(2**63), -7, 2**63 - 13])
+@pytest.mark.parametrize("extra, unique_calls", [(0, 0), (1, 1)])
+def test_writer_offset_table_never_outgrows_the_array(monkeypatch, lo, extra, unique_calls):
+    # 12 values spanning 11 + extra: the offset table has at most one slot
+    # per value, so a window as wide as the array goes to np.unique.
+    arr = np.array([lo, lo + 11 + extra] * 6, dtype=np.int64).reshape(4, 3)
+    calls = []
+    unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    assert _written(arr) == json.dumps(arr.tolist(), indent=2, sort_keys=True)
+    assert len(calls) == unique_calls
+
+
 _json_scalars = (
     st.none()
     | st.booleans()
@@ -674,3 +747,20 @@ def test_every_mode_report_matches_json_dumps(tmp_path, capsys, mode):
     capsys.readouterr()
     text = rpt.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_triangles_report_across_chunks_and_digit_widths(tmp_path, capsys):
+    # A 40-clique on ids of 1 to 4 digits: 9880 triangle rows, three chunks.
+    ids = list(range(10)) + list(range(95, 105)) + list(range(995, 1015))
+    gf = tmp_path / "g.txt"
+    gf.write_text("".join(f"{u} {v}\n" for i, u in enumerate(ids) for v in ids[i + 1 :]))
+    rpt = tmp_path / "r.json"
+    argv = ["--mode", "triangles", "--graph", str(gf), "--seed", "1", "--out", str(rpt)]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    text = rpt.read_text(encoding="utf-8")
+    report = json.loads(text)
+    rows = report["runs"][0]["triangles"]
+    assert len(rows) == 9880 > 2 * cli._CHUNK
+    assert {len(str(v)) for row in rows for v in row} == {1, 2, 3, 4}
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
