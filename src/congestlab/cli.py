@@ -23,7 +23,13 @@ from .decomposition import (
     decomposition_from_json,
     verify_decomposition,
 )
-from .graphcore import GraphError, connected_components, generate, load_edge_list
+from .graphcore import (
+    GraphError,
+    _read_utf8,
+    connected_components,
+    generate,
+    load_edge_list,
+)
 from .nibble import distributed_nibble
 from .triangle import (
     edge_concentration_probe,
@@ -250,8 +256,7 @@ def _run_probe(cfg: dict, seed: int) -> dict:
 
 
 def _run_verify(cfg: dict, seed) -> dict:
-    with open(cfg["mode_args"], "r", encoding="utf-8") as fh:
-        doc = _report_field(json.load(fh), dict, "file")
+    doc = _report_field(json.loads(_read_utf8(cfg["mode_args"])), dict, "file")
     inner = _report_field(doc["config"], dict, "config")
     delta = inner["delta"]
     if type(delta) not in (int, float) or not 0 < delta < 1:

@@ -145,9 +145,9 @@ def high_diameter_cut(
         raise GraphError(f"root {root} is not a vertex of the piece (n={g.n})")
     m_logs = g.m if m_for_logs is None else m_for_logs
     levels = bfs_levels(g, root)
-    if min(levels) < 0:
+    if levels.min() < 0:
         raise GraphError("component is not connected")
-    d_tilde = max(levels)
+    d_tilde = int(levels.max())
     bar = threshold_scale * DIAMETER_FACTOR * log2m(m_logs) ** 2
     if d_tilde < bar:
         raise GraphError(f"eccentricity {d_tilde} is below the diameter bar {bar:.1f}")
@@ -160,11 +160,11 @@ def high_diameter_cut(
         raise GraphError(f"edge {(u, v)} joins two low-degree vertices")
 
     # edges between levels i - 1 and i, counted at index i - 1
-    ends = np.asarray(levels)[edges]
+    ends = levels[edges]
     upper = ends[np.abs(ends[:, 0] - ends[:, 1]) == 1].max(axis=1)
     crossing = np.bincount(upper - 1, minlength=d_tilde).tolist()
     j = balanced_index(crossing, m_logs, bar_scale=threshold_scale)
-    cut = conductance(g, {v for v in range(g.n) if levels[v] <= j - 1})
+    cut = conductance(g, np.flatnonzero(levels <= j - 1).tolist())
 
     small = min(len(cut.side), g.n - len(cut.side))
     assert small >= (d_tilde / BALANCE_FRACTION) * threshold, "size floor"
@@ -362,7 +362,7 @@ def black_box_partition(
         out = []
         for cg, cverts in edge_components(piece):
             ids = np.asarray(cverts, dtype=np.int64)
-            out.append((ids[cg._edge_array()], (cg, ids, max(bfs_levels(cg, 0)), peeled)))
+            out.append((ids[cg._edge_array()], (cg, ids, int(bfs_levels(cg, 0).max()), peeled)))
         return out
 
     while queue:

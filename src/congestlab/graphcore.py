@@ -90,10 +90,6 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
 
-    def lazy_walk_matrix(self) -> np.ndarray:
-        """Dense form of `lazy_walk_operator(self)`."""
-        return lazy_walk_operator(self).toarray()
-
 
 def _id_objects(n: int) -> np.ndarray:
     """Object array of the ints 0..n-1: indexing it and calling tolist()
@@ -353,10 +349,34 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def bfs_levels(g: Graph, root: int) -> List[int]:
-    """BFS level per vertex, -1 if unreachable."""
-    dist = csgraph.dijkstra(_adjacency(g), indices=root, unweighted=True)
-    return np.where(np.isinf(dist), -1, dist).astype(np.int64).tolist()
+def bfs_levels(g: Graph, root: int, members: Optional[np.ndarray] = None) -> np.ndarray:
+    """BFS level per vertex as an int64 array, -1 where the wave never arrives.
+
+    `members`, a boolean mask over 0..n-1 that holds the root, confines
+    the wave: a non-member neither joins it nor relays it, and keeps -1.
+    The wave is a frontier over g's CSR rows; each new frontier is a mask
+    of the fresh heads of the frontier's arcs, read off in ascending order.
+    """
+    if not 0 <= root < g.n:
+        raise GraphError(f"root {root} is not a vertex of the graph (n={g.n})")
+    if members is not None and not members[root]:
+        raise GraphError(f"root {root} is not a member")
+    reached = np.zeros(g.n, dtype=bool) if members is None else ~members
+    reached[root] = True
+    levels = np.full(g.n, -1, dtype=np.int64)
+    levels[root] = 0
+    frontier, d = np.array([root]), 0
+    while len(frontier):
+        d += 1
+        starts = g.indptr[frontier]
+        degs = g.indptr[frontier + 1] - starts
+        arcs = np.repeat(starts - np.cumsum(degs) + degs, degs) + np.arange(degs.sum())
+        fresh = np.zeros(g.n, dtype=bool)
+        fresh[g.indices[arcs]] = True
+        frontier = np.flatnonzero(fresh & ~reached)
+        reached[frontier] = True
+        levels[frontier] = d
+    return levels
 
 
 MIXING_STEP_CAP = 5_000_000  # safety valve; Definition-1 scans never get near it
@@ -375,7 +395,7 @@ def mixing_time_exact(g: Graph) -> int:
         raise GraphError("infinite mixing time: graph has no edges")
     if not is_connected(g):
         raise GraphError("infinite mixing time: graph is disconnected")
-    t_mat = g.lazy_walk_matrix()
+    t_mat = lazy_walk_operator(g).toarray()
     pi = np.array(g.deg, dtype=np.float64) / (2.0 * g.m)
     tol = pi / g.n
     cur = np.eye(g.n)
@@ -408,15 +428,6 @@ def mixing_time_bound(g: Graph, lam2: float) -> float:
     pi_min = min(g.deg) / (2.0 * g.m)
     rate = -math.log(max(1.0 - lam / 2.0, sys.float_info.min))
     return math.ceil(math.log(g.n / pi_min) / rate)
-
-
-def mixing_time_check(g: Graph, t: int) -> bool:
-    """Does the Definition-1 inequality hold at exactly step t."""
-    t_mat = g.lazy_walk_matrix()
-    pi = np.array(g.deg, dtype=np.float64) / (2.0 * g.m)
-    cur = np.linalg.matrix_power(t_mat, t)
-    dev = np.abs(cur - pi[:, None]).max(axis=1)
-    return bool(np.all(dev <= pi / g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +792,8 @@ def parse_generator_spec(text: str) -> Tuple[str, dict]:
             v = v.strip()
             if not k or not v:
                 raise GraphError(f"malformed generator parameter '{item}'")
+            if k in params:
+                raise GraphError(f"generator parameter '{k}' is given twice")
             try:
                 params[k] = float(v) if ("." in v or "e" in v.lower()) else int(v)
             except ValueError:
@@ -945,9 +958,20 @@ def _parse_lines(text: str, n: Optional[int]) -> Graph:
     return Graph(n, edges)
 
 
-def load_edge_list(path) -> Graph:
+def _read_utf8(path) -> str:
+    """The text of the file at path; bytes that are not UTF-8 are a
+    GraphError that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(
+                f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
+
+
+def load_edge_list(path) -> Graph:
+    return parse_edge_list(_read_utf8(path))
 
 
 # Edges formatted per write by `save_edge_list`.

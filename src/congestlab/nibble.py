@@ -90,28 +90,6 @@ def make_walk_params(phi: float, m: int, b: int) -> WalkParams:
 
 
 # ---------------------------------------------------------------------------
-# dict-based lazy step (oracle)
-# ---------------------------------------------------------------------------
-
-
-def lazy_step(g: Graph, p: Distribution) -> Distribution:
-    """One application of the lazy walk: half stays, half splits to neighbors.
-
-    The sequential reference that the walk tests hold `_run_walk_level` to.
-    """
-    out: Distribution = {}
-    ptr, flat = g.indptr.tolist(), g.indices.tolist()
-    for x, mass in p.items():
-        out[x] = out.get(x, 0.0) + mass / 2.0
-        d = g.deg[x]
-        if d:
-            share = mass / (2.0 * d)
-            for y in flat[ptr[x] : ptr[x + 1]]:
-                out[y] = out.get(y, 0.0) + share
-    return {x: v for x, v in out.items() if v > 0.0}
-
-
-# ---------------------------------------------------------------------------
 # sweep cuts
 # ---------------------------------------------------------------------------
 
@@ -236,7 +214,10 @@ def sweep_cut(
     Vertices are ordered by decreasing mass-to-degree ratio with ties going
     to smaller ids. For each volume target (1 + phi)^x the largest fitting
     prefix is tested; the first with conductance at most 12 * phi wins.
+    phi must lie in (0, 1/12], as for the search.
     """
+    if not 0 < phi <= 1 / 12:
+        raise GraphError("phi must lie in (0, 1/12]")
     if not p:
         raise GraphError("sweep needs a nonempty distribution")
     total_vol = 2 * g.m
@@ -425,8 +406,8 @@ def distributed_nibble(
 
     depth = 0
     for comp in connected_components(sub):
-        tree, rounds = rt.bfs_build(sub, comp, comp[0])
-        depth = max(depth, tree.depth)
+        _, rounds = rt.bfs_build(sub, comp, comp[0])
+        depth = max(depth, rounds - 1)
         transcript.charge("nibble:sample", rounds)
 
     b_top = math.ceil(log2m(m)) if m >= 2 else 0

@@ -72,7 +72,8 @@ def assign_degree_class_ids(
         raise GraphError("component is empty")
     if members[0] < 0 or members[-1] >= g.n:
         raise GraphError(f"component has a vertex outside 0..{g.n - 1}")
-    tree, bfs_rounds = rt.bfs_build(g, members, members[0])
+    _, bfs_rounds = rt.bfs_build(g, members, members[0])
+    depth = bfs_rounds - 1
     e = g._edge_array()
     member_deg = np.bincount(e[np.isin(e, members).all(axis=1)].ravel(), minlength=g.n)
     deg_of = dict(zip(members, member_deg[members].tolist()))
@@ -88,8 +89,8 @@ def assign_degree_class_ids(
     k = len(counts)
     charged = (
         bfs_rounds
-        + rt.pipelined_convergecast(tree.depth, k)
-        + rt.broadcast(tree.depth, k)
+        + rt.pipelined_convergecast(depth, k)
+        + rt.broadcast(depth, k)
     )
     return IdAssignment(new_id, old_id, counts), charged
 

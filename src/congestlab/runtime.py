@@ -12,19 +12,21 @@ occupy their channels but do not extend the round count. Under this
 convention a token flooded from one endpoint of a five-vertex path costs
 4 rounds and the same program on a 4-clique costs 1.
 
-Tree primitives are closed forms: `bfs_build` charges depth + 1, and
-`pipelined_convergecast` and `broadcast` charge depth + k - 1. No
-production path runs the engine; the tests audit each closed form
-against an engine replay or an explicit per-item schedule.
+Tree primitives are closed forms that read one number, the depth of the
+BFS wave: `bfs_build` runs `graphcore.bfs_levels` over a component's
+members and charges depth + 1, and `pipelined_convergecast` and
+`broadcast` charge depth + k - 1. No production path runs the engine;
+the tests audit each closed form against an engine replay or an explicit
+per-item schedule.
 """
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .graphcore import Graph, GraphError
+from .graphcore import Graph, GraphError, bfs_levels
 
 DEFAULT_WORDS = 4
 DEFAULT_ROUND_CAP = 1 << 20
@@ -226,71 +228,33 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# BFS trees and pipelined tree traffic
+# BFS waves and pipelined tree traffic
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BfsTree:
-    root: int
-    parent: Dict[int, Optional[int]]
-    level: Dict[int, int]
-    depth: int
+def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[np.ndarray, int]:
+    """Run the BFS wave over the members of one connected component.
 
-    def children(self) -> Dict[int, List[int]]:
-        out: Dict[int, List[int]] = {v: [] for v in self.parent}
-        for v, p in self.parent.items():
-            if p is not None:
-                out[p].append(v)
-        for kids in out.values():
-            kids.sort()
-        return out
-
-
-def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[BfsTree, int]:
-    """Grow a BFS tree over the members of one connected component.
-
-    Returns the tree and its closed-form charge, depth + 1: the wave from
-    the root crosses one level per round, plus a round for the kickoff.
-    Each vertex's parent is its smallest-id member neighbour one level up,
-    the sender a vertex adopts when the wave reaches it from several at
-    once. Non-members neither join nor relay, so a member that the members
-    alone cannot reach raises a CongestError: the component is not
-    connected. A member outside 0..n-1 is refused before the wave. The wave
-    is a frontier over g's CSR rows; the tests replay it through `run`, and
-    run the loop BFS, as oracles of tree and charge.
+    Returns `bfs_levels` under the member mask, -1 off the members, and
+    the wave's closed-form charge, depth + 1: it crosses one level per
+    round, plus a round for the kickoff. Non-members neither join nor
+    relay, so a member that the members alone cannot reach raises a
+    CongestError: the component is not connected. A member outside
+    0..n-1 is refused before the wave. The tests replay the wave through
+    `run`, and run the loop BFS, as oracles of levels and charge.
     """
     members = frozenset(component)
     if root not in members or not 0 <= root < g.n:
         raise CongestError(f"root {root} is not in the component")
     if min(members) < 0 or max(members) >= g.n:
         raise CongestError(f"component has a vertex outside 0..{g.n - 1}")
-    reached = np.ones(g.n, dtype=bool)  # non-members never join or relay
-    reached[[v for v in members if v != root]] = False
-    parent: Dict[int, Optional[int]] = {root: None}
-    level = {root: 0}
-    frontier, d = np.array([root]), 0
-    while len(frontier):
-        d += 1
-        # every arc out of the ascending frontier, row by row: the first
-        # arc into a vertex comes from its smallest-id frontier neighbour
-        starts = g.indptr[frontier]
-        degs = g.indptr[frontier + 1] - starts
-        arcs = np.repeat(starts - np.cumsum(degs) + degs, degs) + np.arange(degs.sum())
-        src, dst = np.repeat(frontier, degs), g.indices[arcs]
-        fresh = ~reached[dst]
-        frontier, first = np.unique(dst[fresh], return_index=True)
-        reached[frontier] = True
-        new = frontier.tolist()
-        parent.update(zip(new, src[fresh][first].tolist()))
-        level.update(dict.fromkeys(new, d))
-    if len(parent) < len(members):
-        missed = sorted(members - parent.keys())
-        raise CongestError(
-            f"component is not connected: root {root} does not reach {missed[:8]}"
-        )
-    depth = max(level.values())
-    return BfsTree(root, parent, level, depth), depth + 1
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(members)] = True
+    levels = bfs_levels(g, root, mask)
+    missed = np.flatnonzero(mask & (levels < 0))[:8].tolist()
+    if missed:
+        raise CongestError(f"component is not connected: root {root} does not reach {missed}")
+    return levels, int(levels.max()) + 1
 
 
 def pipelined_convergecast(depth: int, items_per_vertex: int) -> int:

@@ -419,31 +419,6 @@ def _case1_owners(rows: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return owners
 
 
-def case1_report_owner(triangle, oriented) -> Optional[int]:
-    """Pick the unique reporter of a triangle touching oriented edges.
-
-    `oriented` holds (tail, head) pairs for the triangle's oriented edges;
-    absent pairs are unoriented, and pairs off the triangle are ignored.
-    A one-row call to `_case1_owners`: returns None when no edge is
-    oriented or the pattern is cyclic, an edge oriented both ways
-    included.
-    """
-    verts = tuple(sorted(set(triangle)))
-    if len(verts) != 3:
-        raise GraphError("a triangle needs three distinct vertices")
-    sides = dict(zip(combinations(verts, 2), range(3)))
-    tails = [-1] * 3
-    for a, b in set(oriented):
-        j = sides.get(edge_key(a, b))
-        if j is None:
-            continue
-        if tails[j] >= 0:
-            return None
-        tails[j] = a
-    owner = int(_case1_owners(verts, tails)[0])
-    return owner if owner >= 0 else None
-
-
 # ---------------------------------------------------------------------------
 # class-tuple listing
 # ---------------------------------------------------------------------------
@@ -757,10 +732,6 @@ def count_triangles(g: Graph, delta: float = 0.5, seed=0) -> int:
     total = sum(result.reporter_counts().values())
     assert total == result.count
     return total
-
-
-def detect_triangle(g: Graph, delta: float = 0.5, seed=0) -> bool:
-    return count_triangles(g, delta, seed) > 0
 
 
 # ---------------------------------------------------------------------------

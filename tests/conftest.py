@@ -1,4 +1,4 @@
-"""Shared test graphs and the neighbour-list oracle."""
+"""Shared test graphs and the neighbour-list and lazy-step oracles."""
 
 import pytest
 
@@ -16,6 +16,23 @@ def oracle_adj(n, edges):
         adj[u].append(v)
         adj[v].append(u)
     return [sorted(a) for a in adj]
+
+
+def lazy_step(g, p):
+    """One application of the lazy walk: half stays, half splits to neighbors.
+
+    The sequential reference that the walk tests hold `_run_walk_level` to.
+    """
+    out = {}
+    ptr, flat = g.indptr.tolist(), g.indices.tolist()
+    for x, mass in p.items():
+        out[x] = out.get(x, 0.0) + mass / 2.0
+        d = g.deg[x]
+        if d:
+            share = mass / (2.0 * d)
+            for y in flat[ptr[x] : ptr[x + 1]]:
+                out[y] = out.get(y, 0.0) + share
+    return {x: v for x, v in out.items() if v > 0.0}
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -423,6 +424,27 @@ def test_generator_vertex_count_limit_exits_1(capsys):
     assert err == f"error: generator 'er' would build more than {MAX_VERTICES} vertices"
 
 
+def test_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"0 1\n\xff 2\n")
+    for argv in (
+        ["--mode", "count", "--graph", str(bad), "--seed", "1"],
+        ["--mode", "verify", "--mode-args", str(bad)],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad} is not UTF-8 text")
+
+
+def test_repeated_generator_parameter_exits_1(capsys):
+    argv = ["--mode", "count", "--gen", "er:n=10,n=20,p=0.5", "--seed", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: generator parameter 'n' is given twice"
+
+
 def test_graph_file_input(tmp_path, capsys):
     gf = tmp_path / "g.txt"
     gf.write_text("0 1\n1 2\n0 2\n2 3\n")
@@ -498,6 +520,16 @@ def test_package_exports_resolve():
     missing = [name for name in congestlab.__all__ if not hasattr(congestlab, name)]
     assert missing == []
     assert len(set(congestlab.__all__)) == len(congestlab.__all__)
+    namespace = {}
+    exec("from congestlab import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == sorted(congestlab.__all__)
+    # every public name the package imports is exported, and none besides
+    public = {
+        name
+        for name, value in vars(congestlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(congestlab.__all__)
 
 
 @pytest.mark.parametrize("p", ["2", "-1"])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -360,13 +361,22 @@ def test_mixing_disconnected_errors():
         gc.mixing_time_exact(g)
 
 
+def mixing_time_check(g, t):
+    """Does the Definition-1 inequality hold at exactly step t."""
+    t_mat = gc.lazy_walk_operator(g).toarray()
+    pi = np.array(g.deg, dtype=np.float64) / (2.0 * g.m)
+    cur = np.linalg.matrix_power(t_mat, t)
+    dev = np.abs(cur - pi[:, None]).max(axis=1)
+    return bool(np.all(dev <= pi / g.n))
+
+
 def test_mixing_monotone_after_threshold():
     for spec in ("clique:n=5", "cycle:n=9", "hypercube:d=3"):
         g = gc.generate(spec)
         t = gc.mixing_time_exact(g)
-        assert not gc.mixing_time_check(g, t - 1) if t > 1 else True
+        assert not mixing_time_check(g, t - 1) if t > 1 else True
         for t2 in range(t, 2 * t + 1):
-            assert gc.mixing_time_check(g, t2)
+            assert mixing_time_check(g, t2)
 
 
 def test_mixing_time_bound_dominates_exact():
@@ -397,7 +407,7 @@ def test_stationarity_fixed_point():
         g = random_graph(30, 0.2, seed)
         if g.m == 0 or not gc.is_connected(g):
             continue
-        t = g.lazy_walk_matrix()
+        t = gc.lazy_walk_operator(g).toarray()
         pi = np.array(g.deg, dtype=float) / (2 * g.m)
         assert np.abs(t @ pi - pi).max() <= 1e-12
 
@@ -408,7 +418,7 @@ def test_lazy_walk_symmetry_small_graphs():
         g = random_graph(24, 0.25, seed)
         if g.m == 0:
             continue
-        t = g.lazy_walk_matrix()
+        t = gc.lazy_walk_operator(g).toarray()
         degs = np.array(g.deg, dtype=float)
         degs[degs == 0] = 1.0
         cur = np.eye(g.n)
@@ -540,6 +550,15 @@ def test_generate_rejects_unknown_parameters(spec, kwargs, name):
 def test_generate_names_missing_parameters(spec, gen, name):
     with pytest.raises(gc.GraphError, match=f"generator '{gen}' needs parameter '{name}'"):
         gc.generate(spec)
+
+
+def test_generate_refuses_a_repeated_parameter():
+    with pytest.raises(gc.GraphError, match="generator parameter 'n' is given twice"):
+        gc.generate("er:n=10,n=20,p=0.5")
+    with pytest.raises(gc.GraphError, match="'p' is given twice"):
+        gc.parse_generator_spec("er:n=10,p=0.5,p=0.5")
+    # keywords still override the spec's values
+    assert gc.generate("er:n=10,p=0.5", n=12).n == 12
 
 
 def test_generate_barbell_bridges_default_to_one():
@@ -937,6 +956,13 @@ def test_edge_list_header_keeps_an_isolated_top_vertex(tmp_path):
     assert (h.n, h.edge_list()) == (60, g.edge_list())
 
 
+def test_load_edge_list_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"0 1\n\xff 2\n")
+    with pytest.raises(gc.GraphError, match=rf"^{re.escape(str(path))} is not UTF-8 text"):
+        gc.load_edge_list(path)
+
+
 def _loop_save(g, path):
     """The per-edge writer that `save_edge_list` replaced."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -1195,8 +1221,9 @@ def _oracle_components(n, edges):
     return comps
 
 
-def _oracle_levels(n, edges, root):
-    """Frontier BFS: level per vertex, -1 if unreachable."""
+def _oracle_levels(n, edges, root, members=None):
+    """Frontier BFS: level per vertex, -1 if unreachable. With a member
+    list of booleans, a non-member neither joins nor relays."""
     adj = oracle_adj(n, edges)
     lev = [-1] * n
     lev[root] = 0
@@ -1207,7 +1234,7 @@ def _oracle_levels(n, edges, root):
         nxt = []
         for v in frontier:
             for u in adj[v]:
-                if lev[u] < 0:
+                if lev[u] < 0 and (members is None or members[u]):
                     lev[u] = d
                     nxt.append(u)
         frontier = nxt
@@ -1262,7 +1289,7 @@ def test_structure_queries_match_oracles(case, data):
     assert gc.connected_components(g) == comps
     assert gc.is_connected(g) == (len(comps) <= 1)
     for root in range(n):
-        assert gc.bfs_levels(g, root) == _oracle_levels(n, edges, root)
+        assert gc.bfs_levels(g, root).tolist() == _oracle_levels(n, edges, root)
 
     keep = data.draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0))))
     keep = {v for v in keep if v < n}
@@ -1283,3 +1310,30 @@ def test_structure_queries_match_oracles(case, data):
     assert [_shape(*c)[:2] for c in gc.edge_components(shifted)] == [
         c[:2] for c in expect
     ]
+
+
+@given(graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bfs_levels_match_the_loop_oracle(case, data):
+    n, edges = case
+    if n == 0:
+        return
+    g = gc.Graph(n, edges)
+    root = data.draw(st.integers(min_value=0, max_value=n - 1))
+    members = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    members[root] = True
+    for mask in (None, members):
+        got = gc.bfs_levels(g, root, None if mask is None else np.array(mask))
+        assert got.dtype == np.int64
+        assert got.tolist() == _oracle_levels(n, edges, root, mask)
+
+
+@pytest.mark.parametrize("root", [-1, 3])
+def test_bfs_levels_refuse_a_root_outside_the_graph(root):
+    with pytest.raises(gc.GraphError, match=rf"root {root} is not a vertex of the graph \(n=3\)"):
+        gc.bfs_levels(gc.gen_path(3), root)
+
+
+def test_bfs_levels_refuse_a_root_that_is_no_member():
+    with pytest.raises(gc.GraphError, match="root 0 is not a member"):
+        gc.bfs_levels(gc.gen_path(3), 0, np.array([False, True, True]))

@@ -9,6 +9,7 @@ import pytest
 
 from congestlab import graphcore as gc
 from congestlab import nibble as nb
+from conftest import lazy_step
 
 
 def small_params(t0=20, eps=0.0):
@@ -52,19 +53,19 @@ def test_walk_params_validation():
 
 def test_lazy_step_k2():
     g = gc.gen_clique(2)
-    assert nb.lazy_step(g, {0: 1.0}) == {0: 0.5, 1: 0.5}
+    assert lazy_step(g, {0: 1.0}) == {0: 0.5, 1: 0.5}
 
 
 def test_lazy_step_k3():
     g = gc.gen_clique(3)
-    out = nb.lazy_step(g, {0: 1.0})
+    out = lazy_step(g, {0: 1.0})
     assert out[0] == 0.5 and out[1] == 0.25 and out[2] == 0.25
 
 
 def test_lazy_step_stationary_fixed_point():
     g = gc.gen_er(30, 0.3, seed=2)
     pi = {v: g.deg[v] / (2 * g.m) for v in range(g.n) if g.deg[v]}
-    out = nb.lazy_step(g, pi)
+    out = lazy_step(g, pi)
     for v, mass in pi.items():
         assert abs(out[v] - mass) <= 1e-12
 
@@ -73,7 +74,7 @@ def test_lazy_step_preserves_mass():
     g = gc.gen_er(25, 0.2, seed=9)
     p = {0: 0.5, 1: 0.25, 2: 0.25}
     for _ in range(30):
-        p = nb.lazy_step(g, p)
+        p = lazy_step(g, p)
     assert abs(sum(p.values()) - 1.0) <= 1e-12
 
 
@@ -101,7 +102,7 @@ def _as_dist(vec):
 def test_truncate_identity_and_threshold():
     g = gc.gen_path(3)  # one step from 0 puts 0.5 on vertex 1, of degree 2
     exact, free = _walks(g, [0], small_params(t0=1, eps=0.0))
-    assert _as_dist(exact[0][1]) == nb.lazy_step(g, {0: 1.0}) == {0: 0.5, 1: 0.5}
+    assert _as_dist(exact[0][1]) == lazy_step(g, {0: 1.0}) == {0: 0.5, 1: 0.5}
     assert free[0]
     # 2 * eps * deg(1) equals the mass exactly: kept
     at_bar, free = _walks(g, [0], small_params(t0=1, eps=0.125))
@@ -132,7 +133,7 @@ def test_truncated_walk_exact_when_eps_zero():
     assert list(seen[0]) == list(range(1, 11))
     p = {0: 1.0}
     for t in range(1, 11):
-        p = nb.lazy_step(g, p)
+        p = lazy_step(g, p)
         got = _as_dist(seen[0][t])
         assert set(got) == set(p)
         assert all(abs(got[v] - p[v]) <= 1e-12 for v in p)
@@ -218,6 +219,12 @@ def test_sweep_rejects_empty():
         nb.sweep_cut(gc.gen_clique(3), {}, 1 / 20)
 
 
+@pytest.mark.parametrize("phi", [0.0, -0.1, math.nan, 1 / 11])
+def test_sweep_rejects_phi_outside_its_range(phi):
+    with pytest.raises(gc.GraphError, match=r"phi must lie in \(0, 1/12\]"):
+        nb.sweep_cut(gc.gen_clique(4), {0: 1.0}, phi)
+
+
 def test_sweep_respects_max_vol():
     g = gc.gen_barbell(8, 1)
     p = {v: g.deg[v] / 57 for v in range(8)}
@@ -235,7 +242,7 @@ def test_sweep_ladder_neighborhood_property():
         src = rng.randrange(g.n)
         p = {src: 1.0}
         for t in range(rng.randint(1, 8)):
-            p = nb.lazy_step(g, p)
+            p = lazy_step(g, p)
         order = sorted(p, key=lambda v: (-p[v] / max(g.deg[v], 1), v))
         total = 2 * g.m
         vols, phis = [], []
@@ -313,7 +320,7 @@ def _random_distributions(g, rng, count):
         yield p_vec
         p = {rng.randrange(g.n): 1.0}
         for _ in range(rng.randint(1, 6)):
-            p = nb.lazy_step(g, p)
+            p = lazy_step(g, p)
         p_vec = np.zeros(g.n)
         for v, mass in p.items():
             p_vec[v] = mass

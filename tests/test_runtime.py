@@ -1,4 +1,4 @@
-"""Engine semantics: rounds, bandwidth, halting, BFS, pipelining."""
+"""Engine semantics: rounds, bandwidth, halting, BFS waves, pipelining."""
 
 import random
 
@@ -236,61 +236,57 @@ def test_run_transcript_rounds_are_its_phase():
 
 
 # ---------------------------------------------------------------------------
-# BFS trees
+# BFS waves
 # ---------------------------------------------------------------------------
 
 
-def bfs_invariants(g, tree):
+def bfs_invariants(g, levels, root, members):
+    """Levels of a wave over the members: 0 at the root, -1 off the members,
+    every other member one level past some member neighbour, and no member
+    edge spanning more than one level."""
     adj = oracle_adj(g.n, g.edges())
-    assert tree.parent[tree.root] is None
-    assert tree.level[tree.root] == 0
-    for v, p in tree.parent.items():
-        if p is not None:
-            assert tree.level[v] == tree.level[p] + 1
-            assert p in adj[v]
-    assert tree.depth == max(tree.level.values())
+    members = set(members)
+    assert levels[root] == 0
+    for v in range(g.n):
+        if v not in members:
+            assert levels[v] == -1
+            continue
+        near = [levels[u] for u in adj[v] if u in members]
+        assert all(abs(levels[v] - d) <= 1 for d in near)
+        assert v == root or levels[v] - 1 in near
 
 
 def test_bfs_path_endpoint():
     g = gc.gen_path(5)
-    tree, charged = rt.bfs_build(g, range(5), 0)
-    assert tree.depth == 4
-    assert charged <= tree.depth + 2
-    bfs_invariants(g, tree)
+    levels, charged = rt.bfs_build(g, range(5), 0)
+    assert charged == 5
+    bfs_invariants(g, levels, 0, range(5))
 
 
 def test_bfs_clique():
     g = gc.gen_clique(4)
-    tree, _ = rt.bfs_build(g, range(4), 2)
-    assert tree.depth == 1
-    bfs_invariants(g, tree)
+    levels, charged = rt.bfs_build(g, range(4), 2)
+    assert charged == 2
+    bfs_invariants(g, levels, 2, range(4))
 
 
 def test_bfs_hypercube():
     g = gc.gen_hypercube(3)
     for root in range(8):
-        tree, charged = rt.bfs_build(g, range(8), root)
-        assert tree.depth == 3
-        assert charged <= 5
-        bfs_invariants(g, tree)
+        levels, charged = rt.bfs_build(g, range(8), root)
+        assert charged == 4
+        bfs_invariants(g, levels, root, range(8))
 
 
 def test_bfs_levels_match_oracle():
     g = gc.gen_er(60, 0.08, seed=2)
     comp = max(gc.connected_components(g), key=len)
     root = comp[0]
-    tree, _ = rt.bfs_build(g, comp, root)
+    levels, _ = rt.bfs_build(g, comp, root)
     oracle = gc.bfs_levels(g, root)
     for v in comp:
-        assert tree.level[v] == oracle[v]
-    bfs_invariants(g, tree)
-
-
-def test_bfs_parent_is_min_id_sender():
-    # diamond: 0-1, 0-2, 1-3, 2-3; vertex 3 hears from 1 and 2 together
-    g = gc.Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    tree, _ = rt.bfs_build(g, range(4), 0)
-    assert tree.parent[3] == 1
+        assert levels[v] == oracle[v]
+    bfs_invariants(g, levels, root, comp)
 
 
 def test_bfs_root_not_in_component():
@@ -310,17 +306,16 @@ def test_bfs_unreachable_member_is_not_connected():
 
 def test_bfs_singleton_component():
     g = gc.Graph(3, [(1, 2)])
-    tree, charged = rt.bfs_build(g, [0], 0)
-    assert tree.depth == 0 and charged == 1
+    levels, charged = rt.bfs_build(g, [0], 0)
+    assert levels.tolist() == [0, -1, -1] and charged == 1
 
 
 class BfsWave(rt.VertexProgram):
     """The BFS wave as a vertex program, the oracle for `rt.bfs_build`.
 
     The root floods its member neighbours in init. A member takes its level
-    from the first round it hears the wave, adopts the smallest-id sender
-    as its parent, relays to its other member neighbours and halts.
-    Non-members halt at once and never relay.
+    from the first round it hears the wave, relays to its other member
+    neighbours and halts. Non-members halt at once and never relay.
     """
 
     def __init__(self, root, members):
@@ -331,7 +326,7 @@ class BfsWave(rt.VertexProgram):
         if ctx.v not in self.members:
             ctx.halt()
             return
-        ctx.state = {"level": None, "parent": None}
+        ctx.state = {"level": None}
         if ctx.v == self.root:
             ctx.state["level"] = 0
             for u in ctx.neighbors:
@@ -343,7 +338,6 @@ class BfsWave(rt.VertexProgram):
         senders = {m.src for m in inbox}
         level = min(m.payload[0] for m in inbox) + 1
         ctx.state["level"] = level
-        ctx.state["parent"] = min(senders)
         for u in ctx.neighbors:
             if u in self.members and u not in senders:
                 ctx.send(u, "wave", level)
@@ -351,12 +345,10 @@ class BfsWave(rt.VertexProgram):
 
 
 def replay_bfs(g, component, root):
-    """Levels, parents and engine rounds of the BFS wave run through `rt.run`."""
+    """Member levels and engine rounds of the BFS wave run through `rt.run`."""
     members = frozenset(component)
     states, tr = rt.run(g, BfsWave(root, members), seed=0, phase="bfs")
-    level = {v: states[v]["level"] for v in members}
-    parent = {v: states[v]["parent"] for v in members}
-    return level, parent, tr.rounds
+    return {v: states[v]["level"] for v in members}, tr.rounds
 
 
 def _bfs_oracle_cases():
@@ -390,20 +382,17 @@ def _bfs_oracle_cases():
 
 @pytest.mark.parametrize("g,component,root", _bfs_oracle_cases())
 def test_bfs_build_matches_engine_replay(g, component, root):
-    level, parent, rounds = replay_bfs(g, component, root)
-    tree, charged = rt.bfs_build(g, component, root)
-    assert tree.root == root
-    assert tree.level == level
-    assert tree.parent == parent
-    assert tree.depth == max(level.values())
-    assert charged == rounds + 1 == tree.depth + 1
-    bfs_invariants(g, tree)
+    level, rounds = replay_bfs(g, component, root)
+    levels, charged = rt.bfs_build(g, component, root)
+    assert {v: levels[v] for v in level} == level
+    assert charged == rounds + 1 == max(level.values()) + 1
+    bfs_invariants(g, levels, root, component)
 
 
 def test_bfs_build_keeps_to_the_members():
-    tree, charged = rt.bfs_build(gc.gen_cycle(8), range(6), 0)
-    assert [tree.level[v] for v in range(6)] == [0, 1, 2, 3, 4, 5]
-    assert tree.depth == 5 and charged == 6
+    levels, charged = rt.bfs_build(gc.gen_cycle(8), range(6), 0)
+    assert levels.tolist() == [0, 1, 2, 3, 4, 5, -1, -1]
+    assert charged == 6
 
 
 def test_bfs_build_unreachable_member_matches_engine_stall():
@@ -439,11 +428,20 @@ def test_bfs_build_still_calls_an_in_range_gap_not_connected():
 # ---------------------------------------------------------------------------
 
 
-def schedule_convergecast(tree, k):
+def _children(parent):
+    """Each tree vertex's children, ascending, from a parent map."""
+    out = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            out[p].append(v)
+    return {v: sorted(kids) for v, kids in out.items()}
+
+
+def schedule_convergecast(parent, level, root, k):
     """Explicit per-item schedule: one item per tree edge per round."""
-    children = tree.children()
+    children = _children(parent)
     ready = {}  # (v, j) -> round by which v holds aggregate j of its subtree
-    order = sorted(tree.level, key=lambda v: -tree.level[v])
+    order = sorted(level, key=lambda v: -level[v])
     for v in order:
         last_send = {c: 0 for c in children[v]}
         for j in range(1, k + 1):
@@ -453,14 +451,14 @@ def schedule_convergecast(tree, k):
                 last_send[c] = send
                 arrivals.append(send)
             ready[(v, j)] = max(arrivals)
-    return ready[(tree.root, k)] if k else 0
+    return ready[(root, k)] if k else 0
 
 
-def schedule_broadcast(tree, k):
-    children = tree.children()
-    have = {(tree.root, j): j - 1 for j in range(1, k + 1)}
+def schedule_broadcast(parent, level, root, k):
+    children = _children(parent)
+    have = {(root, j): j - 1 for j in range(1, k + 1)}
     worst = 0
-    for v in sorted(tree.level, key=lambda v: tree.level[v]):
+    for v in sorted(level, key=lambda v: level[v]):
         for j in range(1, k + 1):
             for c in children[v]:
                 have[(c, j)] = max(have[(v, j)] + 1, have.get((c, j - 1), 0) + 1)
@@ -469,23 +467,19 @@ def schedule_broadcast(tree, k):
 
 
 def test_convergecast_examples():
-    g = gc.gen_path(5)
-    tree, _ = rt.bfs_build(g, range(5), 0)
-    assert rt.pipelined_convergecast(tree.depth, 1) == 4
-    assert rt.pipelined_convergecast(tree.depth, 3) == 6
-    star = gc.gen_star(6)
-    stree, _ = rt.bfs_build(star, range(6), 0)
-    assert rt.pipelined_convergecast(stree.depth, 1) == 1
+    _, charged = rt.bfs_build(gc.gen_path(5), range(5), 0)
+    assert rt.pipelined_convergecast(charged - 1, 1) == 4
+    assert rt.pipelined_convergecast(charged - 1, 3) == 6
+    _, charged = rt.bfs_build(gc.gen_star(6), range(6), 0)
+    assert rt.pipelined_convergecast(charged - 1, 1) == 1
 
 
 def test_broadcast_examples():
-    g = gc.gen_path(5)
-    tree, _ = rt.bfs_build(g, range(5), 0)
-    assert rt.broadcast(tree.depth, 1) == 4
-    k4 = gc.gen_clique(4)
-    ktree, _ = rt.bfs_build(k4, range(4), 0)
-    assert ktree.depth == 1
-    assert rt.broadcast(ktree.depth, 5) == 5
+    _, charged = rt.bfs_build(gc.gen_path(5), range(5), 0)
+    assert rt.broadcast(charged - 1, 1) == 4
+    _, charged = rt.bfs_build(gc.gen_clique(4), range(4), 0)
+    assert charged - 1 == 1
+    assert rt.broadcast(charged - 1, 5) == 5
 
 
 def test_pipeline_formula_matches_schedule():
@@ -500,19 +494,18 @@ def test_pipeline_formula_matches_schedule():
     for g, root, k in cases:
         comp = max(gc.connected_components(g), key=len)
         r = comp[0] if root is None else root
-        tree, _ = rt.bfs_build(g, comp, r)
-        assert rt.pipelined_convergecast(tree.depth, k) == schedule_convergecast(tree, k)
-        assert rt.broadcast(tree.depth, k) == schedule_broadcast(tree, k)
+        parent, level, depth = _oracle_bfs(g, comp, r)
+        assert rt.bfs_build(g, comp, r)[1] == depth + 1
+        assert rt.pipelined_convergecast(depth, k) == schedule_convergecast(parent, level, r, k)
+        assert rt.broadcast(depth, k) == schedule_broadcast(parent, level, r, k)
 
 
 def test_pipeline_degenerate():
-    g = gc.Graph(1, [])
-    tree, _ = rt.bfs_build(g, [0], 0)
-    assert rt.pipelined_convergecast(tree.depth, 5) == 0
-    assert rt.broadcast(tree.depth, 5) == 0
-    p = gc.gen_path(3)
-    t, _ = rt.bfs_build(p, range(3), 0)
-    assert rt.pipelined_convergecast(t.depth, 0) == 0
+    _, charged = rt.bfs_build(gc.Graph(1, []), [0], 0)
+    assert rt.pipelined_convergecast(charged - 1, 5) == 0
+    assert rt.broadcast(charged - 1, 5) == 0
+    _, charged = rt.bfs_build(gc.gen_path(3), range(3), 0)
+    assert rt.pipelined_convergecast(charged - 1, 0) == 0
 
 
 def test_pipeline_rejects_negative_item_counts():
@@ -577,13 +570,15 @@ def test_bfs_build_matches_the_loop_oracle():
             for root in roots:
                 want = _oracle_bfs(g, members, root)
                 try:
-                    tree, charged = rt.bfs_build(g, members, root)
+                    levels, charged = rt.bfs_build(g, members, root)
                 except rt.CongestError as exc:
                     assert str(exc) == want
                     seen[next(key for key in seen if key in want)] += 1
                     continue
-                assert (tree.parent, tree.level, tree.depth) == want
-                assert charged == tree.depth + 1
+                _, level, depth = want
+                assert {v: levels[v] for v in members} == level
+                assert (levels >= 0).sum() == len(members)
+                assert charged == depth + 1
                 comp = next(c for c in gc.connected_components(g) if root in c)
                 seen["partial tree"] += len(members) < len(comp)
     assert min(seen.values()) > 10, seen

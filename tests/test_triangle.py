@@ -32,11 +32,10 @@ from congestlab.routing import assign_degree_class_ids
 from congestlab.triangle import (
     TriangleSet,
     _allocate_tuples,
+    _case1_owners,
     _triangles_of_edges,
     brute_force_triangles,
-    case1_report_owner,
     count_triangles,
-    detect_triangle,
     edge_concentration_probe,
     enumerate_expander,
     enumerate_general,
@@ -321,6 +320,31 @@ def test_triad_owner_of_unallocated_indices():
 
 
 # -- sparse-edge owner rules -------------------------------------------------
+
+
+def case1_report_owner(triangle, oriented):
+    """Pick the unique reporter of a triangle touching oriented edges.
+
+    `oriented` holds (tail, head) pairs for the triangle's oriented edges;
+    absent pairs are unoriented, and pairs off the triangle are ignored.
+    A one-row call to `_case1_owners`: returns None when no edge is
+    oriented or the pattern is cyclic, an edge oriented both ways
+    included.
+    """
+    verts = tuple(sorted(set(triangle)))
+    if len(verts) != 3:
+        raise GraphError("a triangle needs three distinct vertices")
+    sides = dict(zip(combinations(verts, 2), range(3)))
+    tails = [-1] * 3
+    for a, b in set(oriented):
+        j = sides.get(edge_key(a, b))
+        if j is None:
+            continue
+        if tails[j] >= 0:
+            return None
+        tails[j] = a
+    owner = int(_case1_owners(verts, tails)[0])
+    return owner if owner >= 0 else None
 
 
 def test_case1_published_examples():
@@ -960,6 +984,10 @@ def test_general_deterministic_json():
     assert json.dumps([a.as_json(), ta.as_json()], sort_keys=True) == json.dumps(
         [b.as_json(), tb.as_json()], sort_keys=True
     )
+
+
+def detect_triangle(g, delta=0.5, seed=0):
+    return count_triangles(g, delta, seed) > 0
 
 
 def test_count_and_detect():
