@@ -90,7 +90,12 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _parse_kv(text: str) -> Dict[str, str]:
+# The --mode-args keys of each mode that reads key=value pairs; verify
+# reads a report path, and every other mode takes no --mode-args.
+MODE_ARG_KEYS = {"subgraphs": ("s",), "probe": ("q", "trials")}
+
+
+def _parse_kv(text: str, mode: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
     for part in text.split(","):
         part = part.strip()
@@ -98,8 +103,12 @@ def _parse_kv(text: str) -> Dict[str, str]:
             continue
         if "=" not in part:
             raise GraphError(f"expected key=value, got '{part}'")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (x.strip() for x in part.split("=", 1))
+        if k not in MODE_ARG_KEYS[mode]:
+            raise GraphError(f"{mode} takes no --mode-args key '{k}'")
+        if k in out:
+            raise GraphError(f"--mode-args key '{k}' is given twice")
+        out[k] = v
     return out
 
 
@@ -120,10 +129,12 @@ def _config_from_args(args) -> dict:
             raise GraphError("one of --graph or --gen is required")
     if mode == "nibble" and args.phi is None:
         raise GraphError("--phi is required for nibble")
+    if args.mode_args is not None and mode not in MODE_ARG_KEYS and mode != "verify":
+        raise GraphError(f"{mode} takes no --mode-args")
     if mode == "subgraphs":
         if not args.mode_args:
             raise GraphError("subgraphs needs --mode-args s=SIZE")
-        kv = _parse_kv(args.mode_args) if "=" in args.mode_args else {"s": args.mode_args}
+        kv = _parse_kv(args.mode_args, mode) if "=" in args.mode_args else {"s": args.mode_args}
         try:
             cfg["subgraph_size"] = int(kv["s"])
         except (KeyError, ValueError):
@@ -131,7 +142,7 @@ def _config_from_args(args) -> dict:
     if mode == "probe":
         if not args.mode_args:
             raise GraphError("probe needs --mode-args q=Q[,trials=T]")
-        kv = _parse_kv(args.mode_args)
+        kv = _parse_kv(args.mode_args, mode)
         try:
             cfg["probe_q"] = int(kv["q"])
             cfg["probe_trials"] = int(kv.get("trials", "20"))
@@ -552,33 +563,30 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         runs = _run_all(cfg)
-    except GraphError as exc:
+        report = {
+            "schema": SCHEMA,
+            "config": {k: cfg[k] for k in CONFIG_KEYS},
+            "runs": runs,
+            "summary": _summary(cfg, runs),
+        }
+        if args.out:
+            # Byte for byte what json.dump(report, indent=2, sort_keys=True)
+            # writes, but one write per chunk of int items or rows: int lists
+            # and edge rows by one % per item, triangle rows by gathering and
+            # joining each id's text, made once per array. The stdlib's
+            # indenting encoder is pure Python.
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write_json(report, fh)
+                fh.write("\n")
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS[cfg["mode"]])
+                writer.writeheader()
+                for run in runs:
+                    writer.writerow(_csv_row(cfg["mode"], run))
+    except (GraphError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report = {
-        "schema": SCHEMA,
-        "config": {k: cfg[k] for k in CONFIG_KEYS},
-        "runs": runs,
-        "summary": _summary(cfg, runs),
-    }
-    if args.out:
-        # Byte for byte what json.dump(report, indent=2, sort_keys=True)
-        # writes, but one write per chunk of int items or rows: int lists
-        # and edge rows by one % per item, triangle rows by gathering and
-        # joining each id's text, made once per array. The stdlib's
-        # indenting encoder is pure Python.
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_json(report, fh)
-            fh.write("\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS[cfg["mode"]])
-            writer.writeheader()
-            for run in runs:
-                writer.writerow(_csv_row(cfg["mode"], run))
     print(report["summary"])
     return 0 if all(r["ok"] for r in runs) else 2
 

@@ -125,29 +125,30 @@ def balanced_index(a: Sequence[int], m: int, bar_scale: float = 1.0) -> int:
 
 def high_diameter_cut(
     g: Graph,
-    root: int,
+    levels: np.ndarray,
     threshold: float,
     threshold_scale: float = 1.0,
     m_for_logs: Optional[int] = None,
 ) -> Tuple[Cut, int]:
     """Cut a long connected piece graph along a quiet BFS frontier.
 
-    g is the piece itself and root one of its vertices, in 0..n-1.
-    Requires the root's eccentricity to clear the (scaled) 48 log^2 m bar
-    and no edge between two vertices of degree at most threshold / 2.
+    g is the piece itself and levels its BFS levels from one root, as
+    bfs_levels returns them. Requires the root's eccentricity, the top
+    level, to clear the (scaled) 48 log^2 m bar and no edge between two
+    vertices of degree at most threshold / 2.
     The side is the first j BFS levels, with j chosen by balanced_index
     over the level-crossing edge counts. Both guarantees, the size floor
     and the boundary-volume witness, are recomputed and asserted before
     returning. Rounds charged: the BFS wave, a pipelined convergecast of
     the crossing counts, and a broadcast of the answer.
     """
-    if not 0 <= root < g.n:
-        raise GraphError(f"root {root} is not a vertex of the piece (n={g.n})")
-    m_logs = g.m if m_for_logs is None else m_for_logs
-    levels = bfs_levels(g, root)
-    if levels.min() < 0:
+    levels = np.asarray(levels)
+    if levels.shape != (g.n,):
+        raise GraphError(f"levels of shape {levels.shape} for a piece of {g.n} vertices")
+    if (levels < 0).any():
         raise GraphError("component is not connected")
-    d_tilde = int(levels.max())
+    m_logs = g.m if m_for_logs is None else m_for_logs
+    d_tilde = int(levels.max(initial=0))
     bar = threshold_scale * DIAMETER_FACTOR * log2m(m_logs) ** 2
     if d_tilde < bar:
         raise GraphError(f"eccentricity {d_tilde} is below the diameter bar {bar:.1f}")
@@ -316,9 +317,9 @@ def black_box_partition(
     halt_rounds: Dict[int, int] = {}
     tx = rt.Transcript()
     initial_potential = _potential([m_call])
-    # (edges, None) for a piece, (edges, (graph, vertex ids, BFS depth,
-    # peeled)) for a component; edges in the input's ids, vertex ids
-    # indexed by the graph's.
+    # (edges, None) for a piece, (edges, (graph, vertex ids, BFS levels
+    # from vertex 0, peeled)) for a component; edges in the input's ids,
+    # vertex ids and levels indexed by the graph's.
     queue = deque([(pairs, None)])
     nibble_calls = 0
 
@@ -362,7 +363,7 @@ def black_box_partition(
         out = []
         for cg, cverts in edge_components(piece):
             ids = np.asarray(cverts, dtype=np.int64)
-            out.append((ids[cg._edge_array()], (cg, ids, int(bfs_levels(cg, 0).max()), peeled)))
+            out.append((ids[cg._edge_array()], (cg, ids, bfs_levels(cg, 0), peeled)))
         return out
 
     while queue:
@@ -378,17 +379,19 @@ def black_box_partition(
             # Split-1: components of what remains.
             tx.charge("partition:remove", 2)
             comps = split(piece[~both], False)
-            tx.charge("partition:split", max((c[1][2] for c in comps), default=0) + 1)
+            depth = max((int(c[1][2].max()) for c in comps), default=0)
+            tx.charge("partition:split", depth + 1)
             queue.extendleft(reversed(comps))
             continue
 
-        cg, ids, d_tilde, peeled = comp
+        cg, ids, levels, peeled = comp
+        d_tilde = int(levels.max())
         if not peeled and len(piece) <= m_call / 2.0:
             add_cluster(piece, ids, "C3-2")
         elif d_tilde >= bar:
             label = "case2a" if peeled else "case1"
             cut, hc_rounds = high_diameter_cut(
-                cg, 0, threshold, threshold_scale=threshold_scale, m_for_logs=g.m
+                cg, levels, threshold, threshold_scale=threshold_scale, m_for_logs=g.m
             )
             tx.charge(f"partition:{label}", hc_rounds)
             apply_cut(cut, cg, ids, label)
@@ -396,7 +399,7 @@ def black_box_partition(
             peel = low_degree_peel(cg, threshold)
             tx.charge("partition:peel", d_tilde + 2 * peel.iterations + 1)
             if peel.iterations == 0:
-                queue.appendleft((piece, (cg, ids, d_tilde, True)))
+                queue.appendleft((piece, (cg, ids, levels, True)))
                 continue
             owners = ids[peel.owners]
             shed.append((ids[peel.peeled], owners))

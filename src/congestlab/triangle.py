@@ -50,7 +50,6 @@ from .graphcore import (
     Edge,
     Graph,
     GraphError,
-    _adjacency,
     _edge_keys,
     _labeled_rows,
     _members,
@@ -739,28 +738,6 @@ def count_triangles(g: Graph, delta: float = 0.5, seed=0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matches(pattern: Sequence[Edge], verts: Sequence[int], adj: list, induced: bool) -> bool:
-    s = len(verts)
-    pat = {edge_key(a, b) for a, b in pattern}
-    for perm in permutations(range(s)):
-        ok = True
-        for a in range(s):
-            for b in range(a + 1, s):
-                present = adj[verts[perm[a]]][verts[perm[b]]]
-                wanted = edge_key(a, b) in pat
-                if wanted and not present:
-                    ok = False
-                    break
-                if induced and present and not wanted:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
 def enumerate_subgraphs(
     g: Graph,
     s: int,
@@ -796,14 +773,24 @@ def enumerate_subgraphs(
     if g.m == 0 or g.n < s:
         return SubgraphSet(s), transcript
 
-    adj = (_adjacency(g).toarray() > 0).tolist()
+    # A placement is the set of slot pairs one slot permutation maps the
+    # pattern's edges onto; a subset matches when the slot pairs its edges
+    # fill hold some placement, or equal one when `induced` is set.
+    placements = {
+        frozenset(edge_key(p[a], p[b]) for a, b in pattern)
+        for p in permutations(range(s))
+    }
+    edge_set = set(g.edges())
+    pairs = list(combinations(range(s), 2))
+
+    def matches(verts: Tuple[int, ...]) -> bool:
+        have = frozenset((a, b) for a, b in pairs if (verts[a], verts[b]) in edge_set)
+        if induced:
+            return have in placements
+        return any(p <= have for p in placements)
+
     occurrences = np.array(
-        [
-            verts
-            for verts in combinations(range(g.n), s)
-            if _matches(pattern, verts, adj, induced)
-        ],
-        dtype=np.int64,
+        list(filter(matches, combinations(range(g.n), s))), dtype=np.int64
     ).reshape(-1, s)
     members = [v for v in range(g.n) if g.deg[v] > 0]
     owners = _list_by_class_tuples(

@@ -445,6 +445,51 @@ def test_repeated_generator_parameter_exits_1(capsys):
     assert err == "error: generator parameter 'n' is given twice"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--mode", "subgraphs", "--mode-args", "s=3,s=5"], "--mode-args key 's' is given twice"),
+        (["--mode", "probe", "--mode-args", "q=4,q=8"], "--mode-args key 'q' is given twice"),
+        (
+            ["--mode", "subgraphs", "--mode-args", "s=4,size=5"],
+            "subgraphs takes no --mode-args key 'size'",
+        ),
+        (
+            ["--mode", "probe", "--mode-args", "q=4,trails=3"],
+            "probe takes no --mode-args key 'trails'",
+        ),
+        (["--mode", "count", "--mode-args", "s=4"], "count takes no --mode-args"),
+        (["--mode", "triangles", "--mode-args", "s=4"], "triangles takes no --mode-args"),
+        (["--mode", "detect", "--mode-args", "s=4"], "detect takes no --mode-args"),
+        (["--mode", "decompose", "--mode-args", "s=4"], "decompose takes no --mode-args"),
+        (
+            ["--mode", "nibble", "--phi", "0.02", "--mode-args", "s=4"],
+            "nibble takes no --mode-args",
+        ),
+    ],
+    ids=[
+        "s-twice", "q-twice", "subgraphs-size", "probe-trails",
+        "count", "triangles", "detect", "decompose", "nibble",
+    ],
+)
+def test_mode_args_refuses_repeated_and_unknown_keys(capsys, argv, message):
+    code, out, err = _run(capsys, argv + ["--gen", "clique:n=5", "--seed", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_exits_1(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "r.out"
+    argv = ["--mode", "count", "--gen", "clique:n=4", "--seed", "1", flag, str(target)]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_graph_file_input(tmp_path, capsys):
     gf = tmp_path / "g.txt"
     gf.write_text("0 1\n1 2\n0 2\n2 3\n")

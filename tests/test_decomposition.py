@@ -115,8 +115,8 @@ def test_balanced_index_concentrated_sequence_fails():
 def test_high_diameter_cut_caterpillar():
     g = gen_caterpillar(7000, 3)
     threshold = g.n ** 0.1
-    cut, rounds = high_diameter_cut(g, 0, threshold)
     levels = bfs_levels(g, 0)
+    cut, rounds = high_diameter_cut(g, levels, threshold)
     d_tilde = max(levels)
     # side is a union of full BFS levels containing the root
     top = max(levels[v] for v in cut.side)
@@ -136,39 +136,43 @@ def test_high_diameter_cut_caterpillar():
 def test_high_diameter_cut_deterministic():
     g = gen_caterpillar(7000, 3)
     t = g.n ** 0.1
-    a, ra = high_diameter_cut(g, 0, t)
-    b, rb = high_diameter_cut(g, 0, t)
+    a, ra = high_diameter_cut(g, bfs_levels(g, 0), t)
+    b, rb = high_diameter_cut(g, bfs_levels(g, 0), t)
     assert a.side == b.side and ra == rb
 
 
 def test_high_diameter_cut_requires_long_diameter():
     g = gen_caterpillar(100, 3)
     with pytest.raises(GraphError, match="diameter bar"):
-        high_diameter_cut(g, 0, g.n ** 0.1)
+        high_diameter_cut(g, bfs_levels(g, 0), g.n ** 0.1)
 
 
 def test_high_diameter_cut_rejects_adjacent_low_degree():
     g = gen_path(10000)
     with pytest.raises(GraphError, match="low-degree"):
-        high_diameter_cut(g, 0, 4.2)
+        high_diameter_cut(g, bfs_levels(g, 0), 4.2)
 
 
 def test_high_diameter_cut_scaled_bar():
     g = gen_caterpillar(150, 3)
     t = g.n ** 0.1
     with pytest.raises(GraphError):
-        high_diameter_cut(g, 0, t, threshold_scale=0.1)
-    cut, _ = high_diameter_cut(g, 0, t, threshold_scale=0.05)
+        high_diameter_cut(g, bfs_levels(g, 0), t, threshold_scale=0.1)
+    cut, _ = high_diameter_cut(g, bfs_levels(g, 0), t, threshold_scale=0.05)
     assert cut.boundary_size * 12 * log2m(g.m) <= min(
         cut.vol_side, cut.vol_complement
     )
 
 
-def test_high_diameter_cut_root_outside():
-    g = gen_caterpillar(7000, 3)
-    for root in (-1, g.n):
-        with pytest.raises(GraphError, match="root"):
-            high_diameter_cut(g, root, 2.0)
+def test_high_diameter_cut_refuses_levels_of_another_shape_or_with_gaps():
+    g = gen_caterpillar(100, 3)
+    levels = bfs_levels(g, 0)
+    for bad in (levels[:-1], np.append(levels, 1), levels[None, :], 0):
+        with pytest.raises(GraphError, match=f"for a piece of {g.n} vertices"):
+            high_diameter_cut(g, bad, 2.0)
+    split = Graph(g.n + 1, g.edge_list())  # the last vertex is isolated
+    with pytest.raises(GraphError, match="^component is not connected$"):
+        high_diameter_cut(split, bfs_levels(split, 0), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +399,29 @@ def test_removal_ledger_fires_after_a_cut(monkeypatch):
     monkeypatch.setattr(dc, "LEDGER_FACTOR", 1e6)
     with pytest.raises(AssertionError, match="removal ledger"):
         black_box_partition(g, g.edge_list(), 0.5, seed=1)
+
+
+def test_partition_runs_one_bfs_per_split_component(monkeypatch):
+    # the case1 pin's input: each diameter cut reads the levels its piece
+    # got at Split-1 instead of running the wave again
+    components, waves = [], []
+    split, bfs = dc.edge_components, dc.bfs_levels
+
+    def counted_split(piece):
+        parts = list(split(piece))
+        components.extend(cg.n for cg, _ in parts)
+        return parts
+
+    def counted_bfs(g, root, members=None):
+        waves.append(g.n)
+        return bfs(g, root, members)
+
+    monkeypatch.setattr(dc, "edge_components", counted_split)
+    monkeypatch.setattr(dc, "bfs_levels", counted_bfs)
+    g = generate("caterpillar:blobs=400,blob_size=2", seed=0)
+    d, _ = decompose(g, 0.05, seed=0, threshold_scale=0.05)
+    assert [w["kind"] for w in d.certificates["witnesses"]] == ["case1"] * 4
+    assert waves == components
 
 
 # ---------------------------------------------------------------------------

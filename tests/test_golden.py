@@ -21,12 +21,13 @@ assume the pinned BLAS as well. Their instances cover a cut found by the
 walks, a search that walks every level and fails, and a search stopped by
 the lambda2 screen before any walk.
 
-The `subgraphs` reports and the two library-level pins cover the
+The `subgraphs` reports and the library-level pins cover the
 class-tuple listing shared by `enumerate_expander` and
 `enumerate_subgraphs`. At desk scale the CLI runs take the heavy-collector
 branch; the library pins raise the heavy threshold out of reach, so they
 run the id, class, tuple-allocation and delivery phases, the expander one
-with outward edges. Their reports hold integers only.
+with outward edges, and two of them list non-clique patterns (a 5-vertex
+path, and an induced 4-cycle). Their reports hold integers only.
 
 The two library-level `decompose` pins cover the partition's diameter
 cuts, which no CLI pin reaches: a scaled caterpillar cut before any peel
@@ -123,6 +124,11 @@ DIAMETER_CUT_GOLDEN = {
 }
 
 SUBGRAPH_TRIADS_GOLDEN = "2ad0546f7177d3c8bf26a7426e9c9418eb31b9fac0842cc12862dd31d6e0bd9b"
+# (pattern name, induced): the hash of a non-clique listing on the triad path
+SUBGRAPH_PATTERN_GOLDEN = {
+    ("path5", False): "141bf6713144bf4824979b7fec8840e763153cf768c2ac1fe7794f426999dada",
+    ("cycle4", True): "2c3a07e1cf7f20d6066168428bfd79a296d54a605be3df213e58d7ff99b71dde",
+}
 EXPANDER_TRIADS_GOLDEN = "5518614816e45b83a797b915efc1b422bb15623b1371d8564a2ece5379242e04"
 
 
@@ -192,6 +198,27 @@ def test_subgraphs_triad_path_is_pinned():
     }
     assert res.count == 321
     assert _listing_hash(res, t) == SUBGRAPH_TRIADS_GOLDEN
+
+
+@pytest.mark.parametrize(
+    "name,induced,size,g,count",
+    [
+        ("path5", False, 5, gc.gen_er(20, 0.3, seed=4), 4505),
+        ("cycle4", True, 4, gc.gen_er(24, 0.4, seed=6), 249),
+    ],
+    ids=["path5", "induced-cycle4"],
+)
+def test_subgraphs_pattern_listing_is_pinned(name, induced, size, g, count):
+    pattern = {
+        "path5": [(0, 1), (1, 2), (2, 3), (3, 4)],
+        "cycle4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    }[name]
+    res, t = enumerate_subgraphs(
+        g, size, pattern=pattern, seed=1, induced=induced, heavy_scale=1e9
+    )
+    assert "subgraph:deliver" in t.phases
+    assert res.count == count
+    assert _listing_hash(res, t) == SUBGRAPH_PATTERN_GOLDEN[(name, induced)]
 
 
 def test_expander_triad_path_with_outward_edges_is_pinned():

@@ -5,10 +5,11 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congestlab import runtime as rt
@@ -17,6 +18,7 @@ from congestlab import triangle as tr
 from congestlab.decomposition import Decomposition
 from congestlab.graphcore import (
     MAX_VERTICES,
+    Edge,
     Graph,
     GraphError,
     connected_components,
@@ -1065,6 +1067,58 @@ def test_subgraphs_occurrence_with_isolated_vertex(induced):
         )
         assert res.occurrences == central
     assert "subgraph:deliver" in t.phases
+
+
+def _matches(pattern: Sequence[Edge], verts: Sequence[int], adj: list, induced: bool) -> bool:
+    s = len(verts)
+    pat = {edge_key(a, b) for a, b in pattern}
+    for perm in permutations(range(s)):
+        ok = True
+        for a in range(s):
+            for b in range(a + 1, s):
+                present = adj[verts[perm[a]]][verts[perm[b]]]
+                wanted = edge_key(a, b) in pat
+                if wanted and not present:
+                    ok = False
+                    break
+                if induced and present and not wanted:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+@st.composite
+def _pattern_instances(draw):
+    """A graph on at most 9 vertices whose edges span one connected core
+    (the listing routes over it) beside isolated vertices, a tuple size,
+    and a pattern over its slots, the empty pattern included."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(n)))
+    core = order[: draw(st.integers(2, n))]
+    edges = {edge_key(v, core[draw(st.integers(0, i - 1))]) for i, v in enumerate(core) if i}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(sorted(core), 2)))))
+    s = draw(st.integers(3, 5))
+    pattern = draw(st.lists(st.sampled_from(list(combinations(range(s), 2))), unique=True))
+    return Graph(n, sorted(edges)), s, [draw(st.permutations(e)) for e in pattern]
+
+
+@given(_pattern_instances(), st.booleans())
+@example((Graph(6, [(0, 1), (1, 2), (0, 2), (2, 4)]), 3, []), True)
+@example((Graph(6, [(0, 1), (1, 2), (0, 2), (2, 4)]), 4, [(1, 0)]), False)
+@settings(max_examples=150, deadline=None)
+def test_subgraphs_match_the_permutation_oracle(instance, induced):
+    # vertices 3 and 5 of the examples are isolated, as are many drawn ones
+    g, s, pattern = instance
+    adj = [[False] * g.n for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u][v] = adj[v][u] = True
+    want = {vs for vs in combinations(range(g.n), s) if _matches(pattern, vs, adj, induced)}
+    res, _ = enumerate_subgraphs(g, s, pattern=pattern, seed=2, induced=induced)
+    assert res.occurrences == want
 
 
 def test_subgraphs_rejects_bad_size_and_pattern():
