@@ -156,6 +156,14 @@ def as_vertex_set(s: Iterable[int]) -> frozenset:
     return s if isinstance(s, frozenset) else frozenset(s)
 
 
+def _require_vertices(g: "Graph", ids) -> None:
+    """Refuse ids, of any shape, outside 0..g.n-1 with a GraphError."""
+    ids = np.asarray(ids)
+    out = ids[(ids < 0) | (ids >= g.n)]
+    if out.size:
+        raise GraphError(f"vertex {out[0]} is not in 0..{g.n - 1}")
+
+
 # ---------------------------------------------------------------------------
 # cut arithmetic
 # ---------------------------------------------------------------------------
@@ -564,10 +572,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, List[int
     """Induced subgraph with a monotone relabeling; returns (graph, old ids).
 
     Graphs are immutable, so when `vertices` is exactly 0..n-1 the graph
-    itself comes back instead of a copy.
+    itself comes back instead of a copy. An id outside 0..n-1 is refused.
     """
     old = sorted(as_vertex_set(vertices))
-    if len(old) == g.n and (not old or (old[0] == 0 and old[-1] == g.n - 1)):
+    _require_vertices(g, old)
+    if len(old) == g.n:
         return g, old
     pairs = g._edge_array()
     return _relabel(pairs[np.isin(pairs, old).all(axis=1)], old)[0], old

@@ -41,6 +41,7 @@ from .graphcore import (
     Cut,
     Graph,
     GraphError,
+    _require_vertices,
     conductance,
     connected_components,
     induced_subgraph,
@@ -255,6 +256,7 @@ def sample_by_degree(
 ) -> List[int]:
     """Draw count component vertices with replacement, each by its degree."""
     members = sorted(set(component))
+    _require_vertices(g, members)
     degs = [g.deg[v] for v in members]
     if sum(degs) == 0:
         raise GraphError("component has no volume to sample from")

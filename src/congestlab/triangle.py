@@ -6,9 +6,11 @@ Three layers:
   oracle used by the tests),
 * `enumerate_expander`: the class-triad algorithm for one well-mixing
   component together with its outward edges; it and the s-vertex
-  `enumerate_subgraphs` list only their occurrences and hand them to one
-  class-tuple core, `_list_by_class_tuples`, which runs the heavy
-  collector or the tuple routing and attributes every occurrence,
+  `enumerate_subgraphs` (one run per edge component) list only their
+  occurrences and hand them to one class-tuple core,
+  `_list_by_class_tuples`, which runs the heavy collector or the tuple
+  routing and attributes every occurrence; the tuple routing reads each
+  owner from one table, a rank per sorted part tuple and an owner per rank,
 * `enumerate_general`: one decomposition-driven loop over levels; each
   level splits its work into sparse-edge triangles (owner rules over the
   acyclic orientation) and per-cluster expander runs, and hands the
@@ -53,8 +55,11 @@ from .graphcore import (
     _edge_keys,
     _labeled_rows,
     _members,
+    _require_vertices,
+    connected_components,
     edge_key,
     induced_subgraph,  # unused here; perfbench checks it wraps this binding
+    is_connected,
     subgraph_from_edges,
 )
 from .routing import IdAssignment, assign_degree_class_ids, route
@@ -258,72 +263,41 @@ def _iceil_root(n: int, s: int) -> int:
 
 @dataclass
 class TriadAllocation:
-    """Ownership map from sorted class tuples to vertices.
-
-    Built locally from the degree-class id assignment: the average degree
-    rounded down to a power of two fixes every vertex's class, and the
-    tuples are handed out in blocks of 2^class along the new-id order.
+    """Owner table of the sorted class tuples, built locally from the
+    degree-class id assignment: the average degree rounded down to a power
+    of two fixes every vertex's class, and the tuples, in lexicographic
+    order, go out in blocks of 2^class along the new-id order. `rank`, a
+    dense (q,) * size table, gives each sorted tuple of 0-based parts its
+    rank, and `owners[r]` is the member that owns rank r.
     """
 
     q: int
     size: int
-    tuples: Tuple[Tuple[int, ...], ...]
-    ranges: Dict[int, Tuple[int, int]]
-    classes: Dict[int, int]
-    delta_bar: int
-    _owner: Dict[Tuple[int, ...], Optional[int]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # Every class tuple maps to its owner, or to None outside all ranges.
-        self._owner = dict.fromkeys(self.tuples)
-        for v, (lo, hi) in self.ranges.items():
-            self._owner.update(dict.fromkeys(self.tuples[lo:hi], v))
-
-    def owner_of(self, class_tuple: Sequence[int]) -> int:
-        key = tuple(sorted(class_tuple))
-        if key not in self._owner:
-            raise GraphError(f"{key} is not a class tuple for q={self.q}")
-        owner = self._owner[key]
-        if owner is None:
-            raise GraphError(f"class tuple {key} was never allocated")
-        return owner
+    rank: np.ndarray
+    owners: np.ndarray
 
 
 def _allocate_tuples(ids: IdAssignment, g_in: Graph, q: int, size: int) -> TriadAllocation:
-    members = sorted(ids.new_id)
-    n = len(members)
-    total_deg = sum(g_in.deg[v] for v in members)
+    order = np.array([ids.old_id[new] for new in range(1, len(ids.old_id) + 1)])
+    total_deg = int(np.asarray(g_in.deg)[order].sum())
     if total_deg == 0:
         raise GraphError("tuple allocation needs at least one edge")
-    m = total_deg // 2
-    j = int(math.floor(math.log2(2.0 * m / n)))
-    delta_bar = 2 ** j
-
+    j = int(math.floor(math.log2(2.0 * (total_deg // 2) / len(order))))
     # Degree class c is floor(log2 deg); against average 2^j the vertex
     # class becomes c - j + 2, with everything below average/2 in class 0.
-    classes: Dict[int, int] = {}
-    for v in members:
-        classes[v] = max(ids.class_of_vertex(v) - j + 2, 0)
-
-    tuples = tuple(combinations_with_replacement(range(1, q + 1), size))
-    ranges: Dict[int, Tuple[int, int]] = {}
-    ptr = 0
-    for new in range(1, n + 1):
-        if ptr >= len(tuples):
-            break
-        v = ids.old_id[new]
-        i = classes[v]
-        if i == 0:
-            continue
-        take = min(2 ** i, len(tuples) - ptr)
-        ranges[v] = (ptr, ptr + take)
-        ptr += take
-    if ptr < len(tuples):
+    classes = np.repeat(np.arange(len(ids.counts)), ids.counts) - j + 2
+    tuples = np.array(list(combinations_with_replacement(range(q), size)))
+    rank = np.full((q,) * size, -1)
+    rank[tuple(tuples.T)] = np.arange(len(tuples))
+    # rank r goes to the first member whose block ends past it
+    stop = np.cumsum(np.where(classes > 0, 2 ** classes.clip(min=0), 0))
+    if stop[-1] < len(tuples):
         raise GraphError(
-            f"class capacity covers {ptr} of {len(tuples)} tuples; "
+            f"class capacity covers {stop[-1]} of {len(tuples)} tuples; "
             "the input violates the average-degree counting fact"
         )
-    return TriadAllocation(q, size, tuples, ranges, classes, delta_bar)
+    owners = order[np.searchsorted(stop, np.arange(len(tuples)), "right")]
+    return TriadAllocation(q, size, rank, owners)
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +420,15 @@ def _list_by_class_tuples(
     inside the members: if the member with the most incident edges (ties
     to the smaller id) has at least heavy_scale * m / (20 n^((s-2)/s)
     log2 n), it collects every edge and reports every occurrence.
-    Otherwise every vertex draws one of
-    q = ceil(n^(1/s)) parts, each edge travels to the owners of all sorted
-    class tuples holding its two parts, and each occurrence (a sorted
-    vertex row of the (k, s) array) goes to the owner of its sorted part
-    tuple, which must have heard of all its edges. Either way the
-    deliveries are one batch of (sender, receiver) rows priced by `route`,
-    whose load multiplier must stay within the concentration envelope.
-    `edges` are (k, 2) rows u < v. Returns the owner of each occurrence
-    row; the phases, under `label`, and the messages are charged to tx.
+    Otherwise every vertex draws one of q = ceil(n^(1/s)) parts, each edge
+    travels to the owners of all sorted class tuples holding its two
+    parts, and each occurrence (a sorted vertex row of the (k, s) array)
+    goes to the owner of its sorted part tuple, which must have heard of
+    all its edges. Either way the deliveries are one batch of (sender,
+    receiver) rows priced by `route`, whose load multiplier must stay
+    within the concentration envelope. `edges` are (k, 2) rows u < v.
+    Returns the owner of each occurrence row; the phases, under `label`,
+    and the messages are charged to tx.
     """
     n = len(members)
     ids_of = np.asarray(members, dtype=np.int64)
@@ -481,38 +455,34 @@ def _list_by_class_tuples(
         phase = "collect"
     else:
         ids, id_rounds = assign_degree_class_ids(g, members)
-        parts = {
-            v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q)
-            for v in set(ends.ravel().tolist()).union(occurrences.ravel().tolist())
-        }
         alloc = _allocate_tuples(ids, g, q, s)
+        part = np.zeros(g.n, dtype=np.int64)  # 0-based; drawn where read
+        for v in np.union1d(ends, occurrences).tolist():
+            part[v] = random.Random(f"{seed}:{v}:{part_tag}").randint(1, q) - 1
 
-        # A member knows its incident edges and every edge sent to it.
-        rests = list(combinations_with_replacement(range(1, q + 1), s - 2))
-        known: Dict[int, Set[Edge]] = {v: set() for v in members}
-        rows: List[Tuple[int, int]] = []
-        pairs = list(map(tuple, ends.tolist()))
-        for e, sent in zip(pairs, sends.tolist()):
-            u, v = e
-            senders = [x for x, member in zip(e, sent) if member]
-            for sender in senders:
-                known[sender].add(e)
-            for rest in rests:
-                owner = alloc.owner_of((parts[u], parts[v]) + rest)
-                for sender in senders:
-                    rows.append((sender, owner))
-                    known[owner].add(e)
-        requests = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        # Each edge goes to the owner of every sorted tuple of its two
+        # parts and one rest tuple, from each member end: requests run
+        # edge by edge, rest by rest, sender u before v.
+        rests = np.array(list(combinations_with_replacement(range(q), s - 2)))
+        k, r = len(ends), len(rests)
+        grid = np.concatenate((np.repeat(part[ends], r, axis=0), np.tile(rests, (k, 1))), axis=1)
+        to = alloc.owners[alloc.rank[tuple(np.sort(grid, axis=1).T)]].reshape(k, r)
+        rows = np.stack(np.broadcast_arrays(ends[:, None, :], to[:, :, None]), axis=-1)
+        requests = rows[np.broadcast_to(sends[:, None, :], (k, r, 2))]
 
-        edge_set = set(pairs)
-        owner_list = []
-        for occ in occurrences.tolist():
-            owner = alloc.owner_of(tuple(parts[v] for v in occ))
-            for e in combinations(occ, 2):
-                if e in edge_set:
-                    assert e in known[owner], "owner missed an edge"
-            owner_list.append(owner)
-        owners = np.array(owner_list, dtype=np.int64)
+        # A member knows its incident edges and every edge sent to it, as
+        # keys vertex * k + edge index; an occurrence's owner must know
+        # every edge among its vertices.
+        eid = np.arange(k)[:, None]
+        known = np.unique(np.concatenate(((ends * k + eid)[sends], (to * k + eid).ravel())))
+        owners = alloc.owners[alloc.rank[tuple(np.sort(part[occurrences], axis=1).T)]]
+        keys = ends[:, 0] * g.n + ends[:, 1]
+        by_key = np.argsort(keys)
+        for a, b in combinations(range(s), 2):
+            pair = occurrences[:, a] * g.n + occurrences[:, b]
+            at = by_key[np.searchsorted(keys, pair, sorter=by_key).clip(max=k - 1)]
+            edge = keys[at] == pair
+            assert _members(known, owners[edge] * k + at[edge]).all(), "owner missed an edge"
         tx.charge(f"{label}:ids", id_rounds)
         tx.charge(f"{label}:classes", 1)
         phase = "deliver"
@@ -558,12 +528,13 @@ def enumerate_expander(
     transcript = rt.Transcript(seed=seed)
     transcript.flag("zeta_scale", zeta_scale)
 
+    pairs = np.asarray(e_out, dtype=np.int64).reshape(-1, 2)
+    _require_vertices(g, np.append(ids, pairs))
     inside = np.zeros(g.n, dtype=bool)
     inside[ids] = True
     g_edges = g._edge_array()
     e_in = g_edges[inside[g_edges].all(axis=1)]
-    pairs = np.asarray(e_out, dtype=np.int64).reshape(-1, 2)
-    ends_in = _members(ids, pairs)  # an outer end need not be a vertex of g
+    ends_in = inside[pairs]
     stray = ends_in[:, 0] == ends_in[:, 1]
     if stray.any():
         at = int(stray.argmax())
@@ -579,7 +550,7 @@ def enumerate_expander(
     # inward ones. Read in sorted order, the first edge past its sender's
     # spare is refused.
     out = np.unique(np.sort(pairs, axis=1), axis=0)
-    sender = np.where(_members(ids, out[:, 0]), out[:, 0], out[:, 1])
+    sender = np.where(inside[out[:, 0]], out[:, 0], out[:, 1])
     spare = np.bincount(e_in.ravel(), minlength=g.n)
     order = np.argsort(sender, kind="stable")
     rank = np.empty(len(out), dtype=np.int64)  # the edge's place among its sender's
@@ -756,7 +727,9 @@ def enumerate_subgraphs(
     otherwise vertices sample q = ceil(n^(1/s)) parts and the sorted class
     tuples route every inter-part edge set to its owner. Matching is
     non-induced pattern containment unless `induced` is set; the default
-    pattern is the s-clique, for which the two notions agree.
+    pattern is the s-clique, for which the two notions agree. Each edge
+    component of g runs the listing on its own; a pattern that is not
+    connected is refused when there are several.
     """
     if not 3 <= s <= 5:
         raise GraphError("tuple size must be between 3 and 5")
@@ -792,10 +765,26 @@ def enumerate_subgraphs(
     occurrences = np.array(
         list(filter(matches, combinations(range(g.n), s))), dtype=np.int64
     ).reshape(-1, s)
-    members = [v for v in range(g.n) if g.deg[v] > 0]
-    owners = _list_by_class_tuples(
-        transcript, g, members, g._edge_array(), occurrences,
-        s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
-    )
+    # Each edge component lists its own occurrences: a connected pattern's
+    # lie in one and hold no isolated vertex, so isolated vertices may join
+    # the first. The slowest component sets the phases; messages add up.
+    comps = [c for c in connected_components(g) if len(c) > 1]
+    if len(comps) > 1 and not is_connected(Graph(s, sorted({edge_key(*e) for e in pattern}))):
+        raise GraphError(f"a disconnected pattern can span the {len(comps)} edge components")
+    comp_of = np.zeros(g.n, dtype=np.int64)
+    for i, comp in enumerate(comps):
+        comp_of[comp] = i
+    edges = g._edge_array()
+    owners = np.empty(len(occurrences), dtype=np.int64)
+    txs = [rt.Transcript(seed=seed) for _ in comps]
+    for i, (comp, part_tx) in enumerate(zip(comps, txs)):
+        mine = comp_of[occurrences[:, 0]] == i
+        owners[mine] = _list_by_class_tuples(
+            part_tx, g, comp, edges[comp_of[edges[:, 0]] == i], occurrences[mine],
+            s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
+        )
+    for label, rounds in max(txs, key=lambda t: t.rounds).phases.items():
+        transcript.charge(label, rounds)
+    transcript.message_count += sum(t.message_count for t in txs)
     attribution = dict(zip(map(tuple, occurrences.tolist()), owners.tolist()))
     return SubgraphSet(s, attribution), transcript

@@ -1170,10 +1170,16 @@ def test_induced_subgraph_whole_vertex_set_is_the_graph():
     assert sub is not g and old == [0, 1, 2, 3]
     assert sub.edge_list() == [(0, 1), (1, 2), (2, 3)]
     # as many ids as vertices, but one lies outside 0..n-1
-    for ids in ([0, 1, 2, 3, 5], [-1, 0, 1, 2, 3]):
-        sub, old = gc.induced_subgraph(g, ids)
-        assert sub is not g and old == ids
-        assert sub.n == 5 and sub.m == 3
+    for ids, bad in (([0, 1, 2, 3, 5], 5), ([-1, 0, 1, 2, 3], -1)):
+        with pytest.raises(gc.GraphError, match=f"^vertex {bad} is not in 0..4$"):
+            gc.induced_subgraph(g, ids)
+
+
+@pytest.mark.parametrize("ids, bad", [([0, 1, 99], 99), ([0, 1, -3], -3), ([2 ** 70], 2 ** 70)])
+def test_induced_subgraph_refuses_ids_outside_the_graph(ids, bad):
+    # the ids once came back as a graph with a phantom vertex
+    with pytest.raises(gc.GraphError, match=f"^vertex {bad} is not in 0..5$"):
+        gc.induced_subgraph(gc.gen_clique(6), ids)
 
 
 def test_edge_components_grouping():

@@ -430,6 +430,19 @@ def test_sample_zero_volume():
 # ---------------------------------------------------------------------------
 
 
+def test_distributed_nibble_refuses_a_vertex_outside_the_graph():
+    # the search once ran on an induced graph holding a phantom vertex 99
+    with pytest.raises(gc.GraphError, match="^vertex 99 is not in 0..5$"):
+        nb.distributed_nibble(gc.gen_clique(6), [0, 1, 2, 99], 0.05)
+
+
+def test_sample_by_degree_refuses_a_vertex_outside_the_graph():
+    g = gc.gen_clique(6)
+    for ids, bad in (([0, 99], 99), ([-1, 2], -1)):
+        with pytest.raises(gc.GraphError, match=f"^vertex {bad} is not in 0..5$"):
+            nb.sample_by_degree(g, ids, 3)
+
+
 def test_nibble_rejects_bad_phi():
     g = gc.gen_clique(4)
     with pytest.raises(gc.GraphError):

@@ -1,11 +1,13 @@
 """Triangle and subgraph enumeration against the brute-force oracles."""
 
 import json
+import math
 import random
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from typing import Sequence
+from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from congestlab.graphcore import (
     gen_path,
     generate,
 )
+from congestlab.cli import run_cli
 from congestlab.routing import assign_degree_class_ids
 from congestlab.triangle import (
     TriangleSet,
@@ -219,47 +222,258 @@ def test_lister_expands_wedges_in_blocks(monkeypatch):
 # -- triad allocation --------------------------------------------------------
 
 
+# The allocation and the triad branch as they were written before the owner
+# table: a dict entry per class tuple, one owner_of call per (edge, rest)
+# pair and per occurrence, and one known set per member. They are the
+# oracle that the owner table and the array branch are held to.
+
+
+@dataclass
+class _LoopAllocation:
+    """Ownership map from sorted class tuples to vertices.
+
+    Built locally from the degree-class id assignment: the average degree
+    rounded down to a power of two fixes every vertex's class, and the
+    tuples are handed out in blocks of 2^class along the new-id order.
+    """
+
+    q: int
+    size: int
+    tuples: Tuple[Tuple[int, ...], ...]
+    ranges: Dict[int, Tuple[int, int]]
+    classes: Dict[int, int]
+    delta_bar: int
+    _owner: Dict[Tuple[int, ...], Optional[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Every class tuple maps to its owner, or to None outside all ranges.
+        self._owner = dict.fromkeys(self.tuples)
+        for v, (lo, hi) in self.ranges.items():
+            self._owner.update(dict.fromkeys(self.tuples[lo:hi], v))
+
+    def owner_of(self, class_tuple: Sequence[int]) -> int:
+        key = tuple(sorted(class_tuple))
+        if key not in self._owner:
+            raise GraphError(f"{key} is not a class tuple for q={self.q}")
+        owner = self._owner[key]
+        if owner is None:
+            raise GraphError(f"class tuple {key} was never allocated")
+        return owner
+
+
+def _loop_allocate_tuples(ids, g_in: Graph, q: int, size: int) -> _LoopAllocation:
+    members = sorted(ids.new_id)
+    n = len(members)
+    total_deg = sum(g_in.deg[v] for v in members)
+    if total_deg == 0:
+        raise GraphError("tuple allocation needs at least one edge")
+    m = total_deg // 2
+    j = int(math.floor(math.log2(2.0 * m / n)))
+    delta_bar = 2 ** j
+
+    # Degree class c is floor(log2 deg); against average 2^j the vertex
+    # class becomes c - j + 2, with everything below average/2 in class 0.
+    classes: Dict[int, int] = {}
+    for v in members:
+        classes[v] = max(ids.class_of_vertex(v) - j + 2, 0)
+
+    tuples = tuple(combinations_with_replacement(range(1, q + 1), size))
+    ranges: Dict[int, Tuple[int, int]] = {}
+    ptr = 0
+    for new in range(1, n + 1):
+        if ptr >= len(tuples):
+            break
+        v = ids.old_id[new]
+        i = classes[v]
+        if i == 0:
+            continue
+        take = min(2 ** i, len(tuples) - ptr)
+        ranges[v] = (ptr, ptr + take)
+        ptr += take
+    if ptr < len(tuples):
+        raise GraphError(
+            f"class capacity covers {ptr} of {len(tuples)} tuples; "
+            "the input violates the average-degree counting fact"
+        )
+    return _LoopAllocation(q, size, tuples, ranges, classes, delta_bar)
+
+
+def _loop_triad_branch(g, members, edges, occurrences, s, seed, part_tag):
+    """The triad branch's (request rows, occurrence owners), pair by pair."""
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    sends = np.isin(ends, np.asarray(members, dtype=np.int64))
+    occurrences = np.asarray(occurrences, dtype=np.int64).reshape(-1, s)
+    q = tr._iceil_root(len(members), s)
+    ids, _ = assign_degree_class_ids(g, members)
+    parts = {
+        v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q)
+        for v in set(ends.ravel().tolist()).union(occurrences.ravel().tolist())
+    }
+    alloc = _loop_allocate_tuples(ids, g, q, s)
+
+    # A member knows its incident edges and every edge sent to it.
+    rests = list(combinations_with_replacement(range(1, q + 1), s - 2))
+    known: Dict[int, Set[Edge]] = {v: set() for v in members}
+    rows: List[Tuple[int, int]] = []
+    pairs = list(map(tuple, ends.tolist()))
+    for e, sent in zip(pairs, sends.tolist()):
+        u, v = e
+        senders = [x for x, member in zip(e, sent) if member]
+        for sender in senders:
+            known[sender].add(e)
+        for rest in rests:
+            owner = alloc.owner_of((parts[u], parts[v]) + rest)
+            for sender in senders:
+                rows.append((sender, owner))
+                known[owner].add(e)
+    requests = np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+    edge_set = set(pairs)
+    owner_list = []
+    for occ in occurrences.tolist():
+        owner = alloc.owner_of(tuple(parts[v] for v in occ))
+        for e in combinations(occ, 2):
+            if e in edge_set:
+                assert e in known[owner], "owner missed an edge"
+        owner_list.append(owner)
+    return requests, np.array(owner_list, dtype=np.int64)
+
+
+def _array_triad_branch(g, members, edges, occurrences, s, seed, part_tag):
+    """The same pair from `_list_by_class_tuples`, forced onto the triad
+    branch, with `route` stubbed to hand back the requests unpriced."""
+    sent = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "route", lambda g, members, requests, kappa: sent.append(requests) or (0, 1))
+        owners = tr._list_by_class_tuples(
+            rt.Transcript(), g, members, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            np.asarray(occurrences, dtype=np.int64).reshape(-1, s),
+            s, seed, part_tag, "triad", 1e9, None,
+        )
+    (requests,) = sent
+    return requests, owners
+
+
+def _table_owner(alloc, class_tuple):
+    """A 1-based class tuple's owner, read through the owner table."""
+    return int(alloc.owners[alloc.rank[tuple(sorted(p - 1 for p in class_tuple))]])
+
+
+def _same_allocation(ids, g, q, size):
+    """Check the owner table against the loop allocation, or that both
+    refuse the instance with the same message."""
+    try:
+        loop = _loop_allocate_tuples(ids, g, q, size)
+    except GraphError as exc:
+        with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
+            _allocate_tuples(ids, g, q, size)
+        return None
+    alloc = _allocate_tuples(ids, g, q, size)
+    assert alloc.rank.shape == (q,) * size
+    assert len(alloc.owners) == len(loop.tuples)
+    for r, t in enumerate(loop.tuples):
+        assert alloc.rank[tuple(p - 1 for p in t)] == r
+        assert _table_owner(alloc, t) == loop.owner_of(t)
+    return loop
+
+
+@st.composite
+def _triad_instances(draw):
+    """Members spanning one connected core with extra inner edges,
+    outward edges to the other vertices (edges of g or not), a tuple size,
+    sorted occurrence rows over the edges' ends, and a class count q for
+    the allocation on its own, large enough at times to break capacity."""
+    n = draw(st.integers(3, 16))
+    order = draw(st.permutations(range(n)))
+    core = order[: draw(st.integers(2, n))]
+    inner = {edge_key(v, core[draw(st.integers(0, i - 1))]) for i, v in enumerate(core) if i}
+    inner |= draw(st.sets(st.sampled_from(list(combinations(sorted(core), 2)))))
+    rest = order[len(core):]
+    outward = set()
+    if rest:
+        outward = draw(st.sets(st.tuples(st.sampled_from(core), st.sampled_from(rest)).map(
+            lambda e: edge_key(*e))))
+    g = Graph(n, sorted(inner | outward) if draw(st.booleans()) else sorted(inner))
+    edges = sorted(inner | outward)
+    s = draw(st.integers(3, 5))
+    ends = sorted({v for e in edges for v in e})
+    occurrences = []
+    if len(ends) >= s:
+        occurrences = draw(st.lists(
+            st.lists(st.sampled_from(ends), min_size=s, max_size=s, unique=True).map(sorted),
+            max_size=25, unique_by=tuple,
+        ))
+    return g, sorted(core), edges, occurrences, s, draw(st.integers(1, 9))
+
+
+_CORE_AND_LEAVES = Graph(
+    20, [(a, b) for a in range(10) for b in range(a + 1, 10)] + [(a, a + 10) for a in range(10)]
+)
+
+
+@given(_triad_instances(), st.integers(0, 3))
+@example((_CORE_AND_LEAVES, list(range(20)), _CORE_AND_LEAVES.edge_list(),
+          [(0, 1, 2), (0, 1, 10), (3, 4, 5)], 3, 4), 1)
+@example((_CORE_AND_LEAVES, list(range(10)), _CORE_AND_LEAVES.edge_list(),
+          [(0, 1, 2, 3), (0, 1, 2, 12)], 4, 3), 2)
+@example((gen_cycle(8), list(range(8)), gen_cycle(8).edge_list(), [], 3, 50), 0)
+@settings(max_examples=200, deadline=None)
+def test_triad_array_branch_matches_the_loop(instance, seed):
+    # examples: class-0 leaves in and out of the members (outward edges at
+    # s = 4), and a cycle at q = 50, past the class capacity
+    g, members, edges, occurrences, s, q = instance
+    _same_allocation(assign_degree_class_ids(g, members)[0], g, q, s)
+    try:
+        want = _loop_triad_branch(g, members, edges, occurrences, s, seed, "t")
+    except GraphError as exc:
+        with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
+            _array_triad_branch(g, members, edges, occurrences, s, seed, "t")
+        return
+    requests, owners = _array_triad_branch(g, members, edges, occurrences, s, seed, "t")
+    assert requests.tolist() == want[0].tolist()
+    assert owners.tolist() == want[1].tolist()
+
+
 def test_triad_counts_and_order():
     g = gen_cycle(16)
     ids, _ = assign_degree_class_ids(g, range(16))
     alloc = _allocate_tuples(ids, g, 2, 3)
-    assert alloc.tuples == ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
+    ranks = {t: int(alloc.rank[t]) for t in product(range(2), repeat=3) if alloc.rank[t] >= 0}
+    assert ranks == {(0, 0, 0): 0, (0, 0, 1): 1, (0, 1, 1): 2, (1, 1, 1): 3}
+    assert len(alloc.owners) == 4
     alloc3 = _allocate_tuples(ids, g, 3, 3)
-    assert len(alloc3.tuples) == 10
+    assert len(alloc3.owners) == 10
+    assert sorted(alloc3.rank[alloc3.rank >= 0].tolist()) == list(range(10))
 
 
 def test_triad_ranges_partition_regular_graph():
     # every cycle vertex has degree 2 = average, so each allocated vertex
-    # takes a block of 4 until the list runs out
+    # takes a block of 4 along the new-id order until the tuples run out
     g = gen_cycle(16)
     ids, _ = assign_degree_class_ids(g, range(16))
     alloc = _allocate_tuples(ids, g, 3, 3)
-    spans = sorted(alloc.ranges.values())
-    assert spans[0][0] == 0
-    assert spans[-1][1] == len(alloc.tuples)
-    for (a, b), (c, d) in zip(spans, spans[1:]):
-        assert b == c
-    assert [hi - lo for lo, hi in spans] == [4, 4, 2]
-    owners = {alloc.owner_of(t) for t in alloc.tuples}
-    assert owners == set(alloc.ranges)
+    owners = alloc.owners.tolist()
+    assert owners == [ids.old_id[1]] * 4 + [ids.old_id[2]] * 4 + [ids.old_id[3]] * 2
 
 
 def test_triad_class_zero_gets_nothing():
-    # star center holds nearly all degree; leaves sit below half average
-    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)])
-    ids, _ = assign_degree_class_ids(g, range(6))
-    alloc = _allocate_tuples(ids, g, 2, 3)
-    for v, (lo, hi) in alloc.ranges.items():
-        assert alloc.classes[v] >= 1
-    for v in range(6):
-        if alloc.classes[v] == 0:
-            assert v not in alloc.ranges
+    # The leaves of a 10-clique sit below half the average degree 5.5, so
+    # they are class 0; they come first in the new-id order and own nothing.
+    g = _CORE_AND_LEAVES
+    ids, _ = assign_degree_class_ids(g, range(20))
+    j = 2  # floor(log2(2 * 55 / 20))
+    zero = {v for v in range(20) if ids.class_of_vertex(v) - j + 2 <= 0}
+    assert zero == set(range(10, 20))
+    assert [ids.old_id[new] for new in range(1, 11)] == list(range(10, 20))
+    for q, size in ((2, 3), (3, 3), (2, 4)):
+        owners = set(_allocate_tuples(ids, g, q, size).owners.tolist())
+        assert owners and not owners & zero
 
 
 def test_triad_capacity_error():
     g = gen_cycle(8)
     ids, _ = assign_degree_class_ids(g, range(8))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="class capacity covers 32 of 22100 tuples"):
         _allocate_tuples(ids, g, 50, 3)
 
 
@@ -278,47 +492,26 @@ def _linear_owner(alloc, class_tuple):
     return owner
 
 
-def test_triad_owner_of_matches_linear_rule():
-    core_and_leaves = Graph(
-        20,
-        [(a, b) for a in range(10) for b in range(a + 1, 10)]
-        + [(a, a + 10) for a in range(10)],
-    )
+def test_triad_owner_table_matches_linear_rule():
     sparse = gen_er(40, 0.2, seed=2)
     dense = gen_er(64, 0.3, seed=1)
-    allocs = []
+    loops = []
     for g, q, size in (
-        (core_and_leaves, 2, 3),
-        (core_and_leaves, 3, 3),
-        (core_and_leaves, 2, 4),
+        (_CORE_AND_LEAVES, 2, 3),
+        (_CORE_AND_LEAVES, 3, 3),
+        (_CORE_AND_LEAVES, 2, 4),
         (sparse, 3, 3),
         (dense, 4, 3),
         (dense, 3, 4),
     ):
         members = [v for v in range(g.n) if g.deg[v] > 0]
         ids, _ = assign_degree_class_ids(g, members)
-        allocs.append(tr._allocate_tuples(ids, g, q, size))
-    assert sum(1 for a in allocs if 0 in a.classes.values()) >= 4
-    for alloc in allocs:
-        for t in alloc.tuples:
-            assert alloc.owner_of(t) == _linear_owner(alloc, t)
-            assert alloc.owner_of(t[::-1]) == alloc.owner_of(t)
-
-
-def test_triad_owner_of_unallocated_indices():
-    # hand-made ranges with holes before, between and after them
-    tuples = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
-    for ranges in ({7: (1, 2)}, {7: (1, 2), 8: (3, 4)}, {5: (0, 1), 6: (2, 3)}):
-        alloc = tr.TriadAllocation(2, 3, tuples, ranges, {}, 1)
-        for t in tuples:
-            expected = _linear_owner(alloc, t)
-            if expected is None:
-                with pytest.raises(GraphError, match="never allocated"):
-                    alloc.owner_of(t)
-            else:
-                assert alloc.owner_of(t) == expected
-    with pytest.raises(GraphError, match="not a class tuple"):
-        alloc.owner_of((1, 3, 1))
+        loops.append((tr._allocate_tuples(ids, g, q, size), _same_allocation(ids, g, q, size)))
+    assert sum(1 for _, loop in loops if 0 in loop.classes.values()) >= 4
+    for alloc, loop in loops:
+        for t in loop.tuples:
+            assert _table_owner(alloc, t) == _linear_owner(loop, t)
+            assert _table_owner(alloc, t[::-1]) == _table_owner(alloc, t)
 
 
 # -- sparse-edge owner rules -------------------------------------------------
@@ -577,14 +770,18 @@ def test_expander_partition_deterministic():
 
 
 class _OwnerFlip:
-    """Allocation fake: one owner for the first `sends` lookups, then another."""
+    """Allocation fake over a real one's rank table: the first read of the
+    owner table (the edge sends) finds `first` owning every tuple, each
+    later read (the occurrences) finds `then`."""
 
-    def __init__(self, sends, first, then):
-        self.sends, self.first, self.then, self.calls = sends, first, then, 0
+    def __init__(self, alloc, first, then):
+        self.rank, self.size = alloc.rank, len(alloc.owners)
+        self.first, self.then, self.reads = first, then, 0
 
-    def owner_of(self, class_tuple):
-        self.calls += 1
-        return self.first if self.calls <= self.sends else self.then
+    @property
+    def owners(self):
+        self.reads += 1
+        return np.full(self.size, self.first if self.reads == 1 else self.then)
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -593,14 +790,14 @@ def test_triad_owner_missing_an_edge_trips_the_assert(monkeypatch, flip):
     comp = max(connected_components(g), key=len)
     first = comp[0]
     then = comp[-1] if flip else first
-    inner = sum(1 for u, v in g.edges() if u in comp and v in comp)
-    # The send loop asks once per edge and per class triad holding its two
-    # parts (q of them at size 3); every edge goes to `first`, so `then`
-    # knows only its own incident edges when the occurrences are owned.
+    # Every edge goes to `first`, so `then` knows only its own incident
+    # edges when the occurrences are owned.
+    real = tr._allocate_tuples
+    fakes = []
     monkeypatch.setattr(
         tr,
         "_allocate_tuples",
-        lambda ids, g_in, q, size: _OwnerFlip(inner * q, first, then),
+        lambda *args: fakes.append(_OwnerFlip(real(*args), first, then)) or fakes[-1],
     )
     if flip:
         with pytest.raises(AssertionError, match="owner missed an edge"):
@@ -609,6 +806,7 @@ def test_triad_owner_missing_an_edge_trips_the_assert(monkeypatch, flip):
         res, t = enumerate_expander(g, comp, [], seed=5, zeta_scale=1e9)
         assert res.reporter_counts() == {first: res.count}
         assert "triangle:deliver" in t.phases
+    assert [f.reads for f in fakes] == [2]
 
 
 @pytest.mark.parametrize("zeta_scale, phase", [(1.0, "collect"), (1e9, "deliver")])
@@ -655,6 +853,22 @@ def test_expander_rejects_bad_out_edges():
     g6 = Graph(6, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(GraphError, match="sending capacity"):
         enumerate_expander(g6, [0, 1, 2], [(0, 3), (0, 4), (0, 5)])
+
+
+@pytest.mark.parametrize(
+    "component, e_out, bad",
+    [
+        ([0, 1, 99], [], 99),
+        ([0, 1, -1], [], -1),
+        ([0, 1, 2], [(0, 2 ** 40)], 2 ** 40),
+        ([0, 1, 2], [(0, -1)], -1),
+    ],
+)
+def test_expander_refuses_ids_outside_the_graph(component, e_out, bad):
+    # once an IndexError, an "infinite mixing time", an 8 TiB allocation in
+    # the lister, and an accepted edge
+    with pytest.raises(GraphError, match=f"^vertex {bad} is not in 0..5$"):
+        enumerate_expander(gen_clique(6), component, e_out)
 
 
 def test_expander_bad_out_edge_errors_name_the_first_offender():
@@ -1119,6 +1333,51 @@ def test_subgraphs_match_the_permutation_oracle(instance, induced):
     want = {vs for vs in combinations(range(g.n), s) if _matches(pattern, vs, adj, induced)}
     res, _ = enumerate_subgraphs(g, s, pattern=pattern, seed=2, induced=induced)
     assert res.occurrences == want
+
+
+def test_subgraphs_cli_lists_each_edge_component(tmp_path, capsys):
+    # the graph's edges span several components, which each route apart
+    out = tmp_path / "r.json"
+    argv = ["--mode", "subgraphs", "--gen", "er:n=40,p=0.05", "--mode-args", "s=3"]
+    assert run_cli(argv + ["--seed", "1", "--out", str(out)]) == 0
+    (run,) = json.loads(out.read_text())["runs"]
+    g = generate("er:n=40,p=0.05", seed=1)
+    assert len([c for c in connected_components(g) if len(c) > 1]) > 1
+    adj = [[False] * g.n for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u][v] = adj[v][u] = True
+    clique = list(combinations(range(3), 2))
+    want = [list(vs) for vs in combinations(range(g.n), 3) if _matches(clique, vs, adj, False)]
+    assert want and run["occurrences"] == want
+    assert capsys.readouterr().out == f"subgraphs={len(want)}\n"
+
+
+@pytest.mark.parametrize("heavy_scale", [1.0, 1e9])
+def test_subgraphs_list_per_edge_component(monkeypatch, heavy_scale):
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    runs = []
+
+    def spy(tx, g_, members, *args):
+        runs.append((list(members), tx))
+        return core(tx, g_, members, *args)
+
+    core = tr._list_by_class_tuples
+    monkeypatch.setattr(tr, "_list_by_class_tuples", spy)
+    res, t = enumerate_subgraphs(g, 3, heavy_scale=heavy_scale)
+    assert res.attribution == {(0, 1, 2): 0}
+    assert [m for m, _ in runs] == [[0, 1, 2], [3, 4]]
+    # the component with the most rounds, the first on a tie, sets the
+    # phases; every component's messages count
+    top = max((tx for _, tx in runs), key=lambda tx: tx.rounds)
+    assert t.rounds == top.rounds
+    assert {k: v for k, v in t.phases.items() if not k.startswith("flag:")} == top.phases
+    assert t.message_count == sum(tx.message_count for _, tx in runs) > 0
+    phase = "subgraph:collect" if heavy_scale == 1 else "subgraph:deliver"
+    assert phase in t.phases
+    # a pattern that is not connected could span the components
+    for pattern in ([(0, 1)], []):
+        with pytest.raises(GraphError, match="disconnected pattern can span the 2 edge"):
+            enumerate_subgraphs(g, 3, pattern=pattern, heavy_scale=heavy_scale)
 
 
 def test_subgraphs_rejects_bad_size_and_pattern():
