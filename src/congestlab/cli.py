@@ -272,9 +272,12 @@ def _run_verify(cfg: dict, seed) -> dict:
     delta = inner["delta"]
     if type(delta) not in (int, float) or not 0 < delta < 1:
         raise GraphError(f"report config delta {delta!r} does not lie in (0, 1)")
+    runs = _report_field(doc["runs"], list, "runs")
+    if not runs:
+        raise GraphError("report has no runs to verify")
     results = []
     all_ok = True
-    for run in _report_field(doc["runs"], list, "runs"):
+    for run in runs:
         run = _report_field(run, dict, "run")
         if "decomposition" not in run:
             raise GraphError("report has no decomposition to verify")

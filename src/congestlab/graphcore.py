@@ -191,10 +191,10 @@ class Cut:
 
 def _side_mask(g: Graph, ss: frozenset) -> np.ndarray:
     """Boolean mask of the vertex set ss over 0..n-1."""
-    if not all(0 <= v < g.n for v in ss):
-        raise GraphError("vertex out of range")
+    ids = list(ss)
+    _require_vertices(g, ids)
     mask = np.zeros(g.n, dtype=bool)
-    mask[list(ss)] = True
+    mask[ids] = True
     return mask
 
 

@@ -224,11 +224,10 @@ def sweep_cut(
     total_vol = 2 * g.m
     if max_vol is None:
         max_vol = (5.0 / 6.0) * total_vol
+    vs = list(p)
+    _require_vertices(g, vs)
     p_vec = np.zeros(g.n)
-    for v, mass in p.items():
-        if not 0 <= v < g.n:
-            raise GraphError(f"distribution vertex {v} out of range")
-        p_vec[v] = mass
+    p_vec[vs] = list(p.values())
     deg = np.array(g.deg, dtype=np.int64)
     hit = _sweep_vec(g, p_vec, deg, phi, total_vol, max_vol, _ladder(phi, total_vol))
     if hit is None:

@@ -1,5 +1,8 @@
 """Degree-class id assignment and a load-priced routing cost oracle.
 
+The assignment is two int arrays: the members in new-id order and the
+member count of each degree class.
+
 Routing on a well-mixing component is priced, not packet-simulated: the
 oracle counts every vertex's load, stretches kappa by the least integer
 multiplier that fits the loads into the degree caps, and charges rounds
@@ -8,7 +11,7 @@ against the component's mixing-time estimate.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from .graphcore import (
     EXACT_MIXING_LIMIT,
     Graph,
     GraphError,
+    _require_vertices,
     induced_subgraph,
     lambda2_normalized,
     log2m,
@@ -32,67 +36,48 @@ def kappa_default(n: int) -> int:
     return 2 ** math.ceil(math.sqrt(math.log2(n)))
 
 
-def degree_class(deg: int) -> int:
-    return 0 if deg <= 1 else int(math.log2(deg))
-
-
-def class_of_new_id(new_id: int, counts: Sequence[int]) -> int:
-    """Recover a vertex's degree class from its new id and the class counts."""
-    upper = 0
-    for cls, cnt in enumerate(counts):
-        upper += cnt
-        if new_id <= upper:
-            return cls
-    raise GraphError(f"new id {new_id} exceeds the assignment size {upper}")
-
-
 @dataclass
 class IdAssignment:
-    new_id: Dict[int, int]
-    old_id: Dict[int, int]
-    counts: List[int]
+    """Members in new-id order (new id i + 1 is `order[i]`) and the member
+    count of each degree class, the histogram the tree exchanges."""
 
-    def class_of_vertex(self, v: int) -> int:
-        return class_of_new_id(self.new_id[v], self.counts)
+    order: np.ndarray
+    counts: np.ndarray
 
 
 def assign_degree_class_ids(
-    g: Graph, component: Sequence[int]
+    g: Graph, component: Iterable[int]
 ) -> Tuple[IdAssignment, int]:
     """Relabel a connected component with ids sorted by degree class.
 
     Vertices are numbered 1..n so that smaller ids never sit in a higher
-    degree class; ties inside a class go by old id. Degrees count member
-    neighbors only, and the BFS build rejects a disconnected component. The
-    round charge prices the tree-based histogram exchange: one BFS build
-    plus a convergecast and broadcast of the class counts.
+    degree class, floor(log2 deg) with deg 0 in class 0; ties inside a
+    class go by old id. Degrees count member neighbors only, and the BFS
+    build rejects a disconnected component. The round charge prices the
+    tree-based histogram exchange: one BFS build plus a convergecast and
+    broadcast of the class counts.
     """
     members = sorted(set(component))
     if not members:
         raise GraphError("component is empty")
-    if members[0] < 0 or members[-1] >= g.n:
-        raise GraphError(f"component has a vertex outside 0..{g.n - 1}")
+    _require_vertices(g, members)
     _, bfs_rounds = rt.bfs_build(g, members, members[0])
     depth = bfs_rounds - 1
+    inside = np.zeros(g.n, dtype=bool)
+    inside[members] = True
     e = g._edge_array()
-    member_deg = np.bincount(e[np.isin(e, members).all(axis=1)].ravel(), minlength=g.n)
-    deg_of = dict(zip(members, member_deg[members].tolist()))
+    deg = np.bincount(e[inside[e].all(axis=1)].ravel(), minlength=g.n)[members]
+    # frexp's exponent of d >= 1 is floor(log2 d) + 1, exactly
+    classes = np.frexp(np.maximum(deg, 1))[1] - 1
+    order = np.asarray(members, dtype=np.int64)[np.argsort(classes, kind="stable")]
 
-    n = len(members)
-    counts = [0] * (int(log2m(n)) + 1)
-    for v in members:
-        counts[degree_class(deg_of[v])] += 1
-    order = sorted(members, key=lambda v: (degree_class(deg_of[v]), v))
-    new_id = {v: i + 1 for i, v in enumerate(order)}
-    old_id = {i + 1: v for i, v in enumerate(order)}
-
-    k = len(counts)
+    k = int(log2m(len(members))) + 1
     charged = (
         bfs_rounds
         + rt.pipelined_convergecast(depth, k)
         + rt.broadcast(depth, k)
     )
-    return IdAssignment(new_id, old_id, counts), charged
+    return IdAssignment(order, np.bincount(classes, minlength=k)), charged
 
 
 def mixing_estimate(sub: Graph) -> int:

@@ -271,18 +271,15 @@ class TriadAllocation:
     rank, and `owners[r]` is the member that owns rank r.
     """
 
-    q: int
-    size: int
     rank: np.ndarray
     owners: np.ndarray
 
 
 def _allocate_tuples(ids: IdAssignment, g_in: Graph, q: int, size: int) -> TriadAllocation:
-    order = np.array([ids.old_id[new] for new in range(1, len(ids.old_id) + 1)])
-    total_deg = int(np.asarray(g_in.deg)[order].sum())
+    total_deg = int(np.asarray(g_in.deg)[ids.order].sum())
     if total_deg == 0:
         raise GraphError("tuple allocation needs at least one edge")
-    j = int(math.floor(math.log2(2.0 * (total_deg // 2) / len(order))))
+    j = int(math.floor(math.log2(2.0 * (total_deg // 2) / len(ids.order))))
     # Degree class c is floor(log2 deg); against average 2^j the vertex
     # class becomes c - j + 2, with everything below average/2 in class 0.
     classes = np.repeat(np.arange(len(ids.counts)), ids.counts) - j + 2
@@ -296,8 +293,8 @@ def _allocate_tuples(ids: IdAssignment, g_in: Graph, q: int, size: int) -> Triad
             f"class capacity covers {stop[-1]} of {len(tuples)} tuples; "
             "the input violates the average-degree counting fact"
         )
-    owners = order[np.searchsorted(stop, np.arange(len(tuples)), "right")]
-    return TriadAllocation(q, size, rank, owners)
+    owners = ids.order[np.searchsorted(stop, np.arange(len(tuples)), "right")]
+    return TriadAllocation(rank, owners)
 
 
 # ---------------------------------------------------------------------------

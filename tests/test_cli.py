@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -281,7 +282,7 @@ def test_verify_label_listed_twice_exits_1(tmp_path, capsys, case, spec, seed, e
     assert (code, out, msg) == (1, "", err)
 
 
-@pytest.mark.parametrize("case", ["list", "config", "runs", "run", "seed"])
+@pytest.mark.parametrize("case", ["list", "config", "runs", "no-runs", "run", "seed"])
 def test_verify_report_container_types_exit_1(tmp_path, capsys, case):
     rpt = tmp_path / "r.json"
     assert run_cli(
@@ -295,6 +296,8 @@ def test_verify_report_container_types_exit_1(tmp_path, capsys, case):
         doc["config"] = None
     elif case == "runs":
         doc["runs"] = 5
+    elif case == "no-runs":
+        doc["runs"] = []
     elif case == "run":
         doc["runs"] = [5]
     else:
@@ -547,6 +550,11 @@ def test_round_cap_zero_fails_a_run_that_charges_rounds(tmp_path, capsys):
 def test_console_entry_point():
     # `python -m congestlab` must run without the runpy warning that
     # `-m congestlab.cli` prints, so warnings are errors here.
+    # The child imports the package under test, as pytest's `pythonpath`
+    # reaches only this process.
+    src = os.path.dirname(os.path.dirname(congestlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     cmds = [[sys.executable, "-W", "error", "-m", "congestlab"]]
     exe = shutil.which("congestlab")
     if exe:
@@ -556,6 +564,7 @@ def test_console_entry_point():
             cmd + ["--mode", "count", "--gen", "clique:n=4", "--seed", "1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "triangles=4"

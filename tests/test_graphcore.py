@@ -232,7 +232,7 @@ def test_conductance_exact_identity_random():
 @pytest.mark.parametrize("side", [{-1}, {5}, {7}, {0, -1}, {1, 2, 7}])
 def test_cut_functions_reject_ids_outside_the_graph(fn, side):
     # star(5) has vertices 0..4: -1 once read as vertex 4 and 7 as an IndexError
-    with pytest.raises(gc.GraphError, match="vertex out of range"):
+    with pytest.raises(gc.GraphError, match=r"vertex (-1|5|7) is not in 0\.\.4"):
         fn(gc.gen_star(5), side)
 
 

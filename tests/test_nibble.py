@@ -219,6 +219,12 @@ def test_sweep_rejects_empty():
         nb.sweep_cut(gc.gen_clique(3), {}, 1 / 20)
 
 
+@pytest.mark.parametrize("v", [-1, 4])
+def test_sweep_rejects_ids_outside_the_graph(v):
+    with pytest.raises(gc.GraphError, match=rf"vertex {v} is not in 0\.\.3"):
+        nb.sweep_cut(gc.gen_clique(4), {0: 0.5, v: 0.5}, 1 / 20)
+
+
 @pytest.mark.parametrize("phi", [0.0, -0.1, math.nan, 1 / 11])
 def test_sweep_rejects_phi_outside_its_range(phi):
     with pytest.raises(gc.GraphError, match=r"phi must lie in \(0, 1/12\]"):

@@ -10,32 +10,50 @@ from congestlab import routing as rta
 from conftest import oracle_adj
 
 
+def degree_class(deg: int) -> int:
+    """Oracle: floor(log2 deg), with degrees 0 and 1 in class 0."""
+    return 0 if deg <= 1 else int(math.log2(deg))
+
+
+def class_of_new_id(new_id: int, counts) -> int:
+    """Oracle: a vertex's degree class from its new id and the class counts."""
+    upper = 0
+    for cls, cnt in enumerate(counts):
+        upper += cnt
+        if new_id <= upper:
+            return cls
+    raise ValueError(f"new id {new_id} exceeds the assignment size {upper}")
+
+
 def test_star_assignment():
     g = gc.gen_star(5)
     asg, charged = rta.assign_degree_class_ids(g, range(5))
     # leaves are class 0 and take ids 1..4; the center is class 2 with id 5
-    assert sorted(asg.new_id[v] for v in range(1, 5)) == [1, 2, 3, 4]
-    assert asg.new_id[0] == 5
-    assert asg.counts[0] == 4 and asg.counts[2] == 1
-    assert asg.class_of_vertex(0) == 2
-    assert charged >= 1
+    assert asg.order.tolist() == [1, 2, 3, 4, 0]
+    assert asg.counts.tolist() == [4, 0, 1]
+    # BFS build from 0: depth 1, 2 rounds; then a convergecast and a
+    # broadcast of k = floor(log2 5) + 1 = 3 counts, 1 + 3 - 1 rounds each
+    assert charged == 2 + 3 + 3
 
 
 def test_regular_graph_assignment():
     g = gc.gen_hypercube(3)
     asg, _ = rta.assign_degree_class_ids(g, range(8))
-    assert sorted(asg.new_id.values()) == list(range(1, 9))
-    assert all(asg.class_of_vertex(v) == 1 for v in range(8))
+    # degree 3 is class floor(log2 3) = 1 for all eight vertices
+    assert asg.order.tolist() == list(range(8))
+    assert asg.counts.tolist() == [0, 8, 0, 0]
 
 
 def test_class_decode_from_counts():
-    # counts for degree multiset {1 x6, 3 x2}: six class-0 ids then two class-1
-    counts = [6, 2, 0, 0]
-    assert rta.class_of_new_id(7, counts) == 1
-    assert rta.class_of_new_id(6, counts) == 0
-    assert rta.class_of_new_id(8, counts) == 1
-    with pytest.raises(gc.GraphError):
-        rta.class_of_new_id(9, counts)
+    # a path's two ends have degree 1 and its inner vertices degree 2: the
+    # counts make new ids 1..2 class 0 and 3..6 class 1
+    g = gc.gen_path(6)
+    asg, _ = rta.assign_degree_class_ids(g, range(6))
+    assert asg.order.tolist() == [0, 5, 1, 2, 3, 4]
+    assert asg.counts.tolist() == [2, 4, 0]
+    assert [class_of_new_id(i, asg.counts) for i in range(1, 7)] == [0, 0, 1, 1, 1, 1]
+    with pytest.raises(ValueError):
+        class_of_new_id(7, asg.counts)
 
 
 def test_assignment_respects_class_order():
@@ -44,20 +62,19 @@ def test_assignment_respects_class_order():
     asg, _ = rta.assign_degree_class_ids(g, comp)
     sub, old = gc.induced_subgraph(g, comp)
     deg = {old[i]: sub.deg[i] for i in range(sub.n)}
-    by_new = sorted(comp, key=lambda v: asg.new_id[v])
+    by_new = asg.order.tolist()
+    assert sorted(by_new) == sorted(comp)
     for a, b in zip(by_new, by_new[1:]):
-        assert rta.degree_class(deg[a]) <= rta.degree_class(deg[b])
-    for v in comp:
-        assert asg.class_of_vertex(v) == rta.degree_class(deg[v])
-    assert sorted(asg.new_id.values()) == list(range(1, len(comp) + 1))
-    for new, v in asg.old_id.items():
-        assert asg.new_id[v] == new
+        assert degree_class(deg[a]) <= degree_class(deg[b])
+    for new, v in enumerate(by_new, 1):
+        assert class_of_new_id(new, asg.counts) == degree_class(deg[v])
+    assert asg.counts.sum() == len(comp)
 
 
 def test_assignment_tiebreak_by_old_id():
     g = gc.gen_cycle(6)
     asg, _ = rta.assign_degree_class_ids(g, range(6))
-    assert [asg.old_id[i] for i in range(1, 7)] == [0, 1, 2, 3, 4, 5]
+    assert asg.order.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_assignment_rejects_disconnected():
@@ -68,20 +85,21 @@ def test_assignment_rejects_disconnected():
 
 def test_assignment_rejects_vertex_outside_graph():
     g = gc.gen_path(4)
-    with pytest.raises(gc.GraphError, match="outside"):
-        rta.assign_degree_class_ids(g, [2, 3, 4])
+    for v in (4, -1, 2**70):  # the last one does not fit an int64
+        with pytest.raises(gc.GraphError, match=rf"vertex {v} is not in 0\.\.3"):
+            rta.assign_degree_class_ids(g, [2, 3, v])
 
 
 def _oracle_assignment(g, members):
     """The set count: each member's neighbours intersected with the members;
-    returns (member degrees, new ids, class counts)."""
+    returns (member degrees, members in new-id order, class counts)."""
     adj = oracle_adj(g.n, g.edges())
     deg_of = {v: len(set(adj[v]) & members) for v in members}
     counts = [0] * (int(gc.log2m(len(members))) + 1)
     for v in members:
-        counts[rta.degree_class(deg_of[v])] += 1
-    order = sorted(members, key=lambda v: (rta.degree_class(deg_of[v]), v))
-    return deg_of, {v: i + 1 for i, v in enumerate(order)}, counts
+        counts[degree_class(deg_of[v])] += 1
+    order = sorted(members, key=lambda v: (degree_class(deg_of[v]), v))
+    return deg_of, order, counts
 
 
 def test_assignment_matches_the_set_count():
@@ -96,10 +114,10 @@ def test_assignment_matches_the_set_count():
         for _ in range(rng.randint(1, 2)):
             members |= {u for v in members for u in adj[v]}
         asg, _ = rta.assign_degree_class_ids(g, members)
-        deg_of, new_id, counts = _oracle_assignment(g, members)
-        assert (asg.new_id, asg.counts) == (new_id, counts)
+        deg_of, order, counts = _oracle_assignment(g, members)
+        assert (asg.order.tolist(), asg.counts.tolist()) == (order, counts)
         differs += any(
-            rta.degree_class(deg_of[v]) != rta.degree_class(g.deg[v]) for v in members
+            degree_class(deg_of[v]) != degree_class(g.deg[v]) for v in members
         )
     assert differs > 10
 

@@ -34,6 +34,7 @@ from congestlab.graphcore import (
 )
 from congestlab.cli import run_cli
 from congestlab.routing import assign_degree_class_ids
+from test_routing import class_of_new_id
 from congestlab.triangle import (
     TriangleSet,
     _allocate_tuples,
@@ -262,7 +263,8 @@ class _LoopAllocation:
 
 
 def _loop_allocate_tuples(ids, g_in: Graph, q: int, size: int) -> _LoopAllocation:
-    members = sorted(ids.new_id)
+    order = ids.order.tolist()
+    members = sorted(order)
     n = len(members)
     total_deg = sum(g_in.deg[v] for v in members)
     if total_deg == 0:
@@ -274,16 +276,15 @@ def _loop_allocate_tuples(ids, g_in: Graph, q: int, size: int) -> _LoopAllocatio
     # Degree class c is floor(log2 deg); against average 2^j the vertex
     # class becomes c - j + 2, with everything below average/2 in class 0.
     classes: Dict[int, int] = {}
-    for v in members:
-        classes[v] = max(ids.class_of_vertex(v) - j + 2, 0)
+    for new, v in enumerate(order, 1):
+        classes[v] = max(class_of_new_id(new, ids.counts) - j + 2, 0)
 
     tuples = tuple(combinations_with_replacement(range(1, q + 1), size))
     ranges: Dict[int, Tuple[int, int]] = {}
     ptr = 0
-    for new in range(1, n + 1):
+    for v in order:
         if ptr >= len(tuples):
             break
-        v = ids.old_id[new]
         i = classes[v]
         if i == 0:
             continue
@@ -452,8 +453,8 @@ def test_triad_ranges_partition_regular_graph():
     g = gen_cycle(16)
     ids, _ = assign_degree_class_ids(g, range(16))
     alloc = _allocate_tuples(ids, g, 3, 3)
-    owners = alloc.owners.tolist()
-    assert owners == [ids.old_id[1]] * 4 + [ids.old_id[2]] * 4 + [ids.old_id[3]] * 2
+    first = ids.order[:3].tolist()
+    assert alloc.owners.tolist() == [first[0]] * 4 + [first[1]] * 4 + [first[2]] * 2
 
 
 def test_triad_class_zero_gets_nothing():
@@ -462,9 +463,10 @@ def test_triad_class_zero_gets_nothing():
     g = _CORE_AND_LEAVES
     ids, _ = assign_degree_class_ids(g, range(20))
     j = 2  # floor(log2(2 * 55 / 20))
-    zero = {v for v in range(20) if ids.class_of_vertex(v) - j + 2 <= 0}
+    order = ids.order.tolist()
+    zero = {v for new, v in enumerate(order, 1) if class_of_new_id(new, ids.counts) - j + 2 <= 0}
     assert zero == set(range(10, 20))
-    assert [ids.old_id[new] for new in range(1, 11)] == list(range(10, 20))
+    assert order[:10] == list(range(10, 20))
     for q, size in ((2, 3), (3, 3), (2, 4)):
         owners = set(_allocate_tuples(ids, g, q, size).owners.tolist())
         assert owners and not owners & zero
