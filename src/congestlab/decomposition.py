@@ -40,8 +40,11 @@ from .graphcore import (
     GraphError,
     _exact_ints,
     _labeled_rows,
+    _lo_hi,
+    _members,
     _pair_array,
     _relabel,
+    _require_vertices,
     bfs_levels,
     conductance,
     edge_components,
@@ -155,14 +158,14 @@ def high_diameter_cut(
 
     edges = g._edge_array()
     low = np.asarray(g.deg) <= threshold / 2.0
-    both_low = edges[low[edges].all(axis=1)]
+    both_low = edges[low[edges[:, 0]] & low[edges[:, 1]]]
     if len(both_low):
         u, v = both_low[0].tolist()
         raise GraphError(f"edge {(u, v)} joins two low-degree vertices")
 
     # edges between levels i - 1 and i, counted at index i - 1
-    ends = levels[edges]
-    upper = ends[np.abs(ends[:, 0] - ends[:, 1]) == 1].max(axis=1)
+    a, b = levels[edges[:, 0]], levels[edges[:, 1]]
+    upper = np.maximum(a, b)[np.abs(a - b) == 1]
     crossing = np.bincount(upper - 1, minlength=d_tilde).tolist()
     j = balanced_index(crossing, m_logs, bar_scale=threshold_scale)
     cut = conductance(g, np.flatnonzero(levels <= j - 1).tolist())
@@ -224,10 +227,10 @@ def low_degree_peel(g: Graph, threshold: float) -> PeelResult:
         if not size:
             break
         iterations += 1
-        ends_in = batch[alive]
-        taken = ends_in.any(axis=1)
+        first_in = batch[alive[:, 0]]
+        taken = first_in | batch[alive[:, 1]]
         part = alive[taken]
-        owner = np.where(ends_in[taken, 0], part[:, 0], part[:, 1])
+        owner = np.where(first_in[taken], part[:, 0], part[:, 1])
         # part is in key order, so each owner's other ends come out ascending
         order = np.argsort(owner, kind="stable")
         owners.append(owner[order])
@@ -265,6 +268,29 @@ def _potential(sizes) -> float:
     return sum(s * math.log2(s) for s in sizes if s >= 1)
 
 
+def _sorted_edge_rows(g: Graph, edges) -> np.ndarray:
+    """Distinct edges of g as canonical (k, 2) int64 rows sorted by their
+    keys lo * n + hi. Anything else is a GraphError: a row that is not a
+    pair of integer ids, an id outside 0..n-1 (checked first, since it
+    would alias another edge's key), a loop or a pair that is not an edge
+    of g, and an edge listed twice, in either orientation."""
+    pairs = _pair_array(edges)
+    if pairs is None:
+        raise GraphError("edges must be pairs of integer vertex ids")
+    _require_vertices(g, pairs)
+    lo, hi = _lo_hi(pairs)
+    keys = lo * g.n + hi
+    g_edges = g._edge_array()
+    absent = ~_members(g_edges[:, 0] * g.n + g_edges[:, 1], keys)
+    if absent.any():
+        u, v = pairs[absent.argmax()].tolist()
+        raise GraphError(f"edge ({u}, {v}) is not an edge of the graph")
+    order = np.argsort(keys)
+    if (np.diff(keys[order]) == 0).any():
+        raise GraphError("duplicate edges in input")
+    return np.column_stack((lo[order], hi[order]))
+
+
 def black_box_partition(
     g: Graph,
     edges: Sequence[Edge],
@@ -288,22 +314,19 @@ def black_box_partition(
     |E_i| over the deque and the clusters. Only a cut grows the removed
     set and every other step only lowers that sum, so no other step needs
     the check. Each component's graph is built once, by edge_components.
-    Pieces travel as sorted (k, 2) int arrays of canonical edges, and the
-    returned clusters and edge sets hold such rows: each cluster its
-    sorted piece, es_new its shed rows with an owner array in the order
-    they were shed, and er_new the removed rows in the order they were cut.
+    `edges` are distinct edges of g, each in either orientation, in any
+    order; `_sorted_edge_rows` refuses anything else with a GraphError and
+    sorts them by key once. Pieces travel as sorted (k, 2) int arrays of
+    canonical edges, and the returned clusters and edge sets hold such
+    rows: each cluster its sorted piece, es_new its shed rows with an
+    owner array in the order they were shed, and er_new the removed rows
+    in the order they were cut.
     """
     if not len(edges):
         raise GraphError("edge set is empty")
     if not 0 < delta < 1:
         raise GraphError("delta must lie in (0, 1)")
-    pairs = _pair_array(edges)
-    if pairs is None:
-        raise GraphError("edges must be pairs of integer vertex ids")
-    pairs = np.sort(pairs, axis=1)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    if (pairs[1:] == pairs[:-1]).all(axis=1).any():
-        raise GraphError("duplicate edges in input")
+    pairs = _sorted_edge_rows(g, edges)
     threshold = g.n ** delta
     m_call = len(pairs)
     m_log = log2m(g.m)
@@ -332,10 +355,10 @@ def black_box_partition(
         in_side = np.zeros(piece_graph.n, dtype=bool)
         in_side[list(cut.side)] = True
         local = piece_graph._edge_array()
-        # how many endpoints of each edge lie on the cut's side
-        count = in_side[local].sum(axis=1)
+        # which ends of each edge lie on the cut's side
+        a, b = in_side[local[:, 0]], in_side[local[:, 1]]
         ends = ids[local]
-        boundary = ends[count == 1]
+        boundary = ends[a != b]
         assert len(boundary) == cut.boundary_size
         assert cut.boundary_size * WITNESS_FACTOR * m_log <= min(
             cut.vol_side, cut.vol_complement
@@ -349,7 +372,7 @@ def black_box_partition(
                 "ledger_price": WITNESS_FACTOR * m_log,
             }
         )
-        for part in (ends[count == 2], ends[count == 0]):
+        for part in (ends[a & b], ends[~(a | b)]):
             if len(part):
                 queue.append((part, None))
         # removal ledger, over the deque and the finished clusters
@@ -372,8 +395,8 @@ def black_box_partition(
         if comp is None:
             # Remove-1: shed edges joining two low-degree vertices to
             # their smaller end. Pieces hold sorted canonical edges.
-            low = np.bincount(piece.ravel())[piece] <= threshold
-            both = low.all(axis=1)
+            low = np.bincount(piece.ravel()) <= threshold
+            both = low[piece[:, 0]] & low[piece[:, 1]]
             shed.append((piece[both], piece[both, 0]))
 
             # Split-1: components of what remains.
@@ -628,8 +651,10 @@ def decompose(
     assert np.bincount(owners, minlength=1).max() <= threshold + 1e-9, (
         "sparse cap grew past n^delta"
     )
-    # E_s grouped by owner, each owner's rows sorted
-    order = np.lexsort((rows[:, 1], rows[:, 0], owners))
+    # E_s grouped by owner, each owner's rows sorted: the rows by key,
+    # then a stable sort by owner
+    order = np.argsort(rows[:, 0] * g.n + rows[:, 1])
+    order = order[np.argsort(owners[order], kind="stable")]
     found, starts = np.unique(owners[order], return_index=True)
     er = np.concatenate(removed)
 
@@ -638,7 +663,7 @@ def decompose(
         threshold=threshold,
         em={cid: c.edges for cid, c in enumerate(terminal, start=1)},
         es=dict(zip(found.tolist(), np.split(rows[order], starts[1:]))),
-        er=er[np.lexsort((er[:, 1], er[:, 0]))],
+        er=er[np.argsort(er[:, 0] * g.n + er[:, 1])],
         clusters={cid: c.vertices for cid, c in enumerate(terminal, start=1)},
         certificates={
             "witnesses": witnesses,

@@ -111,6 +111,14 @@ def _pair_array(rows) -> Optional[np.ndarray]:
     return arr.astype(np.int64)
 
 
+def _lo_hi(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger end of each (k, 2) row, read by column:
+    numpy reduces a width-2 axis many times slower than it combines the
+    two columns."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    return np.minimum(u, v), np.maximum(u, v)
+
+
 def _edge_ends(edges: Iterable[Edge], n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(smaller, larger) end arrays of edges checked to form a simple graph on n.
 
@@ -121,7 +129,7 @@ def _edge_ends(edges: Iterable[Edge], n: int) -> Tuple[np.ndarray, np.ndarray]:
     rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
     arr = _pair_array(rows)
     if arr is not None:
-        lo, hi = arr.min(axis=1), arr.max(axis=1)
+        lo, hi = _lo_hi(arr)
         keys = np.sort(lo * n + hi)
         if (lo >= 0).all() and (lo < hi).all() and (hi < n).all() and (
             keys[1:] > keys[:-1]
@@ -324,12 +332,19 @@ def normalized_laplacian(g: Graph) -> sparse.csr_matrix:
 
 
 def lambda2_normalized(g: Graph) -> float:
-    """Second-smallest eigenvalue of the normalized Laplacian.
+    """Second-smallest eigenvalue of the normalized Laplacian L.
 
-    Dense solve up to n=1500; sparse Lanczos with a fixed start vector above
-    that, so results stay deterministic run to run. A disconnected graph
-    above 1500 vertices gets its exact 0 without Lanczos, whose constant
-    start vector can miss a null space larger than one.
+    Dense solve up to n=1500. Above that, a disconnected graph gets its
+    exact 0, and a connected one runs Lanczos on L with its known null
+    vector u = D^1/2 1 / |D^1/2 1| deflated: x -> L x + 2 u (u.x) moves
+    u's eigenvalue from 0 to 2, the top of L's spectrum, so the smallest
+    eigenvalue left is lambda2 (Saad, Numerical Methods for Large
+    Eigenvalue Problems, 2nd ed., ch. 4). The start vector is a seeded
+    random one with its u component removed, so results stay
+    deterministic run to run; a constant start would be u itself on a
+    regular graph. The tolerance is ARPACK's default, machine precision.
+    Should Lanczos stall, shift-invert about a point just below zero
+    takes the two smallest eigenvalues of L itself.
     """
     if g.n < 2:
         return 0.0
@@ -341,12 +356,23 @@ def lambda2_normalized(g: Graph) -> float:
         return 0.0
     import scipy.sparse.linalg as spla
 
-    v0 = np.full(g.n, 1.0 / math.sqrt(g.n))
+    u = np.sqrt(np.asarray(g.deg, dtype=float))
+    u /= np.linalg.norm(u)
+
+    def deflated(x: np.ndarray) -> np.ndarray:
+        x = x.ravel()
+        return lap @ x + (2.0 * (u @ x)) * u
+
+    v0 = np.random.default_rng(0).standard_normal(g.n)
+    v0 -= (u @ v0) * u
+    op = spla.LinearOperator((g.n, g.n), matvec=deflated, dtype=float)
     try:
-        vals = spla.eigsh(lap, k=2, which="SA", v0=v0, return_eigenvectors=False)
+        vals = spla.eigsh(op, k=1, which="SA", v0=v0, return_eigenvectors=False)
+        return float(vals[0])
     except spla.ArpackError:
         # Plain Lanczos stalls when the spectral gap is tiny; shift-invert
-        # about a point just below zero converges on the same pair.
+        # about a point just below zero converges on the smallest pair.
+        v0 = np.full(g.n, 1.0 / math.sqrt(g.n))
         vals = spla.eigsh(
             lap, k=2, sigma=-0.01, which="LM", v0=v0, return_eigenvectors=False
         )
@@ -496,15 +522,14 @@ def verify_orientation(
     incident = at_u | (rows[:, 1] == tails)
     # membership: ids in range first, then the keys lo * n + hi among g's
     # sorted ones
-    in_graph = ((rows >= 0) & (rows < g.n)).all(axis=1)
+    lo, hi = _lo_hi(rows)
+    in_graph = (lo >= 0) & (hi < g.n)
     if in_graph.any():
-        ends = rows[in_graph].astype(np.int64)
+        keys = lo[in_graph].astype(np.int64) * g.n + hi[in_graph].astype(np.int64)
         g_edges = g._edge_array()
-        in_graph[in_graph] = _members(
-            g_edges[:, 0] * g.n + g_edges[:, 1], ends.min(axis=1) * g.n + ends.max(axis=1)
-        )
+        in_graph[in_graph] = _members(g_edges[:, 0] * g.n + g_edges[:, 1], keys)
     # rank the ids, so that rows with ids past int64 key like the others
-    ids, ranked = np.unique(rows.ravel(), return_inverse=True)
+    ids, ranked = _rank(rows.ravel())
     u, w = ranked[0::2], ranked[1::2]
     key = u * len(ids) + w
     listed = np.flatnonzero(incident)
@@ -547,17 +572,39 @@ def verify_orientation(
 def _edge_keys(edges, n: int) -> np.ndarray:
     """The sorted, distinct keys lo * n + hi of the edges, ids below n."""
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+    lo, hi = _lo_hi(pairs)
+    keys = np.sort(lo * n + hi)
     return keys[np.diff(keys, prepend=-1) > 0]  # keys are nonnegative
+
+
+# Ids are ranked through a table over 0..max when max is below this
+# multiple of their count, and by sorting otherwise.
+_RANK_TABLE_FACTOR = 4
+
+
+def _rank(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of a 1-D int array and the rank of each
+    entry among them, as `np.unique(values, return_inverse=True)` gives.
+    Nonnegative ids whose largest is below `_RANK_TABLE_FACTOR` times
+    their count are ranked without sorting: a boolean table marks the ids
+    present and its cumsum counts the ones below each."""
+    if values.dtype.kind in "iu" and len(values) and values.min() >= 0:
+        top = int(values.max())
+        if top < _RANK_TABLE_FACTOR * len(values):
+            present = np.zeros(top + 1, dtype=bool)
+            present[values] = True
+            return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+    return np.unique(values, return_inverse=True)
 
 
 def _relabel(pairs: np.ndarray, extra: Iterable[int] = ()) -> Tuple[Graph, np.ndarray]:
     """The graph on the ids in the (k, 2) array `pairs` and in `extra`, each
-    renamed to its rank among them; returns it with the sorted ids. A pair
-    listed twice, in either orientation, is one edge.
+    renamed to its rank among them (`_rank`: a table lookup for ids that
+    fill most of 0..max, a sort otherwise); returns it with the sorted
+    ids. A pair listed twice, in either orientation, is one edge.
     """
     ends = np.concatenate((pairs.ravel(), np.asarray(extra, dtype=np.int64)))
-    ids, pos = np.unique(ends, return_inverse=True)
+    ids, pos = _rank(ends)
     keys = _edge_keys(pos[: pairs.size], len(ids))
     return Graph(len(ids), np.column_stack(np.divmod(keys, len(ids)))), ids
 
@@ -579,7 +626,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, List[int
     if len(old) == g.n:
         return g, old
     pairs = g._edge_array()
-    return _relabel(pairs[np.isin(pairs, old).all(axis=1)], old)[0], old
+    inside = np.zeros(g.n, dtype=bool)
+    inside[old] = True
+    return _relabel(pairs[inside[pairs[:, 0]] & inside[pairs[:, 1]]], old)[0], old
 
 
 def subgraph_from_edges(edges: Iterable[Edge]) -> Tuple[Graph, List[int]]:
@@ -918,7 +967,7 @@ def parse_edge_list(text: str) -> Graph:
     if pairs is not None:
         if not len(pairs):
             return Graph(n or 0, pairs)
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        lo, hi = _lo_hi(pairs)
         top = int(hi.max()) + 1
         n = top if n is None else n
         if (lo >= 0).all() and (lo < hi).all() and top <= n <= MAX_VERTICES:

@@ -66,7 +66,8 @@ def assign_degree_class_ids(
     inside = np.zeros(g.n, dtype=bool)
     inside[members] = True
     e = g._edge_array()
-    deg = np.bincount(e[inside[e].all(axis=1)].ravel(), minlength=g.n)[members]
+    e = e[inside[e[:, 0]] & inside[e[:, 1]]]
+    deg = np.bincount(e.ravel(), minlength=g.n)[members]
     # frexp's exponent of d >= 1 is floor(log2 d) + 1, exactly
     classes = np.frexp(np.maximum(deg, 1))[1] - 1
     order = np.asarray(members, dtype=np.int64)[np.argsort(classes, kind="stable")]
@@ -125,7 +126,8 @@ def route(
 
     sub, old_ids = induced_subgraph(g, members)
     ids = np.asarray(old_ids, dtype=np.int64)
-    inside = np.isin(pairs, ids).all(axis=1)
+    inside = np.isin(pairs, ids)
+    inside = inside[:, 0] & inside[:, 1]
     if not inside.all():
         u, v = pairs[inside.argmin()].tolist()
         raise GraphError(f"request {u}->{v} leaves the component")

@@ -435,7 +435,7 @@ def _list_by_class_tuples(
 
     q = _iceil_root(n, s)
     envelope = LOAD_ENVELOPE * s * s * q ** (s - 2)
-    inner = int(sends.all(axis=1).sum())
+    inner = int(np.count_nonzero(sends[:, 0] & sends[:, 1]))
     heavy = heavy_scale * inner / (
         HEAVY_DEG_FACTOR * n ** ((s - 2.0) / s) * math.log2(max(n, 2))
     )
@@ -530,7 +530,7 @@ def enumerate_expander(
     inside = np.zeros(g.n, dtype=bool)
     inside[ids] = True
     g_edges = g._edge_array()
-    e_in = g_edges[inside[g_edges].all(axis=1)]
+    e_in = g_edges[inside[g_edges[:, 0]] & inside[g_edges[:, 1]]]
     ends_in = inside[pairs]
     stray = ends_in[:, 0] == ends_in[:, 1]
     if stray.any():
@@ -546,7 +546,7 @@ def enumerate_expander(
     # inward degree: no member sends more outward edges than it has
     # inward ones. Read in sorted order, the first edge past its sender's
     # spare is refused.
-    out = np.unique(np.sort(pairs, axis=1), axis=0)
+    out = np.column_stack(np.divmod(_edge_keys(pairs, g.n), g.n))
     sender = np.where(inside[out[:, 0]], out[:, 0], out[:, 1])
     spare = np.bincount(e_in.ravel(), minlength=g.n)
     order = np.argsort(sender, kind="stable")
@@ -628,7 +628,8 @@ def enumerate_general(
             tri_tails = np.where(es_keys[at] == keys, tails[at], -1)
             owners = _case1_owners(rows, tri_tails)
             mine = rows == owners[:, None]
-            assert mine.any(axis=1).all(), "case-1 triangle without an owner"
+            owned = mine[:, 0] | mine[:, 1] | mine[:, 2]
+            assert owned.all(), "case-1 triangle without an owner"
             # The owner sees its two incident edges; the opposite one it
             # only hears of through the announcement of its tail.
             assert (tri_tails[:, ::-1][mine] >= 0).all(), "case-1 owner missed its opposite edge"
@@ -652,14 +653,13 @@ def enumerate_general(
                 np.diff(g_m.indptr) < np.bincount(er.ravel(), minlength=g.n)
             )
             cluster_of[dropped] = -1
-            left = _edge_keys(
-                np.concatenate((er, em_rows[dropped[em_rows].any(axis=1)])), g.n
-            )
-            out_of = cluster_of[er]
+            fallen = em_rows[dropped[em_rows[:, 0]] | dropped[em_rows[:, 1]]]
+            left = _edge_keys(np.concatenate((er, fallen)), g.n)
+            out_u, out_v = cluster_of[er[:, 0]], cluster_of[er[:, 1]]
 
             for cid in sorted(decomp.clusters):
                 part_set, etx = enumerate_expander(
-                    g_m, decomp.clusters[cid], er[(out_of == cid).any(axis=1)].tolist(),
+                    g_m, decomp.clusters[cid], er[(out_u == cid) | (out_v == cid)].tolist(),
                     seed=f"{seed}:L{level}:c{cid}", kappa=kappa,
                 )
                 case2_rounds = max(case2_rounds, etx.rounds)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestlab import decomposition as dc
 from congestlab.graphcore import (
@@ -328,6 +330,53 @@ def test_black_box_rejects_bad_input():
         black_box_partition(g, [(0, 1), (1, 0)], 0.5)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(3, 3)], r"^edge \(3, 3\) is not an edge of the graph$"),
+        ([(0, 999)], r"^vertex 999 is not in 0\.\.39$"),
+        # (0, 44) would key as 44, the key of the edge (1, 4) at n = 40
+        ([(0, 2), (0, 44)], r"^vertex 44 is not in 0\.\.39$"),
+        ([(-1, 2)], r"^vertex -1 is not in 0\.\.39$"),
+        ("non-edge", r"^edge \(0, 1\) is not an edge of the graph$"),
+        ("repeat", r"^duplicate edges in input$"),
+        ([(0, 1, 2)], r"^edges must be pairs of integer vertex ids$"),
+    ],
+    ids=["loop", "id-past-n", "aliasing-id", "negative-id", "non-edge", "repeat", "triple"],
+)
+def test_black_box_refuses_edges_that_are_not_edges_of_g(edges, message):
+    # these were shed to E_s, or died in bincount, before the check
+    g = generate("er:n=40,p=0.3", seed=1)
+    if edges == "non-edge":
+        assert (0, 1) not in set(g.edges())
+        edges = g.edge_list()[:5] + [(0, 1)]
+    elif edges == "repeat":
+        edges = g.edge_list() + [g.edge_list()[7][::-1]]
+    with pytest.raises(GraphError, match=message):
+        black_box_partition(g, edges, 0.5)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_partition_rows_match_the_lexsort_oracle(data):
+    # the partition's piece: the input edges, any subset (k = 0 included),
+    # in any order and orientation, as canonical rows in lexicographic order
+    g = generate("er:n=30,p=0.2", seed=data.draw(st.integers(0, 3)))
+    edges = data.draw(st.lists(st.sampled_from(g.edge_list()), unique=True))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    pairs = np.array(
+        [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)], dtype=np.int64
+    ).reshape(-1, 2)
+    rows = np.sort(pairs, axis=1)
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    got = dc._sorted_edge_rows(g, pairs)
+    assert got.dtype == np.int64 and got.tolist() == rows.tolist()
+    if len(edges):
+        again = np.concatenate((pairs, pairs[-1:, ::-1]))
+        with pytest.raises(GraphError, match="duplicate edges in input"):
+            dc._sorted_edge_rows(g, again)
+
+
 def test_black_box_reaches_case2a_after_peel(case2a_graph):
     g = case2a_graph
     step = black_box_partition(g, g.edge_list(), 0.3, seed=1, threshold_scale=0.01)
@@ -440,6 +489,35 @@ def test_decompose_clique_one_cluster():
     assert "partition:nibble" in transcript.phases
     report = verify_decomposition(g, 0.5, deco)
     assert report.ok and not report.flags
+
+
+@pytest.mark.parametrize(
+    "spec, delta", [("er:n=500,p=0.05", 0.5), ("barbell:k=16,bridges=1", 0.5), ("case2a", 0.3)]
+)
+def test_decompose_lists_es_and_er_as_the_lexsort_oracle(monkeypatch, case2a_graph, spec, delta):
+    # E_s per owner, ascending, each owner's rows sorted; E_r sorted: the
+    # partition steps' rows put in that order by lexsort
+    partition = dc.black_box_partition
+    steps = []
+
+    def recorded(g, piece, delta, **kwargs):
+        steps.append(partition(g, piece, delta, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(dc, "black_box_partition", recorded)
+    g = case2a_graph if spec == "case2a" else generate(spec, seed=1)
+    scale = 0.01 if spec == "case2a" else 1.0
+    deco, _ = decompose(g, delta, seed=1, threshold_scale=scale)
+    rows = np.concatenate([s.es_new[0] for s in steps])
+    owners = np.concatenate([s.es_new[1] for s in steps])
+    order = np.lexsort((rows[:, 1], rows[:, 0], owners))
+    expect = {}
+    for v, row in zip(owners[order].tolist(), rows[order].tolist()):
+        expect.setdefault(v, []).append(row)
+    assert {v: part.tolist() for v, part in deco.es.items()} == expect
+    assert list(deco.es) == sorted(expect)
+    er = np.concatenate([s.er_new for s in steps])
+    assert deco.er.tolist() == er[np.lexsort((er[:, 1], er[:, 0]))].tolist()
 
 
 def test_decompose_builds_each_piece_graph_once(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,6 +474,56 @@ def test_lambda2_disconnected_above_dense_limit_is_zero():
     twins = gc.Graph(2048, list(cube.edges()) + [(u + 1024, v + 1024) for u, v in cube.edges()])
     assert gc.lambda2_normalized(twins) == 0.0
     assert gc.lambda2_normalized(gc.gen_hypercube(11)) == pytest.approx(2 / 11, abs=1e-9)
+
+
+def _circulant(n, offsets):
+    """The circulant graph on 0..n-1: i ~ i + o (mod n) for each offset o."""
+    ids = np.arange(n)
+    return gc.Graph(n, np.concatenate([np.column_stack((ids, (ids + o) % n)) for o in offsets]))
+
+
+# Graphs above the dense limit, so lambda2 takes the deflated Lanczos path:
+# a random graph, a 10-regular circulant with a tiny gap (lambda2 about
+# 8.48e-5) and a 12-regular one with a wide gap (about 0.0912). On a
+# regular graph the null vector D^1/2 1 is the constant vector.
+LANCZOS_GRAPHS = {
+    "er": lambda: gc.generate("er:n=1600,p=0.05", seed=1),
+    "circulant-1..5": lambda: _circulant(1600, range(1, 6)),
+    "circulant-7^k": lambda: _circulant(1600, [1, 7, 49, 343, 97, 531]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANCZOS_GRAPHS))
+def test_lambda2_above_the_dense_limit_matches_the_dense_solve(name):
+    g = LANCZOS_GRAPHS[name]()
+    dense = np.linalg.eigvalsh(gc.normalized_laplacian(g).toarray())[1]
+    got = gc.lambda2_normalized(g)
+    assert abs(got - dense) <= 1e-12
+    assert gc.lambda2_normalized(g) == got  # a fixed start: the same value every call
+
+
+def test_lambda2_lanczos_starts_off_the_null_vector(monkeypatch):
+    # one plain Lanczos solve for the smallest eigenvalue of the deflated
+    # operator, from a start vector orthogonal to the null vector; on a
+    # regular graph a constant start would deflate to nothing
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    eigsh = spla.eigsh
+
+    def recorded(a, **kwargs):
+        calls.append(kwargs)
+        return eigsh(a, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recorded)
+    g = LANCZOS_GRAPHS["circulant-1..5"]()
+    gc.lambda2_normalized(g)
+    (kwargs,) = calls
+    assert "sigma" not in kwargs and kwargs["k"] == 1 and kwargs["which"] == "SA"
+    v0 = kwargs["v0"]
+    null = np.full(g.n, 1.0 / math.sqrt(g.n))
+    assert np.linalg.norm(v0) >= 1.0
+    assert abs(null @ v0) <= 1e-12 * np.linalg.norm(v0)
 
 
 def test_cheeger_consistency_small():
@@ -1332,6 +1383,113 @@ def test_bfs_levels_match_the_loop_oracle(case, data):
         got = gc.bfs_levels(g, root, None if mask is None else np.array(mask))
         assert got.dtype == np.int64
         assert got.tolist() == _oracle_levels(n, edges, root, mask)
+
+
+@st.composite
+def pair_rows(draw):
+    """(n, (k, 2) int64 rows over 0..n-1): k = 0, loops, either
+    orientation and repeated rows, in any order."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    rows = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+@given(pair_rows())
+@settings(max_examples=200, deadline=None)
+def test_edge_keys_match_the_row_reduction_oracle(case):
+    n, pairs = case
+    lo, hi = gc._lo_hi(pairs)
+    assert lo.tolist() == pairs.min(axis=1).tolist()
+    assert hi.tolist() == pairs.max(axis=1).tolist()
+    # the distinct canonical rows in lexicographic order, as keys
+    rows = np.unique(np.sort(pairs, axis=1), axis=0)
+    assert gc._edge_keys(pairs, n).tolist() == (rows[:, 0] * n + rows[:, 1]).tolist()
+
+
+def _oracle_relabel_rows(pairs, extra):
+    """The relabel by np.unique ranks and row-sorted pairs: (n, sorted
+    distinct edges, sorted ids)."""
+    ends = np.concatenate((pairs.ravel(), np.asarray(extra, dtype=np.int64)))
+    ids, pos = np.unique(ends, return_inverse=True)
+    ranked = np.sort(pos[: pairs.size].reshape(-1, 2), axis=1)
+    rows = sorted(set(map(tuple, ranked.tolist())))
+    return len(ids), rows, ids.tolist()
+
+
+def _relabel_both_ways(pairs, extra):
+    """_relabel's (n, edges, ids) with ids ranked by sorting, then with the
+    rank table allowed for any nonnegative ids below a million times their
+    count."""
+    out = []
+    for factor in (0, 10 ** 6):
+        with mock.patch.object(gc, "_RANK_TABLE_FACTOR", factor):
+            sub, ids = gc._relabel(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), extra)
+        out.append((sub.n, sub.edge_list(), ids.tolist()))
+    return out
+
+
+BIG = 2 ** 40
+
+
+@pytest.mark.parametrize(
+    "pairs, extra, n, edges",
+    [
+        ([], [], 0, []),
+        ([], [4, 2], 2, []),
+        # gaps between the ids
+        ([(3, 10), (10, 7), (3, 7), (7, 3)], [], 3, [(0, 1), (0, 2), (1, 2)]),
+        # extra ids absent from the pairs
+        ([(5, 1)], [0, 9, 5], 4, [(1, 2)]),
+        # ids past the table: ranked by sorting
+        ([(BIG, 5), (2 * BIG, BIG)], [BIG * 32], 4, [(0, 1), (1, 2)]),
+    ],
+    ids=["empty", "extra-only", "gaps", "extra-absent", "huge"],
+)
+def test_relabel_ranks_the_same_on_both_paths(pairs, extra, n, edges):
+    expect = _oracle_relabel_rows(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), extra)
+    assert expect[:2] == (n, edges)
+    assert _relabel_both_ways(pairs, extra) == [expect, expect]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1]),
+        max_size=25,
+    ),
+    st.lists(st.integers(0, 9), max_size=4),
+    st.sampled_from([1, 3, 50, BIG]),
+)
+@settings(max_examples=200, deadline=None)
+def test_relabel_matches_the_unique_oracle(edges, extra, scale):
+    # ids spread by `scale`: 3 leaves gaps the table still ranks, BIG
+    # forces the sort; edges repeat and come in either orientation
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2) * scale + 1
+    extra = [x * scale for x in extra]
+    expect = _oracle_relabel_rows(pairs, extra)
+    assert _relabel_both_ways(pairs, extra) == [expect, expect]
+
+
+def _oracle_induced(g, keep):
+    """induced_subgraph by row reduction: rows with both ends kept, ranked
+    among the kept ids and lexsorted."""
+    old = sorted(keep)
+    pairs = g._edge_array()
+    inside = pairs[np.isin(pairs, old).all(axis=1)]
+    ranked = np.searchsorted(old, inside)
+    ranked = ranked[np.lexsort((ranked[:, 1], ranked[:, 0]))]
+    return len(old), list(map(tuple, ranked.tolist())), old
+
+
+@given(graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_induced_subgraph_matches_the_row_reduction_oracle(case, data):
+    n, edges = case
+    g = gc.Graph(n, edges)
+    keep = data.draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0))))
+    keep = {v for v in keep if v < n}
+    assert _shape(*gc.induced_subgraph(g, keep)) == _oracle_induced(g, keep)
 
 
 @pytest.mark.parametrize("root", [-1, 3])
