@@ -442,17 +442,21 @@ def black_box_partition(
             assert min(cg.deg) > threshold / 2.0, "terminal degree floor"
             add_cluster(piece, ids, "C3-1")
 
-    clustered = np.concatenate([pairs[:0, 0]] + [np.unique(c.edges) for c in clusters])
-    assert len(np.unique(clustered)) == len(clustered), "clusters overlap"
-    s_vertices = frozenset(np.setdiff1d(pairs, clustered).tolist())
+    # a cluster's vertices are its edges' ends: count them over 0..n-1
+    hits = np.zeros(g.n, dtype=np.int64)
+    for c in clusters:
+        hits[list(c.vertices)] += 1
+    assert (hits <= 1).all(), "clusters overlap"
+    ends = np.zeros(g.n, dtype=bool)
+    ends[pairs] = True
+    s_vertices = frozenset(np.flatnonzero(ends & (hits == 0)).tolist())
     es_rows, es_owners = map(np.concatenate, zip(*shed))
     now = start_round + tx.rounds
     for v in s_vertices | set(es_owners.tolist()):
         halt_rounds.setdefault(v, now)
 
-    size = int(pairs.max()) + 1
     em = np.concatenate([pairs[:0]] + [c.edges for c in clusters])
-    load = np.bincount(es_owners, minlength=size) + np.bincount(em.ravel(), minlength=size)
+    load = np.bincount(es_owners, minlength=g.n) + np.bincount(em.ravel(), minlength=g.n)
     assert (load[es_owners] <= threshold + 1e-9).all(), "sparse cap"
 
     return PartitionStep(

@@ -61,15 +61,14 @@ class Graph:
             raise GraphError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-        lo, hi = _edge_ends(edges, n)
-        arcs = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        arcs = _sorted_arcs(edges, n)
         idx = np.int32 if len(arcs) < 2 ** 31 else np.int64
         # arc u -> v is the key u * n + v, so row u spans keys [u * n, u * n + n)
         self.indptr = np.searchsorted(arcs, np.arange(n + 1) * n).astype(idx)
         self.indices = (arcs % n).astype(idx)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.n = n
-        self.m = len(lo)
+        self.m = len(arcs) // 2
         self.deg: Tuple[int, ...] = tuple(np.diff(self.indptr).tolist())
 
     def _edge_array(self) -> np.ndarray:
@@ -119,22 +118,23 @@ def _lo_hi(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.minimum(u, v), np.maximum(u, v)
 
 
-def _edge_ends(edges: Iterable[Edge], n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(smaller, larger) end arrays of edges checked to form a simple graph on n.
+def _sorted_arcs(edges: Iterable[Edge], n: int) -> np.ndarray:
+    """Sorted arc keys u * n + v, both directions of every edge, of edges
+    checked to form a simple graph on n.
 
-    Edges pass only as one integer array of in-range, loop-free, distinct
-    pairs. Otherwise `_first_fault` reads the rows again in input order and
-    raises for the first faulty one.
+    Edges pass only as one integer array of in-range, loop-free pairs
+    whose sorted arcs are distinct: with lo < hi, an edge repeats exactly
+    when its arcs do. Otherwise `_first_fault` reads the rows again in
+    input order and raises for the first faulty one.
     """
     rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
     arr = _pair_array(rows)
     if arr is not None:
         lo, hi = _lo_hi(arr)
-        keys = np.sort(lo * n + hi)
-        if (lo >= 0).all() and (lo < hi).all() and (hi < n).all() and (
-            keys[1:] > keys[:-1]
-        ).all():
-            return lo, hi
+        if (lo >= 0).all() and (lo < hi).all() and (hi < n).all():
+            arcs = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+            if (arcs[1:] > arcs[:-1]).all():
+                return arcs
     raise _first_fault(rows, n)
 
 
@@ -383,19 +383,15 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) <= 1
 
 
-def bfs_levels(g: Graph, root: int, members: Optional[np.ndarray] = None) -> np.ndarray:
+def bfs_levels(g: Graph, root: int) -> np.ndarray:
     """BFS level per vertex as an int64 array, -1 where the wave never arrives.
 
-    `members`, a boolean mask over 0..n-1 that holds the root, confines
-    the wave: a non-member neither joins it nor relays it, and keeps -1.
     The wave is a frontier over g's CSR rows; each new frontier is a mask
     of the fresh heads of the frontier's arcs, read off in ascending order.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} is not a vertex of the graph (n={g.n})")
-    if members is not None and not members[root]:
-        raise GraphError(f"root {root} is not a member")
-    reached = np.zeros(g.n, dtype=bool) if members is None else ~members
+    reached = np.zeros(g.n, dtype=bool)
     reached[root] = True
     levels = np.full(g.n, -1, dtype=np.int64)
     levels[root] = 0

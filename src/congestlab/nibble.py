@@ -43,7 +43,6 @@ from .graphcore import (
     GraphError,
     _require_vertices,
     conductance,
-    connected_components,
     induced_subgraph,
     lambda2_normalized,
     lazy_walk_operator,
@@ -250,18 +249,13 @@ def sweep_cut(
 # ---------------------------------------------------------------------------
 
 
-def sample_by_degree(
-    g: Graph, component: Sequence[int], count: int, seed="0"
-) -> List[int]:
-    """Draw count component vertices with replacement, each by its degree."""
-    members = sorted(set(component))
-    _require_vertices(g, members)
-    degs = [g.deg[v] for v in members]
-    if sum(degs) == 0:
+def sample_by_degree(g: Graph, count: int, seed="0") -> List[int]:
+    """Draw count vertices of a component graph with replacement, each by its degree."""
+    if not g.m:
         raise GraphError("component has no volume to sample from")
     # The "exact" tag names the fixed-count draw; it seeds every walk.
     rng = random.Random(f"{seed}:sample:exact:{count}")
-    return rng.choices(members, weights=degs, k=count)
+    return rng.choices(range(g.n), weights=g.deg, k=count)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +370,16 @@ def distributed_nibble(
     measured inside the component), or "failed" when the spectral screen
     rules every cut out or every level is exhausted. Each level samples at
     most SOURCE_CAP sources. The search runs on g itself when the component
-    is all of it, and on an induced copy otherwise. The result's Transcript
-    prices the run: sampling and the winner announcement cost tree
-    traversals, and each walk step costs the measured maximum number of
-    walks crowding one vertex.
+    is all of it, and on an induced copy otherwise; one BFS build over that
+    graph prices the sampling tree and refuses members that do not induce a
+    connected graph with a CongestError. The result's Transcript prices the
+    run: sampling and the winner announcement cost tree traversals, and
+    each walk step costs the measured maximum number of walks crowding one
+    vertex.
     """
     if not 0 < phi <= 1 / 12:
         raise GraphError("phi must lie in (0, 1/12]")
-    members = sorted(set(component))
-    sub, old_ids = induced_subgraph(g, members)
+    sub, old_ids = induced_subgraph(g, component)
     m = sub.m
     transcript = rt.Transcript(seed=seed)
 
@@ -405,11 +400,9 @@ def distributed_nibble(
         transcript.charge("nibble:screen", 0)
         return finish("failed")
 
-    depth = 0
-    for comp in connected_components(sub):
-        _, rounds = rt.bfs_build(sub, comp, comp[0])
-        depth = max(depth, rounds - 1)
-        transcript.charge("nibble:sample", rounds)
+    _, rounds = rt.bfs_build(sub)
+    depth = rounds - 1
+    transcript.charge("nibble:sample", rounds)
 
     b_top = math.ceil(log2m(m)) if m >= 2 else 0
     total_vol = 2 * m
@@ -422,7 +415,7 @@ def distributed_nibble(
     for b in range(1, b_top + 1):
         params = make_walk_params(phi, m, b)
         k_b = min(params.k_b, SOURCE_CAP)
-        sampled = sample_by_degree(sub, range(sub.n), k_b, seed=f"{seed}:{b}")
+        sampled = sample_by_degree(sub, k_b, seed=f"{seed}:{b}")
         transcript.charge("nibble:sample", depth + math.ceil(log2m(m)))
 
         seen: Dict[int, int] = {}

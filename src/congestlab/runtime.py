@@ -14,7 +14,7 @@ convention a token flooded from one endpoint of a five-vertex path costs
 
 Tree primitives are closed forms that read one number, the depth of the
 BFS wave: `bfs_build` runs `graphcore.bfs_levels` over a component's
-members and charges depth + 1, and `pipelined_convergecast` and
+own graph and charges depth + 1, and `pipelined_convergecast` and
 `broadcast` charge depth + k - 1. No production path runs the engine;
 the tests audit each closed form against an engine replay or an explicit
 per-item schedule.
@@ -22,7 +22,7 @@ per-item schedule.
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -232,28 +232,21 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def bfs_build(g: Graph, component: Sequence[int], root: int) -> Tuple[np.ndarray, int]:
-    """Run the BFS wave over the members of one connected component.
+def bfs_build(g: Graph) -> Tuple[np.ndarray, int]:
+    """Run the BFS wave over a connected component given as its own graph.
 
-    Returns `bfs_levels` under the member mask, -1 off the members, and
-    the wave's closed-form charge, depth + 1: it crosses one level per
-    round, plus a round for the kickoff. Non-members neither join nor
-    relay, so a member that the members alone cannot reach raises a
-    CongestError: the component is not connected. A member outside
-    0..n-1 is refused before the wave. The tests replay the wave through
-    `run`, and run the loop BFS, as oracles of levels and charge.
+    The wave starts at vertex 0, the smallest member once a component is
+    relabeled monotonically. Returns `bfs_levels(g, 0)` and the wave's
+    closed-form charge, depth + 1: it crosses one level per round, plus a
+    round for the kickoff. A vertex the wave never reaches raises a
+    CongestError: the component is not connected. The tests replay the
+    wave through `run`, and run the loop BFS, as oracles of levels and
+    charge.
     """
-    members = frozenset(component)
-    if root not in members or not 0 <= root < g.n:
-        raise CongestError(f"root {root} is not in the component")
-    if min(members) < 0 or max(members) >= g.n:
-        raise CongestError(f"component has a vertex outside 0..{g.n - 1}")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(members)] = True
-    levels = bfs_levels(g, root, mask)
-    missed = np.flatnonzero(mask & (levels < 0))[:8].tolist()
+    levels = bfs_levels(g, 0)
+    missed = np.flatnonzero(levels < 0)[:8].tolist()
     if missed:
-        raise CongestError(f"component is not connected: root {root} does not reach {missed}")
+        raise CongestError(f"component is not connected: root 0 does not reach {missed}")
     return levels, int(levels.max()) + 1
 
 

@@ -58,7 +58,7 @@ from .graphcore import (
     _require_vertices,
     connected_components,
     edge_key,
-    induced_subgraph,  # unused here; perfbench checks it wraps this binding
+    induced_subgraph,
     is_connected,
     subgraph_from_edges,
 )
@@ -413,10 +413,11 @@ def _list_by_class_tuples(
     Again", DISC 2012), shared by the triangle and the s-vertex listings.
     The sorted `members` run it over `edges`, each with one or both ends
     among them; an edge is sent by its member ends, and every delivery
-    routes over g among the members. With m the number of edges that lie
-    inside the members: if the member with the most incident edges (ties
-    to the smaller id) has at least heavy_scale * m / (20 n^((s-2)/s)
-    log2 n), it collects every edge and reports every occurrence.
+    routes over the members' graph, extracted from g once. With m the
+    number of edges that lie inside the members: if the member with the
+    most incident edges (ties to the smaller id) has at least
+    heavy_scale * m / (20 n^((s-2)/s) log2 n), it collects every edge and
+    reports every occurrence.
     Otherwise every vertex draws one of q = ceil(n^(1/s)) parts, each edge
     travels to the owners of all sorted class tuples holding its two
     parts, and each occurrence (a sorted vertex row of the (k, s) array)
@@ -427,16 +428,16 @@ def _list_by_class_tuples(
     Returns the owner of each occurrence row; the phases, under `label`,
     and the messages are charged to tx.
     """
-    n = len(members)
-    ids_of = np.asarray(members, dtype=np.int64)
+    sub, ids_of = induced_subgraph(g, members)
+    n = sub.n
+    ids_of = np.asarray(ids_of, dtype=np.int64)
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     sends = np.isin(ends, ids_of)  # an edge is sent by its member ends
     inc = np.bincount(np.searchsorted(ids_of, ends[sends]), minlength=n)
 
     q = _iceil_root(n, s)
     envelope = LOAD_ENVELOPE * s * s * q ** (s - 2)
-    inner = int(np.count_nonzero(sends[:, 0] & sends[:, 1]))
-    heavy = heavy_scale * inner / (
+    heavy = heavy_scale * sub.m / (
         HEAVY_DEG_FACTOR * n ** ((s - 2.0) / s) * math.log2(max(n, 2))
     )
 
@@ -451,8 +452,8 @@ def _list_by_class_tuples(
         owners = np.full(len(occurrences), star, dtype=np.int64)
         phase = "collect"
     else:
-        ids, id_rounds = assign_degree_class_ids(g, members)
-        alloc = _allocate_tuples(ids, g, q, s)
+        ids, id_rounds = assign_degree_class_ids(sub)
+        alloc = _allocate_tuples(IdAssignment(ids_of[ids.order], ids.counts), g, q, s)
         part = np.zeros(g.n, dtype=np.int64)  # 0-based; drawn where read
         for v in np.union1d(ends, occurrences).tolist():
             part[v] = random.Random(f"{seed}:{v}:{part_tag}").randint(1, q) - 1
@@ -484,7 +485,7 @@ def _list_by_class_tuples(
         tx.charge(f"{label}:classes", 1)
         phase = "deliver"
 
-    charged, mult = route(g, members, requests, kappa)
+    charged, mult = route(sub, np.searchsorted(ids_of, requests), kappa)
     if mult > envelope:
         raise GraphError(
             f"routing load multiplier {mult} exceeds the envelope {envelope}"

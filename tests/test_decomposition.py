@@ -461,9 +461,9 @@ def test_partition_runs_one_bfs_per_split_component(monkeypatch):
         components.extend(cg.n for cg, _ in parts)
         return parts
 
-    def counted_bfs(g, root, members=None):
+    def counted_bfs(g, root):
         waves.append(g.n)
-        return bfs(g, root, members)
+        return bfs(g, root)
 
     monkeypatch.setattr(dc, "edge_components", counted_split)
     monkeypatch.setattr(dc, "bfs_levels", counted_bfs)

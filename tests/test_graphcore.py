@@ -1278,9 +1278,8 @@ def _oracle_components(n, edges):
     return comps
 
 
-def _oracle_levels(n, edges, root, members=None):
-    """Frontier BFS: level per vertex, -1 if unreachable. With a member
-    list of booleans, a non-member neither joins nor relays."""
+def _oracle_levels(n, edges, root):
+    """Frontier BFS: level per vertex, -1 if unreachable."""
     adj = oracle_adj(n, edges)
     lev = [-1] * n
     lev[root] = 0
@@ -1291,7 +1290,7 @@ def _oracle_levels(n, edges, root, members=None):
         nxt = []
         for v in frontier:
             for u in adj[v]:
-                if lev[u] < 0 and (members is None or members[u]):
+                if lev[u] < 0:
                     lev[u] = d
                     nxt.append(u)
         frontier = nxt
@@ -1377,12 +1376,9 @@ def test_bfs_levels_match_the_loop_oracle(case, data):
         return
     g = gc.Graph(n, edges)
     root = data.draw(st.integers(min_value=0, max_value=n - 1))
-    members = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    members[root] = True
-    for mask in (None, members):
-        got = gc.bfs_levels(g, root, None if mask is None else np.array(mask))
-        assert got.dtype == np.int64
-        assert got.tolist() == _oracle_levels(n, edges, root, mask)
+    got = gc.bfs_levels(g, root)
+    assert got.dtype == np.int64
+    assert got.tolist() == _oracle_levels(n, edges, root)
 
 
 @st.composite
@@ -1496,8 +1492,3 @@ def test_induced_subgraph_matches_the_row_reduction_oracle(case, data):
 def test_bfs_levels_refuse_a_root_outside_the_graph(root):
     with pytest.raises(gc.GraphError, match=rf"root {root} is not a vertex of the graph \(n=3\)"):
         gc.bfs_levels(gc.gen_path(3), root)
-
-
-def test_bfs_levels_refuse_a_root_that_is_no_member():
-    with pytest.raises(gc.GraphError, match="root 0 is not a member"):
-        gc.bfs_levels(gc.gen_path(3), 0, np.array([False, True, True]))

@@ -9,6 +9,7 @@ import pytest
 
 from congestlab import graphcore as gc
 from congestlab import nibble as nb
+from congestlab import runtime as rt
 from conftest import lazy_step
 
 
@@ -406,29 +407,29 @@ def test_ladder_prefixes_match_materialised_ladder(name):
 
 def test_sample_exact_k2_chi_square():
     g = gc.gen_clique(2)
-    draws = nb.sample_by_degree(g, [0, 1], 1, seed=0)
+    draws = nb.sample_by_degree(g, 1, seed=0)
     counts = [0, 0]
     for i in range(10_000):
-        v = nb.sample_by_degree(g, [0, 1], 1, seed=i)[0]
+        v = nb.sample_by_degree(g, 1, seed=i)[0]
         counts[v] += 1
     chi2 = sum((c - 5000) ** 2 / 5000 for c in counts)
     assert chi2 < 10.83  # p > 0.001 at one degree of freedom
-    assert draws == nb.sample_by_degree(g, [0, 1], 1, seed=0)
+    assert draws == nb.sample_by_degree(g, 1, seed=0)
 
 
 def test_sample_star_degree_law():
     g = gc.gen_star(5)
     hits = 0
     for i in range(10_000):
-        if nb.sample_by_degree(g, range(5), 1, seed=i)[0] == 0:
+        if nb.sample_by_degree(g, 1, seed=i)[0] == 0:
             hits += 1
     assert abs(hits / 10_000 - 0.5) < 0.03  # center holds half the volume
 
 
 def test_sample_zero_volume():
-    g = gc.Graph(3, [(0, 1)])
+    g = gc.Graph(3, [])
     with pytest.raises(gc.GraphError):
-        nb.sample_by_degree(g, [2], 1, seed=0)
+        nb.sample_by_degree(g, 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +443,11 @@ def test_distributed_nibble_refuses_a_vertex_outside_the_graph():
         nb.distributed_nibble(gc.gen_clique(6), [0, 1, 2, 99], 0.05)
 
 
-def test_sample_by_degree_refuses_a_vertex_outside_the_graph():
-    g = gc.gen_clique(6)
-    for ids, bad in (([0, 99], 99), ([-1, 2], -1)):
-        with pytest.raises(gc.GraphError, match=f"^vertex {bad} is not in 0..5$"):
-            nb.sample_by_degree(g, ids, 3)
+def test_distributed_nibble_refuses_a_disconnected_member_set():
+    # two triangles: the BFS build that prices the sampling tree fails
+    g = gc.Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(rt.CongestError, match=r"component is not connected"):
+        nb.distributed_nibble(g, range(6), 1 / 50)
 
 
 def test_nibble_rejects_bad_phi():

@@ -27,7 +27,7 @@ def class_of_new_id(new_id: int, counts) -> int:
 
 def test_star_assignment():
     g = gc.gen_star(5)
-    asg, charged = rta.assign_degree_class_ids(g, range(5))
+    asg, charged = rta.assign_degree_class_ids(g)
     # leaves are class 0 and take ids 1..4; the center is class 2 with id 5
     assert asg.order.tolist() == [1, 2, 3, 4, 0]
     assert asg.counts.tolist() == [4, 0, 1]
@@ -38,7 +38,7 @@ def test_star_assignment():
 
 def test_regular_graph_assignment():
     g = gc.gen_hypercube(3)
-    asg, _ = rta.assign_degree_class_ids(g, range(8))
+    asg, _ = rta.assign_degree_class_ids(g)
     # degree 3 is class floor(log2 3) = 1 for all eight vertices
     assert asg.order.tolist() == list(range(8))
     assert asg.counts.tolist() == [0, 8, 0, 0]
@@ -48,7 +48,7 @@ def test_class_decode_from_counts():
     # a path's two ends have degree 1 and its inner vertices degree 2: the
     # counts make new ids 1..2 class 0 and 3..6 class 1
     g = gc.gen_path(6)
-    asg, _ = rta.assign_degree_class_ids(g, range(6))
+    asg, _ = rta.assign_degree_class_ids(g)
     assert asg.order.tolist() == [0, 5, 1, 2, 3, 4]
     assert asg.counts.tolist() == [2, 4, 0]
     assert [class_of_new_id(i, asg.counts) for i in range(1, 7)] == [0, 0, 1, 1, 1, 1]
@@ -59,10 +59,10 @@ def test_class_decode_from_counts():
 def test_assignment_respects_class_order():
     g = gc.gen_er(80, 0.1, seed=3)
     comp = max(gc.connected_components(g), key=len)
-    asg, _ = rta.assign_degree_class_ids(g, comp)
     sub, old = gc.induced_subgraph(g, comp)
+    asg, _ = rta.assign_degree_class_ids(sub)
     deg = {old[i]: sub.deg[i] for i in range(sub.n)}
-    by_new = asg.order.tolist()
+    by_new = [old[i] for i in asg.order]
     assert sorted(by_new) == sorted(comp)
     for a, b in zip(by_new, by_new[1:]):
         assert degree_class(deg[a]) <= degree_class(deg[b])
@@ -73,21 +73,14 @@ def test_assignment_respects_class_order():
 
 def test_assignment_tiebreak_by_old_id():
     g = gc.gen_cycle(6)
-    asg, _ = rta.assign_degree_class_ids(g, range(6))
+    asg, _ = rta.assign_degree_class_ids(g)
     assert asg.order.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_assignment_rejects_disconnected():
     g = gc.Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(gc.GraphError):
-        rta.assign_degree_class_ids(g, range(4))
-
-
-def test_assignment_rejects_vertex_outside_graph():
-    g = gc.gen_path(4)
-    for v in (4, -1, 2**70):  # the last one does not fit an int64
-        with pytest.raises(gc.GraphError, match=rf"vertex {v} is not in 0\.\.3"):
-            rta.assign_degree_class_ids(g, [2, 3, v])
+        rta.assign_degree_class_ids(g)
 
 
 def _oracle_assignment(g, members):
@@ -113,9 +106,10 @@ def test_assignment_matches_the_set_count():
         members = {rng.randrange(g.n)}
         for _ in range(rng.randint(1, 2)):
             members |= {u for v in members for u in adj[v]}
-        asg, _ = rta.assign_degree_class_ids(g, members)
+        sub, ids = gc.induced_subgraph(g, members)
+        asg, _ = rta.assign_degree_class_ids(sub)
         deg_of, order, counts = _oracle_assignment(g, members)
-        assert (asg.order.tolist(), asg.counts.tolist()) == (order, counts)
+        assert ([ids[i] for i in asg.order], asg.counts.tolist()) == (order, counts)
         differs += any(
             degree_class(deg_of[v]) != degree_class(g.deg[v]) for v in members
         )
@@ -134,20 +128,20 @@ def _all_pairs(n):
 
 def test_route_empty():
     g = gc.gen_clique(4)
-    assert rta.route(g, range(4), []) == (0, 0)
+    assert rta.route(g, []) == (0, 0)
 
 
 def test_route_k4_full_load():
     g = gc.gen_clique(4)
     # every vertex sends 3 and receives 3: load 6 = deg 3 * kappa 2
-    rounds, mult = rta.route(g, range(4), _all_pairs(4), kappa=2)
+    rounds, mult = rta.route(g, _all_pairs(4), kappa=2)
     assert (rounds, mult) == (6, 1)  # mixing time 3 times kappa 2
 
 
 def test_route_star_leaf_stretches_kappa():
     g = gc.gen_star(5)
     # leaf 1 has degree 1 and load 3 against its kappa-2 cap of 2
-    rounds, mult = rta.route(g, range(5), [(0, 1)] * 3, kappa=2)
+    rounds, mult = rta.route(g, [(0, 1)] * 3, kappa=2)
     assert mult == 2
     assert rounds == rta.mixing_estimate(g) * 2 * 2
 
@@ -169,41 +163,49 @@ def test_route_mult_matches_a_python_oracle():
         for v, l in load.items()
     )
     assert want > 1
-    sub, _ = gc.induced_subgraph(g, comp)
-    rounds, mult = rta.route(g, comp, reqs, kappa=kappa)
+    sub, ids = gc.induced_subgraph(g, comp)
+    reqs = [(ids.index(u), ids.index(v)) for u, v in reqs]
+    rounds, mult = rta.route(sub, reqs, kappa=kappa)
     assert mult == want
     assert rounds == rta.mixing_estimate(sub) * kappa * want
     # the stretched kappa fits the batch at multiplier 1 and the same price
-    assert rta.route(g, comp, reqs, kappa=kappa * want) == (rounds, 1)
+    assert rta.route(sub, reqs, kappa=kappa * want) == (rounds, 1)
 
 
 def test_route_rounds_monotone_in_load():
     g = gc.gen_clique(8)
     light = [(0, 1)]
     heavy = _all_pairs(8) * 3
-    r0, _ = rta.route(g, range(8), [], kappa=4)
-    r1, _ = rta.route(g, range(8), light, kappa=4)
-    r2, m2 = rta.route(g, range(8), heavy, kappa=4)
+    r0, _ = rta.route(g, [], kappa=4)
+    r1, _ = rta.route(g, light, kappa=4)
+    r2, m2 = rta.route(g, heavy, kappa=4)
     assert r0 <= r1 < r2 and m2 == 2
 
 
 def test_route_rejects_outside_component():
-    g = gc.gen_barbell(4, 1)
-    with pytest.raises(gc.GraphError, match="request 0->6 leaves the component"):
-        rta.route(g, range(4), [(0, 6)], kappa=4)
+    # one clique of the barbell as its own graph: 6 is the other clique's
+    sub, _ = gc.induced_subgraph(gc.gen_barbell(4, 1), range(4))
+    with pytest.raises(gc.GraphError, match=r"vertex 6 is not in 0\.\.3"):
+        rta.route(sub, [(0, 6)], kappa=4)
+
+
+@pytest.mark.parametrize("v", [-1, 4])
+def test_route_refuses_a_request_id_outside_the_component_graph(v):
+    with pytest.raises(gc.GraphError, match=rf"vertex {v} is not in 0\.\.3"):
+        rta.route(gc.gen_clique(4), [(0, 1), (v, 2)])
 
 
 def test_route_rejects_a_loaded_vertex_without_member_edges():
-    g = gc.Graph(4, [(0, 1), (2, 3)])
+    sub, _ = gc.induced_subgraph(gc.Graph(4, [(0, 1), (2, 3)]), [0, 1, 2])
     with pytest.raises(gc.GraphError, match="vertex 2 has no edges to route over"):
-        rta.route(g, [0, 1, 2], [(0, 1), (1, 2)], kappa=4)
+        rta.route(sub, [(0, 1), (1, 2)], kappa=4)
 
 
 @pytest.mark.parametrize("kappa", [0, -1])
 def test_route_rejects_kappa_below_one(kappa):
     g = gc.gen_clique(3)
     with pytest.raises(gc.GraphError, match="kappa must be at least 1"):
-        rta.route(g, range(3), [], kappa=kappa)
+        rta.route(g, [], kappa=kappa)
 
 
 def test_mixing_estimate_exact_small():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from congestlab import graphcore as gc
@@ -256,25 +257,36 @@ def bfs_invariants(g, levels, root, members):
         assert v == root or levels[v] - 1 in near
 
 
+def build_on_members(g, members):
+    """`rt.bfs_build` over the members' induced graph, its levels mapped
+    back to g's ids (-1 off the members); the wave starts at the smallest
+    member, vertex 0 of the monotone relabeling."""
+    sub, ids = gc.induced_subgraph(g, members)
+    sub_levels, charged = rt.bfs_build(sub)
+    levels = np.full(g.n, -1, dtype=np.int64)
+    levels[ids] = sub_levels
+    return levels, charged
+
+
 def test_bfs_path_endpoint():
     g = gc.gen_path(5)
-    levels, charged = rt.bfs_build(g, range(5), 0)
+    levels, charged = rt.bfs_build(g)
     assert charged == 5
     bfs_invariants(g, levels, 0, range(5))
 
 
 def test_bfs_clique():
     g = gc.gen_clique(4)
-    levels, charged = rt.bfs_build(g, range(4), 2)
-    assert charged == 2
+    levels = gc.bfs_levels(g, 2)
+    assert levels.max() + 1 == 2
     bfs_invariants(g, levels, 2, range(4))
 
 
 def test_bfs_hypercube():
     g = gc.gen_hypercube(3)
     for root in range(8):
-        levels, charged = rt.bfs_build(g, range(8), root)
-        assert charged == 4
+        levels = gc.bfs_levels(g, root)
+        assert levels.max() + 1 == 4
         bfs_invariants(g, levels, root, range(8))
 
 
@@ -282,31 +294,25 @@ def test_bfs_levels_match_oracle():
     g = gc.gen_er(60, 0.08, seed=2)
     comp = max(gc.connected_components(g), key=len)
     root = comp[0]
-    levels, _ = rt.bfs_build(g, comp, root)
+    levels, _ = build_on_members(g, comp)
     oracle = gc.bfs_levels(g, root)
     for v in comp:
         assert levels[v] == oracle[v]
     bfs_invariants(g, levels, root, comp)
 
 
-def test_bfs_root_not_in_component():
-    g = gc.gen_path(4)
-    with pytest.raises(rt.CongestError):
-        rt.bfs_build(g, [0, 1], 3)
-
-
 def test_bfs_unreachable_member_is_not_connected():
     g = gc.Graph(5, [(0, 1), (1, 2), (3, 4)])
     with pytest.raises(rt.CongestError, match="not connected"):
-        rt.bfs_build(g, range(5), 0)
+        rt.bfs_build(g)
     # a member reachable only through a non-member is not reached either
     with pytest.raises(rt.CongestError, match="not connected"):
-        rt.bfs_build(g, [0, 2], 0)
+        build_on_members(g, [0, 2])
 
 
 def test_bfs_singleton_component():
     g = gc.Graph(3, [(1, 2)])
-    levels, charged = rt.bfs_build(g, [0], 0)
+    levels, charged = build_on_members(g, [0])
     assert levels.tolist() == [0, -1, -1] and charged == 1
 
 
@@ -351,7 +357,8 @@ def replay_bfs(g, component, root):
     return {v: states[v]["level"] for v in members}, tr.rounds
 
 
-def _bfs_oracle_cases():
+def _whole_component_cases():
+    """(g, one whole component of g, a root in it), roots at either end."""
     cases = []
     for n in (1, 2, 5, 9):
         cases.append(pytest.param(gc.gen_path(n), range(n), n - 1, id=f"path{n}"))
@@ -372,6 +379,11 @@ def _bfs_oracle_cases():
         comp = max(gc.connected_components(g), key=len)
         cases.append(pytest.param(g, comp, comp[len(comp) // 2], id=spec))
     cases.append(pytest.param(gc.Graph(3, [(1, 2)]), [0], 0, id="singleton"))
+    return cases
+
+
+def _bfs_oracle_cases():
+    cases = _whole_component_cases()
     # members restricted to the path 0..5 of C8: the wave may not use 6, 7
     cases.append(pytest.param(gc.gen_cycle(8), range(6), 0, id="c8-path"))
     # the member set of the expander triad-path golden, inside all of g
@@ -382,15 +394,25 @@ def _bfs_oracle_cases():
 
 @pytest.mark.parametrize("g,component,root", _bfs_oracle_cases())
 def test_bfs_build_matches_engine_replay(g, component, root):
+    root = min(component)
     level, rounds = replay_bfs(g, component, root)
-    levels, charged = rt.bfs_build(g, component, root)
+    levels, charged = build_on_members(g, component)
     assert {v: levels[v] for v in level} == level
     assert charged == rounds + 1 == max(level.values()) + 1
     bfs_invariants(g, levels, root, component)
 
 
+@pytest.mark.parametrize("g,component,root", _whole_component_cases())
+def test_bfs_levels_match_engine_replay_from_any_root(g, component, root):
+    level, rounds = replay_bfs(g, component, root)
+    levels = gc.bfs_levels(g, root)
+    assert {v: levels[v] for v in level} == level
+    assert levels.max() == rounds == max(level.values())
+    bfs_invariants(g, levels, root, component)
+
+
 def test_bfs_build_keeps_to_the_members():
-    levels, charged = rt.bfs_build(gc.gen_cycle(8), range(6), 0)
+    levels, charged = build_on_members(gc.gen_cycle(8), range(6))
     assert levels.tolist() == [0, 1, 2, 3, 4, 5, -1, -1]
     assert charged == 6
 
@@ -402,25 +424,20 @@ def test_bfs_build_unreachable_member_matches_engine_stall():
     with pytest.raises(rt.StallError):
         replay_bfs(g, [0, 2], 0)
     with pytest.raises(rt.CongestError, match="not connected"):
-        rt.bfs_build(g, [0, 2], 0)
-
-
-@pytest.mark.parametrize("root", [-1, 5])
-def test_bfs_build_root_outside_graph(root):
-    with pytest.raises(rt.CongestError, match="not in the component"):
-        rt.bfs_build(gc.gen_path(3), [0, 1, 2, root], root)
+        build_on_members(g, [0, 2])
 
 
 @pytest.mark.parametrize("member", [-1, 7])
 def test_bfs_build_names_a_member_outside_the_graph(member):
-    with pytest.raises(rt.CongestError, match=r"component has a vertex outside 0\.\.2"):
-        rt.bfs_build(gc.gen_path(3), [0, 1, 2, member], 0)
+    # the extraction that hands bfs_build its graph refuses the member first
+    with pytest.raises(gc.GraphError, match=rf"vertex {member} is not in 0\.\.2"):
+        build_on_members(gc.gen_path(3), [0, 1, 2, member])
 
 
 def test_bfs_build_still_calls_an_in_range_gap_not_connected():
     g = gc.Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(rt.CongestError, match=r"root 0 does not reach \[2, 3\]"):
-        rt.bfs_build(g, [0, 1, 2, 3], 0)
+        rt.bfs_build(g)
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +484,17 @@ def schedule_broadcast(parent, level, root, k):
 
 
 def test_convergecast_examples():
-    _, charged = rt.bfs_build(gc.gen_path(5), range(5), 0)
+    _, charged = rt.bfs_build(gc.gen_path(5))
     assert rt.pipelined_convergecast(charged - 1, 1) == 4
     assert rt.pipelined_convergecast(charged - 1, 3) == 6
-    _, charged = rt.bfs_build(gc.gen_star(6), range(6), 0)
+    _, charged = rt.bfs_build(gc.gen_star(6))
     assert rt.pipelined_convergecast(charged - 1, 1) == 1
 
 
 def test_broadcast_examples():
-    _, charged = rt.bfs_build(gc.gen_path(5), range(5), 0)
+    _, charged = rt.bfs_build(gc.gen_path(5))
     assert rt.broadcast(charged - 1, 1) == 4
-    _, charged = rt.bfs_build(gc.gen_clique(4), range(4), 0)
+    _, charged = rt.bfs_build(gc.gen_clique(4))
     assert charged - 1 == 1
     assert rt.broadcast(charged - 1, 5) == 5
 
@@ -495,16 +512,18 @@ def test_pipeline_formula_matches_schedule():
         comp = max(gc.connected_components(g), key=len)
         r = comp[0] if root is None else root
         parent, level, depth = _oracle_bfs(g, comp, r)
-        assert rt.bfs_build(g, comp, r)[1] == depth + 1
+        assert gc.bfs_levels(g, r).max() == depth
+        if r == comp[0]:
+            assert build_on_members(g, comp)[1] == depth + 1
         assert rt.pipelined_convergecast(depth, k) == schedule_convergecast(parent, level, r, k)
         assert rt.broadcast(depth, k) == schedule_broadcast(parent, level, r, k)
 
 
 def test_pipeline_degenerate():
-    _, charged = rt.bfs_build(gc.Graph(1, []), [0], 0)
+    _, charged = rt.bfs_build(gc.Graph(1, []))
     assert rt.pipelined_convergecast(charged - 1, 5) == 0
     assert rt.broadcast(charged - 1, 5) == 0
-    _, charged = rt.bfs_build(gc.gen_path(3), range(3), 0)
+    _, charged = rt.bfs_build(gc.gen_path(3))
     assert rt.pipelined_convergecast(charged - 1, 0) == 0
 
 
@@ -521,13 +540,12 @@ def test_pipeline_rejects_negative_item_counts():
 
 
 def _oracle_bfs(g, component, root):
-    """The loop BFS: the frontier in ascending order, each row in order, a
-    vertex taking the first member that reaches it as its parent. Returns
-    (parent, level, depth) or the CongestError message."""
+    """The loop BFS confined to the members: the frontier in ascending
+    order, each row in order, a vertex taking the first member that
+    reaches it as its parent. Returns (parent, level, depth), or the
+    sorted members the wave misses."""
     adj = oracle_adj(g.n, g.edges())
     members = frozenset(component)
-    if root not in members or not 0 <= root < g.n:
-        return f"root {root} is not in the component"
     parent = {root: None}
     level = {root: 0}
     frontier = [root]
@@ -541,8 +559,7 @@ def _oracle_bfs(g, component, root):
                     reached.append(v)
         frontier = sorted(reached)
     if len(parent) < len(members):
-        missed = sorted(members - parent.keys())
-        return f"component is not connected: root {root} does not reach {missed[:8]}"
+        return sorted(members - parent.keys())
     return parent, level, max(level.values())
 
 
@@ -558,27 +575,27 @@ def _ball(g, centre, radius):
 
 def test_bfs_build_matches_the_loop_oracle():
     rng = random.Random(11)
-    seen = {"partial tree": 0, "not connected": 0, "not in the component": 0}
+    seen = {"partial tree": 0, "not connected": 0}
     for k in range(40):
         g = gc.gen_er(rng.randint(10, 70), rng.uniform(0.03, 0.2), seed=k)
         for _ in range(6):
             members = _ball(g, rng.randrange(g.n), rng.randint(0, 4))
             # dropping members makes others reachable only through non-members
             members -= set(rng.sample(sorted(members), min(len(members) - 1, rng.randint(0, 2))))
-            roots = [rng.choice(sorted(members))]
-            roots += [rng.choice([-1, g.n, rng.randrange(g.n)])]
-            for root in roots:
-                want = _oracle_bfs(g, members, root)
-                try:
-                    levels, charged = rt.bfs_build(g, members, root)
-                except rt.CongestError as exc:
-                    assert str(exc) == want
-                    seen[next(key for key in seen if key in want)] += 1
-                    continue
-                _, level, depth = want
-                assert {v: levels[v] for v in members} == level
-                assert (levels >= 0).sum() == len(members)
-                assert charged == depth + 1
-                comp = next(c for c in gc.connected_components(g) if root in c)
-                seen["partial tree"] += len(members) < len(comp)
+            ids = sorted(members)
+            want = _oracle_bfs(g, members, ids[0])
+            try:
+                levels, charged = build_on_members(g, members)
+            except rt.CongestError as exc:
+                # the wave names the first missed members in the induced graph's ids
+                missed = [ids.index(v) for v in want[:8]]
+                assert str(exc) == f"component is not connected: root 0 does not reach {missed}"
+                seen["not connected"] += 1
+                continue
+            _, level, depth = want
+            assert {v: levels[v] for v in members} == level
+            assert (levels >= 0).sum() == len(members)
+            assert charged == depth + 1
+            comp = next(c for c in gc.connected_components(g) if ids[0] in c)
+            seen["partial tree"] += len(members) < len(comp)
     assert min(seen.values()) > 10, seen

@@ -1,0 +1,75 @@
+"""Source hygiene: every name a module imports is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "congestlab"
+
+# (module, name) -> why the binding stays although the module never reads it
+KEPT = {
+    ("routing", "induced_subgraph"): (
+        "perfbench/test_run.py asserts that routing.induced_subgraph is the"
+        " binding its span wrapper replaces"
+    ),
+}
+
+
+def imported_names(tree):
+    """Each name an import statement binds, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    """Names the module reads: every bare name in its code (an attribute
+    read starts from one), and the strings of `__all__`, a package's
+    re-exports. A name seen only inside a string annotation does not
+    count."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(text: str, module: str):
+    tree = ast.parse(text)
+    used = used_names(tree)
+    return [
+        f"{module}.py:{line} imports {name}, which it never uses"
+        for name, line in imported_names(tree)
+        if name not in used and (module, name) not in KEPT
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(), path.stem) == []
+
+
+def test_kept_bindings_are_still_imported():
+    for module, name in KEPT:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert name in dict(imported_names(tree)), (module, name)
+
+
+def test_an_unused_import_is_caught():
+    text = (SRC / "runtime.py").read_text()
+    assert unused_imports("import os\n" + text, "runtime") == [
+        "runtime.py:1 imports os, which it never uses"
+    ]
+    assert unused_imports("import os.path\nos.sep\n", "m") == []
+    assert unused_imports("from . import runtime as rt\n", "m") == [
+        "m.py:1 imports rt, which it never uses"
+    ]

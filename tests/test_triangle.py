@@ -31,9 +31,10 @@ from congestlab.graphcore import (
     gen_er,
     gen_path,
     generate,
+    induced_subgraph,
 )
 from congestlab.cli import run_cli
-from congestlab.routing import assign_degree_class_ids
+from congestlab.routing import IdAssignment, assign_degree_class_ids
 from test_routing import class_of_new_id
 from congestlab.triangle import (
     TriangleSet,
@@ -299,13 +300,21 @@ def _loop_allocate_tuples(ids, g_in: Graph, q: int, size: int) -> _LoopAllocatio
     return _LoopAllocation(q, size, tuples, ranges, classes, delta_bar)
 
 
+def _class_ids(g, members):
+    """The degree-class ids of the members' induced graph, as the triad
+    branch computes them, with the order mapped back to g's ids."""
+    sub, ids = induced_subgraph(g, members)
+    asg, rounds = assign_degree_class_ids(sub)
+    return IdAssignment(np.asarray(ids)[asg.order], asg.counts), rounds
+
+
 def _loop_triad_branch(g, members, edges, occurrences, s, seed, part_tag):
     """The triad branch's (request rows, occurrence owners), pair by pair."""
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     sends = np.isin(ends, np.asarray(members, dtype=np.int64))
     occurrences = np.asarray(occurrences, dtype=np.int64).reshape(-1, s)
     q = tr._iceil_root(len(members), s)
-    ids, _ = assign_degree_class_ids(g, members)
+    ids, _ = _class_ids(g, members)
     parts = {
         v: random.Random(f"{seed}:{v}:{part_tag}").randint(1, q)
         for v in set(ends.ravel().tolist()).union(occurrences.ravel().tolist())
@@ -345,7 +354,9 @@ def _array_triad_branch(g, members, edges, occurrences, s, seed, part_tag):
     branch, with `route` stubbed to hand back the requests unpriced."""
     sent = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "route", lambda g, members, requests, kappa: sent.append(requests) or (0, 1))
+        # the requests reach route in the members' induced ids; map them back
+        mp.setattr(tr, "route", lambda sub, requests, kappa: sent.append(
+            np.asarray(members)[requests]) or (0, 1))
         owners = tr._list_by_class_tuples(
             rt.Transcript(), g, members, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
             np.asarray(occurrences, dtype=np.int64).reshape(-1, s),
@@ -423,7 +434,7 @@ def test_triad_array_branch_matches_the_loop(instance, seed):
     # examples: class-0 leaves in and out of the members (outward edges at
     # s = 4), and a cycle at q = 50, past the class capacity
     g, members, edges, occurrences, s, q = instance
-    _same_allocation(assign_degree_class_ids(g, members)[0], g, q, s)
+    _same_allocation(_class_ids(g, members)[0], g, q, s)
     try:
         want = _loop_triad_branch(g, members, edges, occurrences, s, seed, "t")
     except GraphError as exc:
@@ -437,7 +448,7 @@ def test_triad_array_branch_matches_the_loop(instance, seed):
 
 def test_triad_counts_and_order():
     g = gen_cycle(16)
-    ids, _ = assign_degree_class_ids(g, range(16))
+    ids, _ = assign_degree_class_ids(g)
     alloc = _allocate_tuples(ids, g, 2, 3)
     ranks = {t: int(alloc.rank[t]) for t in product(range(2), repeat=3) if alloc.rank[t] >= 0}
     assert ranks == {(0, 0, 0): 0, (0, 0, 1): 1, (0, 1, 1): 2, (1, 1, 1): 3}
@@ -451,7 +462,7 @@ def test_triad_ranges_partition_regular_graph():
     # every cycle vertex has degree 2 = average, so each allocated vertex
     # takes a block of 4 along the new-id order until the tuples run out
     g = gen_cycle(16)
-    ids, _ = assign_degree_class_ids(g, range(16))
+    ids, _ = assign_degree_class_ids(g)
     alloc = _allocate_tuples(ids, g, 3, 3)
     first = ids.order[:3].tolist()
     assert alloc.owners.tolist() == [first[0]] * 4 + [first[1]] * 4 + [first[2]] * 2
@@ -461,7 +472,7 @@ def test_triad_class_zero_gets_nothing():
     # The leaves of a 10-clique sit below half the average degree 5.5, so
     # they are class 0; they come first in the new-id order and own nothing.
     g = _CORE_AND_LEAVES
-    ids, _ = assign_degree_class_ids(g, range(20))
+    ids, _ = assign_degree_class_ids(g)
     j = 2  # floor(log2(2 * 55 / 20))
     order = ids.order.tolist()
     zero = {v for new, v in enumerate(order, 1) if class_of_new_id(new, ids.counts) - j + 2 <= 0}
@@ -474,7 +485,7 @@ def test_triad_class_zero_gets_nothing():
 
 def test_triad_capacity_error():
     g = gen_cycle(8)
-    ids, _ = assign_degree_class_ids(g, range(8))
+    ids, _ = assign_degree_class_ids(g)
     with pytest.raises(GraphError, match="class capacity covers 32 of 22100 tuples"):
         _allocate_tuples(ids, g, 50, 3)
 
@@ -507,7 +518,7 @@ def test_triad_owner_table_matches_linear_rule():
         (dense, 3, 4),
     ):
         members = [v for v in range(g.n) if g.deg[v] > 0]
-        ids, _ = assign_degree_class_ids(g, members)
+        ids, _ = _class_ids(g, members)
         loops.append((tr._allocate_tuples(ids, g, q, size), _same_allocation(ids, g, q, size)))
     assert sum(1 for _, loop in loops if 0 in loop.classes.values()) >= 4
     for alloc, loop in loops:
