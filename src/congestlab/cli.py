@@ -181,7 +181,8 @@ def _run_decompose(cfg: dict, seed: int) -> dict:
         "clusters": len(d.clusters),
         "er_edges": len(d.er),
         "er_within_sixth": rep.checks["removed-fraction"],
-        "decomposition": d.as_json(),
+        # E_m and E_r stay arrays, for `_write_json`'s per-id tables
+        "decomposition": d._layout(np.asarray),
         "verify": {
             "ok": rep.ok,
             "checks": rep.checks,
@@ -516,8 +517,10 @@ def _write_json(obj, fh, depth: int = 0) -> None:
     with a numpy array written as its tolist().
 
     The text goes out piece by piece, never as one string: an int list, a
-    list of int rows (edges) or a 2-D int array (triangles) is formatted
-    _CHUNK items or rows per write.
+    list of int rows (E_s parts, occurrences) or a 2-D int array
+    (triangles, E_m and E_r rows) is formatted _CHUNK items or rows per
+    write. Any other array, such as rows of Python ints past int64, goes
+    through tolist().
     """
     if isinstance(obj, np.ndarray) and not (
         obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size
@@ -575,7 +578,8 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         if args.out:
             # Byte for byte what json.dump(report, indent=2, sort_keys=True)
             # writes, but one write per chunk of int items or rows: int lists
-            # and edge rows by one % per item, triangle rows by gathering and
+            # and lists of int rows (E_s parts, occurrences) by one % per
+            # item or row, triangle, E_m and E_r arrays by gathering and
             # joining each id's text, made once per array. The stdlib's
             # indenting encoder is pure Python.
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -28,7 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -493,6 +493,12 @@ class Decomposition:
 
     def as_json(self) -> dict:
         """The decomposition as plain JSON lists."""
+        return self._layout(np.ndarray.tolist)
+
+    def _layout(self, rows: Callable[[np.ndarray], object]) -> dict:
+        """The report layout, with each cluster's E_m rows and E_r passed
+        through `rows`. The E_s parts are always lists: each holds at most
+        n^delta rows, too few to repay an array writer's set-up."""
         return {
             "delta": self.delta,
             "threshold": self.threshold,
@@ -500,12 +506,12 @@ class Decomposition:
                 {
                     "id": cid,
                     "vertices": sorted(self.clusters[cid]),
-                    "edges": self.em[cid].tolist() if cid in self.em else [],
+                    "edges": rows(self.em[cid]) if cid in self.em else [],
                 }
                 for cid in sorted(self.clusters)
             ],
             "es": {str(v): part.tolist() for v, part in self.es.items()},
-            "er": self.er.tolist(),
+            "er": rows(self.er),
             "certificates": self.certificates,
         }
 

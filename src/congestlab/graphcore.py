@@ -920,6 +920,12 @@ def generate(spec, seed=0, **params) -> Graph:
 # above U+3000, the last whitespace character.
 _SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 _BREAK = np.array([len(f"a{chr(c)}b".splitlines()) == 2 for c in range(0x3002)])
+# The ASCII digits and C's six spaces: text of these alone np.fromstring
+# reads as str.split and int() read it, save for the two cases that
+# `_id_rows` tests.
+_PLAIN = np.zeros(len(_SPACE), dtype=bool)
+_PLAIN[list(map(ord, "0123456789 \t\n\v\f\r"))] = True
+_INT64_MAX = np.iinfo(np.int64).max
 # A comment runs from '#' to the end of its line.
 _COMMENT = re.compile("#[^%s]*" % re.escape("".join(map(chr, np.flatnonzero(_BREAK)))))
 
@@ -927,7 +933,14 @@ _COMMENT = re.compile("#[^%s]*" % re.escape("".join(map(chr, np.flatnonzero(_BRE
 def _id_rows(text: str) -> Optional[np.ndarray]:
     """The words of comment-free text as a (k, 2) int64 array, or None
     unless every line holds none or two words and each word is an int,
-    as int() reads it, that fits int64."""
+    as int() reads it, that fits int64.
+
+    Text of ASCII digits and C spaces only is read by one np.fromstring
+    call. Its result stands unless it holds fewer or more ids than the
+    text has words (whitespace-only text reads as [0]) or holds
+    INT64_MAX, which is also what an overflowing id reads as; then, as
+    for any other text, `_int_words` reads the words with int().
+    """
     try:
         codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
     except UnicodeEncodeError:  # a lone surrogate
@@ -939,12 +952,22 @@ def _id_rows(text: str) -> Optional[np.ndarray]:
     words = np.bincount(np.cumsum(_BREAK[at])[first])
     if ((words != 0) & (words != 2)).any():
         return None
+    if _PLAIN[at].all():
+        ids = np.fromstring(text, np.int64, sep=" ")
+        if len(ids) == words.sum() and not (ids == _INT64_MAX).any():
+            return ids.reshape(-1, 2)
+    ids = _int_words(text)
+    return None if ids is None else ids.reshape(-1, 2)
+
+
+def _int_words(text: str) -> Optional[np.ndarray]:
+    """The words of text read by int() into an int64 array, or None if a
+    word is no int or does not fit int64."""
     tokens = text.split()
     try:
-        ids = np.fromiter(map(int, tokens), np.int64, len(tokens))
+        return np.fromiter(map(int, tokens), np.int64, len(tokens))
     except (ValueError, OverflowError):
         return None
-    return ids.reshape(-1, 2)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -952,10 +975,10 @@ def parse_edge_list(text: str) -> Graph:
 
     A leading "# <n> vertices" line, as `save_edge_list` writes it, sets
     the vertex count, so an isolated top vertex survives; otherwise n is
-    the largest id + 1. Well-formed text is read in one array pass.
-    Otherwise `_parse_lines` reads it again line by line and names the
-    first faulty line: a self-loop, a duplicate edge or an id at or past
-    the header's n is rejected with its line number.
+    the largest id + 1. Well-formed text is read in one array pass and
+    checked by `Graph`. Otherwise `_parse_lines` reads it again line by
+    line and names the first faulty line: a self-loop, a duplicate edge
+    or an id at or past the header's n is rejected with its line number.
     """
     header = re.match(r"#[ \t]*(\d+) vertices\b", text)
     n = int(header.group(1)) if header else None
@@ -963,13 +986,10 @@ def parse_edge_list(text: str) -> Graph:
     if pairs is not None:
         if not len(pairs):
             return Graph(n or 0, pairs)
-        lo, hi = _lo_hi(pairs)
-        top = int(hi.max()) + 1
-        n = top if n is None else n
-        if (lo >= 0).all() and (lo < hi).all() and top <= n <= MAX_VERTICES:
-            keys = np.sort(lo * n + hi)
-            if (keys[1:] > keys[:-1]).all():
-                return Graph(n, np.column_stack(np.divmod(keys, n)))
+        try:
+            return Graph(int(pairs.max()) + 1 if n is None else n, pairs)
+        except GraphError:
+            pass
     return _parse_lines(text, n)
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import congestlab
 from congestlab import cli
 from congestlab.cli import run_cli
+from congestlab.decomposition import decompose, decomposition_from_json
 
 
 def _run(capsys, argv):
@@ -684,6 +685,25 @@ def test_writer_rejects_what_json_rejects():
             json.dumps(doc, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             _written(doc)
+
+
+@pytest.mark.parametrize("past_int64", [False, True], ids=["int64", "past-int64"])
+def test_writer_decomposition_entry_matches_json_dumps(monkeypatch, case2a_graph, past_int64):
+    d, t = decompose(case2a_graph, 0.3, seed=1)
+    assert d.em and d.es and len(d.er)
+    if past_int64:
+        # rows naming an id past int64 are object arrays: the tolist path
+        doc = d.as_json()
+        doc["clusters"][0]["edges"].append([2 ** 63, 2 ** 63 + 1])
+        doc["er"].append([2 ** 64, 2 ** 64 + 1])
+        d = decomposition_from_json(doc)
+        assert d.em[doc["clusters"][0]["id"]].dtype == d.er.dtype == object
+    monkeypatch.setattr(cli, "_build_graph", lambda cfg, seed: case2a_graph)
+    monkeypatch.setattr(cli, "decompose", lambda *args, **kwargs: (d, t))
+    cfg = {"delta": 0.3, "case1_threshold_scale": 1.0}
+    entry = cli._run_decompose(cfg, 1)["decomposition"]
+    assert isinstance(entry["er"], np.ndarray)
+    assert _written(entry) == json.dumps(d.as_json(), indent=2, sort_keys=True)
 
 
 ARRAYS = {

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -1199,6 +1200,75 @@ def test_edge_list_array_parse_reads_a_saved_graph(tmp_path):
 @settings(max_examples=300, deadline=None)
 def test_edge_list_parse_matches_the_line_parse_on_any_text(text):
     assert _parsed(text) == _expected(text)
+
+
+# Pieces aimed at the np.fromstring read: leading zeros, the six C
+# spaces, the separators U+001C..U+001F (whitespace to str.split, not to
+# C), words int() reads that C does not, and ids around int64's top.
+PLAIN_PIECES = [
+    "0", "1", "2", "007", "0008", "00",
+    " ", "\t", "\n", "\v", "\f", "\r", "\r\n", "   \n\n",
+    "\x1c", "\x1d", "\x1e", "\x1f",
+    "#", "# c\n", "+", "+3", "_", "1_0", "\u0663", "-",
+    "1" + "0" * 17, "9" * 18, "1" + "0" * 18, "9" * 19,
+    "9223372036854775807", "9223372036854775808", "1" + "0" * 19, "9" * 20,
+]
+_plain_texts = st.lists(st.sampled_from(PLAIN_PIECES), max_size=14).map("".join)
+
+
+@given(_plain_texts)
+@settings(max_examples=400, deadline=None)
+def test_edge_list_parse_matches_the_line_parse_on_plain_ids(text):
+    assert _parsed(text) == _expected(text)
+
+
+def _oracle_id_rows(text):
+    """The ids str.split and int() read from text, or None unless every
+    line holds none or two words and each id fits int64."""
+    if any(len(line.split()) not in (0, 2) for line in text.splitlines()):
+        return None
+    try:
+        ids = [int(word) for word in text.split()]
+    except ValueError:
+        return None
+    return ids if all(-(2 ** 63) <= i < 2 ** 63 for i in ids) else None
+
+
+@given(_plain_texts)
+@settings(max_examples=400, deadline=None)
+def test_id_rows_read_the_ids_int_reads(text):
+    got = gc._id_rows(text)
+    want = _oracle_id_rows(text)
+    assert (got if got is None else got.ravel().tolist()) == want
+
+
+def test_saved_edge_list_is_read_without_int(tmp_path, monkeypatch):
+    g = gc.gen_er(400, 0.05, seed=1)
+    path = tmp_path / "g.edges"
+    gc.save_edge_list(g, path)
+
+    def refused(*args):
+        raise AssertionError("a saved edge list left the np.fromstring read")
+
+    monkeypatch.setattr(gc, "_int_words", refused)
+    monkeypatch.setattr(gc, "_parse_lines", refused)
+    h = gc.load_edge_list(path)
+    assert (h.n, h.indptr.tolist(), h.indices.tolist()) == (
+        g.n, g.indptr.tolist(), g.indices.tolist()
+    )
+
+
+def test_edge_list_parse_warns_nothing(tmp_path):
+    # a numpy that deprecates np.fromstring's text mode fails here
+    g = gc.gen_er(60, 0.1, seed=2)
+    path = tmp_path / "g.edges"
+    gc.save_edge_list(g, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gc.load_edge_list(path).edge_list() == g.edge_list()
+        for text in ("", "   \n\n", " \t\n\v\f\r"):
+            assert gc.parse_edge_list(text).n == 0
+            assert gc._id_rows(text).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
