@@ -26,6 +26,7 @@ from .decomposition import (
 from .graphcore import (
     GraphError,
     _read_utf8,
+    _spectral_memo,
     connected_components,
     generate,
     load_edge_list,
@@ -324,7 +325,14 @@ _RUNNERS = {
 
 
 def _execute(cfg: dict, seed) -> dict:
-    return _apply_round_cap(cfg, _RUNNERS[cfg["mode"]](cfg, seed))
+    """One run of one seed. Within it, λ2 and the exact mixing time are
+    solved once per graph content (`graphcore._spectral_memo`): the nibble
+    screen, `decompose`'s verify and `_run_decompose`'s second verify
+    share the value of byte-equal CSR arrays. The verifier still rebuilds
+    every cluster from the report's rows, so a cluster that differs is
+    solved anew. Nothing is kept from one run to the next."""
+    with _spectral_memo():
+        return _apply_round_cap(cfg, _RUNNERS[cfg["mode"]](cfg, seed))
 
 
 def _worker_cap(jobs: int) -> int:

@@ -8,6 +8,9 @@ walk distributions are float64 with a documented 1e-12 comparison slack.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
 import math
 import operator
 import random
@@ -331,8 +334,48 @@ def normalized_laplacian(g: Graph) -> sparse.csr_matrix:
     return lap
 
 
+# The spectral values of one CLI run, by (function, n, m, CSR digest);
+# None outside `_spectral_memo`, where nothing is kept.
+_SPECTRAL: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar(
+    "spectral", default=None
+)
+
+
+@contextlib.contextmanager
+def _spectral_memo():
+    """Keep each `lambda2_normalized` and `mixing_time_exact` value while
+    the block runs, so that a graph whose CSR arrays equal an earlier one's
+    byte for byte gets the value computed for it. Both functions are
+    deterministic, so a kept value is the float or int a new solve would
+    return. Nothing outlives the block: a value is kept for one run of one
+    seed, never from one call to the next."""
+    token = _SPECTRAL.set({})
+    try:
+        yield
+    finally:
+        _SPECTRAL.reset(token)
+
+
+def _memoized(name: str, compute, g: Graph):
+    """compute(g), or inside `_spectral_memo` the value it gave for a graph
+    of the same n, m and CSR content. A raised error is not kept."""
+    memo = _SPECTRAL.get()
+    if memo is None:
+        return compute(g)
+    # Graph keeps canonical CSR, so equal edge sets give equal bytes
+    digest = hashlib.blake2b(g.indptr.tobytes(), digest_size=16)
+    digest.update(g.indices.tobytes())
+    key = (name, g.n, g.m, digest.digest())
+    if key not in memo:
+        memo[key] = compute(g)
+    return memo[key]
+
+
 def lambda2_normalized(g: Graph) -> float:
     """Second-smallest eigenvalue of the normalized Laplacian L.
+
+    Inside `_spectral_memo` (one CLI run), a graph with the CSR content of
+    an earlier one gets the value computed for that one.
 
     Dense solve up to n=1500. Above that, a disconnected graph gets its
     exact 0, and a connected one runs Lanczos on L with its known null
@@ -346,6 +389,10 @@ def lambda2_normalized(g: Graph) -> float:
     Should Lanczos stall, shift-invert about a point just below zero
     takes the two smallest eigenvalues of L itself.
     """
+    return _memoized("lambda2", _lambda2, g)
+
+
+def _lambda2(g: Graph) -> float:
     if g.n < 2:
         return 0.0
     lap = normalized_laplacian(g)
@@ -418,7 +465,14 @@ def mixing_time_exact(g: Graph) -> int:
 
     Dense powering of the lazy walk matrix from every start vertex at once.
     Requires a connected graph with an edge and n <= EXACT_MIXING_LIMIT.
+    Inside `_spectral_memo` (one CLI run), a graph with the CSR content of
+    an earlier one gets the value computed for that one; a refusal is
+    raised again each time.
     """
+    return _memoized("mixing", _mixing_time, g)
+
+
+def _mixing_time(g: Graph) -> int:
     if g.n > EXACT_MIXING_LIMIT:
         raise GraphError(f"exact mixing time limited to n <= {EXACT_MIXING_LIMIT}")
     if g.m == 0:
@@ -935,26 +989,34 @@ def _id_rows(text: str) -> Optional[np.ndarray]:
     unless every line holds none or two words and each word is an int,
     as int() reads it, that fits int64.
 
-    Text of ASCII digits and C spaces only is read by one np.fromstring
-    call. Its result stands unless it holds fewer or more ids than the
-    text has words (whitespace-only text reads as [0]) or holds
-    INT64_MAX, which is also what an overflowing id reads as; then, as
-    for any other text, `_int_words` reads the words with int().
+    The words are counted over the text's bytes when it is ASCII, and
+    over its UTF-32 code points otherwise. Text of ASCII digits and C
+    spaces only is read by one np.fromstring call. Its result stands
+    unless it holds fewer or more ids than the text has words
+    (whitespace-only text reads as [0]) or holds INT64_MAX, which is also
+    what an overflowing id reads as; then, as for any other text,
+    `_int_words` reads the words with int().
     """
-    try:
-        codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-    except UnicodeEncodeError:  # a lone surrogate
-        return None
-    at = np.minimum(codes, len(_SPACE) - 1)
-    space = _SPACE[at]
+    if text.isascii():
+        at = np.frombuffer(text.encode("ascii"), np.uint8)
+    else:
+        try:
+            codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        except UnicodeEncodeError:  # a lone surrogate
+            return None
+        at = np.minimum(codes, len(_SPACE) - 1)
+    space = np.take(_SPACE, at)
     first = ~space  # the first character of each word
     first[1:] &= space[:-1]
-    words = np.bincount(np.cumsum(_BREAK[at])[first])
+    starts = np.flatnonzero(first)
+    # the words of each line: those that start between two line breaks
+    ends = np.searchsorted(starts, np.flatnonzero(np.take(_BREAK, at)))
+    words = np.diff(ends, prepend=0, append=len(starts))
     if ((words != 0) & (words != 2)).any():
         return None
-    if _PLAIN[at].all():
+    if np.take(_PLAIN, at).all():
         ids = np.fromstring(text, np.int64, sep=" ")
-        if len(ids) == words.sum() and not (ids == _INT64_MAX).any():
+        if len(ids) == len(starts) and not (ids == _INT64_MAX).any():
             return ids.reshape(-1, 2)
     ids = _int_words(text)
     return None if ids is None else ids.reshape(-1, 2)

@@ -372,10 +372,10 @@ def distributed_nibble(
     most SOURCE_CAP sources. The search runs on g itself when the component
     is all of it, and on an induced copy otherwise; one BFS build over that
     graph prices the sampling tree and refuses members that do not induce a
-    connected graph with a CongestError. The result's Transcript prices the
-    run: sampling and the winner announcement cost tree traversals, and
-    each walk step costs the measured maximum number of walks crowding one
-    vertex.
+    connected graph with a CongestError, naming vertices by g's ids. The
+    result's Transcript prices the run: sampling and the winner
+    announcement cost tree traversals, and each walk step costs the
+    measured maximum number of walks crowding one vertex.
     """
     if not 0 < phi <= 1 / 12:
         raise GraphError("phi must lie in (0, 1/12]")
@@ -400,7 +400,7 @@ def distributed_nibble(
         transcript.charge("nibble:screen", 0)
         return finish("failed")
 
-    _, rounds = rt.bfs_build(sub)
+    _, rounds = rt.bfs_build(sub, old_ids)
     depth = rounds - 1
     transcript.charge("nibble:sample", rounds)
 

@@ -46,19 +46,20 @@ class IdAssignment:
     counts: np.ndarray
 
 
-def assign_degree_class_ids(sub: Graph) -> Tuple[IdAssignment, int]:
+def assign_degree_class_ids(sub: Graph, old_ids=None) -> Tuple[IdAssignment, int]:
     """Relabel a connected component, given as its own graph, with ids
     sorted by degree class.
 
     Vertices are numbered 1..n so that smaller ids never sit in a higher
     degree class, floor(log2 deg) with deg 0 in class 0; ties inside a
-    class go by sub's id. The BFS build rejects a disconnected component.
+    class go by sub's id. The BFS build rejects a disconnected component,
+    naming its vertices by `old_ids` when given (see `rt.bfs_build`).
     The round charge prices the tree-based histogram exchange: one BFS
     build plus a convergecast and broadcast of the class counts.
     """
     if not sub.n:
         raise GraphError("component is empty")
-    _, bfs_rounds = rt.bfs_build(sub)
+    _, bfs_rounds = rt.bfs_build(sub, old_ids)
     depth = bfs_rounds - 1
     # frexp's exponent of d >= 1 is floor(log2 d) + 1, exactly
     classes = np.frexp(np.maximum(sub.deg, 1))[1] - 1

@@ -232,21 +232,27 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def bfs_build(g: Graph) -> Tuple[np.ndarray, int]:
+def bfs_build(g: Graph, old_ids=None) -> Tuple[np.ndarray, int]:
     """Run the BFS wave over a connected component given as its own graph.
 
     The wave starts at vertex 0, the smallest member once a component is
     relabeled monotonically. Returns `bfs_levels(g, 0)` and the wave's
     closed-form charge, depth + 1: it crosses one level per round, plus a
     round for the kickoff. A vertex the wave never reaches raises a
-    CongestError: the component is not connected. The tests replay the
-    wave through `run`, and run the loop BFS, as oracles of levels and
-    charge.
+    CongestError: the component is not connected. The error names the
+    root and the first missed vertices by `old_ids`, the caller's id of
+    each vertex of g as `induced_subgraph` returns them, or by g's own ids
+    when none are given. The tests replay the wave through `run`, and run
+    the loop BFS, as oracles of levels and charge.
     """
     levels = bfs_levels(g, 0)
-    missed = np.flatnonzero(levels < 0)[:8].tolist()
-    if missed:
-        raise CongestError(f"component is not connected: root 0 does not reach {missed}")
+    missed = np.flatnonzero(levels < 0)[:8]
+    if len(missed):
+        names = np.arange(g.n) if old_ids is None else np.asarray(old_ids)
+        raise CongestError(
+            f"component is not connected: root {names[0]} does not reach"
+            f" {names[missed].tolist()}"
+        )
     return levels, int(levels.max()) + 1
 
 

@@ -397,7 +397,8 @@ def _case1_owners(rows: np.ndarray, tails: np.ndarray) -> np.ndarray:
 def _list_by_class_tuples(
     tx: rt.Transcript,
     g: Graph,
-    members: Sequence[int],
+    sub: Graph,
+    ids_of,
     edges,
     occurrences: np.ndarray,
     s: int,
@@ -411,9 +412,10 @@ def _list_by_class_tuples(
 
     The class-tuple partition of Dolev, Lenzen and Peled ("Tri, Tri
     Again", DISC 2012), shared by the triangle and the s-vertex listings.
-    The sorted `members` run it over `edges`, each with one or both ends
-    among them; an edge is sent by its member ends, and every delivery
-    routes over the members' graph, extracted from g once. With m the
+    The members run it over `edges`, each with one or both ends among
+    them; an edge is sent by its member ends, and every delivery routes
+    over `sub`, the members' graph as `induced_subgraph(g, members)`
+    returns it with their sorted ids `ids_of`. With m the
     number of edges that lie inside the members: if the member with the
     most incident edges (ties to the smaller id) has at least
     heavy_scale * m / (20 n^((s-2)/s) log2 n), it collects every edge and
@@ -428,7 +430,6 @@ def _list_by_class_tuples(
     Returns the owner of each occurrence row; the phases, under `label`,
     and the messages are charged to tx.
     """
-    sub, ids_of = induced_subgraph(g, members)
     n = sub.n
     ids_of = np.asarray(ids_of, dtype=np.int64)
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -452,7 +453,7 @@ def _list_by_class_tuples(
         owners = np.full(len(occurrences), star, dtype=np.int64)
         phase = "collect"
     else:
-        ids, id_rounds = assign_degree_class_ids(sub)
+        ids, id_rounds = assign_degree_class_ids(sub, ids_of)
         alloc = _allocate_tuples(IdAssignment(ids_of[ids.order], ids.counts), g, q, s)
         part = np.zeros(g.n, dtype=np.int64)  # 0-based; drawn where read
         for v in np.union1d(ends, occurrences).tolist():
@@ -513,13 +514,14 @@ def enumerate_expander(
     The component's induced edges form the inward set; each e_out edge
     must have exactly one endpoint in the component, so the edges among
     the members are exactly g's and every delivery routes over g among
-    them. The triangles of inward plus outward edges are attributed by the
-    class-triad listing at tuple size 3: the member with the most incident
-    edges, if that reaches m / (20 n^(1/3) log2 n), collects everything
-    directly; otherwise every vertex samples one of q = ceil(n^(1/3))
-    parts, edges travel to the owners of the matching class triads, and
-    each owner reports exactly the triangles whose sorted part triple
-    equals one of its triads.
+    them: one extraction of the members' graph gives the inward edges and
+    carries the deliveries. The triangles of inward plus outward edges
+    are attributed by the class-triad listing at tuple size 3: the member
+    with the most incident edges, if that reaches m / (20 n^(1/3) log2 n),
+    collects everything directly; otherwise every vertex samples one of
+    q = ceil(n^(1/3)) parts, edges travel to the owners of the matching
+    class triads, and each owner reports exactly the triangles whose
+    sorted part triple equals one of its triads.
     """
     members = sorted(set(component))
     ids = np.asarray(members, dtype=np.int64)
@@ -528,10 +530,10 @@ def enumerate_expander(
 
     pairs = np.asarray(e_out, dtype=np.int64).reshape(-1, 2)
     _require_vertices(g, np.append(ids, pairs))
+    sub, _ = induced_subgraph(g, members)
+    e_in = ids[sub._edge_array()]  # the relabel is monotone: rows stay sorted
     inside = np.zeros(g.n, dtype=bool)
     inside[ids] = True
-    g_edges = g._edge_array()
-    e_in = g_edges[inside[g_edges[:, 0]] & inside[g_edges[:, 1]]]
     ends_in = inside[pairs]
     stray = ends_in[:, 0] == ends_in[:, 1]
     if stray.any():
@@ -564,7 +566,7 @@ def enumerate_expander(
     edges = np.concatenate((e_in, out))
     rows = _triangles_of_edges(edges)
     owners = _list_by_class_tuples(
-        transcript, g, members, edges, rows,
+        transcript, g, sub, ids, edges, rows,
         3, seed, "triad-class", "triangle", zeta_scale, kappa,
     )
     result = TriangleSet()
@@ -778,7 +780,8 @@ def enumerate_subgraphs(
     for i, (comp, part_tx) in enumerate(zip(comps, txs)):
         mine = comp_of[occurrences[:, 0]] == i
         owners[mine] = _list_by_class_tuples(
-            part_tx, g, comp, edges[comp_of[edges[:, 0]] == i], occurrences[mine],
+            part_tx, g, *induced_subgraph(g, comp), edges[comp_of[edges[:, 0]] == i],
+            occurrences[mine],
             s, seed, "tuple-class", "subgraph", heavy_scale, kappa,
         )
     for label, rounds in max(txs, key=lambda t: t.rounds).phases.items():

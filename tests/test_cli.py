@@ -63,6 +63,29 @@ def test_decompose_report_and_verify(tmp_path, capsys):
     assert code == 0 and out == "verified=true"
 
 
+def test_decompose_solves_lambda2_once_per_run(tmp_path, capsys, monkeypatch):
+    # Above 1500 vertices lambda2 is a Lanczos solve. The nibble screen,
+    # decompose's verify and the CLI's verify ask for it on one graph
+    # content; each run solves it once, and no run reuses another's value.
+    import scipy.sparse.linalg as spla
+
+    from congestlab.graphcore import generate, save_edge_list
+
+    path = tmp_path / "g.edges"
+    save_edge_list(generate("er:n=1600,p=0.1", seed=1), path)
+    solves = []
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda *a, **k: solves.append(1) or eigsh(*a, **k))
+    reports = []
+    for i in range(2):
+        out = tmp_path / f"r{i}.json"
+        argv = ["--mode", "decompose", "--graph", str(path), "--seed", "1", "--out", str(out)]
+        assert _run(capsys, argv) == (0, "clusters=1 er_edges=0 verified=true", "")
+        assert len(solves) == i + 1
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_tampered_report_exits_2(tmp_path, capsys):
     rpt = tmp_path / "r.json"
     assert run_cli(

@@ -527,6 +527,69 @@ def test_lambda2_lanczos_starts_off_the_null_vector(monkeypatch):
     assert abs(null @ v0) <= 1e-12 * np.linalg.norm(v0)
 
 
+def _counted_solves(monkeypatch):
+    """Count the solves behind lambda2_normalized and mixing_time_exact."""
+    solves = {"lambda2": 0, "mixing": 0}
+    for name, attr in (("lambda2", "_lambda2"), ("mixing", "_mixing_time")):
+        solve = getattr(gc, attr)
+
+        def counted(g, name=name, solve=solve):
+            solves[name] += 1
+            return solve(g)
+
+        monkeypatch.setattr(gc, attr, counted)
+    return solves
+
+
+def test_spectral_memo_solves_byte_equal_graphs_once(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    want = gc.lambda2_normalized(gc.Graph(4, edges)), gc.mixing_time_exact(gc.Graph(4, edges))
+    solves.update(lambda2=0, mixing=0)
+    with gc._spectral_memo():
+        # built separately, edges in another order: the same CSR bytes
+        for g in (gc.Graph(4, edges), gc.Graph(4, [(v, u) for u, v in reversed(edges)])):
+            assert (gc.lambda2_normalized(g), gc.mixing_time_exact(g)) == want
+    assert solves == {"lambda2": 1, "mixing": 1}
+
+
+def test_spectral_memo_keys_on_the_edges_not_the_sizes(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    cycle = gc.gen_cycle(5)
+    swapped = gc.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])  # (0, 4) -> (1, 4)
+    assert (cycle.n, cycle.m) == (swapped.n, swapped.m)
+    want = [(gc.lambda2_normalized(g), gc.mixing_time_exact(g)) for g in (cycle, swapped)]
+    assert want[0] != want[1]
+    solves.update(lambda2=0, mixing=0)
+    with gc._spectral_memo():
+        for _ in range(2):
+            got = [(gc.lambda2_normalized(g), gc.mixing_time_exact(g)) for g in (cycle, swapped)]
+            assert got == want
+    assert solves == {"lambda2": 2, "mixing": 2}
+
+
+def test_spectral_values_are_not_kept_outside_a_memo(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    g = gc.gen_cycle(6)
+    with gc._spectral_memo():
+        gc.lambda2_normalized(g)
+        gc.mixing_time_exact(g)
+    for _ in range(2):
+        gc.lambda2_normalized(g)
+        gc.mixing_time_exact(g)
+    assert solves == {"lambda2": 3, "mixing": 3}
+
+
+def test_spectral_memo_raises_a_refusal_again(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    twins = gc.Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with gc._spectral_memo():
+        for _ in range(2):
+            with pytest.raises(gc.GraphError, match="graph is disconnected"):
+                gc.mixing_time_exact(twins)
+    assert solves["mixing"] == 2
+
+
 def test_cheeger_consistency_small():
     for seed in range(6):
         g = random_graph(12, 0.35, seed)
@@ -1240,6 +1303,19 @@ def test_id_rows_read_the_ids_int_reads(text):
     got = gc._id_rows(text)
     want = _oracle_id_rows(text)
     assert (got if got is None else got.ravel().tolist()) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0 1\n2 3\r\n\n4\x1f5\x1c6 7\n", "0\x1f1\x1d2\t3", "0 1 2\n", "0\n1 2\n", "1\v2 3\x1e4 5\n", ""],
+)
+def test_id_rows_count_words_alike_over_ascii_bytes_and_code_points(text):
+    # a trailing U+3000, whitespace but no line break, sends the same
+    # words through the UTF-32 count
+    assert text.isascii()
+    for variant in (text, text + "\u3000"):
+        got = gc._id_rows(variant)
+        assert (got if got is None else got.ravel().tolist()) == _oracle_id_rows(text)
 
 
 def test_saved_edge_list_is_read_without_int(tmp_path, monkeypatch):

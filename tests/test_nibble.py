@@ -450,6 +450,13 @@ def test_distributed_nibble_refuses_a_disconnected_member_set():
         nb.distributed_nibble(g, range(6), 1 / 50)
 
 
+def test_distributed_nibble_names_a_disconnected_member_set_by_g_ids():
+    # the search runs on the members' induced copy, ids 0..5 for 0, 1, 2, 7, 8, 9
+    g = gc.Graph(10, [(0, 1), (1, 2), (0, 2), (7, 8), (8, 9), (7, 9), (3, 4)])
+    with pytest.raises(rt.CongestError, match=r"^component is not connected: root 0 does not reach \[7, 8, 9\]$"):
+        nb.distributed_nibble(g, [0, 1, 2, 7, 8, 9], 1 / 50)
+
+
 def test_nibble_rejects_bad_phi():
     g = gc.gen_clique(4)
     with pytest.raises(gc.GraphError):

@@ -358,7 +358,8 @@ def _array_triad_branch(g, members, edges, occurrences, s, seed, part_tag):
         mp.setattr(tr, "route", lambda sub, requests, kappa: sent.append(
             np.asarray(members)[requests]) or (0, 1))
         owners = tr._list_by_class_tuples(
-            rt.Transcript(), g, members, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            rt.Transcript(), g, *induced_subgraph(g, members),
+            np.asarray(edges, dtype=np.int64).reshape(-1, 2),
             np.asarray(occurrences, dtype=np.int64).reshape(-1, s),
             s, seed, part_tag, "triad", 1e9, None,
         )
@@ -1370,9 +1371,9 @@ def test_subgraphs_list_per_edge_component(monkeypatch, heavy_scale):
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
     runs = []
 
-    def spy(tx, g_, members, *args):
-        runs.append((list(members), tx))
-        return core(tx, g_, members, *args)
+    def spy(tx, g_, sub, ids_of, *args):
+        runs.append((list(ids_of), tx))
+        return core(tx, g_, sub, ids_of, *args)
 
     core = tr._list_by_class_tuples
     monkeypatch.setattr(tr, "_list_by_class_tuples", spy)
@@ -1391,6 +1392,14 @@ def test_subgraphs_list_per_edge_component(monkeypatch, heavy_scale):
     for pattern in ([(0, 1)], []):
         with pytest.raises(GraphError, match="disconnected pattern can span the 2 edge"):
             enumerate_subgraphs(g, 3, pattern=pattern, heavy_scale=heavy_scale)
+
+
+def test_class_tuple_core_names_a_disconnected_member_set_by_g_ids():
+    # two triangles as one component: the degree-class ids' BFS build, on
+    # the members' induced copy, names the missed members by g's ids
+    g = Graph(10, [(0, 1), (1, 2), (0, 2), (7, 8), (8, 9), (7, 9), (3, 4)])
+    with pytest.raises(rt.CongestError, match=r"^component is not connected: root 0 does not reach \[7, 8, 9\]$"):
+        enumerate_expander(g, [0, 1, 2, 7, 8, 9], [], zeta_scale=1e9)
 
 
 def test_subgraphs_rejects_bad_size_and_pattern():
