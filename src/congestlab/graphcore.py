@@ -64,7 +64,17 @@ class Graph:
             raise GraphError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-        arcs = _sorted_arcs(edges, n)
+        self._set_arcs(n, _sorted_arcs(edges, n))
+
+    @classmethod
+    def _from_arcs(cls, n: int, arcs: np.ndarray) -> "Graph":
+        """The graph on n <= MAX_VERTICES vertices whose arcs `_arcs`
+        returned: already checked, so nothing is checked again."""
+        g = cls.__new__(cls)
+        g._set_arcs(n, arcs)
+        return g
+
+    def _set_arcs(self, n: int, arcs: np.ndarray) -> None:
         idx = np.int32 if len(arcs) < 2 ** 31 else np.int64
         # arc u -> v is the key u * n + v, so row u spans keys [u * n, u * n + n)
         self.indptr = np.searchsorted(arcs, np.arange(n + 1) * n).astype(idx)
@@ -132,13 +142,21 @@ def _sorted_arcs(edges: Iterable[Edge], n: int) -> np.ndarray:
     """
     rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
     arr = _pair_array(rows)
-    if arr is not None:
-        lo, hi = _lo_hi(arr)
-        if (lo >= 0).all() and (lo < hi).all() and (hi < n).all():
-            arcs = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
-            if (arcs[1:] > arcs[:-1]).all():
-                return arcs
-    raise _first_fault(rows, n)
+    arcs = None if arr is None else _arcs(arr, n)
+    if arcs is None:
+        raise _first_fault(rows, n)
+    return arcs
+
+
+def _arcs(pairs: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """The sorted arc keys of (k, 2) int64 pairs, or None unless they are
+    in range, loop-free and distinct as edges."""
+    lo, hi = _lo_hi(pairs)
+    if (lo >= 0).all() and (lo < hi).all() and (hi < n).all():
+        arcs = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        if (arcs[1:] > arcs[:-1]).all():
+            return arcs
+    return None
 
 
 def _first_fault(rows, n: int) -> GraphError:
@@ -371,23 +389,35 @@ def _memoized(name: str, compute, g: Graph):
     return memo[key]
 
 
+# lambda2 is used only with this margin: the bounds below widen by it,
+# and the Lanczos solve stops once its error is below half of it.
+LAMBDA2_MARGIN = 1e-9
+# Largest graph whose lambda2 comes from a dense eigvalsh solve, the
+# measured crossover with the Lanczos solve on random, planted-cut and
+# caterpillar pieces.
+LAMBDA2_DENSE_LIMIT = 400
+
+
 def lambda2_normalized(g: Graph) -> float:
-    """Second-smallest eigenvalue of the normalized Laplacian L.
+    """Second-smallest eigenvalue of the normalized Laplacian L, to within
+    LAMBDA2_MARGIN / 2.
 
     Inside `_spectral_memo` (one CLI run), a graph with the CSR content of
     an earlier one gets the value computed for that one.
 
-    Dense solve up to n=1500. Above that, a disconnected graph gets its
-    exact 0, and a connected one runs Lanczos on L with its known null
-    vector u = D^1/2 1 / |D^1/2 1| deflated: x -> L x + 2 u (u.x) moves
-    u's eigenvalue from 0 to 2, the top of L's spectrum, so the smallest
-    eigenvalue left is lambda2 (Saad, Numerical Methods for Large
-    Eigenvalue Problems, 2nd ed., ch. 4). The start vector is a seeded
-    random one with its u component removed, so results stay
-    deterministic run to run; a constant start would be u itself on a
-    regular graph. The tolerance is ARPACK's default, machine precision.
-    Should Lanczos stall, shift-invert about a point just below zero
-    takes the two smallest eigenvalues of L itself.
+    Dense solve up to LAMBDA2_DENSE_LIMIT vertices. Above that, a
+    disconnected graph gets its exact 0, and a connected one runs Lanczos
+    on L with its known null vector u = D^1/2 1 / |D^1/2 1| deflated:
+    x -> L x + 2 u (u.x) moves u's eigenvalue from 0 to 2, the top of L's
+    spectrum, so the smallest eigenvalue left is lambda2 (Saad, Numerical
+    Methods for Large Eigenvalue Problems, 2nd ed., ch. 4). The start
+    vector is a seeded random one with its u component removed, so
+    results stay deterministic run to run; a constant start would be u
+    itself on a regular graph. ARPACK stops once the Ritz pair's residual
+    is at most tol * |theta|, which bounds the eigenvalue's error; with
+    |theta| <= 2, tol = LAMBDA2_MARGIN / 4 keeps it within half the
+    margin. Should Lanczos stall, shift-invert about a point just below
+    zero takes the two smallest eigenvalues of L itself.
     """
     return _memoized("lambda2", _lambda2, g)
 
@@ -396,7 +426,7 @@ def _lambda2(g: Graph) -> float:
     if g.n < 2:
         return 0.0
     lap = normalized_laplacian(g)
-    if g.n <= 1500:
+    if g.n <= LAMBDA2_DENSE_LIMIT:
         vals = np.linalg.eigvalsh(lap.toarray())
         return float(vals[1])
     if len(connected_components(g)) > 1:
@@ -414,7 +444,9 @@ def _lambda2(g: Graph) -> float:
     v0 -= (u @ v0) * u
     op = spla.LinearOperator((g.n, g.n), matvec=deflated, dtype=float)
     try:
-        vals = spla.eigsh(op, k=1, which="SA", v0=v0, return_eigenvectors=False)
+        vals = spla.eigsh(
+            op, k=1, which="SA", v0=v0, tol=LAMBDA2_MARGIN / 4, return_eigenvectors=False
+        )
         return float(vals[0])
     except spla.ArpackError:
         # Plain Lanczos stalls when the spectral gap is tiny; shift-invert
@@ -463,8 +495,15 @@ EXACT_MIXING_LIMIT = 2000  # largest graph whose mixing time is computed exactly
 def mixing_time_exact(g: Graph) -> int:
     """Minimum t with |p_t^s(v) - pi(v)| <= pi(v)/n for all s, v.
 
-    Dense powering of the lazy walk matrix from every start vertex at once.
     Requires a connected graph with an edge and n <= EXACT_MIXING_LIMIT.
+    The test holds at every t from the mixing time on: for a reversible
+    walk, p_(t+1)^s / pi is an average of p_t^s / pi. So the first t is
+    found between the spectral bounds t_low and t_spec at g's lambda2, by
+    binary lifting over the dense lazy walk matrix's squares T^(2^k):
+    O(log t) products of n x n matrices, which hold O(log t) of them.
+    Each end of the bracket is tested too, and an end that fails widens
+    it, so a wrong lambda2 costs products but cannot change t. The answer
+    t is one whose T^t passes and whose T^(t-1) fails.
     Inside `_spectral_memo` (one CLI run), a graph with the CSR content of
     an earlier one gets the value computed for that one; a refusal is
     raised again each time.
@@ -479,20 +518,52 @@ def _mixing_time(g: Graph) -> int:
         raise GraphError("infinite mixing time: graph has no edges")
     if not is_connected(g):
         raise GraphError("infinite mixing time: graph is disconnected")
-    t_mat = lazy_walk_operator(g).toarray()
     pi = np.array(g.deg, dtype=np.float64) / (2.0 * g.m)
     tol = pi / g.n
-    cur = np.eye(g.n)
+
+    def mixed(power: np.ndarray) -> bool:
+        return bool(np.all(np.abs(power - pi[:, None]).max(axis=1) <= tol))
+
+    squares = [lazy_walk_operator(g).toarray()]  # squares[k] is T^(2^k)
+
+    def times(k: int, power: Optional[np.ndarray]) -> np.ndarray:
+        """T^(2^k) @ power, where None stands for T^0 = I."""
+        while len(squares) <= k:
+            squares.append(squares[-1] @ squares[-1])
+        return squares[k] if power is None else squares[k] @ power
+
     cap = min(max(1000, 40 * g.n * g.n), MIXING_STEP_CAP)
-    for t in range(1, cap + 1):
-        cur = t_mat @ cur
-        dev = np.abs(cur - pi[:, None]).max(axis=1)
-        if bool(np.all(dev <= tol)):
-            return t
-    raise GraphError(f"mixing time exceeded step cap {cap}")
+    lam2 = lambda2_normalized(g)
+    # T^t fails below t_low and passes from t_spec on, unless lambda2 is
+    # off by more than its margin. The lift starts from the largest power
+    # of two below t_low, whose power is a square; T^0 fails on any edge.
+    hi = min(mixing_time_bound(g, lam2), cap)
+    j = (min(mixing_time_lower_bound(g, lam2), hi) - 1).bit_length() - 1
+    lo, low = (1 << j, times(j, None)) if j >= 0 else (0, None)
+    if low is not None and mixed(low):
+        lo, low = 0, None
+    while True:
+        # Lift lo to the last failing t below hi. After step k, T^(lo+2^k)
+        # has passed or lo + 2^k >= hi, so lo + 1 < hi has passed.
+        for k in reversed(range((hi - lo - 1).bit_length())):
+            if lo + (1 << k) < hi:
+                step = times(k, low)
+                if not mixed(step):
+                    lo, low = lo + (1 << k), step
+        if lo + 1 < hi:
+            return lo + 1
+        top = times(0, low)
+        if mixed(top):
+            return hi
+        if hi == cap:
+            raise GraphError(f"mixing time exceeded step cap {cap}")
+        lo, low, hi = hi, top, min(2 * hi, cap)
 
 
-LAMBDA2_MARGIN = 1e-9  # far above the eigensolvers' error on lambda2
+def _rate(lam: float) -> float:
+    """-ln(1 - lam/2), the decay rate of the lazy walk's slowest mode at
+    normalized-Laplacian eigenvalue lam; finite even where 1 - lam/2 <= 0."""
+    return -math.log(max(1.0 - lam / 2.0, sys.float_info.min))
 
 
 def mixing_time_bound(g: Graph, lam2: float) -> float:
@@ -510,8 +581,20 @@ def mixing_time_bound(g: Graph, lam2: float) -> float:
     if lam <= 0.0:
         return math.inf
     pi_min = min(g.deg) / (2.0 * g.m)
-    rate = -math.log(max(1.0 - lam / 2.0, sys.float_info.min))
-    return math.ceil(math.log(g.n / pi_min) / rate)
+    return math.ceil(math.log(g.n / pi_min) / _rate(lam))
+
+
+def mixing_time_lower_bound(g: Graph, lam2: float) -> int:
+    """Spectral lower bound on `mixing_time_exact(g)` from lambda2.
+
+    Take a right eigenvector f of the lazy walk P with eigenvalue
+    1 - lam2/2 and s with |f(s)| largest. As f has pi-mean 0,
+    (1 - lam2/2)^t f(s) = sum_v (P^t(s, v) - pi(v)) f(v), which
+    Definition 1 bounds by |f(s)|/n. So the mixing time is at least
+    ceil(ln n / -ln(1 - lam/2)) (Levin, Peres and Wilmer, Markov Chains
+    and Mixing Times, Thm 12.5), with lam = lam2 + LAMBDA2_MARGIN.
+    """
+    return math.ceil(math.log(g.n) / _rate(lam2 + LAMBDA2_MARGIN))
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1121,8 @@ def parse_edge_list(text: str) -> Graph:
     A leading "# <n> vertices" line, as `save_edge_list` writes it, sets
     the vertex count, so an isolated top vertex survives; otherwise n is
     the largest id + 1. Well-formed text is read in one array pass and
-    checked by `Graph`. Otherwise `_parse_lines` reads it again line by
+    checked by `_arcs`, the array check `Graph` makes, whose sorted arcs
+    then build the graph. Otherwise `_parse_lines` reads it again line by
     line and names the first faulty line: a self-loop, a duplicate edge
     or an id at or past the header's n is rejected with its line number.
     """
@@ -1046,12 +1130,10 @@ def parse_edge_list(text: str) -> Graph:
     n = int(header.group(1)) if header else None
     pairs = _id_rows(_COMMENT.sub("", text))
     if pairs is not None:
-        if not len(pairs):
-            return Graph(n or 0, pairs)
-        try:
-            return Graph(int(pairs.max()) + 1 if n is None else n, pairs)
-        except GraphError:
-            pass
+        size = int(pairs.max(initial=-1)) + 1 if n is None else n
+        arcs = _arcs(pairs, size) if size <= MAX_VERTICES else None
+        if arcs is not None:
+            return Graph._from_arcs(size, arcs)
     return _parse_lines(text, n)
 
 

@@ -64,9 +64,10 @@ def test_decompose_report_and_verify(tmp_path, capsys):
 
 
 def test_decompose_solves_lambda2_once_per_run(tmp_path, capsys, monkeypatch):
-    # Above 1500 vertices lambda2 is a Lanczos solve. The nibble screen,
-    # decompose's verify and the CLI's verify ask for it on one graph
-    # content; each run solves it once, and no run reuses another's value.
+    # Above LAMBDA2_DENSE_LIMIT vertices lambda2 is a Lanczos solve. The
+    # nibble screen, decompose's verify and the CLI's verify ask for it on
+    # one graph content; each run solves it once, and no run reuses
+    # another's value.
     import scipy.sparse.linalg as spla
 
     from congestlab.graphcore import generate, save_edge_list

@@ -404,6 +404,109 @@ def test_mixing_time_bound_cannot_decide_without_a_gap():
     assert gc.mixing_time_bound(gc.gen_clique(2), 2.0) == 1
 
 
+def mixing_time_loop(g):
+    """The Definition-1 scan one lazy step at a time from t = 1: the first
+    t whose dense T^t has |T^t - pi| <= pi/n in every row."""
+    t_mat = gc.lazy_walk_operator(g).toarray()
+    pi = np.array(g.deg, dtype=np.float64) / (2.0 * g.m)
+    tol = pi / g.n
+    cur = np.eye(g.n)
+    cap = min(max(1000, 40 * g.n * g.n), gc.MIXING_STEP_CAP)
+    for t in range(1, cap + 1):
+        cur = t_mat @ cur
+        if bool(np.all(np.abs(cur - pi[:, None]).max(axis=1) <= tol)):
+            return t
+    raise gc.GraphError(f"mixing time exceeded step cap {cap}")
+
+
+# Specs whose decomposition clusters join the mixing oracle's graphs, each
+# at seeds 1-3: the triangle benchmark's three and two denser ones.
+CLUSTER_SPECS = (
+    "er:n=300,p=0.3",
+    "planted_cut:n=200,p=0.3,cross=2",
+    "planted_cut:n=300,p=0.2,cross=4",
+    "caterpillar:blobs=8,blob_size=60",
+    "barbell:k=100,bridges=1",
+)
+
+
+@pytest.fixture(scope="module")
+def mixing_oracle():
+    """[(name, graph, step-loop t)] over distinct connected graphs: small
+    named ones, slow mixers and every cluster of CLUSTER_SPECS."""
+    from congestlab.decomposition import decompose
+
+    named = {f"K{n}": gc.gen_clique(n) for n in (2, 3, 4, 5, 6, 30)}
+    named.update({f"C{n}": gc.gen_cycle(n) for n in (5, 6, 7, 9, 20, 31, 60, 64)})
+    named.update({f"P{n}": gc.gen_path(n) for n in (3, 4, 10, 50)})
+    named.update({f"star{n}": gc.gen_star(n) for n in (5, 12)})
+    named.update({f"Q{d}": gc.gen_hypercube(d) for d in (2, 3, 4, 5)})
+    named["barbell:k=16"] = gc.generate("barbell:k=16")
+    named["barbell:k=5,bridges=2"] = gc.generate("barbell:k=5,bridges=2")
+    for seed in range(10):
+        named[f"er:n=40,p=0.2 s={seed}"] = gc.generate("er:n=40,p=0.2", seed=seed)
+    for spec in CLUSTER_SPECS:
+        for seed in (1, 2, 3):
+            d, _ = decompose(gc.generate(spec, seed=seed), 0.5, seed=seed)
+            for cid, rows in d.em.items():
+                named[f"{spec} s={seed} cluster {cid}"] = gc._relabel(np.asarray(rows))[0]
+    seen, out = set(), []
+    for name, g in named.items():
+        key = (g.n, g.indptr.tobytes(), g.indices.tobytes())
+        if g.m and gc.is_connected(g) and key not in seen:
+            seen.add(key)
+            out.append((name, g, mixing_time_loop(g)))
+    return out
+
+
+def test_mixing_time_exact_matches_the_step_loop(mixing_oracle):
+    assert len(mixing_oracle) >= 50
+    for name, g, t in mixing_oracle:
+        assert gc.mixing_time_exact(g) == t, name
+
+
+def test_mixing_bounds_bracket_the_exact_time(mixing_oracle):
+    for name, g, t in mixing_oracle:
+        lam2 = gc.lambda2_normalized(g)
+        assert gc.mixing_time_lower_bound(g, lam2) <= t <= gc.mixing_time_bound(g, lam2), name
+
+
+@pytest.mark.parametrize("factor", [0.1, 10.0])
+def test_a_wrong_lambda2_cannot_change_the_mixing_time(mixing_oracle, monkeypatch, factor):
+    # a lambda2 10x too small puts t_low above t, one 10x too large puts
+    # t_spec below it: the failed end check widens the bracket
+    lambda2 = gc.lambda2_normalized
+    monkeypatch.setattr(gc, "lambda2_normalized", lambda g: factor * lambda2(g))
+    for name, g, t in mixing_oracle:
+        assert gc.mixing_time_exact(g) == t, name
+
+
+@pytest.mark.parametrize(
+    "spec, cap, refused",
+    [
+        ("cycle:n=64", 100, True),
+        ("cycle:n=20", 148, True),  # C20 mixes at 149
+        ("cycle:n=20", 149, False),
+        ("path:n=50", 4480, True),  # P50 mixes at 4481
+        ("clique:n=30", 9, True),  # K30 mixes at 10
+        ("clique:n=30", 10, False),
+    ],
+)
+def test_mixing_step_cap_refuses_as_the_loop_does(monkeypatch, spec, cap, refused):
+    g = gc.generate(spec)
+    monkeypatch.setattr(gc, "MIXING_STEP_CAP", cap)
+    try:
+        want = mixing_time_loop(g)
+    except gc.GraphError as exc:
+        want = str(exc)
+    try:
+        got = gc.mixing_time_exact(g)
+    except gc.GraphError as exc:
+        got = str(exc)
+    assert got == want
+    assert (want == f"mixing time exceeded step cap {cap}") is refused
+
+
 def test_stationarity_fixed_point():
     for seed in range(4):
         g = random_graph(30, 0.2, seed)
@@ -469,11 +572,14 @@ def test_walk_operators_match_dense_definitions():
 
 def test_lambda2_disconnected_above_dense_limit_is_zero():
     # two disjoint 10-cubes (2048 vertices) take the sparse path, where
-    # Lanczos from the constant vector returned 0.2; one 11-cube keeps
-    # its gap 2/11
-    cube = gc.gen_hypercube(10)
-    twins = gc.Graph(2048, list(cube.edges()) + [(u + 1024, v + 1024) for u, v in cube.edges()])
-    assert gc.lambda2_normalized(twins) == 0.0
+    # Lanczos from the constant vector returned 0.2, and so do two
+    # 8-cubes, just above the dense limit; one 11-cube keeps its gap 2/11
+    for d in (8, 10):
+        cube = gc.gen_hypercube(d)
+        half = cube.n
+        twins = gc.Graph(2 * half, cube.edge_list() + [(u + half, v + half) for u, v in cube.edges()])
+        assert twins.n > gc.LAMBDA2_DENSE_LIMIT
+        assert gc.lambda2_normalized(twins) == 0.0
     assert gc.lambda2_normalized(gc.gen_hypercube(11)) == pytest.approx(2 / 11, abs=1e-9)
 
 
@@ -527,6 +633,40 @@ def test_lambda2_lanczos_starts_off_the_null_vector(monkeypatch):
     assert abs(null @ v0) <= 1e-12 * np.linalg.norm(v0)
 
 
+# Graphs just above LAMBDA2_DENSE_LIMIT: random ones, the planted-cut and
+# caterpillar graphs whose walk cuts split them (tiny gaps), and the
+# 9-cube, regular, where a constant start vector would be the null vector.
+ABOVE_DENSE_LIMIT = {
+    "er:n=401,p=0.05": lambda: gc.generate("er:n=401,p=0.05", seed=1),
+    "er:n=450,p=0.3": lambda: gc.generate("er:n=450,p=0.3", seed=2),
+    "planted_cut:n=300,p=0.2,cross=4": lambda: gc.generate("planted_cut:n=300,p=0.2,cross=4", seed=1),
+    "planted_cut:n=210,p=0.3,cross=2": lambda: gc.generate("planted_cut:n=210,p=0.3,cross=2", seed=3),
+    "caterpillar:blobs=8,blob_size=60": lambda: gc.generate("caterpillar:blobs=8,blob_size=60"),
+    "caterpillar:blobs=7,blob_size=60": lambda: gc.generate("caterpillar:blobs=7,blob_size=60"),
+    "hypercube:d=9": lambda: gc.gen_hypercube(9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_DENSE_LIMIT))
+def test_lambda2_lanczos_is_within_half_the_margin_above_the_dense_limit(name, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    g = ABOVE_DENSE_LIMIT[name]()
+    assert gc.LAMBDA2_DENSE_LIMIT < g.n <= gc.LAMBDA2_DENSE_LIMIT + 200
+    dense = np.linalg.eigvalsh(gc.normalized_laplacian(g).toarray())[1]
+    calls = []
+    eigsh = spla.eigsh
+
+    def recorded(a, **kwargs):
+        calls.append(kwargs)
+        return eigsh(a, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recorded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # no dense solve above the limit
+    assert abs(gc.lambda2_normalized(g) - dense) <= gc.LAMBDA2_MARGIN / 2
+    assert calls[0]["tol"] == gc.LAMBDA2_MARGIN / 4
+
+
 def _counted_solves(monkeypatch):
     """Count the solves behind lambda2_normalized and mixing_time_exact."""
     solves = {"lambda2": 0, "mixing": 0}
@@ -576,8 +716,8 @@ def test_spectral_values_are_not_kept_outside_a_memo(monkeypatch):
         gc.mixing_time_exact(g)
     for _ in range(2):
         gc.lambda2_normalized(g)
-        gc.mixing_time_exact(g)
-    assert solves == {"lambda2": 3, "mixing": 3}
+        gc.mixing_time_exact(g)  # solves lambda2 again for its bracket
+    assert solves == {"lambda2": 5, "mixing": 3}
 
 
 def test_spectral_memo_raises_a_refusal_again(monkeypatch):
@@ -1249,6 +1389,28 @@ def test_edge_list_fault_named_as_the_line_parse_names_it(fault, later):
     expect = _oracle_parse(text)
     assert isinstance(expect, str)
     assert _parsed(text) == expect
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n1 2\n1 2\n", "line 3: duplicate of edge (1, 2) first seen on line 2"),
+        ("0 1\n2 1\n1 2\n", "line 3: duplicate of edge (1, 2) first seen on line 2"),
+        ("0 1\n3 3\n", "line 2: self-loop at vertex 3"),
+        ("# 3 vertices\n0 1\n1 3\n", "line 3: vertex id 3 is not below the header's 3 vertices"),
+        (f"0 {gc.MAX_VERTICES}\n", f"vertex count {gc.MAX_VERTICES + 1} exceeds the limit of {gc.MAX_VERTICES}"),
+    ],
+)
+def test_edge_list_refused_by_the_array_check_skips_the_row_loop(text, message, monkeypatch):
+    # text the array read takes in but the array check refuses goes to the
+    # line parse straight away, without Graph's per-row search for a fault
+    assert gc._id_rows(gc._COMMENT.sub("", text)) is not None
+
+    def row_loop(rows, n):
+        raise AssertionError("_first_fault ran on parsed text")
+
+    monkeypatch.setattr(gc, "_first_fault", row_loop)
+    assert _parsed(text) == message
 
 
 def test_edge_list_array_parse_reads_a_saved_graph(tmp_path):
