@@ -20,8 +20,8 @@ wave through the engine; the runtime tests validate those forms.
 Edges travel as sorted (k, 2) int rows of canonical pairs u < v from the
 graph to the report. A Decomposition holds its three edge sets in the
 layout the report lists them: E_m rows per cluster id, E_s rows per owner
-and one E_r array, so writing a report is one tolist() per set, and the
-report reader builds the same arrays back.
+and one E_r array. The CLI hands the E_m and E_r arrays to its report
+writer as they are, and the report reader builds the same arrays back.
 """
 
 import math

@@ -939,34 +939,28 @@ def gen_caterpillar(blobs: int, blob_size: int) -> Graph:
     return Graph(blobs * blob_size, np.concatenate((_clique_pairs(blob_size, bases), joins)))
 
 
-# The parameters each generator takes; generate rejects any other.
+# Each generator's builder, the parameters it takes (generate rejects any
+# other) and the vertex count it builds from its count parameters. A
+# hypercube's dimension is capped at 21, already past the limit, so that a
+# huge d costs no huge power; negative counts are left to the builder. The
+# builders that take p also take the seed.
 _GENERATORS = {
-    "clique": ("n",),
-    "cycle": ("n",),
-    "path": ("n",),
-    "star": ("n",),
-    "hypercube": ("d",),
-    "er": ("n", "p"),
-    "barbell": ("k", "bridges"),
-    "planted_cut": ("n", "p", "cross"),
-    "caterpillar": ("blobs", "blob_size"),
+    "clique": (gen_clique, ("n",), lambda c: c["n"]),
+    "cycle": (gen_cycle, ("n",), lambda c: c["n"]),
+    "path": (gen_path, ("n",), lambda c: c["n"]),
+    "star": (gen_star, ("n",), lambda c: c["n"]),
+    "hypercube": (gen_hypercube, ("d",), lambda c: 2 ** min(max(c["d"], 0), 21)),
+    "er": (gen_er, ("n", "p"), lambda c: c["n"]),
+    "barbell": (gen_barbell, ("k", "bridges"), lambda c: 2 * c["k"]),
+    "planted_cut": (gen_planted_cut, ("n", "p", "cross"), lambda c: 2 * c["n"]),
+    "caterpillar": (
+        gen_caterpillar,
+        ("blobs", "blob_size"),
+        lambda c: max(c["blobs"], 0) * max(c["blob_size"], 0),
+    ),
 }
 # The parameters a spec may leave out, with their values.
 _DEFAULTS = {"barbell": {"bridges": 1}}
-# The vertex count each generator builds, from its (count) parameters. A
-# hypercube's dimension is capped at 21, already past the limit, so that a
-# huge d costs no huge power; negative counts are left to the generator.
-_VERTEX_COUNTS = {
-    "clique": lambda c: c["n"],
-    "cycle": lambda c: c["n"],
-    "path": lambda c: c["n"],
-    "star": lambda c: c["n"],
-    "er": lambda c: c["n"],
-    "hypercube": lambda c: 2 ** min(max(c["d"], 0), 21),
-    "barbell": lambda c: 2 * c["k"],
-    "planted_cut": lambda c: 2 * c["n"],
-    "caterpillar": lambda c: max(c["blobs"], 0) * max(c["blob_size"], 0),
-}
 
 
 def parse_generator_spec(text: str) -> Tuple[str, dict]:
@@ -1015,35 +1009,21 @@ def generate(spec, seed=0, **params) -> Graph:
         name = spec
     if name not in _GENERATORS:
         raise GraphError(f"unknown generator '{name}'")
+    builder, keys, vertices = _GENERATORS[name]
     for key in params:
-        if key not in _GENERATORS[name]:
+        if key not in keys:
             raise GraphError(f"generator '{name}' takes no parameter '{key}'")
     params = {**_DEFAULTS.get(name, {}), **params}
-    for key in _GENERATORS[name]:
+    for key in keys:
         if key not in params:
             raise GraphError(f"generator '{name}' needs parameter '{key}'")
-    c = {key: _count(params, key) for key in _GENERATORS[name] if key != "p"}
-    if _VERTEX_COUNTS[name](c) > MAX_VERTICES:
+    c = {key: _count(params, key) for key in keys if key != "p"}
+    if vertices(c) > MAX_VERTICES:
         raise GraphError(
             f"generator '{name}' would build more than {MAX_VERTICES} vertices"
         )
-    if name == "clique":
-        return gen_clique(c["n"])
-    if name == "cycle":
-        return gen_cycle(c["n"])
-    if name == "path":
-        return gen_path(c["n"])
-    if name == "star":
-        return gen_star(c["n"])
-    if name == "hypercube":
-        return gen_hypercube(c["d"])
-    if name == "er":
-        return gen_er(c["n"], float(params["p"]), seed)
-    if name == "barbell":
-        return gen_barbell(c["k"], c["bridges"])
-    if name == "planted_cut":
-        return gen_planted_cut(c["n"], float(params["p"]), c["cross"], seed)
-    return gen_caterpillar(c["blobs"], c["blob_size"])
+    seeded = {"p": float(params["p"]), "seed": seed} if "p" in keys else {}
+    return builder(**c, **seeded)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,68 +1031,46 @@ def generate(spec, seed=0, **params) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-# Whitespace and line-break code points, read off str.isspace and
-# str.splitlines, so that the array parse cuts text where str.split and
-# str.splitlines do. The last entry, False, stands for every code point
-# above U+3000, the last whitespace character.
-_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
-_BREAK = np.array([len(f"a{chr(c)}b".splitlines()) == 2 for c in range(0x3002)])
-# The ASCII digits and C's six spaces: text of these alone np.fromstring
-# reads as str.split and int() read it, save for the two cases that
-# `_id_rows` tests.
-_PLAIN = np.zeros(len(_SPACE), dtype=bool)
-_PLAIN[list(map(ord, "0123456789 \t\n\v\f\r"))] = True
+# The line boundaries of str.splitlines. A comment stops at each of them,
+# as `_parse_lines` cuts it, so it never swallows the line after it.
+_COMMENT = re.compile("#[^\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]*")
+# Plain text: the ASCII digits and C's six spaces. np.fromstring reads it
+# as str.split and int() read it, save for the two cases `_id_rows` tests.
+_PLAIN = np.zeros(256, dtype=bool)
+_PLAIN[list(b"0123456789 \t\n\v\f\r")] = True
 _INT64_MAX = np.iinfo(np.int64).max
-# A comment runs from '#' to the end of its line.
-_COMMENT = re.compile("#[^%s]*" % re.escape("".join(map(chr, np.flatnonzero(_BREAK)))))
 
 
 def _id_rows(text: str) -> Optional[np.ndarray]:
-    """The words of comment-free text as a (k, 2) int64 array, or None
-    unless every line holds none or two words and each word is an int,
-    as int() reads it, that fits int64.
+    """The words of comment-free plain text as a (k, 2) int64 array, or
+    None unless the text is plain and every line holds none or two words.
 
-    The words are counted over the text's bytes when it is ASCII, and
-    over its UTF-32 code points otherwise. Text of ASCII digits and C
-    spaces only is read by one np.fromstring call. Its result stands
-    unless it holds fewer or more ids than the text has words
-    (whitespace-only text reads as [0]) or holds INT64_MAX, which is also
-    what an overflowing id reads as; then, as for any other text,
-    `_int_words` reads the words with int().
+    The words are counted over the bytes: a byte below '0' is a space,
+    and \\n \\v \\f \\r end a line. One np.fromstring call reads the ids.
+    Its result stands unless it holds fewer or more ids than the text has
+    words, or holds INT64_MAX, which is also what an overflowing id reads
+    as.
     """
-    if text.isascii():
-        at = np.frombuffer(text.encode("ascii"), np.uint8)
-    else:
-        try:
-            codes = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-        except UnicodeEncodeError:  # a lone surrogate
-            return None
-        at = np.minimum(codes, len(_SPACE) - 1)
-    space = np.take(_SPACE, at)
-    first = ~space  # the first character of each word
+    if not text.isascii():
+        return None
+    at = np.frombuffer(text.encode("ascii"), np.uint8)
+    if not np.take(_PLAIN, at).all():
+        return None
+    space = at < ord("0")
+    first = ~space  # the first byte of each word
     first[1:] &= space[:-1]
     starts = np.flatnonzero(first)
     # the words of each line: those that start between two line breaks
-    ends = np.searchsorted(starts, np.flatnonzero(np.take(_BREAK, at)))
+    ends = np.searchsorted(starts, np.flatnonzero((at >= 10) & (at <= 13)))
     words = np.diff(ends, prepend=0, append=len(starts))
     if ((words != 0) & (words != 2)).any():
         return None
-    if np.take(_PLAIN, at).all():
-        ids = np.fromstring(text, np.int64, sep=" ")
-        if len(ids) == len(starts) and not (ids == _INT64_MAX).any():
-            return ids.reshape(-1, 2)
-    ids = _int_words(text)
-    return None if ids is None else ids.reshape(-1, 2)
-
-
-def _int_words(text: str) -> Optional[np.ndarray]:
-    """The words of text read by int() into an int64 array, or None if a
-    word is no int or does not fit int64."""
-    tokens = text.split()
-    try:
-        return np.fromiter(map(int, tokens), np.int64, len(tokens))
-    except (ValueError, OverflowError):
+    if not len(starts):  # np.fromstring reads whitespace as [0]
+        return np.empty((0, 2), dtype=np.int64)
+    ids = np.fromstring(text, np.int64, sep=" ")
+    if len(ids) != len(starts) or (ids == _INT64_MAX).any():
         return None
+    return ids.reshape(-1, 2)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -1120,11 +1078,12 @@ def parse_edge_list(text: str) -> Graph:
 
     A leading "# <n> vertices" line, as `save_edge_list` writes it, sets
     the vertex count, so an isolated top vertex survives; otherwise n is
-    the largest id + 1. Well-formed text is read in one array pass and
-    checked by `_arcs`, the array check `Graph` makes, whose sorted arcs
-    then build the graph. Otherwise `_parse_lines` reads it again line by
-    line and names the first faulty line: a self-loop, a duplicate edge
-    or an id at or past the header's n is rejected with its line number.
+    the largest id + 1. Plain text, as `save_edge_list` writes it, is
+    read in one array pass (`_id_rows`) and checked by `_arcs`, the array
+    check `Graph` makes, whose sorted arcs then build the graph. Any other
+    text, and text `_arcs` refuses, `_parse_lines` reads line by line; it
+    names the first faulty line: a self-loop, a duplicate edge or an id
+    at or past the header's n is rejected with its line number.
     """
     header = re.match(r"#[ \t]*(\d+) vertices\b", text)
     n = int(header.group(1)) if header else None

@@ -662,7 +662,7 @@ def enumerate_general(
 
             for cid in sorted(decomp.clusters):
                 part_set, etx = enumerate_expander(
-                    g_m, decomp.clusters[cid], er[(out_u == cid) | (out_v == cid)].tolist(),
+                    g_m, decomp.clusters[cid], er[(out_u == cid) | (out_v == cid)],
                     seed=f"{seed}:L{level}:c{cid}", kappa=kappa,
                 )
                 case2_rounds = max(case2_rounds, etx.rounds)

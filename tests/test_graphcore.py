@@ -1341,30 +1341,48 @@ def _expected(text):
     return g.n, g.indptr.tolist(), g.indices.tolist()
 
 
-WELL_FORMED = [
+# Plain text, once its comments are cut: ASCII digits and C's six spaces.
+WELL_FORMED_PLAIN = [
     "",
     "# only a comment\n\n",
     "# header\n0 1\n\n1 2  # trailing\n",
     "0\t1\n1 \t 2\n",
     "0 1\r\n1 2\r\n# c\r\n",
+    "007 0008\n",
+    "  4 2   \n\n\n2 7#x#y\n",
+    "# caf\u00e9\n0 1\n",  # a non-ASCII comment
+]
+WELL_FORMED_OTHER = [
     "+3 1\n1_0 2\n",
     "\u0663 \u0661\n\u0967 9\n",  # Arabic-Indic and Devanagari digits
-    "007 0008\n",
     "0 1\x0c2 3\u20284 5\x855 6",  # form feed, line and next-line separators
-    "  4 2   \n\n\n2 7#x#y\n",
 ]
 
 
-@pytest.mark.parametrize("text", WELL_FORMED)
+@pytest.mark.parametrize("text", WELL_FORMED_PLAIN + WELL_FORMED_OTHER)
 def test_edge_list_array_parse_matches_the_line_parse(monkeypatch, text):
+    # plain text stays on the array read; any other text reaches the line
+    # parse once, and its graph is the line parse's
     expect = _expected(text)
     assert not isinstance(expect, str)
+    line_parse, calls = gc._parse_lines, []
 
-    def refused(text):
-        raise AssertionError("well-formed text left the array parse")
+    def spy(text, n):
+        calls.append(text)
+        return line_parse(text, n)
 
-    monkeypatch.setattr(gc, "_parse_lines", refused)
+    monkeypatch.setattr(gc, "_parse_lines", spy)
     assert _parsed(text) == expect
+    assert calls == ([text] if text in WELL_FORMED_OTHER else [])
+
+
+# The line boundaries of str.splitlines, all of them in the BMP.
+LINE_BREAKS = [c for c in map(chr, range(0x10000)) if len(f"a{c}b".splitlines()) == 2]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_edge_list_comment_ends_at_every_line_break(brk):
+    assert gc.parse_edge_list("# c" + brk + "0 1\n").edge_list() == [(0, 1)]
 
 
 FAULTS = [
@@ -1462,22 +1480,14 @@ def _oracle_id_rows(text):
 @given(_plain_texts)
 @settings(max_examples=400, deadline=None)
 def test_id_rows_read_the_ids_int_reads(text):
+    # None leaves the text to the line parse; plain text the oracle reads
+    # is declined only for an id of INT64_MAX, what an overflow reads as
     got = gc._id_rows(text)
     want = _oracle_id_rows(text)
-    assert (got if got is None else got.ravel().tolist()) == want
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["0 1\n2 3\r\n\n4\x1f5\x1c6 7\n", "0\x1f1\x1d2\t3", "0 1 2\n", "0\n1 2\n", "1\v2 3\x1e4 5\n", ""],
-)
-def test_id_rows_count_words_alike_over_ascii_bytes_and_code_points(text):
-    # a trailing U+3000, whitespace but no line break, sends the same
-    # words through the UTF-32 count
-    assert text.isascii()
-    for variant in (text, text + "\u3000"):
-        got = gc._id_rows(variant)
-        assert (got if got is None else got.ravel().tolist()) == _oracle_id_rows(text)
+    if got is not None:
+        assert got.ravel().tolist() == want
+    elif want is not None and set(text) <= set("0123456789 \t\n\v\f\r"):
+        assert 2 ** 63 - 1 in want
 
 
 def test_saved_edge_list_is_read_without_int(tmp_path, monkeypatch):
@@ -1488,7 +1498,6 @@ def test_saved_edge_list_is_read_without_int(tmp_path, monkeypatch):
     def refused(*args):
         raise AssertionError("a saved edge list left the np.fromstring read")
 
-    monkeypatch.setattr(gc, "_int_words", refused)
     monkeypatch.setattr(gc, "_parse_lines", refused)
     h = gc.load_edge_list(path)
     assert (h.n, h.indptr.tolist(), h.indices.tolist()) == (
