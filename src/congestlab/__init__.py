@@ -20,17 +20,11 @@ from .graphcore import (
     volume,
 )
 from .runtime import (
-    BandwidthError,
     CongestError,
-    Ctx,
-    Message,
-    StallError,
     Transcript,
-    VertexProgram,
     bfs_build,
     broadcast,
     pipelined_convergecast,
-    run,
 )
 from .routing import (
     IdAssignment,
@@ -73,24 +67,19 @@ from .triangle import (
 from .cli import run_cli
 
 __all__ = [
-    "BandwidthError",
     "CongestError",
-    "Ctx",
     "Cut",
     "Decomposition",
     "DecompositionReport",
     "Graph",
     "GraphError",
     "IdAssignment",
-    "Message",
     "NibbleResult",
     "ProbeResult",
-    "StallError",
     "SubgraphSet",
     "Transcript",
     "TriadAllocation",
     "TriangleSet",
-    "VertexProgram",
     "WalkParams",
     "assign_degree_class_ids",
     "balanced_index",
@@ -119,7 +108,6 @@ __all__ = [
     "parse_edge_list",
     "pipelined_convergecast",
     "route",
-    "run",
     "run_cli",
     "sample_by_degree",
     "sparsest_cut_bruteforce",

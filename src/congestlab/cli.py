@@ -94,6 +94,13 @@ def _build_parser() -> _Parser:
 # The --mode-args keys of each mode that reads key=value pairs; verify
 # reads a report path, and every other mode takes no --mode-args.
 MODE_ARG_KEYS = {"subgraphs": ("s",), "probe": ("q", "trials")}
+# The modes that read each mode-specific option, and the option's default;
+# every other mode refuses the option at any other value.
+MODE_OPTIONS = {
+    "phi": (("nibble",), None),
+    "kappa": (("triangles", "count", "detect", "subgraphs"), None),
+    "case1_threshold_scale": (("decompose",), 1.0),
+}
 
 
 def _parse_kv(text: str, mode: str) -> Dict[str, str]:
@@ -130,6 +137,9 @@ def _config_from_args(args) -> dict:
             raise GraphError("one of --graph or --gen is required")
     if mode == "nibble" and args.phi is None:
         raise GraphError("--phi is required for nibble")
+    for key, (modes, default) in MODE_OPTIONS.items():
+        if mode not in modes and getattr(args, key) != default:
+            raise GraphError(f"{mode} takes no --{key.replace('_', '-')}")
     if args.mode_args is not None and mode not in MODE_ARG_KEYS and mode != "verify":
         raise GraphError(f"{mode} takes no --mode-args")
     if mode == "subgraphs":
@@ -336,12 +346,15 @@ def _execute(cfg: dict, seed) -> dict:
 
 
 def _worker_cap(jobs: int) -> int:
+    """Worker processes for `jobs` seeds: at most one per CPU, and fewer
+    when CONGEST_LAB_THREADS asks for fewer."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("CONGEST_LAB_THREADS")
     try:
-        cap = int(env) if env else (os.cpu_count() or 1)
+        cap = int(env) if env else cpus
     except ValueError:
         raise GraphError(f"CONGEST_LAB_THREADS={env!r} is not an integer") from None
-    return max(1, min(jobs, cap))
+    return max(1, min(jobs, cap, cpus))
 
 
 def _run_all(cfg: dict) -> List[dict]:

@@ -13,9 +13,9 @@ walk target 1/(144 log m)) uses that object's edge count, so the driver
 prices recursion levels against the full graph. Base-2 logs everywhere in
 combinatorial thresholds; natural logs appear only inside walk parameters.
 
-Round charges use the audited closed forms from the runtime module (BFS
-depth, pipelined convergecast and broadcast) rather than replaying each
-wave through the engine; the runtime tests validate those forms.
+Round charges use the closed forms from the runtime module (BFS depth,
+pipelined convergecast and broadcast); the runtime tests audit those
+forms against an engine replay or an explicit per-item schedule.
 
 Edges travel as sorted (k, 2) int rows of canonical pairs u < v from the
 graph to the report. A Decomposition holds its three edge sets in the

@@ -96,8 +96,8 @@ def route(sub: Graph, requests, kappa: Optional[int] = None) -> Tuple[int, int]:
 
     `sub` is the connected component as its own graph, and `requests` is a
     (k, 2) int array-like of (source, destination) ids of sub. Each request
-    carries one edge, 2 words, within rt.DEFAULT_WORDS. A vertex's load
-    counts its source and destination slots. The batch runs at the least
+    carries one edge, two O(log n)-bit ids, which fit one CONGEST message.
+    A vertex's load counts its source and destination slots. The batch runs at the least
     integer multiplier mult >= 1 with load(v) <= deg(v) * kappa * mult at
     every vertex v, and costs tau * kappa * mult rounds, with tau the
     component's mixing-time estimate (Ghaffari, Kuhn and Su, PODC 2017).

@@ -26,14 +26,13 @@ once from the tails of its three edges; `TriangleSet` holds one sorted
 key array and its owners, and its `extend` refuses a triangle reported
 twice. The CLI writes `TriangleSet.rows()` straight into the report.
 
-Round accounting follows the same policy as decomposition.py: instead of
-replaying the engine message by message, phases are charged through the
-audited closed forms. Class announcements cost one round, sparse-edge
-announcements cost one round per owned edge, and each bulk delivery is
-priced by routing.route from its (sender, receiver) rows: route stretches
-kappa by the least multiplier that fits the per-vertex loads, and the
-class-tuple core checks that multiplier against a fixed concentration
-envelope.
+Round accounting follows the same policy as decomposition.py: phases are
+charged through the audited closed forms. Class announcements cost one
+round, sparse-edge announcements cost one round per owned edge, and each
+bulk delivery is priced by routing.route from its (sender, receiver)
+rows: route stretches kappa by the least multiplier that fits the
+per-vertex loads, and the class-tuple core checks that multiplier
+against a fixed concentration envelope.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from congestlab import (
 )
 from congestlab import nibble as nb
 from conftest import lazy_step
-from congestlab import runtime as rt
+import engine
 from congestlab.cli import run_cli
 from congestlab.decomposition import balanced_index, phi_star
 from congestlab.graphcore import (
@@ -257,7 +257,7 @@ def test_criterion_09_bandwidth_discipline(
         assert not t.cap_exhausted
 
     # direct engine run: flooding pushes exactly one word per channel
-    class Flood(rt.VertexProgram):
+    class Flood(engine.VertexProgram):
         def init(self, ctx):
             ctx.state = ctx.v == 0
             if ctx.v == 0:
@@ -271,7 +271,7 @@ def test_criterion_09_bandwidth_discipline(
                 ctx.send(u, "tok")
             ctx.halt()
 
-    states, t = rt.run(gen_er(64, 0.2, seed=3), Flood(), seed=0)
+    states, t = engine.run(gen_er(64, 0.2, seed=3), Flood(), seed=0)
     assert t.channel_load <= 1
     print(f"criterion 9: PASS ({len(transcripts)} transcripts, load <= 1)")
 

@@ -396,6 +396,20 @@ def test_bad_thread_cap_exits_1(capsys, monkeypatch):
     assert "'two'" in err
 
 
+@pytest.mark.parametrize(
+    "env,jobs,workers",
+    [(None, 9, 4), ("64", 9, 4), ("2", 9, 2), ("0", 9, 1), ("64", 3, 3), (None, 1, 1)],
+)
+def test_worker_cap_never_exceeds_the_cpu_count(monkeypatch, env, jobs, workers):
+    # the variable lowers the pool below the CPU count but never raises it
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    if env is None:
+        monkeypatch.delenv("CONGEST_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CONGEST_LAB_THREADS", env)
+    assert cli._worker_cap(jobs) == workers
+
+
 @pytest.mark.parametrize("mode_args", [[], ["--mode-args", "s=4"]])
 @pytest.mark.parametrize("kappa", ["0", "-2"])
 def test_kappa_below_one_exits_1(capsys, mode_args, kappa):
@@ -877,6 +891,39 @@ def test_every_mode_report_matches_json_dumps(tmp_path, capsys, mode):
     capsys.readouterr()
     text = rpt.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _unread_option_cases():
+    """(mode, option, value) for every mode that never reads the option."""
+    values = {"phi": "0.05", "kappa": "7", "case1-threshold-scale": "0.01"}
+    return [
+        pytest.param(mode, option, values[option], id=f"{mode}-{option}")
+        for option, readers in (
+            ("phi", {"nibble"}),
+            ("kappa", {"triangles", "count", "detect", "subgraphs"}),
+            ("case1-threshold-scale", {"decompose"}),
+        )
+        for mode in cli.MODES
+        if mode not in readers
+    ]
+
+
+@pytest.mark.parametrize("mode,option,value", _unread_option_cases())
+def test_option_a_mode_never_reads_exits_1(tmp_path, capsys, mode, option, value):
+    rpt = tmp_path / "r.json"
+    if mode == "verify":
+        src = tmp_path / "src.json"
+        run_cli(["--mode", "decompose", "--out", str(src)] + MODE_ARGV["decompose"])
+        capsys.readouterr()
+        argv = ["--mode-args", str(src)]
+    else:
+        argv = MODE_ARGV[mode]
+    argv = ["--mode", mode, f"--{option}", value, "--out", str(rpt)] + argv
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {mode} takes no --{option}"
+    assert not rpt.exists()
 
 
 def test_triangles_report_across_chunks_and_digit_widths(tmp_path, capsys):

@@ -8,9 +8,10 @@ import pytest
 from congestlab import graphcore as gc
 from congestlab import runtime as rt
 from conftest import oracle_adj
+import engine
 
 
-class Flood(rt.VertexProgram):
+class Flood(engine.VertexProgram):
     """Token spreads from vertex 0; forward once, skip known holders."""
 
     def init(self, ctx):
@@ -29,7 +30,7 @@ class Flood(rt.VertexProgram):
         ctx.halt()
 
 
-class DoubleSend(rt.VertexProgram):
+class DoubleSend(engine.VertexProgram):
     def init(self, ctx):
         if ctx.v == 0:
             ctx.send(ctx.neighbors[0], "a", 1)
@@ -40,7 +41,7 @@ class DoubleSend(rt.VertexProgram):
         pass
 
 
-class Mute(rt.VertexProgram):
+class Mute(engine.VertexProgram):
     """Nobody ever sends or halts except vertex 0."""
 
     def init(self, ctx):
@@ -53,40 +54,40 @@ class Mute(rt.VertexProgram):
 
 def test_flood_path_rounds():
     g = gc.gen_path(5)
-    states, tr = rt.run(g, Flood(), seed=1)
+    states, tr = engine.run(g, Flood(), seed=1)
     assert all(states[v]["token"] for v in range(5))
     assert tr.rounds == 4
 
 
 def test_flood_clique_rounds():
     g = gc.gen_clique(4)
-    states, tr = rt.run(g, Flood(), seed=1)
+    states, tr = engine.run(g, Flood(), seed=1)
     assert all(states[v]["token"] for v in range(4))
     assert tr.rounds == 1
 
 
 def test_flood_hypercube_rounds():
     g = gc.gen_hypercube(4)
-    states, tr = rt.run(g, Flood(), seed=1)
+    states, tr = engine.run(g, Flood(), seed=1)
     assert all(states[v]["token"] for v in range(16))
     assert tr.rounds == 4
 
 
 def test_bandwidth_violation():
     g = gc.gen_path(2)
-    with pytest.raises(rt.BandwidthError) as err:
-        rt.run(g, DoubleSend(), seed=0)
+    with pytest.raises(engine.BandwidthError) as err:
+        engine.run(g, DoubleSend(), seed=0)
     assert err.value.edge == (0, 1)
 
 
 def test_stall_detection():
     g = gc.gen_path(3)
-    with pytest.raises(rt.StallError):
-        rt.run(g, Mute(), seed=0)
+    with pytest.raises(engine.StallError):
+        engine.run(g, Mute(), seed=0)
 
 
 def test_round_cap_flagged():
-    class PingPong(rt.VertexProgram):
+    class PingPong(engine.VertexProgram):
         def init(self, ctx):
             if ctx.v == 0:
                 ctx.send(1, "ping")
@@ -96,13 +97,13 @@ def test_round_cap_flagged():
             ctx.send(other, "ping")
 
     g = gc.gen_path(2)
-    _, tr = rt.run(g, PingPong(), seed=0, round_cap=7)
+    _, tr = engine.run(g, PingPong(), seed=0, round_cap=7)
     assert tr.cap_exhausted
     assert tr.rounds == 7
 
 
 def test_send_to_non_neighbor_rejected():
-    class Bad(rt.VertexProgram):
+    class Bad(engine.VertexProgram):
         def init(self, ctx):
             if ctx.v == 0:
                 ctx.send(2, "x")
@@ -113,11 +114,11 @@ def test_send_to_non_neighbor_rejected():
 
     g = gc.gen_path(3)
     with pytest.raises(rt.CongestError):
-        rt.run(g, Bad(), seed=0)
+        engine.run(g, Bad(), seed=0)
 
 
 def test_payload_word_limit():
-    class Wide(rt.VertexProgram):
+    class Wide(engine.VertexProgram):
         def init(self, ctx):
             if ctx.v == 0:
                 ctx.send(1, "x", 1, 2, 3, 4, 5)
@@ -128,9 +129,9 @@ def test_payload_word_limit():
 
     g = gc.gen_path(2)
     with pytest.raises(rt.CongestError):
-        rt.run(g, Wide(), seed=0)
+        engine.run(g, Wide(), seed=0)
     # exactly four words is fine
-    class Four(rt.VertexProgram):
+    class Four(engine.VertexProgram):
         def init(self, ctx):
             if ctx.v == 0:
                 ctx.send(1, "x", 1, 2, 3, 4)
@@ -139,11 +140,11 @@ def test_payload_word_limit():
         def on_round(self, ctx, inbox):
             pass
 
-    rt.run(gc.gen_path(2), Four(), seed=0)
+    engine.run(gc.gen_path(2), Four(), seed=0)
 
 
 def test_send_after_halt_rejected():
-    class Zombie(rt.VertexProgram):
+    class Zombie(engine.VertexProgram):
         def init(self, ctx):
             if ctx.v == 0:
                 ctx.halt()
@@ -156,13 +157,13 @@ def test_send_after_halt_rejected():
 
     g = gc.gen_path(2)
     with pytest.raises(rt.CongestError):
-        rt.run(g, Zombie(), seed=0)
+        engine.run(g, Zombie(), seed=0)
 
 
 def test_determinism_across_runs():
     g = gc.gen_er(30, 0.2, seed=4)
 
-    class Gossip(rt.VertexProgram):
+    class Gossip(engine.VertexProgram):
         def init(self, ctx):
             ctx.state = ctx.rng.randrange(1000)
             for u in ctx.neighbors:
@@ -174,17 +175,17 @@ def test_determinism_across_runs():
             ctx.state += sum(m.payload[0] for m in inbox)
             ctx.halt()
 
-    a = rt.run(g, Gossip(), seed=11)
-    b = rt.run(g, Gossip(), seed=11)
+    a = engine.run(g, Gossip(), seed=11)
+    b = engine.run(g, Gossip(), seed=11)
     assert a[0] == b[0]
     assert a[1].as_json() == b[1].as_json()
-    c = rt.run(g, Gossip(), seed=12)
+    c = engine.run(g, Gossip(), seed=12)
     assert a[0] != c[0]
 
 
 def test_transcript_json_shape():
     g = gc.gen_clique(4)
-    _, tr = rt.run(g, Flood(), seed=3, phase="spread")
+    _, tr = engine.run(g, Flood(), seed=3, phase="spread")
     blob = tr.as_json()
     assert set(blob) == {
         "rounds",
@@ -231,7 +232,7 @@ def test_transcript_records_string_seed_as_zero():
 
 def test_run_transcript_rounds_are_its_phase():
     g = gc.gen_path(5)
-    _, tr = rt.run(g, Flood(), phase="spread")
+    _, tr = engine.run(g, Flood(), phase="spread")
     assert tr.phases == {"spread": tr.rounds}
     assert tr.rounds == 4
 
@@ -316,7 +317,7 @@ def test_bfs_singleton_component():
     assert levels.tolist() == [0, -1, -1] and charged == 1
 
 
-class BfsWave(rt.VertexProgram):
+class BfsWave(engine.VertexProgram):
     """The BFS wave as a vertex program, the oracle for `rt.bfs_build`.
 
     The root floods its member neighbours in init. A member takes its level
@@ -351,9 +352,9 @@ class BfsWave(rt.VertexProgram):
 
 
 def replay_bfs(g, component, root):
-    """Member levels and engine rounds of the BFS wave run through `rt.run`."""
+    """Member levels and engine rounds of the BFS wave run through `engine.run`."""
     members = frozenset(component)
-    states, tr = rt.run(g, BfsWave(root, members), seed=0, phase="bfs")
+    states, tr = engine.run(g, BfsWave(root, members), seed=0, phase="bfs")
     return {v: states[v]["level"] for v in members}, tr.rounds
 
 
@@ -421,7 +422,7 @@ def test_bfs_build_unreachable_member_matches_engine_stall():
     # vertex 2 hangs off the non-member 1: the replay stalls, the closed
     # form refuses the component
     g = gc.Graph(5, [(0, 1), (1, 2), (3, 4)])
-    with pytest.raises(rt.StallError):
+    with pytest.raises(engine.StallError):
         replay_bfs(g, [0, 2], 0)
     with pytest.raises(rt.CongestError, match="not connected"):
         build_on_members(g, [0, 2])
