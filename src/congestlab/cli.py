@@ -96,10 +96,17 @@ def _build_parser() -> _Parser:
 MODE_ARG_KEYS = {"subgraphs": ("s",), "probe": ("q", "trials")}
 # The modes that read each mode-specific option, and the option's default;
 # every other mode refuses the option at any other value.
+_NOT_VERIFY = tuple(m for m in MODES if m != "verify")
 MODE_OPTIONS = {
     "phi": (("nibble",), None),
     "kappa": (("triangles", "count", "detect", "subgraphs"), None),
     "case1_threshold_scale": (("decompose",), 1.0),
+    "delta": (("decompose", "triangles", "count", "detect"), 0.5),
+    "round_cap": (tuple(m for m in _NOT_VERIFY if m != "probe"), None),
+    # verify reads the graph and its seeds from the report
+    "seeds": (_NOT_VERIFY, 1),
+    "graph": (_NOT_VERIFY, None),
+    "gen": (_NOT_VERIFY, None),
 }
 
 
@@ -360,7 +367,7 @@ def _worker_cap(jobs: int) -> int:
 def _run_all(cfg: dict) -> List[dict]:
     base = cfg["seed"] if cfg["seed"] is not None else 0
     seeds = [base + i for i in range(cfg["seeds"])]
-    if cfg["mode"] == "verify" or len(seeds) == 1:
+    if len(seeds) == 1:
         return [_execute(cfg, seeds[0])]
     workers = _worker_cap(len(seeds))
     if workers <= 1:

@@ -658,9 +658,6 @@ def decompose(
 
     terminal.sort(key=lambda c: min(c.vertices))
     rows, owners = map(np.concatenate, zip(*shed))
-    assert np.bincount(owners, minlength=1).max() <= threshold + 1e-9, (
-        "sparse cap grew past n^delta"
-    )
     # E_s grouped by owner, each owner's rows sorted: the rows by key,
     # then a stable sort by owner
     order = np.argsort(rows[:, 0] * g.n + rows[:, 1])

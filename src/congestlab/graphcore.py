@@ -626,14 +626,36 @@ def _labeled_rows(parts) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate([np.empty((0, 2), dtype=np.int64)] + rows), labels
 
 
+def _pair_keys(rows, n: int) -> np.ndarray:
+    """The keys lo * n + hi of every vertex pair of each ascending (k, s)
+    row: a (k, s choose 2) array, its columns in `combinations` order.
+    It is laid out column by column, so that `_find` searches one column,
+    near sorted for sorted rows, at a time and a test over each row's
+    pairs reduces whole columns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    lo, hi = np.triu_indices(rows.shape[1], 1)
+    keys = np.empty((len(rows), len(lo)), dtype=np.int64, order="F")
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        np.multiply(rows[:, a], n, out=keys[:, j])
+        keys[:, j] += rows[:, b]
+    return keys
+
+
+def _find(keys: np.ndarray, cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each entry of cand, of any shape, sits in the sorted array
+    keys, and the mask of the entries that occur there; a missing entry's
+    position means nothing."""
+    if not len(keys):
+        return np.zeros(np.shape(cand), dtype=np.int64), np.zeros(np.shape(cand), dtype=bool)
+    at = np.searchsorted(keys, cand.T).T  # in the memory order of `_pair_keys`
+    at[at == len(keys)] = 0
+    return at, keys[at] == cand
+
+
 def _members(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Mask of the entries of cand, of any shape, that occur in the sorted
     array keys."""
-    if not len(keys):
-        return np.zeros(np.shape(cand), dtype=bool)
-    at = np.searchsorted(keys, cand)
-    at[at == len(keys)] = 0
-    return keys[at] == cand
+    return _find(keys, cand)[1]
 
 
 def verify_orientation(

@@ -30,6 +30,7 @@ distribution's support, not the ladder's length.
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -418,20 +419,11 @@ def distributed_nibble(
         sampled = sample_by_degree(sub, k_b, seed=f"{seed}:{b}")
         transcript.charge("nibble:sample", depth + math.ceil(log2m(m)))
 
-        seen: Dict[int, int] = {}
-        fresh: List[int] = []
-        weights: List[int] = []
-        for s in sampled:
-            if s in failed_cache:
-                continue
-            if s in seen:
-                weights[seen[s]] += 1
-            else:
-                seen[s] = len(fresh)
-                fresh.append(s)
-                weights.append(1)
-        if not fresh:
+        # each distinct source once, in first-drawn order, weighted by its draws
+        drawn = Counter(s for s in sampled if s not in failed_cache)
+        if not drawn:
             continue
+        fresh, weights = list(drawn), list(drawn.values())
 
         def on_sweep(t, i, col):
             return _sweep_vec(sub, col, deg, phi, total_vol, max_vol, targets)

@@ -18,9 +18,11 @@ Three layers:
   attributed to exactly one vertex.
 
 Triangles are int arrays from lister to report: one CSR wedge lister,
-`_triangles_of_edges`, serves the clusters and (keeping the rows with a
-sparse edge) case 1 with sorted (k, 3) rows; the class-tuple core returns
-an owner array aligned with the cluster rows, and one array rule,
+`_triangles_of_edges`, serves the clusters and case 1 with sorted (k, 3)
+rows. Case 1 looks each row's three edge keys up once among the sorted
+sparse-edge keys: the one lookup picks the rows with a sparse edge and
+gives the tails of their edges. The class-tuple core returns an owner
+array aligned with the cluster rows, and one array rule,
 `_case1_owners`, applies the orientation rules to every case-1 row at
 once from the tails of its three edges; `TriangleSet` holds one sorted
 key array and its owners, and its `extend` refuses a triangle reported
@@ -52,8 +54,10 @@ from .graphcore import (
     Graph,
     GraphError,
     _edge_keys,
+    _find,
     _labeled_rows,
     _members,
+    _pair_keys,
     _require_vertices,
     connected_components,
     edge_key,
@@ -201,9 +205,9 @@ def brute_force_triangles(g: Graph) -> TriangleSet:
     return result
 
 
-def _triangles_of_edges(edges, through=None) -> np.ndarray:
+def _triangles_of_edges(edges) -> np.ndarray:
     """All triangles whose three edges lie in `edges`, as lex-sorted (k, 3)
-    int64 rows a < b < c; with `through`, only those with an edge in it.
+    int64 rows a < b < c.
 
     A CSR wedge lister over the sorted, distinct edge keys u * n + v.
     Every edge is oriented low -> high, and each arc (u, v) takes every w
@@ -213,12 +217,7 @@ def _triangles_of_edges(edges, through=None) -> np.ndarray:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if not len(edges):
         return np.empty((0, 3), dtype=np.int64)
-    if through is not None:
-        through = np.asarray(through, dtype=np.int64).reshape(-1, 2)
-        # n covers through's ids too, so that no pair there shares an edge's key
-        n = int(np.concatenate((edges, through)).max()) + 1
-    else:
-        n = int(edges.max()) + 1
+    n = int(edges.max()) + 1
     keys = _edge_keys(edges, n)
     tails, heads = np.divmod(keys, n)
     indptr = np.searchsorted(tails, np.arange(n + 1))
@@ -237,15 +236,7 @@ def _triangles_of_edges(edges, through=None) -> np.ndarray:
         u = tails[arc]
         hit = _members(keys, u * n + w)
         blocks.append(np.column_stack((u[hit], heads[arc[hit]], w[hit])))
-    rows = np.concatenate(blocks)
-    if through is None:
-        return rows
-    picked = _edge_keys(through, n)
-    a, b, c = rows.T
-    held = _members(picked, a * n + b)
-    held |= _members(picked, a * n + c)
-    held |= _members(picked, b * n + c)
-    return rows[held]
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +465,11 @@ def _list_by_class_tuples(
         eid = np.arange(k)[:, None]
         known = np.unique(np.concatenate(((ends * k + eid)[sends], (to * k + eid).ravel())))
         owners = alloc.owners[alloc.rank[tuple(np.sort(part[occurrences], axis=1).T)]]
-        keys = ends[:, 0] * g.n + ends[:, 1]
+        keys = _pair_keys(ends, g.n).ravel()
         by_key = np.argsort(keys)
-        for a, b in combinations(range(s), 2):
-            pair = occurrences[:, a] * g.n + occurrences[:, b]
-            at = by_key[np.searchsorted(keys, pair, sorter=by_key).clip(max=k - 1)]
-            edge = keys[at] == pair
-            assert _members(known, owners[edge] * k + at[edge]).all(), "owner missed an edge"
+        at, edge = _find(keys[by_key], _pair_keys(occurrences, g.n))
+        heard = owners[:, None] * k + by_key[at]
+        assert _members(known, heard[edge]).all(), "owner missed an edge"
         tx.charge(f"{label}:ids", id_rounds)
         tx.charge(f"{label}:classes", 1)
         phase = "deliver"
@@ -613,21 +602,20 @@ def enumerate_general(
         # per owned edge, and the orientation rules pick the unique
         # reporter. Every E_s row comes with its owner, its tail (decompose
         # has verified one owner per edge and an acyclic orientation), and
-        # each triangle looks up only its own three edges among their keys.
-        # Of the level's triangles, those with an E_s edge are case 1's.
+        # one lookup of each triangle's edges ab, ac and bc among their
+        # sorted keys tells both whether it is case 1's and the tails.
         es_rows, tails = _labeled_rows(decomp.es)
         if len(es_rows):
             tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
             tx.message_count += int(np.diff(g.indptr)[tails].sum())
-            rows = _triangles_of_edges(g._edge_array(), es_rows)
-            es_keys = es_rows[:, 0] * g.n + es_rows[:, 1]
+            rows = _triangles_of_edges(g._edge_array())
+            es_keys = _pair_keys(es_rows, g.n).ravel()
             order = np.argsort(es_keys)
-            a, b, c = rows.T
+            at, hit = _find(es_keys[order], _pair_keys(rows, g.n))
+            case1 = hit.any(axis=1)
+            rows, hit = rows[case1], hit[case1]
             # the tails of each triangle's edges ab, ac and bc, -1 off E_s
-            keys = np.column_stack((a * g.n + b, a * g.n + c, b * g.n + c))
-            at = np.searchsorted(es_keys, keys, sorter=order).clip(max=len(order) - 1)
-            at = order[at]
-            tri_tails = np.where(es_keys[at] == keys, tails[at], -1)
+            tri_tails = np.where(hit, tails[order[at[case1]]], -1)
             owners = _case1_owners(rows, tri_tails)
             mine = rows == owners[:, None]
             owned = mine[:, 0] | mine[:, 1] | mine[:, 2]
@@ -638,44 +626,34 @@ def enumerate_general(
             found.append(to_g[rows])
             found_by.append(to_g[owners])
 
+        # Clusters are vertex-disjoint, so g_m degrees are cluster degrees.
+        # A vertex with more removed than cluster degree sends nothing, and
+        # its cluster edges fall through to the next level with E_r.
         er = decomp.er
-        left = _edge_keys(er, g.n)  # the keys of the next level's edges
+        em_rows, em_of = _labeled_rows(decomp.em)
+        g_m = Graph(g.n, em_rows)
+        cluster_of = np.full(g.n, -1)
+        cluster_of[em_rows] = em_of[:, None]
+        dropped = (cluster_of >= 0) & (
+            np.diff(g_m.indptr) < np.bincount(er.ravel(), minlength=g.n)
+        )
+        cluster_of[dropped] = -1
+        fallen = em_rows[dropped[em_rows[:, 0]] | dropped[em_rows[:, 1]]]
+        left = _edge_keys(np.concatenate((er, fallen)), g.n)  # the next level's edges
+        out_u, out_v = cluster_of[er[:, 0]], cluster_of[er[:, 1]]
         case2_rounds = 0
-        if decomp.clusters:
-            # Clusters are vertex-disjoint, so g_m degrees are cluster
-            # degrees. A vertex with more removed than cluster degree sends
-            # nothing, and its cluster edges fall through to the next level
-            # with E_r.
-            em_rows, _ = _labeled_rows(decomp.em)
-            g_m = Graph(g.n, em_rows)
-            cluster_of = np.full(g.n, -1)
-            for cid, verts in decomp.clusters.items():
-                cluster_of[list(verts)] = cid
-            dropped = (cluster_of >= 0) & (
-                np.diff(g_m.indptr) < np.bincount(er.ravel(), minlength=g.n)
+        for cid in sorted(decomp.clusters):
+            part_set, etx = enumerate_expander(
+                g_m, decomp.clusters[cid], er[(out_u == cid) | (out_v == cid)],
+                seed=f"{seed}:L{level}:c{cid}", kappa=kappa,
             )
-            cluster_of[dropped] = -1
-            fallen = em_rows[dropped[em_rows[:, 0]] | dropped[em_rows[:, 1]]]
-            left = _edge_keys(np.concatenate((er, fallen)), g.n)
-            out_u, out_v = cluster_of[er[:, 0]], cluster_of[er[:, 1]]
-
-            for cid in sorted(decomp.clusters):
-                part_set, etx = enumerate_expander(
-                    g_m, decomp.clusters[cid], er[(out_u == cid) | (out_v == cid)],
-                    seed=f"{seed}:L{level}:c{cid}", kappa=kappa,
-                )
-                case2_rounds = max(case2_rounds, etx.rounds)
-                tx.message_count += etx.message_count
-                rows, owners = part_set.rows(), part_set.owners()
-                a, b, c = rows.T
-                # The next level owns the triangles with all three edges left to it.
-                ours = ~(
-                    _members(left, a * g.n + b)
-                    & _members(left, a * g.n + c)
-                    & _members(left, b * g.n + c)
-                )
-                found.append(to_g[rows[ours]])
-                found_by.append(to_g[owners[ours]])
+            case2_rounds = max(case2_rounds, etx.rounds)
+            tx.message_count += etx.message_count
+            rows, owners = part_set.rows(), part_set.owners()
+            # The next level owns the triangles with all three edges left to it.
+            ours = ~_members(left, _pair_keys(rows, g.n)).all(axis=1)
+            found.append(to_g[rows[ours]])
+            found_by.append(to_g[owners[ours]])
         if case2_rounds:
             tx.charge(f"triangle:case2:{level}", case2_rounds)
 

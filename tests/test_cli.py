@@ -895,13 +895,23 @@ def test_every_mode_report_matches_json_dumps(tmp_path, capsys, mode):
 
 def _unread_option_cases():
     """(mode, option, value) for every mode that never reads the option."""
-    values = {"phi": "0.05", "kappa": "7", "case1-threshold-scale": "0.01"}
+    values = {
+        "phi": "0.05", "kappa": "7", "case1-threshold-scale": "0.01", "delta": "0.4",
+        "round-cap": "100", "seeds": "2", "graph": "g.txt", "gen": "er:n=10,p=0.3",
+    }
+    not_verify = set(cli.MODES) - {"verify"}
     return [
         pytest.param(mode, option, values[option], id=f"{mode}-{option}")
         for option, readers in (
             ("phi", {"nibble"}),
             ("kappa", {"triangles", "count", "detect", "subgraphs"}),
             ("case1-threshold-scale", {"decompose"}),
+            ("delta", {"decompose", "triangles", "count", "detect"}),
+            ("round-cap", not_verify - {"probe"}),
+            # verify reads the graph and its seeds from the report
+            ("seeds", not_verify),
+            ("graph", not_verify),
+            ("gen", not_verify),
         )
         for mode in cli.MODES
         if mode not in readers

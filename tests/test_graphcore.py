@@ -6,6 +6,7 @@ import re
 import time
 import warnings
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -1719,6 +1720,27 @@ def test_edge_keys_match_the_row_reduction_oracle(case):
     # the distinct canonical rows in lexicographic order, as keys
     rows = np.unique(np.sort(pairs, axis=1), axis=0)
     assert gc._edge_keys(pairs, n).tolist() == (rows[:, 0] * n + rows[:, 1]).tolist()
+
+
+_vertex_draws = st.lists(st.lists(st.integers(0, 30), min_size=5, max_size=5), max_size=20)
+
+
+@given(st.integers(2, 5), _vertex_draws)
+@settings(max_examples=100, deadline=None)
+def test_pair_keys_and_find_match_the_combinations_oracle(s, draws):
+    """Ascending rows of s ids below n = 31; `_find` looks every pair key up
+    among the distinct keys of every other row."""
+    n = 31
+    rows = [sorted(set(d))[:s] for d in draws if len(set(d)) >= s]
+    rows = np.array(rows, dtype=np.int64).reshape(-1, s)
+    want = [[a * n + b for a, b in combinations(r, 2)] for r in rows.tolist()]
+    keys = gc._pair_keys(rows, n)
+    assert keys.shape == (len(rows), s * (s - 1) // 2) and keys.tolist() == want
+    sorted_keys = np.unique(keys[::2])
+    at, hit = gc._find(sorted_keys, keys)
+    assert hit.tolist() == [[k in set(sorted_keys.tolist()) for k in r] for r in want]
+    assert (sorted_keys[at[hit]] == keys[hit]).all()
+    assert gc._members(sorted_keys, keys).tolist() == hit.tolist()
 
 
 def _oracle_relabel_rows(pairs, extra):

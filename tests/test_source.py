@@ -1,9 +1,11 @@
-"""Source hygiene: every name a module imports is used by that module.
+"""Source hygiene: every name a module imports is used by that module,
+and the triangle layer writes no vertex-pair key by hand.
 
-The rule covers the library and `tests/engine.py`, the tests'
+The import rule covers the library and `tests/engine.py`, the tests'
 message-passing engine."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -76,4 +78,26 @@ def test_an_unused_import_is_caught():
     assert unused_imports("import os.path\nos.sep\n", "m") == []
     assert unused_imports("from . import runtime as rt\n", "m") == [
         "m.py:1 imports rt, which it never uses"
+    ]
+
+
+# a key lo * n + hi spelled out from row columns or from a, b, c
+HAND_KEY = re.compile(r"\[:, ?[0-9a-z]\] \* g\.n|\b[abc] \* g\.n")
+
+
+def hand_written_keys(text: str):
+    lines = enumerate(text.splitlines(), 1)
+    return [f"{i}: {line.strip()}" for i, line in lines if HAND_KEY.search(line)]
+
+
+def test_triangle_keys_come_from_the_pair_key_helper():
+    """Edge keys of triangle and occurrence rows come from `_pair_keys`."""
+    assert hand_written_keys((SRC / "triangle.py").read_text()) == []
+
+
+def test_a_hand_written_key_is_caught():
+    text = "x = rows[:, 0] * g.n + rows[:, 1]\nk = a * g.n + c\nok = _pair_keys(rows, g.n)\n"
+    assert hand_written_keys(text) == [
+        "1: x = rows[:, 0] * g.n + rows[:, 1]",
+        "2: k = a * g.n + c",
     ]
