@@ -18,10 +18,10 @@ pipelined convergecast and broadcast); the runtime tests audit those
 forms against an engine replay or an explicit per-item schedule.
 
 Edges travel as sorted (k, 2) int rows of canonical pairs u < v from the
-graph to the report. A Decomposition holds its three edge sets in the
-layout the report lists them: E_m rows per cluster id, E_s rows per owner
-and one E_r array. The CLI hands the E_m and E_r arrays to its report
-writer as they are, and the report reader builds the same arrays back.
+graph to the report. A Decomposition holds E_m as rows per cluster id,
+E_s as one owner-sorted row array with the owner of each row, and E_r as
+one array. The CLI hands the E_m and E_r arrays to its report writer as
+they are, and the report reader builds the same arrays back.
 """
 
 import math
@@ -43,6 +43,7 @@ from .graphcore import (
     _lo_hi,
     _members,
     _pair_array,
+    _pair_keys,
     _relabel,
     _require_vertices,
     bfs_levels,
@@ -255,12 +256,17 @@ class ClusterPiece:
 
 @dataclass
 class PartitionStep:
+    """One partition call's output. `es_new` is the shed rows with the
+    owner of each, `s_vertices` the sorted ids of the call's vertices in
+    no cluster, and `halt_rounds` an (n,) int64 array of the round each
+    vertex halted in, -1 for a vertex that did not halt in this call."""
+
     clusters: List[ClusterPiece]
     es_new: Tuple[np.ndarray, np.ndarray]  # (rows, the owner of each row)
     er_new: np.ndarray
     witnesses: List[dict]
-    s_vertices: frozenset
-    halt_rounds: Dict[int, int]
+    s_vertices: np.ndarray
+    halt_rounds: np.ndarray
     transcript: rt.Transcript
 
 
@@ -280,8 +286,7 @@ def _sorted_edge_rows(g: Graph, edges) -> np.ndarray:
     _require_vertices(g, pairs)
     lo, hi = _lo_hi(pairs)
     keys = lo * g.n + hi
-    g_edges = g._edge_array()
-    absent = ~_members(g_edges[:, 0] * g.n + g_edges[:, 1], keys)
+    absent = ~_members(_pair_keys(g._edge_array(), g.n).ravel(), keys)
     if absent.any():
         u, v = pairs[absent.argmax()].tolist()
         raise GraphError(f"edge ({u}, {v}) is not an edge of the graph")
@@ -337,7 +342,7 @@ def black_box_partition(
     shed = [(pairs[:0], pairs[:0, 0])]  # (E_s rows, the owner of each)
     removed = [pairs[:0]]
     witnesses: List[dict] = []
-    halt_rounds: Dict[int, int] = {}
+    halt_rounds = np.full(g.n, -1, dtype=np.int64)
     tx = rt.Transcript()
     initial_potential = _potential([m_call])
     # (edges, None) for a piece, (edges, (graph, vertex ids, BFS levels
@@ -347,9 +352,8 @@ def black_box_partition(
     nibble_calls = 0
 
     def add_cluster(piece: np.ndarray, ids: np.ndarray, status: str) -> None:
-        vertices = ids.tolist()
-        clusters.append(ClusterPiece(frozenset(vertices), piece, status))
-        halt_rounds.update(dict.fromkeys(vertices, start_round + tx.rounds))
+        clusters.append(ClusterPiece(frozenset(ids.tolist()), piece, status))
+        halt_rounds[ids] = start_round + tx.rounds
 
     def apply_cut(cut: Cut, piece_graph: Graph, ids: np.ndarray, label: str):
         in_side = np.zeros(piece_graph.n, dtype=bool)
@@ -426,7 +430,7 @@ def black_box_partition(
                 continue
             owners = ids[peel.owners]
             shed.append((ids[peel.peeled], owners))
-            halt_rounds.update(dict.fromkeys(owners.tolist(), start_round + tx.rounds))
+            halt_rounds[owners] = start_round + tx.rounds
             queue.extendleft(reversed(split(ids[peel.kept], True)))
         else:
             nibble_calls += 1
@@ -449,11 +453,12 @@ def black_box_partition(
     assert (hits <= 1).all(), "clusters overlap"
     ends = np.zeros(g.n, dtype=bool)
     ends[pairs] = True
-    s_vertices = frozenset(np.flatnonzero(ends & (hits == 0)).tolist())
+    s_vertices = np.flatnonzero(ends & (hits == 0))
     es_rows, es_owners = map(np.concatenate, zip(*shed))
-    now = start_round + tx.rounds
-    for v in s_vertices | set(es_owners.tolist()):
-        halt_rounds.setdefault(v, now)
+    # the s-vertices and the owners that have not halted yet halt now
+    waiting = np.zeros(g.n, dtype=bool)
+    waiting[s_vertices] = waiting[es_owners] = True
+    halt_rounds[waiting & (halt_rounds < 0)] = start_round + tx.rounds
 
     em = np.concatenate([pairs[:0]] + [c.edges for c in clusters])
     load = np.bincount(es_owners, minlength=g.n) + np.bincount(em.ravel(), minlength=g.n)
@@ -477,19 +482,33 @@ def black_box_partition(
 
 @dataclass
 class Decomposition:
-    """E = E_m + E_s + E_r as sorted (k, 2) rows, laid out as the report
-    lists them: `em` maps each cluster id to its E_m rows, `es` each
-    owner, ascending, to the E_s rows oriented away from it, and `er`
-    holds E_r. Rows are int64, or Python ints when a report names an id
-    past int64."""
+    """E = E_m + E_s + E_r as (k, 2) rows. `em` maps each cluster id to
+    its sorted E_m rows and `er` holds E_r, sorted. E_s is two aligned
+    arrays: `es_rows`, each row oriented away from the vertex `es_owners`
+    gives it. `decompose` groups them by ascending owner, each owner's
+    rows sorted; a report read back keeps its listed order. Rows are
+    int64, or Python ints when a report names an id past int64.
+
+    `es` is E_s as the report lists it, derived on each read: each owner,
+    in the order of its rows, mapped to its rows."""
 
     delta: float
     threshold: float
     em: Dict[int, np.ndarray]
-    es: Dict[int, np.ndarray]
+    es_rows: np.ndarray
+    es_owners: np.ndarray
     er: np.ndarray
     clusters: Dict[int, frozenset]
     certificates: dict = field(default_factory=dict)
+
+    @property
+    def es(self) -> Dict[int, np.ndarray]:
+        owners = self.es_owners
+        if not len(owners):
+            return {}
+        starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+        firsts = owners[np.append(0, starts)].tolist()
+        return dict(zip(firsts, np.split(self.es_rows, starts)))
 
     def as_json(self) -> dict:
         """The decomposition as plain JSON lists."""
@@ -554,15 +573,18 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
 
     Each label set is read into the arrays `decompose` builds, in the
     order the report lists it. The per-owner sparse sets are read as
-    listed, so an edge filed under an owner that is not one of its
-    endpoints reaches the verifier unchanged. A container of the wrong
-    JSON type, a non-integer id, an edge that is not a vertex pair, or a
-    cluster edge, cluster id or owner listed twice raises GraphError.
+    listed into one row array and one owner array, so an edge filed under
+    an owner that is not one of its endpoints reaches the verifier
+    unchanged; an owner listed with no rows leaves none. A container of
+    the wrong JSON type, a non-integer id, an edge that is not a vertex
+    pair, or a cluster edge, cluster id or owner listed twice raises
+    GraphError.
     """
     doc = _report_field(doc, dict, "decomposition")
     em: Dict[int, np.ndarray] = {}
     clusters: Dict[int, frozenset] = {}
     listed: Set[Edge] = set()
+    owners_read: Set[int] = set()
     for entry in _report_field(doc["clusters"], list, "clusters"):
         entry = _report_field(entry, dict, "cluster entry")
         cid = _report_id(entry["id"])
@@ -571,13 +593,16 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
         vertices = _report_field(entry["vertices"], list, "cluster vertices")
         clusters[cid] = frozenset(_report_id(v) for v in vertices)
         em[cid] = _report_rows(entry["edges"], "cluster edges", listed)
-    es: Dict[int, np.ndarray] = {}
+    es_parts = [np.empty((0, 2), dtype=np.int64)]
+    es_owners: List[int] = []
     for owner, part in _report_field(doc["es"], dict, "es").items():
         part = _report_field(part, list, "es part")
         owner = _report_id(owner)
-        if owner in es:
+        if owner in owners_read:
             raise GraphError(f"owner {owner} is listed twice")
-        es[owner] = _report_rows(part, "es part")
+        owners_read.add(owner)
+        es_parts.append(_report_rows(part, "es part"))
+        es_owners += [owner] * len(part)
     try:
         delta, threshold = float(doc["delta"]), float(doc["threshold"])
     except (TypeError, ValueError):
@@ -586,7 +611,8 @@ def decomposition_from_json(doc: dict) -> "Decomposition":
         delta=delta,
         threshold=threshold,
         em=em,
-        es=es,
+        es_rows=np.concatenate(es_parts),
+        es_owners=_exact_ints(es_owners),
         er=_report_rows(doc["er"], "er"),
         clusters=clusters,
         certificates=doc.get("certificates", {}),
@@ -620,7 +646,7 @@ def decompose(
     removed = [empty]
     terminal: List[ClusterPiece] = []
     witnesses: List[dict] = []
-    halt_rounds: Dict[int, int] = {}
+    halt_rounds = np.full(g.n, -1, dtype=np.int64)
 
     depth_cap = max(int(4 * log2m(g.m)), 1)
     work = deque()
@@ -645,36 +671,36 @@ def decompose(
         shed.append(step.es_new)
         removed.append(step.er_new)
         witnesses.extend(step.witnesses)
-        for v, r in step.halt_rounds.items():
-            halt_rounds[v] = max(halt_rounds.get(v, 0), r)
-        # the step's clusters and s_vertices split the piece's vertices
-        piece_n = len(step.s_vertices) + sum(len(c.vertices) for c in step.clusters)
+        np.maximum(halt_rounds, step.halt_rounds, out=halt_rounds)
         for c in step.clusters:
             if c.status == "C3-1":
                 terminal.append(c)
             else:
-                assert len(c.vertices) < piece_n, "no vertex progress"
+                # a C3-2 piece may keep every vertex of its call, but it
+                # holds at most half of the call's edges
+                assert 2 * len(c.edges) <= len(piece), "no edge progress"
                 work.append((c.edges, depth + 1, start + step.transcript.rounds))
 
     terminal.sort(key=lambda c: min(c.vertices))
     rows, owners = map(np.concatenate, zip(*shed))
-    # E_s grouped by owner, each owner's rows sorted: the rows by key,
-    # then a stable sort by owner
-    order = np.argsort(rows[:, 0] * g.n + rows[:, 1])
-    order = order[np.argsort(owners[order], kind="stable")]
-    found, starts = np.unique(owners[order], return_index=True)
+    # E_s grouped by owner, each owner's rows by key; keys lie below n^2
+    order = np.argsort(owners * g.n ** 2 + _pair_keys(rows, g.n).ravel())
     er = np.concatenate(removed)
+    halted = np.flatnonzero(halt_rounds >= 0)
 
     deco = Decomposition(
         delta=delta,
         threshold=threshold,
         em={cid: c.edges for cid, c in enumerate(terminal, start=1)},
-        es=dict(zip(found.tolist(), np.split(rows[order], starts[1:]))),
-        er=er[np.argsort(er[:, 0] * g.n + er[:, 1])],
+        es_rows=rows[order],
+        es_owners=owners[order],
+        er=er[np.argsort(_pair_keys(er, g.n).ravel())],
         clusters={cid: c.vertices for cid, c in enumerate(terminal, start=1)},
         certificates={
             "witnesses": witnesses,
-            "halt_rounds": {str(v): r for v, r in sorted(halt_rounds.items())},
+            "halt_rounds": dict(
+                zip(map(str, halted.tolist()), halt_rounds[halted].tolist())
+            ),
             "partition_calls": call_index,
         },
     )
@@ -705,7 +731,7 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
 
     Hard checks: the three labels partition the edge set, clusters span
     connected components whose vertices keep at least n^delta / 2 cluster
-    edges, the sparse sets (owner -> edges oriented away from it) form an
+    edges, the sparse rows, each oriented away from its owner, form an
     acyclic orientation of graph edges incident to their owners with
     out-degrees capped at n^delta, and at most a sixth of the edges were
     removed. Certificate checks per cluster: conductance at
@@ -728,8 +754,7 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
             failures.append(f"{name}: {detail}" if detail else name)
 
     em, _ = _labeled_rows(d.em)
-    es, _ = _labeled_rows(d.es)
-    er = d.er
+    es, er = d.es_rows, d.er
     # Every id must be a vertex before it enters a key lo * n + hi: an id
     # of n or more would alias another edge's key.
     in_range = [
@@ -738,10 +763,9 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
     partition = all(in_range)
     if partition:
         labeled = np.concatenate((em, es, er))
-        g_edges = g._edge_array()
         partition = bool((labeled[:, 0] < labeled[:, 1]).all()) and np.array_equal(
-            np.sort(labeled[:, 0] * g.n + labeled[:, 1]),
-            g_edges[:, 0] * g.n + g_edges[:, 1],
+            np.sort(_pair_keys(labeled, g.n).ravel()),
+            _pair_keys(g._edge_array(), g.n).ravel(),
         )
     check("partition", partition, "labels must cover every edge exactly once")
 
@@ -793,7 +817,7 @@ def verify_decomposition(g: Graph, delta: float, d: Decomposition) -> Decomposit
         f"every clustered vertex needs at least {threshold / 2.0:.2f} cluster edges",
     )
 
-    rep = verify_orientation(g, d.es, cap=threshold)
+    rep = verify_orientation(g, d.es_rows, d.es_owners, cap=threshold)
     check("orientation", rep.ok, "; ".join(rep.violations[:3]))
 
     check(

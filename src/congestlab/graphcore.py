@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -633,9 +634,9 @@ def _pair_keys(rows, n: int) -> np.ndarray:
     near sorted for sorted rows, at a time and a test over each row's
     pairs reduces whole columns."""
     rows = np.asarray(rows, dtype=np.int64)
-    lo, hi = np.triu_indices(rows.shape[1], 1)
-    keys = np.empty((len(rows), len(lo)), dtype=np.int64, order="F")
-    for j, (a, b) in enumerate(zip(lo, hi)):
+    pairs = list(combinations(range(rows.shape[1]), 2))
+    keys = np.empty((len(rows), len(pairs)), dtype=np.int64, order="F")
+    for j, (a, b) in enumerate(pairs):
         np.multiply(rows[:, a], n, out=keys[:, j])
         keys[:, j] += rows[:, b]
     return keys
@@ -659,20 +660,25 @@ def _members(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 
 def verify_orientation(
-    g: Graph, owned: Dict[int, np.ndarray], cap: float
+    g: Graph, rows: np.ndarray, owners: np.ndarray, cap: float
 ) -> OrientationReport:
     """Check the arboricity witness: per-owner cap and global acyclicity.
 
-    owned maps each owner to the (k, 2) rows of the edges oriented away
-    from it. Each listed edge must touch its owner, exist in g and have no
-    second owner. Owners are read in ascending order, each one's rows in
-    their order, and so are the violations; a repeat names the previous
-    owner. Violations are reported, not raised, so tampered inputs stay
+    rows (k, 2) and owners (k,) are aligned: row i is an edge oriented
+    away from owners[i]. Each listed edge must touch its owner, exist in g
+    and have no second owner. Owners are read in ascending order, each
+    one's rows in their order, and so are the violations; a repeat names
+    the previous owner. Ids past int64 arrive as Python ints in object
+    arrays. Violations are reported, not raised, so tampered inputs stay
     inspectable.
     """
-    owners = sorted(owned)
-    rows, tails = _labeled_rows({v: owned[v] for v in owners})
-    sizes = [len(owned[v]) for v in owners]
+    order = np.argsort(owners, kind="stable")
+    rows, tails = rows.reshape(-1, 2)[order], owners[order]
+    # each owner's rows start where the owner changes
+    first = np.ones(len(tails), dtype=bool)
+    first[1:] = tails[1:] != tails[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(tails)))
     at_u = rows[:, 0] == tails
     incident = at_u | (rows[:, 1] == tails)
     # membership: ids in range first, then the keys lo * n + hi among g's
@@ -680,9 +686,8 @@ def verify_orientation(
     lo, hi = _lo_hi(rows)
     in_graph = (lo >= 0) & (hi < g.n)
     if in_graph.any():
-        keys = lo[in_graph].astype(np.int64) * g.n + hi[in_graph].astype(np.int64)
-        g_edges = g._edge_array()
-        in_graph[in_graph] = _members(g_edges[:, 0] * g.n + g_edges[:, 1], keys)
+        keys = _pair_keys(np.column_stack((lo, hi))[in_graph], g.n).ravel()
+        in_graph[in_graph] = _members(_pair_keys(g._edge_array(), g.n).ravel(), keys)
     # rank the ids, so that rows with ids past int64 key like the others
     ids, ranked = _rank(rows.ravel())
     u, w = ranked[0::2], ranked[1::2]
@@ -692,12 +697,11 @@ def verify_orientation(
     again = key[listed[1:]] == key[listed[:-1]]
     previous = dict(zip(listed[1:][again].tolist(), tails[listed[:-1][again]].tolist()))
 
-    events = []  # ((row position, 0 for the cap or 1), violation)
-    start = 0
-    for v, size in zip(owners, sizes):
-        if size > cap:
-            events.append(((start, 0), f"vertex {v} owns {size} edges, cap {cap:g}"))
-        start += size
+    events = [  # ((row position, 0 for the cap or 1), violation)
+        ((start, 0), f"vertex {tails[start]} owns {size} edges, cap {cap:g}")
+        for start, size in zip(starts.tolist(), sizes.tolist())
+        if size > cap
+    ]
     for r in sorted(set(np.flatnonzero(~incident | ~in_graph).tolist()) | set(previous)):
         e, v = tuple(rows[r].tolist()), tails[r]
         if not incident[r]:
@@ -716,7 +720,7 @@ def verify_orientation(
         count, _ = csgraph.connected_components(arcs, directed=True, connection="strong")
         if count < len(ids) or (src == dst).any():
             violations.append("orientation contains a directed cycle")
-    return OrientationReport(not violations, tuple(violations), max(sizes, default=0))
+    return OrientationReport(not violations, tuple(violations), int(sizes.max(initial=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ Three layers:
 
 Triangles are int arrays from lister to report: one CSR wedge lister,
 `_triangles_of_edges`, serves the clusters and case 1 with sorted (k, 3)
-rows. Case 1 looks each row's three edge keys up once among the sorted
-sparse-edge keys: the one lookup picks the rows with a sparse edge and
-gives the tails of their edges. The class-tuple core returns an owner
+rows, checking wedges in an edge table where the ids are dense. Case 1
+reads E_s as the decomposition's row and owner arrays, and looks each
+row's three edge keys up once among the sorted sparse-edge keys: the one
+lookup picks the rows with a sparse edge and gives the tails of their
+edges. The class-tuple core returns an owner
 array aligned with the cluster rows, and one array rule,
 `_case1_owners`, applies the orientation rules to every case-1 row at
 once from the tails of its three edges; `TriangleSet` holds one sorted
@@ -42,6 +44,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -78,6 +81,9 @@ CONCENTRATION_FACTOR = 24.0
 DEGREE_CHECK_FACTOR = 20.0
 LOAD_ENVELOPE = 600
 WEDGE_BLOCK = 1 << 13  # wedges the lister expands per block
+# The lister checks wedges in a table over all n^2 keys when n^2 is at most
+# this multiple of the wedges and edges it would otherwise search.
+EDGE_TABLE_FACTOR = 16
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +218,11 @@ def _triangles_of_edges(edges) -> np.ndarray:
     A CSR wedge lister over the sorted, distinct edge keys u * n + v.
     Every edge is oriented low -> high, and each arc (u, v) takes every w
     in N+(v), expanded WEDGE_BLOCK wedges at a time: each triangle comes
-    out once, from its lowest arc, and the rows come out sorted.
+    out once, from its lowest arc, and the rows come out sorted. A wedge's
+    closing key u * n + w is looked up in a boolean table over 0..n^2 - 1
+    when n^2 is at most EDGE_TABLE_FACTOR times the wedges plus edges, and
+    searched among the keys otherwise, so the table never costs more than
+    the searches it replaces.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if not len(edges):
@@ -225,6 +235,12 @@ def _triangles_of_edges(edges) -> np.ndarray:
     ends = np.cumsum(fan)
     if not ends[-1]:
         return np.empty((0, 3), dtype=np.int64)
+    if n * n <= EDGE_TABLE_FACTOR * (ends[-1] + len(keys)):
+        table = np.zeros(n * n, dtype=bool)
+        table[keys] = True
+        member = table.__getitem__
+    else:
+        member = partial(_members, keys)
     # arc i's wedges are wedge numbers ends[i] - fan[i] .. ends[i] - 1
     shift = indptr[heads] - (ends - fan)
     starts = np.arange(0, ends[-1], WEDGE_BLOCK)
@@ -234,7 +250,7 @@ def _triangles_of_edges(edges) -> np.ndarray:
         arc = np.repeat(np.arange(lo, hi), fan[lo:hi])
         w = heads[np.arange(ends[lo] - fan[lo], ends[hi - 1]) + shift[arc]]
         u = tails[arc]
-        hit = _members(keys, u * n + w)
+        hit = member(u * n + w)
         blocks.append(np.column_stack((u[hit], heads[arc[hit]], w[hit])))
     return np.concatenate(blocks)
 
@@ -604,9 +620,9 @@ def enumerate_general(
         # has verified one owner per edge and an acyclic orientation), and
         # one lookup of each triangle's edges ab, ac and bc among their
         # sorted keys tells both whether it is case 1's and the tails.
-        es_rows, tails = _labeled_rows(decomp.es)
+        es_rows, tails = decomp.es_rows, decomp.es_owners
         if len(es_rows):
-            tx.charge(f"triangle:case1:{level}", max(map(len, decomp.es.values())))
+            tx.charge(f"triangle:case1:{level}", int(np.bincount(tails).max()))
             tx.message_count += int(np.diff(g.indptr)[tails].sum())
             rows = _triangles_of_edges(g._edge_array())
             es_keys = _pair_keys(es_rows, g.n).ravel()

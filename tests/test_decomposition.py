@@ -29,6 +29,7 @@ from congestlab.graphcore import (
     mixing_time_bound,
     mixing_time_exact,
     subgraph_from_edges,
+    verify_orientation,
 )
 from congestlab.decomposition import (
     Decomposition,
@@ -317,7 +318,7 @@ def test_black_box_deterministic():
     assert [(sorted(c.vertices), c.status) for c in a.clusters] == [
         (sorted(c.vertices), c.status) for c in b.clusters
     ]
-    assert a.halt_rounds == b.halt_rounds
+    assert np.array_equal(a.halt_rounds, b.halt_rounds)
 
 
 def test_black_box_rejects_bad_input():
@@ -518,6 +519,48 @@ def test_decompose_lists_es_and_er_as_the_lexsort_oracle(monkeypatch, case2a_gra
     assert list(deco.es) == sorted(expect)
     er = np.concatenate([s.er_new for s in steps])
     assert deco.er.tolist() == er[np.lexsort((er[:, 1], er[:, 0]))].tolist()
+
+
+@pytest.mark.parametrize("spec", ["er:n=120,p=0.1", "path:n=60", "planted_cut:n=60,p=0.3,cross=2"])
+def test_decompose_holds_es_as_owner_sorted_arrays(spec):
+    # one row array and one owner array, grouped by ascending owner, each
+    # owner's rows by key, every owner an end of its row
+    g = generate(spec, seed=1)
+    deco, _ = decompose(g, 0.5, seed=1)
+    rows, owners = deco.es_rows, deco.es_owners
+    assert rows.dtype == owners.dtype == np.int64
+    assert len(owners) and rows.shape == (len(owners), 2)
+    assert np.array_equal(np.lexsort((rows[:, 1], rows[:, 0], owners)), np.arange(len(owners)))
+    assert ((rows[:, 0] == owners) | (rows[:, 1] == owners)).all()
+    # the derived map lists the same rows, owner by owner
+    assert list(deco.es) == sorted(set(owners.tolist()))
+    assert np.array_equal(np.concatenate(list(deco.es.values())), rows)
+
+
+@pytest.mark.parametrize("seed", [16, 37, 100, 173])
+def test_decompose_recurses_on_a_piece_that_keeps_every_vertex(monkeypatch, seed):
+    # at delta 0.7 a C3-2 piece of er:n=38,p=0.3 keeps every vertex of its
+    # partition call while holding at most half of the call's edges; the
+    # recursion goes on from it and everything lands in E_s
+    partition = dc.black_box_partition
+    kept_all = []
+
+    def recorded(g, piece, delta, **kwargs):
+        step = partition(g, piece, delta, **kwargs)
+        piece_n = len(step.s_vertices) + sum(len(c.vertices) for c in step.clusters)
+        kept_all.extend(
+            2 * len(c.edges) <= len(piece)
+            for c in step.clusters
+            if c.status == "C3-2" and len(c.vertices) == piece_n
+        )
+        return step
+
+    monkeypatch.setattr(dc, "black_box_partition", recorded)
+    g = gen_er(38, 0.3, seed=seed)
+    deco, _ = decompose(g, 0.7, seed="0:L0")
+    assert kept_all == [True]
+    assert not deco.clusters and not len(deco.er) and len(deco.es_rows) == g.m
+    assert verify_decomposition(g, 0.7, deco).ok
 
 
 def test_decompose_builds_each_piece_graph_once(monkeypatch):
@@ -763,7 +806,7 @@ def _count_exact_mixing(monkeypatch):
 def test_verifier_mixing_certificate_on_c60(monkeypatch, host_n, mixing_flags, exact_calls):
     cycle = gen_cycle(60)._edge_array()
     g = Graph(host_n, cycle)
-    deco = Decomposition(0.5, host_n ** 0.5, {1: cycle}, {}, NO_EDGES,
+    deco = Decomposition(0.5, host_n ** 0.5, {1: cycle}, NO_EDGES, NO_EDGES[:, 0], NO_EDGES,
                          {1: frozenset(range(60))})
     sub = gen_cycle(60)
     t_spec = mixing_time_bound(sub, lambda2_normalized(sub))
@@ -794,8 +837,8 @@ def _hypercube_pair(d):
 )
 def test_verifier_mixing_above_exact_limit(monkeypatch, g, mixing_flags):
     assert g.n == 2048
-    deco = Decomposition(0.15, g.n ** 0.15, {1: g._edge_array()}, {}, NO_EDGES,
-                         {1: frozenset(range(g.n))})
+    deco = Decomposition(0.15, g.n ** 0.15, {1: g._edge_array()}, NO_EDGES, NO_EDGES[:, 0],
+                         NO_EDGES, {1: frozenset(range(g.n))})
     calls = _count_exact_mixing(monkeypatch)
     report = verify_decomposition(g, 0.15, deco)
     assert report.checks["cluster-mixing"] is (not mixing_flags)
@@ -984,6 +1027,33 @@ def test_report_round_trip_gives_the_same_arrays(spec, seed, delta, scale, case2
         assert list(got) == list(want)
         for key in want:
             assert got[key].dtype == np.int64 and np.array_equal(got[key], want[key])
+    for got, want in ((back.es_rows, d.es_rows), (back.es_owners, d.es_owners)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
     assert back.er.dtype == np.int64 and np.array_equal(back.er, d.er)
     assert back.as_json() == d.as_json()
     assert verify_decomposition(g, delta, back) == verify_decomposition(g, delta, d)
+
+
+def test_report_reader_keeps_the_listed_owner_order():
+    # owners listed out of order stay in that order, each one's rows as
+    # listed; an owner listed with no rows leaves none
+    g = gen_path(6)
+    es = {"3": [[3, 4], [2, 3]], "0": [[0, 1]], "2": [], "1": [[1, 2]], "4": [[4, 5]]}
+    doc = {"delta": 0.5, "threshold": 6 ** 0.5, "clusters": [], "es": es, "er": []}
+    deco = decomposition_from_json(doc)
+    assert deco.es_owners.tolist() == [3, 3, 0, 1, 4]
+    assert deco.es_rows.tolist() == [[3, 4], [2, 3], [0, 1], [1, 2], [4, 5]]
+    assert {v: part.tolist() for v, part in deco.es.items()} == {
+        3: [[3, 4], [2, 3]], 0: [[0, 1]], 1: [[1, 2]], 4: [[4, 5]]
+    }
+    assert list(deco.es) == [3, 0, 1, 4]
+    assert verify_decomposition(g, 0.5, deco).ok
+    # the orientation check reads the owners ascending: 2 owns (2, 3) first
+    es["2"] = [[2, 3]]
+    deco = decomposition_from_json(doc)
+    rep = verify_orientation(g, deco.es_rows, deco.es_owners, cap=deco.threshold)
+    assert rep.violations == (
+        "edge (2, 3) owned by both 2 and 3",
+        "orientation contains a directed cycle",
+    )
+    assert rep.max_out_degree == 2

@@ -1068,17 +1068,27 @@ def test_coin_pairs_hands_the_stream_back_where_the_loop_leaves_it(n, p, seed):
 # ---------------------------------------------------------------------------
 
 
+def _orient(g, owned, cap):
+    """verify_orientation on an owner -> edges map, its rows stacked in the
+    map's order with the owner of each."""
+    rows = [e for part in owned.values() for e in part]
+    owners = [v for v, part in owned.items() for _ in part]
+    return gc.verify_orientation(
+        g, gc._exact_ints(rows).reshape(-1, 2), gc._exact_ints(owners), cap
+    )
+
+
 def test_orientation_star_leaves_pass():
     g = gc.gen_star(5)
     owned = {leaf: [(0, leaf)] for leaf in range(1, 5)}
-    rep = gc.verify_orientation(g, owned, cap=1)
+    rep = _orient(g, owned, cap=1)
     assert rep.ok
 
 
 def test_orientation_cycle_fails():
     g = gc.gen_clique(3)
     owned = {0: [(0, 1)], 1: [(1, 2)], 2: [(0, 2)]}
-    rep = gc.verify_orientation(g, owned, cap=5)
+    rep = _orient(g, owned, cap=5)
     assert not rep.ok
     assert any("cycle" in v for v in rep.violations)
 
@@ -1086,7 +1096,7 @@ def test_orientation_cycle_fails():
 def test_orientation_cap_fails():
     g = gc.gen_star(5)
     owned = {0: [(0, leaf) for leaf in range(1, 5)]}
-    rep = gc.verify_orientation(g, owned, cap=3)
+    rep = _orient(g, owned, cap=3)
     assert not rep.ok
     assert any("cap" in v for v in rep.violations)
 
@@ -1094,7 +1104,7 @@ def test_orientation_cap_fails():
 def test_orientation_double_ownership_fails():
     g = gc.gen_clique(3)
     owned = {0: [(0, 1)], 1: [(0, 1)]}
-    rep = gc.verify_orientation(g, owned, cap=5)
+    rep = _orient(g, owned, cap=5)
     assert not rep.ok
 
 
@@ -1172,10 +1182,9 @@ def test_orientation_on_arrays_matches_the_per_edge_check(case):
     g, owned, cap = ORIENTATION_CASES[case]
     violations, max_out = _oracle_orientation(g, owned, cap)
     assert bool(violations) == (case != "star")
-    # lists of pairs, and the (k, 2) rows a decomposition holds
-    as_rows = {v: gc._exact_ints(part).reshape(-1, 2) for v, part in owned.items()}
-    for form in (owned, as_rows):
-        rep = gc.verify_orientation(g, form, cap)
+    # owners in the map's order, and grouped ascending as a decomposition holds them
+    for form in (owned, dict(sorted(owned.items()))):
+        rep = _orient(g, form, cap)
         assert rep.violations == tuple(violations)
         assert rep.max_out_degree == max_out
         assert rep.ok is (not violations)
@@ -1183,7 +1192,7 @@ def test_orientation_on_arrays_matches_the_per_edge_check(case):
 
 def test_orientation_names_the_previous_owner():
     g, owned, cap = ORIENTATION_CASES["owned three times"]
-    assert gc.verify_orientation(g, owned, cap).violations == (
+    assert _orient(g, owned, cap).violations == (
         "edge (0, 1) owned by both 0 and 1",
         "edge (0, 1) owned by both 1 and 1",
         "orientation contains a directed cycle",  # 0 -> 1 and 1 -> 0

@@ -95,6 +95,13 @@ def test_triangle_keys_come_from_the_pair_key_helper():
     assert hand_written_keys((SRC / "triangle.py").read_text()) == []
 
 
+@pytest.mark.parametrize("module", ["decomposition.py", "graphcore.py"])
+def test_edge_row_keys_come_from_the_pair_key_helper(module):
+    """Keys of edge rows in the decomposition and graph layers come from
+    `_pair_keys` too."""
+    assert hand_written_keys((SRC / module).read_text()) == []
+
+
 def test_a_hand_written_key_is_caught():
     text = "x = rows[:, 0] * g.n + rows[:, 1]\nk = a * g.n + c\nok = _pair_keys(rows, g.n)\n"
     assert hand_written_keys(text) == [

@@ -201,6 +201,33 @@ def test_lister_expands_wedges_in_blocks(monkeypatch):
     assert _listed(_triangles_of_edges(g.edge_list())) == want
 
 
+@pytest.mark.parametrize(
+    "spec", ["er:n=120,p=0.2", "barbell:k=9,bridges=2", "caterpillar:blobs=4,blob_size=12"]
+)
+def test_lister_table_and_search_paths_match_brute_force(monkeypatch, spec):
+    # dense ids check wedges in the edge table; the same triangles
+    # relabelled onto ids spread over 0..10^5 make n^2 too large for it,
+    # and the lister searches the sorted keys instead
+    g = generate(spec, seed=3)
+    want = brute_force_triangles(g).rows()
+    assert len(want)
+    searched = []
+    members = tr._members
+
+    def search(keys, cand):
+        searched.append(cand.size)
+        return members(keys, cand)
+
+    monkeypatch.setattr(tr, "_members", search)
+    edges = g._edge_array()
+    assert np.array_equal(_triangles_of_edges(edges), want)
+    assert searched == []
+    # a monotone relabelling keeps the rows sorted
+    ids = np.sort(np.random.default_rng(3).choice(10 ** 5, g.n, replace=False))
+    assert np.array_equal(_triangles_of_edges(ids[edges]), ids[want])
+    assert searched
+
+
 # -- triad allocation --------------------------------------------------------
 
 
@@ -1092,11 +1119,10 @@ def _halving_decompose(g, delta, seed=0):
     # vertices and relabels the survivors
     edges = g._edge_array()
     half = -(-len(edges) // 2)
-    owners, starts = np.unique(edges[:half, 0], return_index=True)
-    es = dict(zip(owners.tolist(), np.split(edges[:half], starts[1:])))
     t = rt.Transcript(seed=seed)
     t.charge("partition", 1)
-    return Decomposition(delta, g.n ** delta, {}, es, edges[half:], {}), t
+    es = edges[:half]
+    return Decomposition(delta, g.n ** delta, {}, es, es[:, 0], edges[half:], {}), t
 
 
 def test_general_deep_levels_map_back_to_g(monkeypatch):
@@ -1121,10 +1147,10 @@ def _filter_instance():
     """
     cluster = np.array(list(combinations(range(12), 2)))
     er = np.array([(0, o) for o in range(12, 25)] + [(1, o) for o in range(13, 26)])
-    es = {o: np.array([(o, o + 1)]) for o in range(12, 25)}
-    g = Graph(26, np.concatenate([cluster, er, *es.values()]))
+    es = np.array([(o, o + 1) for o in range(12, 25)])
+    g = Graph(26, np.concatenate([cluster, er, es]))
     decomp = Decomposition(
-        0.5, g.n ** 0.5, {0: cluster}, es, er, {0: frozenset(range(12))}
+        0.5, g.n ** 0.5, {0: cluster}, es, es[:, 0], er, {0: frozenset(range(12))}
     )
     return g, decomp
 
@@ -1179,9 +1205,7 @@ def test_general_recursion_filter_drops_the_next_levels_triangles(monkeypatch):
         st.builds(gen_planted_cut, st.integers(8, 20), st.floats(0.3, 0.9),
                   st.integers(1, 3), st.integers(0, 10 ** 6)),
     ).filter(lambda g: g.m > 0),
-    # at delta 0.7, decompose itself can stop with "no vertex progress"
-    # (er:n=38,p=0.3 at seed 16), a fault outside case 1
-    st.sampled_from([0.3, 0.5]),
+    st.sampled_from([0.3, 0.5, 0.7]),
     st.integers(0, 10 ** 6),
 )
 @settings(max_examples=60, deadline=None)
@@ -1207,10 +1231,35 @@ def test_case1_rows_are_the_level_triangles_with_a_sparse_edge(g, delta, seed):
         res, _ = enumerate_general(g, delta, seed=seed)
     oracle = brute_force_triangles(g).triangles
     assert res.triangles == oracle
-    es = {edge_key(u, v) for rows in decomps[0].es.values() for u, v in rows.tolist()}
+    es = {edge_key(u, v) for u, v in decomps[0].es_rows.tolist()}
     want = [t for t in sorted(oracle) if es & {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}]
     assert len(reached) == (1 if es else 0)
     assert [tuple(r) for rows in reached for r in rows.tolist()] == want
+
+
+def test_count_never_reads_the_derived_es_map(monkeypatch, tmp_path):
+    # case 1 and the verifier read E_s as arrays; the owner -> rows map is
+    # derived for the report writer and the tests
+    reads, decomps = [], []
+    derived = Decomposition.es
+    monkeypatch.setattr(
+        Decomposition, "es", property(lambda d: reads.append(d) or derived.fget(d))
+    )
+    decompose = tr.decompose
+
+    def recorded(*args, **kwargs):
+        result = decompose(*args, **kwargs)
+        decomps.append(result[0])
+        return result
+
+    monkeypatch.setattr(tr, "decompose", recorded)
+    argv = ["--mode", "count", "--gen", "planted_cut:n=60,p=0.3,cross=2", "--seed", "1",
+            "--out", str(tmp_path / "r.json")]
+    assert run_cli(argv) == 0
+    assert any(len(d.es_rows) for d in decomps) and any(d.clusters for d in decomps)
+    assert reads == []
+    decomps[0].es  # the spy sees a read
+    assert reads == [decomps[0]]
 
 
 def test_general_attribution_exactly_once():
