@@ -3,6 +3,9 @@
 Every run is seeded explicitly; a report embeds the config that produced
 it, so replaying {config, seed} reproduces the results bit-for-bit. Exit
 codes: 0 success, 2 verification failure, 1 usage or input error.
+
+Each mode is stated once, as a `_Mode` record in `_MODES`, and
+`_execute` builds every run's graph and header.
 """
 
 import argparse
@@ -12,8 +15,9 @@ import math
 import os
 import sys
 from concurrent import futures
+from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,21 +43,33 @@ from .triangle import (
 )
 
 SCHEMA = "congestlab-report/1"
-MODES = (
-    "decompose",
-    "nibble",
-    "triangles",
-    "count",
-    "detect",
-    "subgraphs",
-    "verify",
-    "probe",
-)
 # The options a report echoes as its config, so that a rerun reproduces it.
 CONFIG_KEYS = (
     "mode", "graph", "gen", "seed", "seeds", "delta", "phi", "kappa",
     "round_cap", "mode_args", "case1_threshold_scale",
 )
+# The mode-specific options and their defaults, in the order they are
+# checked: a mode refuses each option it does not read at any other value.
+_DEFAULTS = {
+    "phi": None, "kappa": None, "case1_threshold_scale": 1.0, "delta": 0.5,
+    "round_cap": None, "seeds": 1, "graph": None, "gen": None, "mode_args": None,
+}
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One mode. `run(cfg, seed, g)` returns the run's own fields, which
+    `_execute` adds to the header it starts every run with; `reads` names
+    the `_DEFAULTS` options the mode reads, and a mode that reads "gen"
+    gets its graph built. `columns` are its CSV columns,
+    `line(first_run, all_ok)` is its summary, and `keys` are the
+    --mode-args keys that `_parse_kv` accepts."""
+
+    run: Callable[[dict, int, object], dict]
+    reads: Tuple[str, ...]
+    columns: Tuple[str, ...]
+    line: Callable[[dict, bool], str]
+    keys: Tuple[str, ...] = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,25 +107,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-# The --mode-args keys of each mode that reads key=value pairs; verify
-# reads a report path, and every other mode takes no --mode-args.
-MODE_ARG_KEYS = {"subgraphs": ("s",), "probe": ("q", "trials")}
-# The modes that read each mode-specific option, and the option's default;
-# every other mode refuses the option at any other value.
-_NOT_VERIFY = tuple(m for m in MODES if m != "verify")
-MODE_OPTIONS = {
-    "phi": (("nibble",), None),
-    "kappa": (("triangles", "count", "detect", "subgraphs"), None),
-    "case1_threshold_scale": (("decompose",), 1.0),
-    "delta": (("decompose", "triangles", "count", "detect"), 0.5),
-    "round_cap": (tuple(m for m in _NOT_VERIFY if m != "probe"), None),
-    # verify reads the graph and its seeds from the report
-    "seeds": (_NOT_VERIFY, 1),
-    "graph": (_NOT_VERIFY, None),
-    "gen": (_NOT_VERIFY, None),
-}
-
-
 def _parse_kv(text: str, mode: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
     for part in text.split(","):
@@ -119,7 +116,7 @@ def _parse_kv(text: str, mode: str) -> Dict[str, str]:
         if "=" not in part:
             raise GraphError(f"expected key=value, got '{part}'")
         k, v = (x.strip() for x in part.split("=", 1))
-        if k not in MODE_ARG_KEYS[mode]:
+        if k not in _MODES[mode].keys:
             raise GraphError(f"{mode} takes no --mode-args key '{k}'")
         if k in out:
             raise GraphError(f"--mode-args key '{k}' is given twice")
@@ -130,6 +127,7 @@ def _parse_kv(text: str, mode: str) -> Dict[str, str]:
 def _config_from_args(args) -> dict:
     cfg = {k: getattr(args, k) for k in CONFIG_KEYS}
     mode = args.mode
+    reads = _MODES[mode].reads
     if args.seeds < 1:
         raise GraphError("--seeds must be at least 1")
     # routing.route refuses the same kappa, but only when a run routes.
@@ -137,18 +135,16 @@ def _config_from_args(args) -> dict:
         raise GraphError("kappa must be at least 1")
     if args.round_cap is not None and args.round_cap < 0:
         raise GraphError("--round-cap must be nonnegative")
-    if mode != "verify":
+    if "gen" in reads:
         if args.seed is None:
             raise GraphError("--seed is mandatory (no wall-clock seeding)")
         if not args.graph and not args.gen:
             raise GraphError("one of --graph or --gen is required")
     if mode == "nibble" and args.phi is None:
         raise GraphError("--phi is required for nibble")
-    for key, (modes, default) in MODE_OPTIONS.items():
-        if mode not in modes and getattr(args, key) != default:
+    for key, default in _DEFAULTS.items():
+        if key not in reads and getattr(args, key) != default:
             raise GraphError(f"{mode} takes no --{key.replace('_', '-')}")
-    if args.mode_args is not None and mode not in MODE_ARG_KEYS and mode != "verify":
-        raise GraphError(f"{mode} takes no --mode-args")
     if mode == "subgraphs":
         if not args.mode_args:
             raise GraphError("subgraphs needs --mode-args s=SIZE")
@@ -177,25 +173,12 @@ def _build_graph(cfg: dict, seed):
     return generate(cfg["gen"], seed=seed)
 
 
-def _apply_round_cap(cfg: dict, run: dict) -> dict:
-    cap = cfg.get("round_cap")
-    if cap is not None and "transcript" in run:
-        if run["transcript"]["rounds"] > cap:
-            run["ok"] = False
-            run["round_cap_exceeded"] = True
-    return run
-
-
-def _run_decompose(cfg: dict, seed: int) -> dict:
-    g = _build_graph(cfg, seed)
+def _run_decompose(cfg: dict, seed: int, g) -> dict:
     d, t = decompose(
         g, cfg["delta"], seed=seed, threshold_scale=cfg["case1_threshold_scale"]
     )
     rep = verify_decomposition(g, cfg["delta"], d)
     return {
-        "seed": seed,
-        "n": g.n,
-        "m": g.m,
         "clusters": len(d.clusters),
         "er_edges": len(d.er),
         "er_within_sixth": rep.checks["removed-fraction"],
@@ -212,18 +195,10 @@ def _run_decompose(cfg: dict, seed: int) -> dict:
     }
 
 
-def _run_nibble(cfg: dict, seed: int) -> dict:
-    g = _build_graph(cfg, seed)
+def _run_nibble(cfg: dict, seed: int, g) -> dict:
     comp = max(connected_components(g), key=len, default=[])
     res = distributed_nibble(g, comp, cfg["phi"], seed=seed)
-    run = {
-        "seed": seed,
-        "n": g.n,
-        "m": g.m,
-        "component_size": len(comp),
-        "status": res.status,
-        "ok": True,
-    }
+    run = {"component_size": len(comp), "status": res.status}
     if res.cut is not None:
         run["cut"] = res.cut.as_json()
         run["certificate"] = res.certificate
@@ -231,61 +206,41 @@ def _run_nibble(cfg: dict, seed: int) -> dict:
     return run
 
 
-def _run_triangles(cfg: dict, seed: int) -> dict:
-    g = _build_graph(cfg, seed)
+def _run_triangles(cfg: dict, seed: int, g) -> dict:
     res, t = enumerate_general(g, cfg["delta"], seed=seed, kappa=cfg["kappa"])
-    run = {
-        "seed": seed,
-        "n": g.n,
-        "m": g.m,
-        "count": res.count,
-        "detected": res.count > 0,
-        "transcript": t.as_json(),
-        "ok": True,
-    }
+    run = {"count": res.count, "detected": res.count > 0, "transcript": t.as_json()}
     if cfg["mode"] == "triangles":
         run["triangles"] = res.rows()
         run["attribution"] = {str(v): c for v, c in res.reporter_counts().items()}
     return run
 
 
-def _run_subgraphs(cfg: dict, seed: int) -> dict:
-    g = _build_graph(cfg, seed)
+def _run_subgraphs(cfg: dict, seed: int, g) -> dict:
     res, t = enumerate_subgraphs(g, cfg["subgraph_size"], seed=seed, kappa=cfg["kappa"])
     return {
-        "seed": seed,
-        "n": g.n,
-        "m": g.m,
         "size": cfg["subgraph_size"],
         "count": res.count,
         "occurrences": [list(o) for o in sorted(res.occurrences)],
         "transcript": t.as_json(),
-        "ok": True,
     }
 
 
-def _run_probe(cfg: dict, seed: int) -> dict:
-    g = _build_graph(cfg, seed)
+def _run_probe(cfg: dict, seed: int, g) -> dict:
     pr = edge_concentration_probe(
         g, cfg["probe_q"], seed=seed, trials=cfg["probe_trials"]
     )
-    ok_trials = sum(1 for x in pr.per_trial if x <= pr.bound)
     return {
-        "seed": seed,
-        "n": g.n,
-        "m": g.m,
         "q": cfg["probe_q"],
         "trials": len(pr.per_trial),
         "per_trial": pr.per_trial,
         "max_pair_edges": pr.max_pair_edges,
         "bound": pr.bound,
         "degree_ok": pr.degree_ok,
-        "ok_trials": ok_trials,
-        "ok": True,
+        "ok_trials": sum(1 for x in pr.per_trial if x <= pr.bound),
     }
 
 
-def _run_verify(cfg: dict, seed) -> dict:
+def _run_verify(cfg: dict, seed, g) -> dict:
     doc = _report_field(json.loads(_read_utf8(cfg["mode_args"])), dict, "file")
     inner = _report_field(doc["config"], dict, "config")
     delta = inner["delta"]
@@ -326,30 +281,108 @@ def _run_verify(cfg: dict, seed) -> dict:
                 "flags": rep.flags,
             }
         )
-    return {"seed": seed, "report": cfg["mode_args"], "results": results, "ok": all_ok}
+    return {"report": cfg["mode_args"], "results": results, "ok": all_ok}
 
 
-_RUNNERS = {
-    "decompose": _run_decompose,
-    "nibble": _run_nibble,
-    "triangles": _run_triangles,
-    "count": _run_triangles,
-    "detect": _run_triangles,
-    "subgraphs": _run_subgraphs,
-    "probe": _run_probe,
-    "verify": _run_verify,
+def _cut_fields(run: dict) -> dict:
+    """A nibble run's cut size and conductance, blank when it found no cut."""
+    if "cut" not in run:
+        return {"cut_size": "", "phi": ""}
+    num, den = run["cut"]["phi"]
+    return {"cut_size": len(run["cut"]["side"]), "phi": num / den}
+
+
+def _nibble_line(run: dict, ok: bool) -> str:
+    if "cut" not in run:
+        return f"cut=none status={run['status']}"
+    cut = _cut_fields(run)
+    return f"cut_size={cut['cut_size']} phi={cut['phi']:.6g}"
+
+
+# the graph source and the batch: verify reads both from its report
+_SOURCE = ("seeds", "graph", "gen")
+_TRIANGLE_READS = ("kappa", "delta", "round_cap", *_SOURCE)
+_MODES = {
+    "decompose": _Mode(
+        _run_decompose,
+        ("case1_threshold_scale", "delta", "round_cap", *_SOURCE),
+        ("seed", "n", "m", "clusters", "er_edges", "rounds", "ok"),
+        lambda r, ok: (
+            f"clusters={r['clusters']} er_edges={r['er_edges']} verified={str(ok).lower()}"
+        ),
+    ),
+    "nibble": _Mode(
+        _run_nibble,
+        ("phi", "round_cap", *_SOURCE),
+        ("seed", "n", "m", "status", "cut_size", "phi", "rounds"),
+        _nibble_line,
+    ),
+    "triangles": _Mode(
+        _run_triangles,
+        _TRIANGLE_READS,
+        ("seed", "n", "m", "count", "rounds", "messages"),
+        lambda r, ok: f"triangles={r['count']}",
+    ),
+    "count": _Mode(
+        _run_triangles,
+        _TRIANGLE_READS,
+        ("seed", "n", "m", "count", "rounds", "messages"),
+        lambda r, ok: f"triangles={r['count']}",
+    ),
+    "detect": _Mode(
+        _run_triangles,
+        _TRIANGLE_READS,
+        ("seed", "n", "m", "detected", "rounds", "messages"),
+        lambda r, ok: f"detected={str(r['detected']).lower()}",
+    ),
+    "subgraphs": _Mode(
+        _run_subgraphs,
+        ("kappa", "round_cap", "mode_args", *_SOURCE),
+        ("seed", "n", "m", "size", "count", "rounds"),
+        lambda r, ok: f"subgraphs={r['count']}",
+        keys=("s",),
+    ),
+    "verify": _Mode(
+        _run_verify,
+        ("mode_args",),
+        ("seed", "ok"),
+        lambda r, ok: f"verified={str(ok).lower()}",
+    ),
+    "probe": _Mode(
+        _run_probe,
+        ("mode_args", *_SOURCE),
+        ("seed", "n", "m", "q", "trials", "max_pair_edges", "bound", "ok_trials"),
+        lambda r, ok: (
+            f"max_pair={r['max_pair_edges']} bound={r['bound']:.6g}"
+            f" ok_trials={r['ok_trials']}/{r['trials']}"
+        ),
+        keys=("q", "trials"),
+    ),
 }
+MODES = tuple(_MODES)
 
 
 def _execute(cfg: dict, seed) -> dict:
-    """One run of one seed. Within it, λ2 and the exact mixing time are
-    solved once per graph content (`graphcore._spectral_memo`): the nibble
-    screen, `decompose`'s verify and `_run_decompose`'s second verify
-    share the value of byte-equal CSR arrays. The verifier still rebuilds
-    every cluster from the report's rows, so a cluster that differs is
-    solved anew. Nothing is kept from one run to the next."""
+    """One run of one seed: the header {seed, ok, n, m}, with n and m of
+    the graph built for a mode that reads one, and the mode's own fields.
+    Within it, λ2 and the exact mixing time are solved once per graph
+    content (`graphcore._spectral_memo`): the nibble screen, `decompose`'s
+    verify and `_run_decompose`'s second verify share the value of
+    byte-equal CSR arrays. The verifier still rebuilds every cluster from
+    the report's rows, so a cluster that differs is solved anew. Nothing
+    is kept from one run to the next."""
+    mode = _MODES[cfg["mode"]]
     with _spectral_memo():
-        return _apply_round_cap(cfg, _RUNNERS[cfg["mode"]](cfg, seed))
+        run = {"seed": seed, "ok": True}
+        g = None
+        if "gen" in mode.reads:
+            g = _build_graph(cfg, seed)
+            run.update(n=g.n, m=g.m)
+        run.update(mode.run(cfg, seed, g))
+        cap = cfg["round_cap"]
+        if cap is not None and "transcript" in run and run["transcript"]["rounds"] > cap:
+            run.update(ok=False, round_cap_exceeded=True)
+        return run
 
 
 def _worker_cap(jobs: int) -> int:
@@ -377,64 +410,17 @@ def _run_all(cfg: dict) -> List[dict]:
 
 
 def _summary(cfg: dict, runs: List[dict]) -> str:
-    mode = cfg["mode"]
-    first = runs[0]
-    ok = all(r["ok"] for r in runs)
-    if mode in ("triangles", "count"):
-        line = f"triangles={first['count']}"
-    elif mode == "detect":
-        line = f"detected={str(first['detected']).lower()}"
-    elif mode == "subgraphs":
-        line = f"subgraphs={first['count']}"
-    elif mode == "decompose":
-        line = (
-            f"clusters={first['clusters']} er_edges={first['er_edges']}"
-            f" verified={str(ok).lower()}"
-        )
-    elif mode == "nibble":
-        if "cut" in first:
-            num, den = first["cut"]["phi"]
-            line = f"cut_size={len(first['cut']['side'])} phi={num / den:.6g}"
-        else:
-            line = f"cut=none status={first['status']}"
-    elif mode == "probe":
-        line = (
-            f"max_pair={first['max_pair_edges']} bound={first['bound']:.6g}"
-            f" ok_trials={first['ok_trials']}/{first['trials']}"
-        )
-    else:
-        line = f"verified={str(ok).lower()}"
+    line = _MODES[cfg["mode"]].line(runs[0], all(r["ok"] for r in runs))
     if len(runs) > 1:
         line += f" seeds={len(runs)}"
     return line
 
 
-_CSV_COLUMNS = {
-    "decompose": ("seed", "n", "m", "clusters", "er_edges", "rounds", "ok"),
-    "nibble": ("seed", "n", "m", "status", "cut_size", "phi", "rounds"),
-    "triangles": ("seed", "n", "m", "count", "rounds", "messages"),
-    "count": ("seed", "n", "m", "count", "rounds", "messages"),
-    "detect": ("seed", "n", "m", "detected", "rounds", "messages"),
-    "subgraphs": ("seed", "n", "m", "size", "count", "rounds"),
-    "probe": ("seed", "n", "m", "q", "trials", "max_pair_edges", "bound", "ok_trials"),
-    "verify": ("seed", "ok"),
-}
-
-
 def _csv_row(mode: str, run: dict) -> dict:
     t = run.get("transcript", {})
-    extra = {
-        "rounds": t.get("rounds", ""),
-        "messages": t.get("message_count", ""),
-        "cut_size": len(run["cut"]["side"]) if "cut" in run else "",
-        "phi": (
-            run["cut"]["phi"][0] / run["cut"]["phi"][1] if "cut" in run else ""
-        ),
-    }
-    row = {}
-    for col in _CSV_COLUMNS[mode]:
-        row[col] = extra[col] if col in extra else run.get(col, "")
-    return row
+    extra = {"rounds": t.get("rounds", ""), "messages": t.get("message_count", "")}
+    extra.update(_cut_fields(run))
+    return {col: extra[col] if col in extra else run.get(col, "") for col in _MODES[mode].columns}
 
 
 # Scalars and non-str keys are encoded by the stdlib; ensure_ascii and
@@ -588,6 +574,8 @@ def _write_json(obj, fh, depth: int = 0) -> None:
         fh.write(_SCALAR.encode(obj))
 
 
+
+
 def run_cli(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -615,7 +603,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 fh.write("\n")
         if args.csv:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS[cfg["mode"]])
+                writer = csv.DictWriter(fh, fieldnames=_MODES[cfg["mode"]].columns)
                 writer.writeheader()
                 for run in runs:
                     writer.writerow(_csv_row(cfg["mode"], run))

@@ -284,8 +284,8 @@ def _sorted_edge_rows(g: Graph, edges) -> np.ndarray:
     if pairs is None:
         raise GraphError("edges must be pairs of integer vertex ids")
     _require_vertices(g, pairs)
-    lo, hi = _lo_hi(pairs)
-    keys = lo * g.n + hi
+    rows = np.column_stack(_lo_hi(pairs))
+    keys = _pair_keys(rows, g.n).ravel()
     absent = ~_members(_pair_keys(g._edge_array(), g.n).ravel(), keys)
     if absent.any():
         u, v = pairs[absent.argmax()].tolist()
@@ -293,7 +293,7 @@ def _sorted_edge_rows(g: Graph, edges) -> np.ndarray:
     order = np.argsort(keys)
     if (np.diff(keys[order]) == 0).any():
         raise GraphError("duplicate edges in input")
-    return np.column_stack((lo[order], hi[order]))
+    return rows[order]
 
 
 def black_box_partition(

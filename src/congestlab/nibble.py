@@ -68,10 +68,8 @@ class WalkParams:
     phi: float
     m: int
     b: int
-    c: int
     t0: int
     eps: float
-    gamma: float
     k_b: int
 
 
@@ -83,11 +81,8 @@ def make_walk_params(phi: float, m: int, b: int) -> WalkParams:
     log_term = ln_me4(m)
     t0 = math.ceil(49.0 * log_term / (phi * phi))
     eps = phi / (56.0 * log_term * t0 * (2.0 ** b))
-    gamma = 5.0 * phi / (392.0 * log_term)
     k_b = math.ceil(SAMPLING_C * log2m(m) * (2 * m) / (2.0 ** b))
-    return WalkParams(
-        phi=phi, m=m, b=b, c=SAMPLING_C, t0=t0, eps=eps, gamma=gamma, k_b=k_b
-    )
+    return WalkParams(phi=phi, m=m, b=b, t0=t0, eps=eps, k_b=k_b)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .graphcore import (
     _edge_keys,
     _find,
     _labeled_rows,
+    _lo_hi,
     _members,
     _pair_keys,
     _require_vertices,
@@ -343,8 +344,8 @@ def edge_concentration_probe(g: Graph, q: int, seed=0, trials: int = 20) -> Prob
         rng = random.Random(f"{seed}:probe:{t}")
         # parts ranked 0..k-1 (k <= n), so no pair key overflows for any q
         _, part = np.unique([rng.randint(1, q) for _ in range(g.n)], return_inverse=True)
-        a, b = part[e[:, 0]], part[e[:, 1]]
-        _, counts = np.unique(np.minimum(a, b) * g.n + np.maximum(a, b), return_counts=True)
+        keys = _pair_keys(np.column_stack(_lo_hi(part[e])), g.n).ravel()
+        _, counts = np.unique(keys, return_counts=True)
         per_trial.append(int(counts.max()) if len(counts) else 0)
     return ProbeResult(per_trial, bound, degree_ok)
 

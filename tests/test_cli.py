@@ -736,10 +736,9 @@ def test_writer_decomposition_entry_matches_json_dumps(monkeypatch, case2a_graph
         doc["er"].append([2 ** 64, 2 ** 64 + 1])
         d = decomposition_from_json(doc)
         assert d.em[doc["clusters"][0]["id"]].dtype == d.er.dtype == object
-    monkeypatch.setattr(cli, "_build_graph", lambda cfg, seed: case2a_graph)
     monkeypatch.setattr(cli, "decompose", lambda *args, **kwargs: (d, t))
     cfg = {"delta": 0.3, "case1_threshold_scale": 1.0}
-    entry = cli._run_decompose(cfg, 1)["decomposition"]
+    entry = cli._run_decompose(cfg, 1, case2a_graph)["decomposition"]
     assert isinstance(entry["er"], np.ndarray)
     assert _written(entry) == json.dumps(d.as_json(), indent=2, sort_keys=True)
 
@@ -878,19 +877,57 @@ MODE_ARGV = {
 }
 
 
+def _mode_argv(tmp_path, mode):
+    """MODE_ARGV[mode]; for verify, --mode-args naming a report of
+    MODE_ARGV["decompose"] written into tmp_path, whose summary the caller
+    still has to read off."""
+    if mode != "verify":
+        return MODE_ARGV[mode]
+    src = tmp_path / "src.json"
+    assert run_cli(["--mode", "decompose", "--out", str(src)] + MODE_ARGV["decompose"]) == 0
+    return ["--mode-args", str(src)]
+
+
 @pytest.mark.parametrize("mode", sorted(MODE_ARGV) + ["verify"])
 def test_every_mode_report_matches_json_dumps(tmp_path, capsys, mode):
     rpt = tmp_path / "r.json"
-    if mode == "verify":
-        src = tmp_path / "src.json"
-        run_cli(["--mode", "decompose", "--out", str(src)] + MODE_ARGV["decompose"])
-        argv = ["--mode", "verify", "--mode-args", str(src)]
-    else:
-        argv = ["--mode", mode] + MODE_ARGV[mode]
+    argv = ["--mode", mode] + _mode_argv(tmp_path, mode)
     assert run_cli(argv + ["--out", str(rpt)]) == 0
     capsys.readouterr()
     text = rpt.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+# The CSV header and the summary line of each mode on its MODE_ARGV; count
+# runs two seeds.
+MODE_OUTPUT = {
+    "decompose": ("seed,n,m,clusters,er_edges,rounds,ok", "clusters=1 er_edges=0 verified=true"),
+    "nibble": ("seed,n,m,status,cut_size,phi,rounds", "cut_size=28 phi=0.238095"),
+    "triangles": ("seed,n,m,count,rounds,messages", "triangles=440"),
+    "count": ("seed,n,m,count,rounds,messages", "triangles=255 seeds=2"),
+    "detect": ("seed,n,m,detected,rounds,messages", "detected=false"),
+    "subgraphs": ("seed,n,m,size,count,rounds", "subgraphs=15"),
+    "probe": (
+        "seed,n,m,q,trials,max_pair_edges,bound,ok_trials",
+        "max_pair=49 bound=339 ok_trials=3/3",
+    ),
+    "verify": ("seed,ok", "verified=true"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_OUTPUT))
+def test_every_mode_csv_header_summary_and_exit_code(tmp_path, capsys, mode):
+    table = tmp_path / "r.csv"
+    argv = ["--mode", mode] + _mode_argv(tmp_path, mode)
+    capsys.readouterr()
+    header, summary = MODE_OUTPUT[mode]
+    assert _run(capsys, argv + ["--csv", str(table)]) == (0, summary, "")
+    lines = table.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    assert len(lines) == (3 if mode == "count" else 2)
+    if mode == "nibble":
+        # cut_size and phi are computed from the run's cut
+        assert lines[1] == "1,80,666,cut,28,0.23809523809523808,912"
 
 
 def _unread_option_cases():
@@ -921,13 +958,8 @@ def _unread_option_cases():
 @pytest.mark.parametrize("mode,option,value", _unread_option_cases())
 def test_option_a_mode_never_reads_exits_1(tmp_path, capsys, mode, option, value):
     rpt = tmp_path / "r.json"
-    if mode == "verify":
-        src = tmp_path / "src.json"
-        run_cli(["--mode", "decompose", "--out", str(src)] + MODE_ARGV["decompose"])
-        capsys.readouterr()
-        argv = ["--mode-args", str(src)]
-    else:
-        argv = MODE_ARGV[mode]
+    argv = _mode_argv(tmp_path, mode)
+    capsys.readouterr()
     argv = ["--mode", mode, f"--{option}", value, "--out", str(rpt)] + argv
     code, out, err = _run(capsys, argv)
     assert code == 1

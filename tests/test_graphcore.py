@@ -668,6 +668,28 @@ def test_lambda2_lanczos_is_within_half_the_margin_above_the_dense_limit(name, m
     assert calls[0]["tol"] == gc.LAMBDA2_MARGIN / 4
 
 
+def test_lambda2_falls_back_to_shift_invert_when_lanczos_stalls(monkeypatch):
+    # The first solve, the deflated Lanczos one, raises as ARPACK does
+    # when it stalls; shift-invert about a point just below zero then
+    # takes 0 and lambda2, and the 9-cube's lambda2 is exactly 2/9.
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    eigsh = spla.eigsh
+
+    def stalled_once(a, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == 1:
+            raise spla.ArpackError(-9999)
+        return eigsh(a, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", stalled_once)
+    g = gc.gen_hypercube(9)
+    assert g.n > gc.LAMBDA2_DENSE_LIMIT
+    assert abs(gc.lambda2_normalized(g) - 2 / 9) <= gc.LAMBDA2_MARGIN
+    assert [kwargs.get("sigma") for kwargs in calls] == [None, -0.01]
+
+
 def _counted_solves(monkeypatch):
     """Count the solves behind lambda2_normalized and mixing_time_exact."""
     solves = {"lambda2": 0, "mixing": 0}

@@ -14,7 +14,7 @@ from conftest import lazy_step
 
 
 def small_params(t0=20, eps=0.0):
-    return nb.WalkParams(phi=1 / 20, m=10, b=1, c=4, t0=t0, eps=eps, gamma=0.0, k_b=4)
+    return nb.WalkParams(phi=1 / 20, m=10, b=1, t0=t0, eps=eps, k_b=4)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,6 @@ def test_walk_params_frozen_values():
     p = nb.make_walk_params(1 / 20, 100, 1)
     assert p.t0 == 168662
     assert p.eps == pytest.approx(3.075921671197807e-10, rel=1e-12)
-    assert p.gamma == pytest.approx(7.411301441536636e-05, rel=1e-12)
     assert p.k_b == 2658
 
 

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+from congestlab import cli
 from congestlab.cli import run_cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -39,3 +40,8 @@ def test_readme_cli_examples_print_their_summaries(tmp_path, monkeypatch, capsys
         printed = capsys.readouterr().out.strip()
         if said is not None:
             assert printed == said, argv
+
+
+def test_readme_lists_every_mode_in_order():
+    sentence = README.split("\nModes: ", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(cli.MODES)

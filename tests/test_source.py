@@ -81,8 +81,9 @@ def test_an_unused_import_is_caught():
     ]
 
 
-# a key lo * n + hi spelled out from row columns or from a, b, c
-HAND_KEY = re.compile(r"\[:, ?[0-9a-z]\] \* g\.n|\b[abc] \* g\.n")
+# a key lo * n + hi spelled out from row columns, from a, b, c, from lo
+# or from a call's result
+HAND_KEY = re.compile(r"\[:, ?[0-9a-z]\] \* g\.n|\b[abc] \* g\.n|\blo \* g\.n|\) \* g\.n \+")
 
 
 def hand_written_keys(text: str):
@@ -103,8 +104,13 @@ def test_edge_row_keys_come_from_the_pair_key_helper(module):
 
 
 def test_a_hand_written_key_is_caught():
-    text = "x = rows[:, 0] * g.n + rows[:, 1]\nk = a * g.n + c\nok = _pair_keys(rows, g.n)\n"
+    text = (
+        "x = rows[:, 0] * g.n + rows[:, 1]\nk = a * g.n + c\nok = _pair_keys(rows, g.n)\n"
+        "keys = lo * g.n + hi\ny = np.minimum(a, b) * g.n + np.maximum(a, b)\n"
+    )
     assert hand_written_keys(text) == [
         "1: x = rows[:, 0] * g.n + rows[:, 1]",
         "2: k = a * g.n + c",
+        "4: keys = lo * g.n + hi",
+        "5: y = np.minimum(a, b) * g.n + np.maximum(a, b)",
     ]
